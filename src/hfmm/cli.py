@@ -120,7 +120,7 @@ def cmd_bench(args):
         parts = _particles(xs, ys, qs)
         out = fmm_apply(parts, _run_config(args, media, P))
         hide = args.timings == "none"  # timing values are nondeterministic
-        for phase in ("build", "upward", "downward", "near", "total"):
+        for phase in ("build", "tables", "upward", "downward", "near", "total"):
             rows.append(_row(args, media, P, N, f"time_{phase}",
                              0.0 if hide else round(out.timings[phase], 6),
                              out.timings[phase]))

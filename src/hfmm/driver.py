@@ -22,7 +22,7 @@ import numpy as np
 from . import expansions as ex
 from . import layered
 from .greens import MediaConfig, scattered_batch
-from .quadrature import SommerfeldRules
+from .quadrature import SommerfeldRules, legendre_base
 from .specfun import bessel_j_sweep, hankel0
 from .tree import TreeConfig, build_lists, build_tree, near_source_leaves
 
@@ -356,7 +356,7 @@ def _leaf_potentials(ws, leaf):
         sx, sy, sq = ws.x[c:d], ws.y[c:d], ws.q[c:d]
         r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
         out += (0.25j * hankel0(k * r_img)) @ sq
-        gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+        gl_x, gl_w = legendre_base(32)
         s_nodes = 0.5 * C * (gl_x + 1.0)
         s_w = 0.5 * C * gl_w
         mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)

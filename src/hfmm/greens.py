@@ -19,11 +19,10 @@ kappa = -i k sin(tau) and never touches the branch cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
+from .quadrature import legendre_base
 from .specfun import hankel0
 
 __all__ = [
@@ -314,14 +313,8 @@ def free_space_spectral(k: float, x, x0, rules) -> complex:
 # Adaptive panel-doubling quadrature (the oracle's engine)
 
 
-@lru_cache(maxsize=None)
-def _gl_base(n=16):
-    x, w = roots_legendre(n)
-    return x, w
-
-
 def _panel_nodes(a, b, panels, n=16):
-    x, w = _gl_base(n)
+    x, w = legendre_base(n)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

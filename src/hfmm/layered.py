@@ -25,7 +25,8 @@ from . import greens
 from .expansions import LocalExpansion, MultipoleExpansion, apply_translation
 from .greens import (MediaConfig, Point2, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
-from .quadrature import SommerfeldRules, gauss_laguerre_generalized, gauss_legendre
+from .quadrature import (SommerfeldRules, gauss_laguerre_generalized, gauss_legendre,
+                         legendre_base)
 
 __all__ = [
     "TranslationGeometry",
@@ -159,7 +160,7 @@ def _evan_entries_adaptive(media, dx, dy_eff, P, r_evan, tol=1e-12):
     while count <= 384:
         total = np.zeros(len(nu), dtype=complex)
         mass = np.zeros(len(nu))  # L1 mass: sets the roundoff floor
-        xg, wg = np.polynomial.legendre.leggauss(count)
+        xg, wg = legendre_base(count)
         ug = 0.5 * (xg + 1.0)
         for a, b in zip(edges[:-1], edges[1:]):
             # cosine map clusters nodes at the panel ends, keeping the
@@ -171,7 +172,9 @@ def _evan_entries_adaptive(media, dx, dy_eff, P, r_evan, tol=1e-12):
             base = w * r_evan(t) / root
             psi = np.exp(1j * root * dx)
             up = np.exp(np.outer(nu, lnz) - t * dy_eff)
-            dn = np.exp(np.outer(-nu, lnz) - t * dy_eff)
+            # nu runs symmetrically over -2P..2P and (-a)*b == -(a*b)
+            # exactly, so the -nu rows are the nu rows reversed
+            dn = up[::-1]
             terms = psi * up + np.conj(psi) * sign_nu[:, None] * dn
             total += terms @ base
             mass += np.abs(terms) @ np.abs(base)

@@ -9,11 +9,13 @@ after rescaling t -> t / y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre, roots_genlaguerre
 
-__all__ = ["QuadratureRule", "gauss_legendre", "gauss_laguerre_generalized", "SommerfeldRules"]
+__all__ = ["QuadratureRule", "legendre_base", "gauss_legendre", "gauss_laguerre_generalized",
+           "SommerfeldRules"]
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,32 @@ class QuadratureRule:
         return np.sum(self.weights * f(self.nodes))
 
 
+@lru_cache(maxsize=None)
+def legendre_base(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Count-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Built once per count and shared by every caller, so the arrays are
+    read-only; callers map them onto their own intervals.  This is the
+    only place in the package that computes Gauss-Legendre nodes.  The
+    cache is keyed by the count alone and the package uses a handful of
+    counts, so it stays small.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    x, w = roots_legendre(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     """Count-point Gauss-Legendre rule affinely mapped to [a, b].
 
     Exact for polynomials up to degree 2*count - 1.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if not a < b:
         raise ValueError("invalid interval: need a < b")
-    x, w = roots_legendre(count)
+    x, w = legendre_base(count)
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * x
     weights = half * w

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hfmm import driver, greens, layered, quadrature
 from hfmm.driver import (PotentialVector, RunConfig, direct_apply, error_metric,
                          fmm_apply)
 from hfmm.greens import MediaConfig, Point2
@@ -198,6 +199,36 @@ class TestStructure:
         first = fmm_apply(parts, cfg).values
         assert (tmp_path / "tables.bin").exists()
         second = fmm_apply(parts, cfg).values  # now loaded from disk
+        np.testing.assert_array_equal(first, second)
+
+    def test_warm_call_builds_no_legendre_rule(self, monkeypatch):
+        # y down to 5e-3 sends table entries down the adaptive evanescent
+        # path and near pairs through the truncated line image
+        parts = _random_particles(15, 300, ylo=5e-3, yhi=1.0)
+        cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=12,
+                        leaf_capacity=30)
+        first = fmm_apply(parts, cfg).values
+        calls = {"rule": 0, "adaptive": 0, "tail": 0}
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (quadrature, greens, layered, driver):
+            if hasattr(mod, "roots_legendre"):
+                monkeypatch.setattr(mod, "roots_legendre",
+                                    counted("rule", mod.roots_legendre))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            counted("rule", np.polynomial.legendre.leggauss))
+        monkeypatch.setattr(layered, "_evan_entries_adaptive",
+                            counted("adaptive", layered._evan_entries_adaptive))
+        monkeypatch.setattr(layered, "compute_B_tail",
+                            counted("tail", layered.compute_B_tail))
+        second = fmm_apply(parts, cfg).values
+        assert calls["adaptive"] > 0 and calls["tail"] > 0
+        assert calls["rule"] == 0
         np.testing.assert_array_equal(first, second)
 
     def test_below_interface_rejected(self):

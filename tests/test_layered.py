@@ -77,10 +77,14 @@ class TestComputeA:
         compute_A(TranslationGeometry(dx=1.5, dy=2.5), media, 10, RULES,
                   verify=True)  # raises on >1e-11 disagreement
 
-    @pytest.mark.parametrize("media", [MediaConfig.two_layer(1.0, 1.0),
-                                       MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7)])
-    def test_m2l_vs_scattered_oracle(self, media):
-        src_c, tgt_c = Point2(0.0, 1.0), Point2(1.5, 1.0)
+    @pytest.mark.parametrize("media,center_y", [
+        pytest.param(MediaConfig.two_layer(1.0, 1.0), 1.0, id="media0"),
+        pytest.param(MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 1.0, id="media1"),
+        # dy * min(k, alpha) = 0.6 < 2: the two-layer adaptive evanescent path
+        pytest.param(MediaConfig.two_layer(1.0, 1.0), 0.3, id="two-layer-near-interface"),
+    ])
+    def test_m2l_vs_scattered_oracle(self, media, center_y):
+        src_c, tgt_c = Point2(0.0, center_y), Point2(1.5, center_y)
         parts = _real_sources(21, 15, src_c, 0.2)
         P = 25
         exp = p2m(parts, src_c, P, media.k1)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma
 
 from hfmm.quadrature import (QuadratureRule, SommerfeldRules, gauss_laguerre_generalized,
-                             gauss_legendre)
+                             gauss_legendre, legendre_base)
 
 
 class TestGaussLegendre:
@@ -46,6 +46,21 @@ class TestGaussLegendre:
     def test_zero_count(self):
         with pytest.raises(ValueError):
             gauss_legendre(0, 0.0, 1.0)
+
+    def test_shared_base_is_read_only(self):
+        x, w = legendre_base(8)
+        assert legendre_base(8)[0] is x  # built once, shared
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        # a mapped rule owns its arrays: mutating it leaves the next rule intact
+        first = gauss_legendre(8, -1.0, 1.0)
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        again = gauss_legendre(8, -1.0, 1.0)
+        np.testing.assert_array_equal(again.nodes, x)
+        np.testing.assert_array_equal(again.weights, w)
 
 
 class TestGaussLaguerre:
