@@ -61,10 +61,13 @@ def _particles(xs, ys, qs):
     return [Particle(Point2(x, y), q) for x, y, q in zip(xs, ys, qs)]
 
 
-def _run_config(args, media, order):
+def _run_config(args, media, order, n):
+    """RunConfig of one sweep run; cache=PATH gives each run PATH.P<order>.N<n>."""
     policy, cache = args.tables, ""
     if policy.startswith("cache="):
-        policy, cache = "precompute", policy[len("cache="):]
+        # a table file holds one P and one rescaled medium (set by the
+        # particles' root box), so each run of a sweep gets its own
+        policy, cache = "precompute", f"{policy[len('cache='):]}.P{order}.N{n}"
     return RunConfig(media=media, order=order, leaf_capacity=args.leaf_size,
                      table_policy=policy, table_cache=cache, threads=args.threads)
 
@@ -95,12 +98,12 @@ def cmd_accuracy(args):
     parts = _particles(xs, ys, qs)
 
     t0 = time.perf_counter()
-    ref = fmm_apply(parts, _run_config(args, media, args.p_ref))
+    ref = fmm_apply(parts, _run_config(args, media, args.p_ref, args.n))
     t_ref = time.perf_counter() - t0
     rows = [_row(args, media, args.p_ref, args.n, "reference", 0.0, t_ref)]
     for P in args.p:
         t1 = time.perf_counter()
-        out = fmm_apply(parts, _run_config(args, media, P))
+        out = fmm_apply(parts, _run_config(args, media, P, args.n))
         dt = time.perf_counter() - t1
         err = error_metric(ref, out, len(parts))
         rows.append(_row(args, media, P, args.n, "E_p", err, dt))
@@ -118,7 +121,7 @@ def cmd_bench(args):
         rng = np.random.default_rng(args.seed)
         qs = rng.normal(size=N)
         parts = _particles(xs, ys, qs)
-        out = fmm_apply(parts, _run_config(args, media, P))
+        out = fmm_apply(parts, _run_config(args, media, P, N))
         hide = args.timings == "none"  # timing values are nondeterministic
         for phase in ("build", "tables", "upward", "downward", "near", "total"):
             rows.append(_row(args, media, P, N, f"time_{phase}",
@@ -323,7 +326,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=2026)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tables", default="precompute",
-                       help="precompute | on-the-fly | cache=PATH")
+                       help="precompute | on-the-fly | cache=PATH (each run of a "
+                            "sweep reads and writes PATH.P<p>.N<n>)")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv",
                        dest="fmt")

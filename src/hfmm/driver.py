@@ -152,42 +152,18 @@ class _Workspace:
         self.local = {}
         self.near = near_source_leaves(self.tree)
         self.store = None
-        self.raw_cache = {}
-
-    def node_center(self, node):
-        return node.center
 
     def build_tables(self):
+        """Load the table cache (or start a store); precompute fills it."""
         if self.media.variant == "free":
             return
-        if self.config.table_cache:
-            if os.path.exists(self.config.table_cache):
-                self.store = layered.load_tables(self.config.table_cache,
-                                                 self.media, self.P, self.rules)
-                return
-        self.store = layered.TableStore(self.media, self.P,
-                                        self.tree.root_xy[1], self.rules)
+        cache = self.config.table_cache
+        if cache and os.path.exists(cache):
+            self.store = layered.load_tables(cache, self.media, self.P, self.rules)
+        else:
+            self.store = layered.TableStore(self.media, self.P, self.rules)
         if self.config.table_policy == "precompute":
-            for node in self.tree.nodes.values():
-                for src in node.interaction_list:
-                    self.store.get(node.level, src.index[1],
-                                   node.index[0] - src.index[0],
-                                   node.index[1] - src.index[1])
-        if self.config.table_cache:
-            layered.save_tables(self.store, self.config.table_cache)
-
-    def raw_entries(self, dx, dy, C=0.0):
-        """A (C = 0) or B-tail entries for off-lattice near-pair geometry."""
-        key = (round(dx * 2.0 ** 44), round(dy * 2.0 ** 44), round(C * 2.0 ** 44))
-        found = self.raw_cache.get(key)
-        if found is None:
-            geom = layered.TranslationGeometry(dx=dx, dy=dy)
-            if C > 0.0:
-                found = layered.compute_B_tail(geom, C, self.media, self.P, self.rules)
-            else:
-                found = layered.compute_A(geom, self.media, self.P, self.rules)
-            self.raw_cache[key] = found
-        return found
+            layered.fill_tables(self.store, self.tree, self.near)
 
 
 def _upward(ws):
@@ -272,31 +248,22 @@ def _downward(ws):
                 for i, (_, node) in enumerate(group):
                     ws.local[node] += dst[:, i]
 
-        # heterogeneous M2L: tables keyed by (level, iy_source, offset)
+        # heterogeneous M2L: one table entry per (heights, x offset) group
         if layered_run and vpairs:
+            y0 = ws.tree.root_xy[1]
             hgroups = {}
             for src, tgt in vpairs:
-                key = (src.index[1], tgt.index[0] - src.index[0],
-                       tgt.index[1] - src.index[1])
+                key = (src.index[1], tgt.index[0] - src.index[0], tgt.index[1] - src.index[1])
                 hgroups.setdefault(key, []).append((src, tgt))
-            for (iy_s, ox, oy), group in hgroups.items():
-                entries = ws.store.get(level, iy_s, ox, oy)
+            for group in hgroups.values():
+                first_src, first_tgt = group[0]
+                entries = ws.store.get(layered.pair_key(y0, first_tgt, first_src))
                 mat = _toeplitz_matrix(entries, P, "m-p")
                 src = np.stack([ex.image_coefficients(ws.multipole[s]) for s, _ in group],
                                axis=1)
                 dst = mat @ src
                 for i, (_, node) in enumerate(group):
                     ws.local[node] += dst[:, i]
-
-
-def _near_split_cutoff(ws, src_leaf, tgt_leaf):
-    """Line-image cutoff C for a near pair (0 means full A applies)."""
-    w = 2.0 * max(src_leaf.half_width, tgt_leaf.half_width)
-    src_bottom = src_leaf.center.y - src_leaf.half_width
-    if src_bottom >= 2.0 * src_leaf.half_width:
-        return 0.0
-    tgt_bottom = tgt_leaf.center.y - tgt_leaf.half_width
-    return max(0.0, w - (src_bottom + tgt_bottom))
 
 
 def _leaf_potentials(ws, leaf):
@@ -315,23 +282,17 @@ def _leaf_potentials(ws, leaf):
     pair_quads = []   # (src_leaf, C) pairs needing pairwise image quadrature
     oracle_srcs = []  # three-layer near-interface sources: pairwise oracle
     if layered_run:
+        y0 = ws.tree.root_xy[1]
         for src in ws.near[leaf]:
-            C = _near_split_cutoff(ws, src, leaf)
-            if not two_layer and C > 0.0:
+            key = layered.pair_key(y0, leaf, src, near=True)
+            if key.tail and not two_layer:
                 oracle_srcs.append(src)
                 continue
-            same_level = src.level == leaf.level
-            dy = leaf.center.y + src.center.y
-            if same_level and C == 0.0:
-                entries = ws.store.get(leaf.level, src.index[1],
-                                       leaf.index[0] - src.index[0],
-                                       leaf.index[1] - src.index[1])
-            else:
-                entries = ws.raw_entries(leaf.center.x - src.center.x, dy, C)
+            entries = ws.store.get(key)
             coeffs = ex.image_coefficients(ws.multipole[src])
             local += _toeplitz_matrix(entries, P, "m-p") @ coeffs
-            if C > 0.0:
-                pair_quads.append((src, C))
+            if key.tail:
+                pair_quads.append((src, ws.store.geometry(key).cutoff))
 
     # evaluate the accumulated local expansion at the targets
     rho = np.hypot(tx - leaf.center.x, ty - leaf.center.y)
@@ -407,5 +368,11 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
         a, b = leaf.span
         values[ws.tree.perm[a:b]] = vals
     timings["near"] = time.perf_counter() - t1
+
+    # one write per call, and only when this call computed an entry
+    if config.table_cache and ws.store is not None and ws.store.misses:
+        t1 = time.perf_counter()
+        layered.save_tables(ws.store, config.table_cache)
+        timings["tables"] += time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
     return PotentialVector(values=values, timings=timings)

@@ -8,15 +8,18 @@ entry is a Sommerfeld integral evaluated on the propagating/evanescent
 split with fixed quadrature rules.  Near the interface the line-image
 tail is translated separately (operator B with cutoff C).
 
-Entries are cached in a table store keyed by (level, source y-index,
-offset), since boxes at the same height and offset share the operator
-exactly (the kernel is invariant under horizontal translation).
+Entries are cached in one table store keyed by exact integers of the
+box pair (levels, y-indices, x offset) and the root height, since box
+pairs at the same heights and offset share the operator exactly (the
+kernel is invariant under horizontal translation).
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,15 +30,19 @@ from .greens import (MediaConfig, Point2, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
 from .quadrature import (SommerfeldRules, gauss_laguerre_generalized, gauss_legendre,
                          legendre_base)
+from .tree import near_source_leaves
 
 __all__ = [
     "TranslationGeometry",
-    "NearFieldSplit",
+    "TableKey",
     "TableStore",
+    "box_center_y",
+    "pair_key",
     "propagating_rule",
     "compute_A",
     "compute_B_tail",
     "m2l_heterogeneous",
+    "fill_tables",
     "precompute_tables",
     "save_tables",
     "load_tables",
@@ -50,33 +57,19 @@ class TranslationGeometry:
 
     dx is the target-center x minus the source-image-center x; dy is
     y_target_center + y_source_center (both measured from the
-    interface).  level and offset_key identify the table slot the
-    geometry came from; they are carried for keying only.
+    interface).  cutoff is the arclength C where the line image of a
+    near-interface pair is cut: [0, C] is integrated pairwise, [C, inf)
+    is translated by the tail entries B.  cutoff == 0 selects the full
+    operator A.
     """
 
     dx: float
     dy: float
-    level: int = -1
-    offset_key: tuple = (0, 0)
+    cutoff: float = 0.0
 
     def __post_init__(self):
         if self.dy <= 0:
             raise ValueError("heterogeneous translation requires dy > 0")
-
-
-@dataclass(frozen=True)
-class NearFieldSplit:
-    """Near-interface handling for one source-box/target-box pair.
-
-    cutoff is the arclength C where the line image is cut: [0, C] is
-    integrated pairwise (near-field part I, together with the point
-    image), [C, inf) is translated spectrally by the tail entries.
-    cutoff == 0 means the full operator A applies and tail_entries
-    covers the whole scattered field.
-    """
-
-    cutoff: float
-    tail_entries: np.ndarray
 
 
 def propagating_rule(media: MediaConfig, count: int):
@@ -329,101 +322,208 @@ def m2l_heterogeneous(exp: MultipoleExpansion, entries: np.ndarray,
     return LocalExpansion(center=target_center, order=P, coeffs=coeffs, k=exp.k)
 
 
-class TableStore:
-    """Read-mostly cache of A entries keyed by (level, y_index, ox, oy).
+def box_center_y(root_y0: float, level: int, iy: int) -> float:
+    """Normalized center height of box (level, iy), bit for bit as build_tree sets it.
 
-    The key determines the geometry exactly: with root lower-left
-    (rx0, ry0) and box width w = 2^-level,
-        dy = 2*ry0 + (2*iy_s + oy + 1) * w,   dx = ox * w.
+    The tree places each child at its parent's center plus or minus a
+    quarter of the parent's width, starting from root_y0 + 1/2; this
+    replays those additions along the path of iy's bits.
+    """
+    c = root_y0 + 0.5
+    for lev in range(1, level + 1):
+        c = c + (2 * ((iy >> (level - lev)) & 1) - 1) * 0.5 ** (lev + 1)
+    return c
+
+
+def _bottom(root_y0, level, iy):
+    return box_center_y(root_y0, level, iy) - 0.5 ** (level + 1)
+
+
+def _tail_cutoff(root_y0, l1, iy1, l2, iy2):
+    """Line-image cutoff C of a near pair: the coarser box width less both box bottoms."""
+    return max(0.0, 0.5 ** min(l1, l2) - (_bottom(root_y0, l2, iy2) + _bottom(root_y0, l1, iy1)))
+
+
+class TableKey(NamedTuple):
+    """Exact key of one table entry: the root height and the box pair.
+
+    oxh is target-center x minus source-center x in units of half the
+    finer box width; tail marks a near pair whose line image is cut at
+    C > 0 (a B-tail entry rather than A).  A pair across two levels
+    holds its coarser box in the tgt slot (see pair_key).
     """
 
-    def __init__(self, media: MediaConfig, P: int, root_y0: float,
-                 rules: SommerfeldRules):
+    root_y0: float
+    tgt_level: int
+    tgt_iy: int
+    src_level: int
+    src_iy: int
+    oxh: int
+    tail: bool
+
+
+def pair_key(root_y0: float, tgt, src, near: bool = False) -> TableKey:
+    """Table key of the scattered translation from tree box src to tree box tgt.
+
+    A near pair (near=True) whose source box sits less than its own
+    width above the interface has its line image cut at C > 0, if C
+    comes out positive.  A pair across two levels is keyed with the
+    coarser box in the target slot: swapping the two boxes changes none
+    of dx, dy or C, so both orders share one entry.
+    """
+    lt, (ixt, iyt) = tgt.level, tgt.index
+    ls, (ixs, iys) = src.level, src.index
+    fine = max(lt, ls)
+    oxh = ((2 * ixt + 1) << (fine - lt)) - ((2 * ixs + 1) << (fine - ls))
+    # with root_y0 > 0 only the bottom row (iys == 0) can sit that low
+    tail = (near and iys == 0 and _bottom(root_y0, ls, iys) < 0.5 ** ls
+            and _tail_cutoff(root_y0, lt, iyt, ls, iys) > 0.0)
+    if lt > ls:
+        lt, iyt, ls, iys = ls, iys, lt, iyt
+    return TableKey(root_y0, lt, iyt, ls, iys, oxh, tail)
+
+
+class TableStore:
+    """The one cache of heterogeneous translation entries, keyed by TableKey.
+
+    geometry() maps a key to its translation; get() is the only read
+    path and computes (and keeps) an entry on a miss.  Entries of
+    several root heights can share one store.
+    """
+
+    def __init__(self, media: MediaConfig, P: int, rules: SommerfeldRules):
         self.media = media
         self.fingerprint = media.fingerprint()
         self.P = P
-        self.root_y0 = root_y0
         self.rules = rules
         self.entries = {}
         self.hits = 0
         self.misses = 0
 
-    def geometry(self, level: int, iy_s: int, ox: int, oy: int) -> TranslationGeometry:
-        w = 0.5 ** level
-        dy = 2.0 * self.root_y0 + (2 * iy_s + oy + 1) * w
-        return TranslationGeometry(dx=ox * w, dy=dy, level=level, offset_key=(ox, oy))
+    @staticmethod
+    def geometry(key: TableKey) -> TranslationGeometry:
+        y0, lt, iyt, ls, iys, oxh, tail = key
+        dx = oxh * 0.5 ** (max(lt, ls) + 1)
+        if lt == ls and not tail:
+            # an uncut same-level pair takes the lattice closed form (one
+            # rounding); the others add the box centers as the tree
+            # rounded them.  The two can differ in the last bit.
+            dy = 2.0 * y0 + (iyt + iys + 1) * 0.5 ** lt
+        else:
+            dy = box_center_y(y0, lt, iyt) + box_center_y(y0, ls, iys)
+        cutoff = _tail_cutoff(y0, lt, iyt, ls, iys) if tail else 0.0
+        return TranslationGeometry(dx=dx, dy=dy, cutoff=cutoff)
 
-    def get(self, level: int, iy_s: int, ox: int, oy: int) -> np.ndarray:
-        key = (level, iy_s, ox, oy)
+    def get(self, key: TableKey) -> np.ndarray:
         found = self.entries.get(key)
         if found is not None:
             self.hits += 1
             return found
         self.misses += 1
-        entries = compute_A(self.geometry(*key), self.media, self.P, self.rules)
+        geom = self.geometry(key)
+        if geom.cutoff > 0.0:
+            entries = compute_B_tail(geom, geom.cutoff, self.media, self.P, self.rules)
+        else:
+            entries = compute_A(geom, self.media, self.P, self.rules)
         self.entries[key] = entries
         return entries
 
 
-def precompute_tables(tree, media: MediaConfig, P: int, rules: SommerfeldRules,
-                      include_near: bool = True) -> TableStore:
-    """Build every table entry the tree's interaction structure needs.
+def fill_tables(store: TableStore, tree, near=None) -> TableStore:
+    """Read every entry of the tree's interaction lists through store.get.
 
-    Covers all interaction-list offsets per level plus, when
-    include_near is set, the 3x3 near-block offsets used for the
-    scattered field of interface-separated neighbor boxes.  Entries are
-    deduplicated by key, so horizontally translated box pairs share
-    storage.
+    With a near map (target leaf -> source leaves, as from
+    tree.near_source_leaves) the near pairs' entries are read too,
+    except the cut three-layer pairs, which take the pairwise oracle.
     """
-    store = TableStore(media, P, tree.root_xy[1], rules)
+    y0 = tree.root_xy[1]
+    seen = set()
     for node in tree.nodes.values():
         for src in node.interaction_list:
-            ox = node.index[0] - src.index[0]
-            oy = node.index[1] - src.index[1]
-            store.get(node.level, src.index[1], ox, oy)
-    if include_near:
-        for leaf in tree.leaves:
-            for nb in leaf.neighbor_list:
-                ox = leaf.index[0] - nb.index[0]
-                oy = leaf.index[1] - nb.index[1]
-                store.get(leaf.level, nb.index[1], ox, oy)
+            # a same-level pair's key follows from its level, heights and x offset
+            pair = (node.level, node.index[1], src.index[1], node.index[0] - src.index[0])
+            if pair not in seen:
+                seen.add(pair)
+                store.get(pair_key(y0, node, src))
+    for tgt, srcs in (near or {}).items():
+        for src in srcs:
+            key = pair_key(y0, tgt, src, near=True)
+            if not key.tail or store.media.variant == "two-layer":
+                store.get(key)
     return store
 
 
-_MAGIC = b"HFMMTB1\x00"
+def precompute_tables(tree, media: MediaConfig, P: int, rules: SommerfeldRules) -> TableStore:
+    """Build every table entry a run on this tree reads.
+
+    Covers all interaction-list pairs and the near pairs a run
+    translates.  Entries are deduplicated by key, so horizontally
+    translated box pairs share storage.
+    """
+    return fill_tables(TableStore(media, P, rules), tree, near_source_leaves(tree))
+
+
+_MAGIC = b"HFMMTB2\x00"
+_OLD_MAGIC = b"HFMMTB1\x00"  # root height in the header; no rule counts
+_HEADER = struct.Struct("<IIId")     # P, prop_count, evan_count, Laguerre a_param
+_ENTRY = struct.Struct("<diqiqqBI")  # TableKey fields, then the value count
+
+
+def _rule_counts(rules: SommerfeldRules):
+    return (rules.propagating.count, rules.evanescent.count, rules.evanescent.a_param)
 
 
 def save_tables(store: TableStore, path):
-    """Serialize a table store (little-endian, complex as re/im f64 pairs)."""
+    """Serialize a table store (little-endian, complex as re/im f64 pairs).
+
+    The file is written beside path and renamed over it, so a reader
+    never sees a partial file.
+    """
     fp = store.fingerprint.encode()
-    levels = [k[0] for k in store.entries] or [0]
-    with open(path, "wb") as f:
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(fp)))
         f.write(fp)
-        f.write(struct.pack("<IId", store.P, max(levels), store.root_y0))
+        f.write(_HEADER.pack(store.P, *_rule_counts(store.rules)))
         f.write(struct.pack("<Q", len(store.entries)))
-        for (level, iy, ox, oy), vals in sorted(store.entries.items()):
-            f.write(struct.pack("<iqiiI", level, iy, ox, oy, len(vals)))
+        for key, vals in sorted(store.entries.items()):
+            f.write(_ENTRY.pack(*key, len(vals)))
             f.write(np.ascontiguousarray(vals, dtype="<c16").tobytes())
+    os.replace(tmp, path)
+
+
+def _read(f, size):
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ValueError("table cache file is truncated")
+    return raw
 
 
 def load_tables(path, media: MediaConfig, P: int, rules: SommerfeldRules) -> TableStore:
-    """Load a table store; the media fingerprint and P must match."""
+    """Load a table store; the media fingerprint, P and rule counts must match."""
     with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
+        magic = f.read(len(_MAGIC))
+        if magic == _OLD_MAGIC:
+            raise ValueError("table cache has an old format; delete it to rebuild")
+        if magic != _MAGIC:
             raise ValueError("not a translation table file")
-        (fplen,) = struct.unpack("<I", f.read(4))
-        fp = f.read(fplen).decode()
-        p_stored, _max_level, root_y0 = struct.unpack("<IId", f.read(16))
+        (fplen,) = struct.unpack("<I", _read(f, 4))
+        fp = _read(f, fplen).decode()
+        p_stored, *counts = _HEADER.unpack(_read(f, _HEADER.size))
         if fp != media.fingerprint():
-            raise ValueError("table cache was built for different media")
+            raise ValueError("table cache was built for different media "
+                             f"({fp}, not {media.fingerprint()})")
         if p_stored != P:
             raise ValueError(f"table cache was built for P={p_stored}, not P={P}")
-        store = TableStore(media, P, root_y0, rules)
-        (count,) = struct.unpack("<Q", f.read(8))
+        if tuple(counts) != _rule_counts(rules):
+            raise ValueError(
+                "table cache was built with (prop_count, evan_count, a_param) = "
+                f"{tuple(counts)}, not {_rule_counts(rules)}")
+        store = TableStore(media, P, rules)
+        (count,) = struct.unpack("<Q", _read(f, 8))
         for _ in range(count):
-            level, iy, ox, oy, nvals = struct.unpack("<iqiiI", f.read(24))
-            raw = f.read(16 * nvals)
-            store.entries[(level, iy, ox, oy)] = np.frombuffer(raw, dtype="<c16").copy()
+            *key, nvals = _ENTRY.unpack(_read(f, _ENTRY.size))
+            key = TableKey(*key[:-1], bool(key[-1]))
+            store.entries[key] = np.frombuffer(_read(f, 16 * nvals), dtype="<c16").copy()
     return store

@@ -74,8 +74,27 @@ class TestAccuracy:
         assert doc["format"] == "hfmm-json v1"
         assert any(r["metric"] == "E_p" for r in doc["rows"])
 
+    def test_cache_sweep_gives_each_run_its_file(self, tmp_path):
+        out = tmp_path / "acc.csv"
+        argv = ["accuracy", "--n", "100", "--p", "5,8", "--p-ref", "12",
+                "--leaf-size", "30", "--timings", "none",
+                "--tables", f"cache={tmp_path / 'tables'}", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(f.name for f in tmp_path.glob("tables.*")) == [
+            "tables.P12.N100", "tables.P5.N100", "tables.P8.N100"]
+        cold = out.read_bytes()
+        assert main(argv) == 0  # every run now reads its own file
+        assert out.read_bytes() == cold
+
 
 class TestBench:
+    def test_cache_sweep_over_n(self, tmp_path):
+        argv = ["bench", "--n-list", "100,200", "--p", "6", "--leaf-size", "30",
+                "--tables", f"cache={tmp_path / 'tables'}", "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert sorted(f.name for f in tmp_path.glob("tables.*")) == [
+            "tables.P6.N100", "tables.P6.N200"]
     def test_small_bench(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--n-list", "100,200", "--p", "8",

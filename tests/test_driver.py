@@ -235,3 +235,71 @@ class TestStructure:
         parts = [Particle(Point2(0.0, 0.5), 1.0), Particle(Point2(0.1, -0.2), 1.0)]
         with pytest.raises(ValueError):
             fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=5))
+
+
+def _pinned_particles(seed, n, ylo):
+    # x spans [-0.5, 0.5] exactly, so the root side is 1 for any ylo
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-0.5, 0.5, n)
+    ys = rng.uniform(ylo, ylo + 1.0, n)
+    xs[:2] = (-0.5, 0.5)
+    qs = rng.normal(size=n)
+    return [Particle(Point2(float(x), float(y)), float(q)) for x, y, q in zip(xs, ys, qs)]
+
+
+def _count_entry_work(monkeypatch):
+    calls = {"compute_A": 0, "compute_B_tail": 0, "save_tables": 0}
+    for name in calls:
+        fn = getattr(layered, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(layered, name, counted)
+    return calls
+
+
+class TestTableCache:
+    def test_shared_file_across_root_heights(self, tmp_path):
+        # same root side (same rescaled medium), different root heights:
+        # the second set must not translate with the first set's entries
+        media = MediaConfig.two_layer(1.0, 1.0)
+        cfg = RunConfig(media=media, order=16, leaf_capacity=60,
+                        table_cache=str(tmp_path / "tables.bin"))
+        fmm_apply(_pinned_particles(1, 3000, 1.0), cfg)
+        second = _pinned_particles(2, 3000, 0.5)
+        shared = fmm_apply(second, cfg).values
+        fresh = fmm_apply(second, RunConfig(media=media, order=16, leaf_capacity=60)).values
+        assert error_metric(fresh, shared, len(second)) <= 1e-13
+        # the file now serves both heights without computing anything
+        again = fmm_apply(second, cfg).values
+        np.testing.assert_array_equal(again, shared)
+
+    @pytest.mark.parametrize("media, ylo, policy", [
+        (MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 0.05, "precompute"),
+        (MediaConfig.two_layer(1.0, 1.0), 5e-3, "precompute"),
+        (MediaConfig.two_layer(1.0, 1.0), 5e-3, "on-the-fly"),
+    ], ids=["three-layer", "two-layer-tail", "two-layer-on-the-fly"])
+    def test_warm_call_computes_nothing(self, tmp_path, monkeypatch, media, ylo, policy):
+        parts = _random_particles(16, 600, ylo=ylo, yhi=ylo + 1.0, complex_q=False)
+        cfg = RunConfig(media=media, order=12, table_policy=policy,
+                        table_cache=str(tmp_path / "tables.bin"))
+        calls = _count_entry_work(monkeypatch)
+        fmm_apply(parts, cfg)
+        assert calls["compute_A"] > 0 and calls["save_tables"] == 1
+        if media.variant == "two-layer":
+            assert calls["compute_B_tail"] > 0
+        calls.update(compute_A=0, compute_B_tail=0, save_tables=0)
+        warm = fmm_apply(parts, cfg).values
+        assert calls == {"compute_A": 0, "compute_B_tail": 0, "save_tables": 0}
+        plain = fmm_apply(parts, RunConfig(media=media, order=12, table_policy=policy)).values
+        np.testing.assert_array_equal(warm, plain)
+
+    def test_file_refuses_other_rule_counts(self, tmp_path):
+        parts = _random_particles(17, 200, ylo=0.1, yhi=1.1)
+        media = MediaConfig.two_layer(1.0, 1.0)
+        cache = str(tmp_path / "tables.bin")
+        fmm_apply(parts, RunConfig(media=media, order=10, evan_count=16, table_cache=cache))
+        with pytest.raises(ValueError, match="evan_count"):
+            fmm_apply(parts, RunConfig(media=media, order=10, table_cache=cache))

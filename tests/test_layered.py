@@ -1,17 +1,19 @@
 """Tests for the heterogeneous translation operators and table store."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from hfmm.expansions import apply_translation, eval_local, p2m
 from hfmm.greens import MediaConfig, Point2, free_space, line_image_density, \
     mirror_image, scattered_direct
-from hfmm.layered import (TableStore, TranslationGeometry, compute_A,
-                          compute_B_tail, load_tables, m2l_heterogeneous,
-                          precompute_tables, save_tables)
+from hfmm.layered import (TableKey, TableStore, TranslationGeometry, box_center_y,
+                          compute_A, compute_B_tail, load_tables, m2l_heterogeneous,
+                          pair_key, precompute_tables, save_tables)
 from hfmm.quadrature import SommerfeldRules, gauss_legendre
 from hfmm.specfun import hankel1
-from hfmm.tree import Particle, TreeConfig, build_lists, build_tree
+from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
 
 RULES = SommerfeldRules.default()
 
@@ -36,11 +38,59 @@ class TestGeometry:
             TranslationGeometry(dx=1.0, dy=0.0)
 
     def test_store_key_reconstruction(self):
-        store = TableStore(MediaConfig.two_layer(1.0, 1.0), 5, 0.25, RULES)
-        g = store.geometry(2, 1, 3, -2)
+        # level 2, target iy 0, source iy 1, x offset 3 boxes = 6 half-widths
+        g = TableStore.geometry(TableKey(0.25, 2, 0, 2, 1, 6, False))
         w = 0.25
         assert g.dx == 3 * w
-        assert g.dy == pytest.approx(2 * 0.25 + (2 * 1 - 2 + 1) * w)
+        assert g.dy == 2 * 0.25 + (0 + 1 + 1) * w
+        assert g.cutoff == 0.0
+
+    def test_key_geometry_matches_tree_boxes(self):
+        rng = np.random.default_rng(21)
+        parts = [Particle(Point2(float(x), float(y)), 1.0)
+                 for x, y in zip(rng.uniform(-0.5, 0.5, 400), rng.uniform(0.01, 0.6, 400))]
+        tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=8)))
+        y0 = tree.root_xy[1]
+        for node in tree.nodes.values():
+            assert box_center_y(y0, node.level, node.index[1]) == node.center.y
+        levels = {n.level for n in tree.leaves}
+        assert len(levels) > 1
+        for tgt in tree.leaves:
+            for src in tree.leaves:
+                if abs(tgt.level - src.level) > 1:
+                    continue
+                g = TableStore.geometry(pair_key(y0, tgt, src))
+                assert g.dx == tgt.center.x - src.center.x
+                if tgt.level != src.level:
+                    assert g.dy == tgt.center.y + src.center.y
+                assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+                assert g.cutoff == 0.0
+        # near pairs: the line-image cutoff from the boxes' own floats
+        cut = 0
+        for tgt, srcs in near_source_leaves(tree).items():
+            for src in srcs:
+                src_bottom = src.center.y - src.half_width
+                tgt_bottom = tgt.center.y - tgt.half_width
+                w = 2.0 * max(src.half_width, tgt.half_width)
+                expect = 0.0 if src_bottom >= 2.0 * src.half_width else \
+                    max(0.0, w - (src_bottom + tgt_bottom))
+                g = TableStore.geometry(pair_key(y0, tgt, src, near=True))
+                assert g.cutoff == expect
+                assert g.dy == tgt.center.y + src.center.y or not expect
+                cut += expect > 0.0
+        assert cut > 0
+
+    def test_swapped_levels_share_a_key(self):
+        # coarse box to a fine box, and the mirrored fine box to the
+        # coarse box, have the same dx and dy
+        tree = TestTableStore()._uniform_tree(2)
+        y0 = tree.root_xy[1]
+        coarse = tree.nodes[(1, 0, 1)]
+        left, right = tree.nodes[(2, 0, 3)], tree.nodes[(2, 1, 3)]
+        key = pair_key(y0, coarse, left)
+        assert key == pair_key(y0, right, coarse)
+        assert key != pair_key(y0, left, coarse)
+        assert TableStore.geometry(key).dx == coarse.center.x - left.center.x
 
 
 class TestComputeA:
@@ -196,11 +246,23 @@ class TestTableStore:
 
     def test_cache_sharing(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        store = TableStore(media, 5, 0.0, RULES)
-        a = store.get(2, 1, 3, 0)
-        b = store.get(2, 1, 3, 0)
+        store = TableStore(media, 5, RULES)
+        key = TableKey(0.0, 2, 1, 2, 1, 6, False)
+        a = store.get(key)
+        b = store.get(key)
         assert a is b
         assert store.hits == 1 and store.misses == 1
+
+    def test_near_tail_keys(self):
+        # the bottom row of a two-layer tree cuts its line images
+        tree = self._uniform_tree(2)
+        y0 = tree.root_xy[1]
+        store = precompute_tables(tree, MediaConfig.two_layer(1.0, 1.0), 5, RULES)
+        tails = [key for key in store.entries if key.tail]
+        assert tails and all(key.tgt_iy == key.src_iy == 0 for key in tails)
+        leaf = tree.nodes[(2, 1, 0)]
+        geom = TableStore.geometry(pair_key(y0, leaf, tree.nodes[(2, 2, 0)], near=True))
+        assert geom.cutoff == pytest.approx(0.25 - 2 * y0)
 
     def test_store_size_bound_uniform_l3(self):
         tree = self._uniform_tree(3)
@@ -239,6 +301,34 @@ class TestTableStore:
             load_tables(path, MediaConfig.two_layer(1.0, 0.5), 8, RULES)
         with pytest.raises(ValueError):
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 9, RULES)
+
+    def test_load_rejects_other_rule_counts(self, tmp_path):
+        tree = self._uniform_tree(2)
+        media = MediaConfig.two_layer(1.0, 1.0)
+        path = tmp_path / "tables.bin"
+        save_tables(precompute_tables(tree, media, 8, RULES), path)
+        for rules in (SommerfeldRules.default(64, 16), SommerfeldRules.default(32, 64),
+                      SommerfeldRules.default(64, 64, a_param=0.5)):
+            with pytest.raises(ValueError, match="evan_count"):
+                load_tables(path, media, 8, rules)
+
+    def test_load_rejects_old_format(self, tmp_path):
+        # first format: magic, fingerprint, P, max level, root height, entries
+        fp = MediaConfig.two_layer(1.0, 1.0).fingerprint().encode()
+        path = tmp_path / "tables.bin"
+        path.write_bytes(b"HFMMTB1\x00" + struct.pack("<I", len(fp)) + fp
+                         + struct.pack("<IIdQ", 8, 2, 0.05, 0))
+        with pytest.raises(ValueError, match="old format"):
+            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8, RULES)
+
+    def test_load_rejects_truncated_file(self, tmp_path):
+        tree = self._uniform_tree(2)
+        media = MediaConfig.two_layer(1.0, 1.0)
+        path = tmp_path / "tables.bin"
+        save_tables(precompute_tables(tree, media, 8, RULES), path)
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(ValueError, match="truncated"):
+            load_tables(path, media, 8, RULES)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
