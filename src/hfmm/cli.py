@@ -69,7 +69,7 @@ def _run_config(args, media, order, n):
         # particles' root box), so each run of a sweep gets its own
         policy, cache = "precompute", f"{policy[len('cache='):]}.P{order}.N{n}"
     return RunConfig(media=media, order=order, leaf_capacity=args.leaf_size,
-                     table_policy=policy, table_cache=cache, threads=args.threads)
+                     table_policy=policy, table_cache=cache)
 
 
 def _row(args, media, P, N, metric, value, seconds):
@@ -210,8 +210,7 @@ def check_toeplitz(alpha=1.0):
     P = 12
     entries = compute_A(TranslationGeometry(dx=0.25, dy=2.5), media, P,
                         SommerfeldRules.default())
-    p = np.arange(-P, P + 1)
-    mat = entries[(p[None, :] - p[:, None]) + 2 * P]
+    mat = ex.translation_matrix(entries, P, "m-p")
     worst = 0.0
     for d in range(-2 * P, 2 * P + 1):
         diag = np.diagonal(mat, offset=d)
@@ -324,7 +323,6 @@ def build_parser():
                        help="comma-separated N sweep for bench")
         p.add_argument("--leaf-size", type=int, default=60, dest="leaf_size")
         p.add_argument("--seed", type=int, default=2026)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tables", default="precompute",
                        help="precompute | on-the-fly | cache=PATH (each run of a "
                             "sweep reads and writes PATH.P<p>.N<n>)")
@@ -339,8 +337,12 @@ def build_parser():
     return parser
 
 
-def _config_defaults(path):
-    """Read the INI file into a dict usable as parser defaults."""
+def _config_defaults(path, parser):
+    """Read the INI file into a dict usable as the subparser's defaults.
+
+    argparse checks a flag's choices only for values given on the command
+    line, so the INI values are checked against them here.
+    """
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise UsageError(f"cannot read config file {path}")
@@ -350,14 +352,20 @@ def _config_defaults(path):
     converters = {
         "media": str, "k": float, "alpha": float, "k1": float, "k2": float,
         "k3": float, "d": float, "p": _int_list, "p_ref": int, "n": int,
-        "n_list": _int_list, "leaf_size": int, "seed": int, "threads": int,
+        "n_list": _int_list, "leaf_size": int, "seed": int,
         "tables": str, "out": str, "format": str, "timings": str,
     }
+    choices = {action.dest: action.choices for action in parser._actions if action.choices}
     out = {}
     for key, conv in converters.items():
         raw = sec.get(key.replace("_", "-"), sec.get(key))
         if raw is not None:
-            out["fmt" if key == "format" else key] = conv(raw)
+            dest = "fmt" if key == "format" else key
+            value = conv(raw)
+            if dest in choices and value not in choices[dest]:
+                raise UsageError(f"config key {key}: {raw!r} is not one of "
+                                 f"{', '.join(choices[dest])}")
+            out[dest] = value
     return out
 
 
@@ -368,7 +376,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # defaults live on the subparser; explicit flags still win
-            parser.sub_commands[args.command].set_defaults(**_config_defaults(args.config))
+            sub = parser.sub_commands[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub))
             args = parser.parse_args(argv)
         if args.p is None:
             args.p = [5, 10, 20, 30]

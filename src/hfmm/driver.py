@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ class RunConfig:
     table_cache: str = ""             # optional path for the binary table cache
     prop_count: int = 64
     evan_count: int = 0               # 0: 64 for two-layer, 128 for three-layer
-    threads: int = 1
     oracle_tol: float = 1e-12
 
     def __post_init__(self):
@@ -120,17 +118,22 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 # fmm passes
 
 
-def _group_offsets(pairs):
-    """Group (source, target) node pairs by their integer index offset."""
-    groups = {}
-    for src, tgt in pairs:
-        key = (tgt.index[0] - src.index[0], tgt.index[1] - src.index[1])
-        groups.setdefault(key, []).append((src, tgt))
-    return groups
+def _quadrant(child, parent):
+    """Child center minus parent center, in half-widths of the child."""
+    return (2 * (child.index[0] - 2 * parent.index[0]) - 1,
+            2 * (child.index[1] - 2 * parent.index[1]) - 1)
+
+
+def _index_offset(src, tgt):
+    return (tgt.index[0] - src.index[0], tgt.index[1] - src.index[1])
 
 
 class _Workspace:
-    """Per-run state: tree, scaled media, coefficient arrays."""
+    """Per-run state: tree, scaled media, coefficient arrays.
+
+    multipole, local and image hold one row of 2P+1 coefficients per
+    tree node, indexed by the node's id in ids.
+    """
 
     def __init__(self, particles, config):
         self.config = config
@@ -148,8 +151,11 @@ class _Workspace:
         self.P = config.order
         self.rules = SommerfeldRules.default(config.prop_count,
                                              config.resolved_evan_count())
-        self.multipole = {}
-        self.local = {}
+        self.ids = {node: i for i, node in enumerate(self.tree.nodes.values())}
+        self.levels = {}
+        for node in self.tree.nodes.values():
+            self.levels.setdefault(node.level, []).append(node)
+        self.multipole = self.local = self.image = None
         self.near = near_source_leaves(self.tree)
         self.store = None
 
@@ -165,105 +171,84 @@ class _Workspace:
         if self.config.table_policy == "precompute":
             layered.fill_tables(self.store, self.tree, self.near)
 
+    def grouped(self, pairs, key):
+        """Node ids of (source, target) pairs, grouped by key(source, target).
+
+        Groups keep first-seen order.  Every key used here fixes the
+        source of a target, so a target appears at most once per group.
+        """
+        groups = {}
+        for src, tgt in pairs:
+            s, t = groups.setdefault(key(src, tgt), ([], []))
+            s.append(self.ids[src])
+            t.append(self.ids[tgt])
+        return {k: (np.array(s), np.array(t)) for k, (s, t) in groups.items()}
+
+
+def _translate(out, coeffs, groups, matrix):
+    """out[targets] += matrix(key) @ coeffs[sources]: one gather, GEMM and scatter per group."""
+    for key, (src, tgt) in groups.items():
+        out[tgt] += coeffs[src] @ matrix(key).T
+
 
 def _upward(ws):
-    """P2M at the leaves, then grouped M2M toward the root."""
+    """P2M at the leaves, then M2M toward the root, one GEMM per child quadrant."""
     P, k = ws.P, ws.k
+    ws.multipole = np.zeros((len(ws.ids), 2 * P + 1), dtype=complex)
     for leaf in ws.tree.leaves:
         a, b = leaf.span
-        ws.multipole[leaf] = ex.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
-                                           leaf.center.x, leaf.center.y, P, k)
-    by_level = {}
-    for node in ws.tree.nodes.values():
-        if not node.is_leaf:
-            by_level.setdefault(node.level, []).append(node)
-    for level in sorted(by_level, reverse=True):
-        pairs = [(child, node) for node in by_level[level] for child in node.children]
-        for (ox, oy), group in _group_offsets_child(pairs).items():
-            # child center minus parent center, in normalized units
-            hw = group[0][1].half_width / 2.0
-            vec = np.conj(ex.translation_vector_j(k, ox * hw, oy * hw, P))
-            mat = _toeplitz_matrix(vec, P, "p-m")
-            src = np.stack([ws.multipole[c] for c, _ in group], axis=1)
-            dst = mat @ src
-            for i, (_, parent) in enumerate(group):
-                acc = ws.multipole.get(parent)
-                ws.multipole[parent] = dst[:, i] if acc is None else acc + dst[:, i]
-
-
-def _group_offsets_child(pairs):
-    groups = {}
-    for child, parent in pairs:
-        key = (2 * (child.index[0] - 2 * parent.index[0]) - 1,
-               2 * (child.index[1] - 2 * parent.index[1]) - 1)
-        groups.setdefault(key, []).append((child, parent))
-    return groups
-
-
-def _toeplitz_matrix(vec_nu, P, index):
-    p = np.arange(-P, P + 1)
-    if index == "m-p":
-        idx = p[None, :] - p[:, None]
-    else:
-        idx = p[:, None] - p[None, :]
-    return vec_nu[idx + 2 * P]
+        ws.multipole[ws.ids[leaf]] = ex.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
+                                                   leaf.center.x, leaf.center.y, P, k)
+    for level in sorted(ws.levels, reverse=True):
+        hw = 0.5 ** (level + 2)  # half width of the children
+        pairs = [(child, node) for node in ws.levels[level] for child in node.children]
+        _translate(ws.multipole, ws.multipole, ws.grouped(pairs, _quadrant),
+                   lambda o: ex.translation_matrix(
+                       np.conj(ex.translation_vector_j(k, o[0] * hw, o[1] * hw, P)),
+                       P, "p-m"))
 
 
 def _downward(ws):
-    """L2L from parents plus grouped free and heterogeneous M2L."""
+    """L2L from parents plus free and heterogeneous M2L, level by level."""
     P, k = ws.P, ws.k
-    layered_run = ws.media.variant != "free"
-    nodes_by_level = {}
-    for node in ws.tree.nodes.values():
-        nodes_by_level.setdefault(node.level, []).append(node)
-        ws.local[node] = np.zeros(2 * P + 1, dtype=complex)
-
-    for level in sorted(nodes_by_level):
-        nodes = nodes_by_level[level]
-        # L2L from parents (4 possible quadrant offsets)
+    ws.local = np.zeros_like(ws.multipole)
+    if ws.store is not None:
+        ws.image = ex.image_coefficients(ws.multipole)
+    y0 = ws.tree.root_xy[1]
+    for level in sorted(ws.levels):
+        nodes = ws.levels[level]
+        hw = 0.5 ** (level + 1)  # half width of the boxes at this level
         pairs = [(node.parent, node) for node in nodes if node.parent is not None]
-        groups = {}
-        for parent, node in pairs:
-            key = (2 * (node.index[0] - 2 * parent.index[0]) - 1,
-                   2 * (node.index[1] - 2 * parent.index[1]) - 1)
-            groups.setdefault(key, []).append((parent, node))
-        for (ox, oy), group in groups.items():
-            hw = group[0][1].half_width
-            vec = ex.translation_vector_j(k, ox * hw, oy * hw, P)
-            mat = _toeplitz_matrix(vec, P, "m-p")
-            src = np.stack([ws.local[parent] for parent, _ in group], axis=1)
-            dst = mat @ src
-            for i, (_, node) in enumerate(group):
-                ws.local[node] += dst[:, i]
+        _translate(ws.local, ws.local,
+                   ws.grouped(pairs, lambda parent, child: _quadrant(child, parent)),
+                   lambda o: ex.translation_matrix(
+                       ex.translation_vector_j(k, o[0] * hw, o[1] * hw, P), P, "m-p"))
 
-        # free-space M2L over the interaction lists, grouped by offset
         vpairs = [(src, node) for node in nodes for src in node.interaction_list]
-        if vpairs:
-            w = 2.0 * vpairs[0][1].half_width
-            for (ox, oy), group in _group_offsets(vpairs).items():
-                vec = ex.translation_vector_h(k, ox * w, oy * w, P)
-                mat = _toeplitz_matrix(vec, P, "m-p")
-                src = np.stack([ws.multipole[s] for s, _ in group], axis=1)
-                dst = mat @ src
-                for i, (_, node) in enumerate(group):
-                    ws.local[node] += dst[:, i]
+        _translate(ws.local, ws.multipole, ws.grouped(vpairs, _index_offset),
+                   lambda o: ex.translation_matrix(
+                       ex.translation_vector_h(k, 2 * o[0] * hw, 2 * o[1] * hw, P),
+                       P, "m-p"))
+        if ws.store is not None:
+            # the scattered part: image coefficients through one table entry per key
+            _translate(ws.local, ws.image,
+                       ws.grouped(vpairs, lambda src, tgt: layered.pair_key(y0, tgt, src)),
+                       lambda key: ex.translation_matrix(ws.store.get(key), P, "m-p"))
 
-        # heterogeneous M2L: one table entry per (heights, x offset) group
-        if layered_run and vpairs:
-            y0 = ws.tree.root_xy[1]
-            hgroups = {}
-            for src, tgt in vpairs:
-                key = (src.index[1], tgt.index[0] - src.index[0], tgt.index[1] - src.index[1])
-                hgroups.setdefault(key, []).append((src, tgt))
-            for group in hgroups.values():
-                first_src, first_tgt = group[0]
-                entries = ws.store.get(layered.pair_key(y0, first_tgt, first_src))
-                mat = _toeplitz_matrix(entries, P, "m-p")
-                src = np.stack([ex.image_coefficients(ws.multipole[s]) for s, _ in group],
-                               axis=1)
-                dst = mat @ src
-                for i, (_, node) in enumerate(group):
-                    ws.local[node] += dst[:, i]
+
+def local_values(coeffs, xs, ys, cx: float, cy: float, k: float) -> np.ndarray:
+    """Local expansion (i/4) sum_p beta_p J_p(k r) e^{i p theta} at the targets.
+
+    coeffs holds beta_p for p = -P..P; (r, theta) is the polar offset of
+    each target (xs, ys) about the expansion center (cx, cy).
+    """
+    P = (len(coeffs) - 1) // 2
+    dx = np.asarray(xs, dtype=float) - cx
+    dy = np.asarray(ys, dtype=float) - cy
+    js = ex._signed_orders(bessel_j_sweep(P, k * np.hypot(dx, dy)), P)
+    orders = np.arange(-P, P + 1)
+    phases = np.exp(1j * np.outer(orders, np.arctan2(dy, dx)))
+    return 0.25j * (coeffs[:, None] * js * phases).sum(axis=0)
 
 
 def _leaf_potentials(ws, leaf):
@@ -272,34 +257,26 @@ def _leaf_potentials(ws, leaf):
     a, b = leaf.span
     tx, ty = ws.x[a:b], ws.y[a:b]
     nt = b - a
-    out = np.zeros(nt, dtype=complex)
-    layered_run = ws.media.variant != "free"
     two_layer = ws.media.variant == "two-layer"
 
     # collect the scattered near-field contributions into the leaf local
     # expansion before evaluating it
-    local = ws.local[leaf].copy()
+    local = ws.local[ws.ids[leaf]].copy()
     pair_quads = []   # (src_leaf, C) pairs needing pairwise image quadrature
     oracle_srcs = []  # three-layer near-interface sources: pairwise oracle
-    if layered_run:
+    if ws.store is not None:
         y0 = ws.tree.root_xy[1]
         for src in ws.near[leaf]:
             key = layered.pair_key(y0, leaf, src, near=True)
             if key.tail and not two_layer:
                 oracle_srcs.append(src)
                 continue
-            entries = ws.store.get(key)
-            coeffs = ex.image_coefficients(ws.multipole[src])
-            local += _toeplitz_matrix(entries, P, "m-p") @ coeffs
+            mat = ex.translation_matrix(ws.store.get(key), P, "m-p")
+            local += mat @ ws.image[ws.ids[src]]
             if key.tail:
                 pair_quads.append((src, ws.store.geometry(key).cutoff))
 
-    # evaluate the accumulated local expansion at the targets
-    rho = np.hypot(tx - leaf.center.x, ty - leaf.center.y)
-    theta = np.arctan2(ty - leaf.center.y, tx - leaf.center.x)
-    js = ex._signed_orders(bessel_j_sweep(P, k * rho), P)
-    orders = np.arange(-P, P + 1)
-    out += 0.25j * (local[:, None] * js * np.exp(1j * np.outer(orders, theta))).sum(axis=0)
+    out = local_values(local, tx, ty, leaf.center.x, leaf.center.y, k)
 
     # free-space near field, pairwise
     for src in ws.near[leaf]:
@@ -358,15 +335,9 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
 
     t1 = time.perf_counter()
     values = np.zeros(len(particles), dtype=complex)
-    leaves = ws.tree.leaves
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda lf: _leaf_potentials(ws, lf), leaves))
-    else:
-        results = [_leaf_potentials(ws, leaf) for leaf in leaves]
-    for leaf, vals in zip(leaves, results):
+    for leaf in ws.tree.leaves:
         a, b = leaf.span
-        values[ws.tree.perm[a:b]] = vals
+        values[ws.tree.perm[a:b]] = _leaf_potentials(ws, leaf)
     timings["near"] = time.perf_counter() - t1
 
     # one write per call, and only when this call computed an entry

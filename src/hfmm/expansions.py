@@ -1,66 +1,43 @@
-"""Free-space multipole and local expansion algebra.
+"""Free-space multipole and local expansion operators on coefficient arrays.
 
-Cylindrical-harmonic expansions about box centers and the standard
-translation operators between them: P2M, M2M, M2L, L2L, plus the two
-evaluation routines.  Conventions (all fixed by the single-source
-consistency tests, which any correct convention must pass):
+Cylindrical-harmonic expansions about box centers, held as plain
+arrays of 2P+1 coefficients (p = -P..P, index p + P), or as stacks of
+such rows.  The operators the driver applies:
+
+    p2m_arrays            sources -> multipole coefficients about a center
+    translation_vector_j  F_nu = J_nu e^{i nu theta} (M2M and L2L)
+    translation_vector_h  G_nu = H_nu e^{i nu theta} (free-space M2L)
+    translation_matrix    the (2P+1)^2 Toeplitz matrix of a 4P+1 vector
+    image_coefficients    multipole coefficients of the mirrored sources
+
+Conventions (all fixed by the single-source consistency tests, which
+any correct convention must pass):
 
     alpha_p = sum_j q_j J_p(k rho_j) e^{-i p theta_j}
     u(x)    = (i/4) sum_p alpha_p H_p^(1)(k r) e^{i p theta}
 
 with (rho_j, theta_j) the polar offset of source j about the expansion
 center and (r, theta) that of the target.  Local expansions use the
-same layout with J_p in place of H_p.
+same layout with J_p in place of H_p.  With these, M2M is
+translation_matrix(conj(F(c_child - c_parent)), P, "p-m"), L2L is
+translation_matrix(F(c_child - c_parent), P, "m-p") and M2L is
+translation_matrix(G(c_target - c_source), P, "m-p"), each applied to
+the coefficient vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .greens import Point2, polar_offset
 from .specfun import bessel_j_sweep, hankel1_sweep
 
 __all__ = [
-    "MultipoleExpansion",
-    "LocalExpansion",
-    "p2m",
     "p2m_arrays",
-    "eval_multipole",
-    "eval_local",
-    "m2m",
-    "m2l_free",
-    "l2l",
     "image_coefficients",
     "translation_vector_j",
     "translation_vector_h",
-    "apply_translation",
+    "translation_matrix",
 ]
-
-
-@dataclass
-class MultipoleExpansion:
-    center: Point2
-    order: int
-    coeffs: np.ndarray  # alpha_p, p = -P..P
-    k: float
-
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * self.order + 1:
-            raise ValueError("coefficient vector must have length 2P+1")
-
-
-@dataclass
-class LocalExpansion:
-    center: Point2
-    order: int
-    coeffs: np.ndarray  # beta_p, p = -P..P
-    k: float
-
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * self.order + 1:
-            raise ValueError("coefficient vector must have length 2P+1")
 
 
 def _signed_orders(sweep, P):
@@ -87,66 +64,31 @@ def p2m_arrays(xs, ys, qs, cx: float, cy: float, P: int, k: float) -> np.ndarray
     return (js * phases) @ qs
 
 
-def _positions_strengths(particles):
-    xs = np.array([p.position.x for p in particles])
-    ys = np.array([p.position.y for p in particles])
-    qs = np.array([p.strength for p in particles], dtype=complex)
-    return xs, ys, qs
-
-
-def p2m(particles, center: Point2, P: int, k: float) -> MultipoleExpansion:
-    """Aggregate sources into a multipole expansion about center."""
-    xs, ys, qs = _positions_strengths(particles)
-    coeffs = p2m_arrays(xs, ys, qs, center.x, center.y, P, k)
-    return MultipoleExpansion(center=center, order=P, coeffs=coeffs, k=k)
-
-
-def _offset_from(center: Point2, x):
-    px, py = (x.x, x.y) if isinstance(x, Point2) else (float(x[0]), float(x[1]))
-    return polar_offset(px - center.x, py - center.y)
-
-
-def eval_multipole(exp: MultipoleExpansion, x) -> complex:
-    """Evaluate the outgoing expansion at a well-separated target."""
-    off = _offset_from(exp.center, x)
-    P = exp.order
-    hs = _signed_orders(hankel1_sweep(P, exp.k * off.rho), P)
-    orders = np.arange(-P, P + 1)
-    return complex(0.25j * np.sum(exp.coeffs * hs * np.exp(1j * orders * off.theta)))
-
-
-def eval_local(local: LocalExpansion, x) -> complex:
-    """Evaluate the incoming expansion at a point inside the owning box."""
-    off = _offset_from(local.center, x)
-    P = local.order
-    js = _signed_orders(bessel_j_sweep(P, local.k * off.rho), P)
-    orders = np.arange(-P, P + 1)
-    return complex(0.25j * np.sum(local.coeffs * js * np.exp(1j * orders * off.theta)))
-
-
 def translation_vector_j(k: float, dx: float, dy: float, P: int) -> np.ndarray:
     """F_nu = J_nu(k rho) e^{i nu theta} for nu = -2P..2P, offset (dx, dy)."""
-    off = polar_offset(dx, dy)
-    js = _signed_orders(bessel_j_sweep(2 * P, k * off.rho), 2 * P)
+    js = _signed_orders(bessel_j_sweep(2 * P, k * float(np.hypot(dx, dy))), 2 * P)
     nu = np.arange(-2 * P, 2 * P + 1)
-    return js * np.exp(1j * nu * off.theta)
+    return js * np.exp(1j * nu * float(np.arctan2(dy, dx)))
 
 
 def translation_vector_h(k: float, dx: float, dy: float, P: int) -> np.ndarray:
     """G_nu = H_nu^(1)(k rho) e^{i nu theta} for nu = -2P..2P, offset (dx, dy)."""
-    off = polar_offset(dx, dy)
-    hs = _signed_orders(hankel1_sweep(2 * P, k * off.rho), 2 * P)
+    rho = float(np.hypot(dx, dy))
+    if rho == 0.0:
+        raise ValueError("M2L requires separated centers")
+    hs = _signed_orders(hankel1_sweep(2 * P, k * rho), 2 * P)
     nu = np.arange(-2 * P, 2 * P + 1)
-    return hs * np.exp(1j * nu * off.theta)
+    return hs * np.exp(1j * nu * float(np.arctan2(dy, dx)))
 
 
-def apply_translation(vec_nu: np.ndarray, coeffs: np.ndarray, index: str) -> np.ndarray:
-    """Apply a Toeplitz translation: out_p = sum_m vec[nu] coeffs_m.
+def translation_matrix(vec_nu: np.ndarray, P: int, index: str) -> np.ndarray:
+    """Toeplitz matrix T with out = T @ coeffs, from a vector indexed by nu + 2P.
 
-    index selects the diagonal convention: "m-p" (M2L style) or "p-m"
-    (M2M style).  vec_nu is indexed by nu + 2P for nu in [-2P, 2P].
+    index selects the diagonal convention: "m-p" gives T[p, m] =
+    vec[m - p] (M2L and L2L), "p-m" gives T[p, m] = vec[p - m] (M2M).
     """
-    P = (len(coeffs) - 1) // 2
+    if len(vec_nu) != 4 * P + 1:
+        raise ValueError(f"translation vector must have length 4P+1 = {4 * P + 1}")
     p = np.arange(-P, P + 1)
     if index == "m-p":
         idx = p[None, :] - p[:, None]
@@ -154,46 +96,7 @@ def apply_translation(vec_nu: np.ndarray, coeffs: np.ndarray, index: str) -> np.
         idx = p[:, None] - p[None, :]
     else:
         raise ValueError("index must be 'm-p' or 'p-m'")
-    return vec_nu[idx + 2 * P] @ coeffs
-
-
-def m2m(child: MultipoleExpansion, new_center: Point2) -> MultipoleExpansion:
-    """Shift an outgoing expansion to a new (parent) center.
-
-    alpha'_p = sum_m alpha_m conj(F_{p-m}(c_old - c_new)); the conjugate
-    mirrors the e^{-ip theta} orientation of the coefficients.
-    """
-    vec = np.conj(translation_vector_j(child.k, child.center.x - new_center.x,
-                                       child.center.y - new_center.y, child.order))
-    coeffs = apply_translation(vec, child.coeffs, "p-m")
-    return MultipoleExpansion(center=new_center, order=child.order, coeffs=coeffs, k=child.k)
-
-
-def m2l_free(exp: MultipoleExpansion, target_center: Point2, min_separation: float = 0.0) -> LocalExpansion:
-    """Convert an outgoing expansion into a local one about a separated center.
-
-    beta_p = sum_m alpha_m H_{m-p}(k rho) e^{i(m-p) theta}, with
-    (rho, theta) the polar offset of the target center about the source
-    center.
-    """
-    dx = target_center.x - exp.center.x
-    dy = target_center.y - exp.center.y
-    if np.hypot(dx, dy) < max(min_separation, 1e-300):
-        raise ValueError("M2L requires separated centers")
-    vec = translation_vector_h(exp.k, dx, dy, exp.order)
-    coeffs = apply_translation(vec, exp.coeffs, "m-p")
-    return LocalExpansion(center=target_center, order=exp.order, coeffs=coeffs, k=exp.k)
-
-
-def l2l(local: LocalExpansion, new_center: Point2) -> LocalExpansion:
-    """Shift an incoming expansion to a nested (child) center.
-
-    beta'_p = sum_m beta_m F_{m-p}(c_new - c_old).
-    """
-    vec = translation_vector_j(local.k, new_center.x - local.center.x,
-                               new_center.y - local.center.y, local.order)
-    coeffs = apply_translation(vec, local.coeffs, "m-p")
-    return LocalExpansion(center=new_center, order=local.order, coeffs=coeffs, k=local.k)
+    return vec_nu[idx + 2 * P]
 
 
 def image_coefficients(coeffs: np.ndarray) -> np.ndarray:
@@ -201,8 +104,9 @@ def image_coefficients(coeffs: np.ndarray) -> np.ndarray:
 
     Reflecting every source about y = 0 maps alpha_p to (-1)^p
     alpha_{-p}, which is linear in the strengths and coincides with
-    conj(alpha_p) when all strengths are real.
+    conj(alpha_p) when all strengths are real.  coeffs is one row of
+    2P+1 coefficients or a stack of rows, shape (nodes, 2P+1).
     """
-    P = (len(coeffs) - 1) // 2
+    P = (coeffs.shape[-1] - 1) // 2
     signs = np.where(np.arange(-P, P + 1) % 2 == 0, 1.0, -1.0)
-    return signs * coeffs[::-1]
+    return signs * coeffs[..., ::-1]

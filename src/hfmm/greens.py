@@ -27,10 +27,8 @@ from .specfun import hankel0
 
 __all__ = [
     "Point2",
-    "PolarOffset",
     "MediaConfig",
     "QuadratureConvergenceError",
-    "polar_offset",
     "mirror_image",
     "line_image_density",
     "vertical_wavenumber",
@@ -54,21 +52,10 @@ class Point2:
     y: float
 
 
-@dataclass(frozen=True)
-class PolarOffset:
-    rho: float
-    theta: float  # radians in (-pi, pi]
-
-
 def _xy(p):
     if isinstance(p, Point2):
         return p.x, p.y
     return float(p[0]), float(p[1])
-
-
-def polar_offset(dx: float, dy: float) -> PolarOffset:
-    """Polar form of the Cartesian offset (dx, dy)."""
-    return PolarOffset(rho=float(np.hypot(dx, dy)), theta=float(np.arctan2(dy, dx)))
 
 
 def mirror_image(p) -> Point2:

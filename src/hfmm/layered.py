@@ -25,8 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import greens
-from .expansions import LocalExpansion, MultipoleExpansion, apply_translation
-from .greens import (MediaConfig, Point2, QuadratureConvergenceError,
+from .greens import (MediaConfig, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
 from .quadrature import (SommerfeldRules, gauss_laguerre_generalized, gauss_legendre,
                          legendre_base)
@@ -41,7 +40,6 @@ __all__ = [
     "propagating_rule",
     "compute_A",
     "compute_B_tail",
-    "m2l_heterogeneous",
     "fill_tables",
     "precompute_tables",
     "save_tables",
@@ -251,9 +249,9 @@ def compute_A(geom: TranslationGeometry, media: MediaConfig, P: int,
               rules: SommerfeldRules, verify: bool = False) -> np.ndarray:
     """Heterogeneous M2L entries A(nu), nu = -2P..2P.
 
-    The assembled operator A_{p,m} = A(m - p) maps conjugated multipole
-    coefficients of a source box to the scattered-field local expansion
-    at a well-separated target box.
+    The assembled operator A_{p,m} = A(m - p) maps the image
+    coefficients (expansions.image_coefficients) of a source box to the
+    scattered-field local expansion at a well-separated target box.
     """
     if media.variant == "free":
         raise ValueError("heterogeneous translation undefined in free space")
@@ -304,22 +302,6 @@ def compute_B_tail(geom: TranslationGeometry, C: float, media: MediaConfig, P: i
                                     r_prop, r_evan, decay_shift=C)
         _verify_doubling(entries, doubled, "compute_B_tail")
     return entries
-
-
-def m2l_heterogeneous(exp: MultipoleExpansion, entries: np.ndarray,
-                      target_center: Point2) -> LocalExpansion:
-    """Apply A (or B) to a multipole expansion: beta_p = sum_m A(m-p) conj(alpha_m).
-
-    The conjugation happens here and nowhere else; it makes the
-    operator anti-linear in the coefficients (exact for real source
-    strengths; drivers handling complex strengths feed the image
-    coefficients through apply_translation directly).
-    """
-    P = exp.order
-    if len(entries) != 4 * P + 1:
-        raise ValueError("entry vector length must be 4P+1")
-    coeffs = apply_translation(entries, np.conj(exp.coeffs), "m-p")
-    return LocalExpansion(center=target_center, order=P, coeffs=coeffs, k=exp.k)
 
 
 def box_center_y(root_y0: float, level: int, iy: int) -> float:

@@ -173,6 +173,13 @@ class TestConfigFile:
         cfg.write_text("[other]\nn = 10\n")
         assert main(["accuracy", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["media = two_layer", "format = xml"])
+    def test_config_value_outside_choices(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[hfmm]\n{line}\n")
+        assert main(["validate", "--list", "--config", str(cfg)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,14 +1,13 @@
-"""Tests for the free-space expansion algebra."""
+"""Tests for the free-space expansion operators, composed as the driver composes them."""
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
-from hfmm.expansions import (LocalExpansion, MultipoleExpansion, apply_translation,
-                             eval_local, eval_multipole, image_coefficients, l2l,
-                             m2l_free, m2m, p2m, p2m_arrays, translation_vector_h,
-                             translation_vector_j)
-from hfmm.greens import Point2, free_space
-from hfmm.tree import Particle
+from hfmm.driver import local_values
+from hfmm.expansions import (image_coefficients, p2m_arrays, translation_matrix,
+                             translation_vector_h, translation_vector_j)
+from hfmm.greens import free_space
 
 K = 1.0
 
@@ -18,177 +17,195 @@ def _sources(seed, n, center, radius):
     ang = rng.uniform(0, 2 * np.pi, n)
     rad = radius * np.sqrt(rng.uniform(0, 1, n))
     qs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return [Particle(Point2(center.x + r * np.cos(a), center.y + r * np.sin(a)), q)
-            for r, a, q in zip(rad, ang, qs)]
+    return center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang), qs
 
 
-def _direct(particles, x, k=K):
-    return sum(p.strength * free_space(k, x, (p.position.x, p.position.y))
-               for p in particles)
+def _direct(sources, x, k=K):
+    return sum(q * free_space(k, x, (sx, sy)) for sx, sy, q in zip(*sources))
+
+
+def _p2m(sources, c, P, k=K):
+    return p2m_arrays(*sources, c[0], c[1], P, k)
+
+
+def eval_multipole(coeffs, c, x, k=K):
+    """Reference: (i/4) sum_p alpha_p H_p(k r) e^{i p theta} about center c."""
+    P = (len(coeffs) - 1) // 2
+    p = np.arange(-P, P + 1)
+    dx, dy = x[0] - c[0], x[1] - c[1]
+    return complex(0.25j * np.sum(coeffs * hankel1(p, k * np.hypot(dx, dy))
+                                  * np.exp(1j * p * np.arctan2(dy, dx))))
+
+
+def _eval_local(coeffs, c, x, k=K):
+    return complex(local_values(coeffs, [x[0]], [x[1]], c[0], c[1], k)[0])
+
+
+def _m2m(coeffs, old, new, k=K):
+    P = (len(coeffs) - 1) // 2
+    vec = np.conj(translation_vector_j(k, old[0] - new[0], old[1] - new[1], P))
+    return translation_matrix(vec, P, "p-m") @ coeffs
+
+
+def _m2l(coeffs, src, tgt, k=K):
+    P = (len(coeffs) - 1) // 2
+    vec = translation_vector_h(k, tgt[0] - src[0], tgt[1] - src[1], P)
+    return translation_matrix(vec, P, "m-p") @ coeffs
+
+
+def _l2l(coeffs, old, new, k=K):
+    P = (len(coeffs) - 1) // 2
+    vec = translation_vector_j(k, new[0] - old[0], new[1] - old[1], P)
+    return translation_matrix(vec, P, "m-p") @ coeffs
 
 
 class TestP2M:
     def test_source_at_center(self):
-        c = Point2(0.3, 1.1)
-        exp = p2m([Particle(c, 2.5 + 1j)], c, 8, K)
-        assert exp.coeffs[8] == 2.5 + 1j  # alpha_0
-        others = np.delete(exp.coeffs, 8)
+        c = (0.3, 1.1)
+        coeffs = p2m_arrays([c[0]], [c[1]], [2.5 + 1j], c[0], c[1], 8, K)
+        assert coeffs[8] == 2.5 + 1j  # alpha_0
+        others = np.delete(coeffs, 8)
         np.testing.assert_array_equal(others, 0.0)
 
     def test_linearity_in_strengths(self):
-        c = Point2(0.0, 1.0)
-        parts = _sources(1, 15, c, 0.4)
-        doubled = [Particle(p.position, 2.0 * p.strength) for p in parts]
-        a = p2m(parts, c, 10, K).coeffs
-        b = p2m(doubled, c, 10, K).coeffs
+        c = (0.0, 1.0)
+        xs, ys, qs = _sources(1, 15, c, 0.4)
+        a = _p2m((xs, ys, qs), c, 10)
+        b = _p2m((xs, ys, 2.0 * qs), c, 10)
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-14)
 
     def test_matches_direct_at_5R(self):
-        c, R = Point2(0.0, 1.0), 0.5
-        parts = _sources(2, 20, c, R)
-        exp = p2m(parts, c, 20, K)
+        c, R = (0.0, 1.0), 0.5
+        src = _sources(2, 20, c, R)
+        coeffs = _p2m(src, c, 20)
         for ang in (0.0, 1.1, 2.9):
-            x = (c.x + 5 * R * np.cos(ang), c.y + 5 * R * np.sin(ang))
-            assert eval_multipole(exp, x) == pytest.approx(_direct(parts, x),
-                                                           abs=1e-9)
+            x = (c[0] + 5 * R * np.cos(ang), c[1] + 5 * R * np.sin(ang))
+            assert eval_multipole(coeffs, c, x) == pytest.approx(_direct(src, x),
+                                                                 abs=1e-9)
 
     def test_arrays_and_particles_agree(self):
-        c = Point2(0.2, 0.9)
-        parts = _sources(3, 12, c, 0.3)
-        xs = np.array([p.position.x for p in parts])
-        ys = np.array([p.position.y for p in parts])
-        qs = np.array([p.strength for p in parts])
-        np.testing.assert_array_equal(p2m_arrays(xs, ys, qs, c.x, c.y, 9, K),
-                                      p2m(parts, c, 9, K).coeffs)
-
-    def test_coefficient_length_guard(self):
-        with pytest.raises(ValueError):
-            MultipoleExpansion(Point2(0, 0), 4, np.zeros(5, complex), K)
+        # one array call over all sources equals the sum of one-particle calls
+        c = (0.2, 0.9)
+        xs, ys, qs = _sources(3, 12, c, 0.3)
+        singles = sum(p2m_arrays(xs[i:i + 1], ys[i:i + 1], qs[i:i + 1], c[0], c[1], 9, K)
+                      for i in range(len(xs)))
+        np.testing.assert_allclose(p2m_arrays(xs, ys, qs, c[0], c[1], 9, K), singles,
+                                   rtol=1e-13, atol=1e-14)
 
 
 class TestEval:
     def test_impulse_reproduces_kernel(self):
-        c = Point2(0.0, 1.0)
+        c = (0.0, 1.0)
         coeffs = np.zeros(2 * 6 + 1, complex)
         coeffs[6] = 1.0
-        exp = MultipoleExpansion(c, 6, coeffs, K)
         x = (1.7, 2.4)
-        assert eval_multipole(exp, x) == pytest.approx(free_space(K, x, c),
-                                                       abs=1e-14)
+        assert eval_multipole(coeffs, c, x) == pytest.approx(free_space(K, x, c),
+                                                             abs=1e-14)
 
     def test_local_impulse_scaling(self):
-        c = Point2(0.0, 1.0)
+        c = (0.0, 1.0)
         coeffs = np.zeros(2 * 4 + 1, complex)
         coeffs[4] = 1.0
-        loc = LocalExpansion(c, 4, coeffs, K)
-        assert eval_local(loc, (c.x, c.y)) == pytest.approx(0.25j, abs=1e-15)
+        assert _eval_local(coeffs, c, c) == pytest.approx(0.25j, abs=1e-15)
 
     def test_geometric_decay_in_order(self):
-        c, R = Point2(0.0, 1.0), 0.5
-        parts = _sources(4, 25, c, R)
+        c, R = (0.0, 1.0), 0.5
+        src = _sources(4, 25, c, R)
         x = (3 * R, 1.0 + 3 * R * 0.1)
-        ref = _direct(parts, x)
+        ref = _direct(src, x)
         errs = []
         for P in (5, 10, 20, 30):
-            errs.append(abs(eval_multipole(p2m(parts, c, P, K), x) - ref))
+            errs.append(abs(eval_multipole(_p2m(src, c, P), c, x) - ref))
         logs = np.log10(np.maximum(errs, 1e-17))
         slopes = np.diff(logs) / np.diff([5, 10, 20, 30])
         assert slopes[0] < -0.217  # fit slope < -0.5 per 2.3 orders of P
         assert errs[-1] < 1e-12
 
     def test_rotation_covariance(self):
-        c = Point2(0.0, 0.0)
-        parts = _sources(5, 10, c, 0.4)
+        c = (0.0, 0.0)
+        xs, ys, qs = _sources(5, 10, c, 0.4)
         x = (2.0, 0.7)
-        v0 = eval_multipole(p2m(parts, c, 15, K), x)
+        v0 = eval_multipole(_p2m((xs, ys, qs), c, 15), c, x)
         phi = 0.83
         rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-        rparts = [Particle(Point2(*(rot @ [p.position.x, p.position.y])), p.strength)
-                  for p in parts]
-        rx = tuple(rot @ x)
-        v1 = eval_multipole(p2m(rparts, c, 15, K), rx)
+        rxs, rys = rot @ np.vstack([xs, ys])
+        v1 = eval_multipole(_p2m((rxs, rys, qs), c, 15), c, tuple(rot @ x))
         assert v1 == pytest.approx(v0, abs=1e-12)
 
 
 class TestTranslations:
     def test_m2m_identity_at_same_center(self):
-        c = Point2(0.1, 1.0)
-        exp = p2m(_sources(6, 8, c, 0.3), c, 12, K)
-        shifted = m2m(exp, c)
-        np.testing.assert_allclose(shifted.coeffs, exp.coeffs, atol=1e-15)
+        c = (0.1, 1.0)
+        coeffs = _p2m(_sources(6, 8, c, 0.3), c, 12)
+        np.testing.assert_allclose(_m2m(coeffs, c, c), coeffs, atol=1e-15)
 
     def test_m2m_cross_evaluation(self):
-        child_c = Point2(0.25, 1.25)
-        parent_c = Point2(0.5, 1.5)
-        parts = _sources(7, 15, child_c, 0.2)
-        child = p2m(parts, child_c, 25, K)
-        parent = m2m(child, parent_c)
+        child_c = (0.25, 1.25)
+        parent_c = (0.5, 1.5)
+        child = _p2m(_sources(7, 15, child_c, 0.2), child_c, 25)
+        parent = _m2m(child, child_c, parent_c)
         rng = np.random.default_rng(8)
         for _ in range(10):
             ang = rng.uniform(0, 2 * np.pi)
-            x = (parent_c.x + 5.0 * np.cos(ang), parent_c.y + 5.0 * np.sin(ang))
-            assert eval_multipole(parent, x) == pytest.approx(
-                eval_multipole(child, x), abs=1e-10)
+            x = (parent_c[0] + 5.0 * np.cos(ang), parent_c[1] + 5.0 * np.sin(ang))
+            assert eval_multipole(parent, parent_c, x) == pytest.approx(
+                eval_multipole(child, child_c, x), abs=1e-10)
 
     def test_m2m_composition(self):
-        c0 = Point2(0.0, 1.0)
-        c2 = Point2(0.3, 1.4)
-        c1 = Point2(0.15, 1.2)
-        exp = p2m(_sources(9, 10, c0, 0.15), c0, 30, K)
-        once = m2m(exp, c2)
-        twice = m2m(m2m(exp, c1), c2)
-        np.testing.assert_allclose(twice.coeffs, once.coeffs, atol=1e-12)
+        c0 = (0.0, 1.0)
+        c2 = (0.3, 1.4)
+        c1 = (0.15, 1.2)
+        coeffs = _p2m(_sources(9, 10, c0, 0.15), c0, 30)
+        once = _m2m(coeffs, c0, c2)
+        twice = _m2m(_m2m(coeffs, c0, c1), c1, c2)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_m2l_single_source_consistency(self):
-        src_c = Point2(0.0, 1.0)
-        tgt_c = Point2(2.0, 1.0)
+        src_c = (0.0, 1.0)
+        tgt_c = (2.0, 1.0)
         coeffs = np.zeros(2 * 20 + 1, complex)
         coeffs[20] = 1.0
-        exp = MultipoleExpansion(src_c, 20, coeffs, K)
-        loc = m2l_free(exp, tgt_c)
+        local = _m2l(coeffs, src_c, tgt_c)
         for x in [(2.1, 1.1), (1.9, 0.95), (2.0, 1.2)]:
-            assert eval_local(loc, x) == pytest.approx(free_space(K, x, src_c),
-                                                       abs=1e-10)
+            assert _eval_local(local, tgt_c, x) == pytest.approx(free_space(K, x, src_c),
+                                                                 abs=1e-10)
 
     def test_full_chain_vs_direct(self):
-        src_c, tgt_c, R = Point2(0.0, 1.0), Point2(3.0, 1.0), 0.5
-        parts = _sources(10, 30, src_c, R)
-        loc = m2l_free(p2m(parts, src_c, 25, K), tgt_c)
+        src_c, tgt_c, R = (0.0, 1.0), (3.0, 1.0), 0.5
+        src = _sources(10, 30, src_c, R)
+        local = _m2l(_p2m(src, src_c, 25), src_c, tgt_c)
         rng = np.random.default_rng(11)
-        for _ in range(8):
-            x = (tgt_c.x + rng.uniform(-0.3, 0.3), tgt_c.y + rng.uniform(-0.3, 0.3))
-            assert eval_local(loc, x) == pytest.approx(_direct(parts, x), abs=1e-9)
+        xs = tgt_c[0] + rng.uniform(-0.3, 0.3, 8)
+        ys = tgt_c[1] + rng.uniform(-0.3, 0.3, 8)
+        expect = [_direct(src, x) for x in zip(xs, ys)]
+        np.testing.assert_allclose(local_values(local, xs, ys, *tgt_c, K), expect,
+                                   rtol=0, atol=1e-9)
 
     def test_m2l_rejects_coincident_centers(self):
-        c = Point2(0.0, 1.0)
-        exp = MultipoleExpansion(c, 3, np.zeros(7, complex), K)
         with pytest.raises(ValueError):
-            m2l_free(exp, c)
+            translation_vector_h(K, 0.0, 0.0, 3)
 
     def test_l2l_zero_shift_identity(self):
-        c = Point2(0.4, 1.3)
-        loc = LocalExpansion(c, 10, np.random.default_rng(12).normal(size=21)
-                             + 0j, K)
-        np.testing.assert_allclose(l2l(loc, c).coeffs, loc.coeffs, atol=1e-15)
+        c = (0.4, 1.3)
+        local = np.random.default_rng(12).normal(size=21) + 0j
+        np.testing.assert_allclose(_l2l(local, c, c), local, atol=1e-15)
 
     def test_l2l_cross_evaluation(self):
-        src_c, parent_c = Point2(0.0, 1.0), Point2(3.0, 1.0)
-        child_c = Point2(3.1, 1.1)
-        parts = _sources(13, 12, src_c, 0.4)
-        parent = m2l_free(p2m(parts, src_c, 25, K), parent_c)
-        child = l2l(parent, child_c)
+        src_c, parent_c = (0.0, 1.0), (3.0, 1.0)
+        child_c = (3.1, 1.1)
+        parent = _m2l(_p2m(_sources(13, 12, src_c, 0.4), src_c, 25), src_c, parent_c)
+        child = _l2l(parent, parent_c, child_c)
         for x in [(3.12, 1.08), (3.05, 1.15)]:
-            assert eval_local(child, x) == pytest.approx(eval_local(parent, x),
-                                                         abs=1e-11)
+            assert _eval_local(child, child_c, x) == pytest.approx(
+                _eval_local(parent, parent_c, x), abs=1e-11)
 
     def test_operator_linearity(self):
-        src_c, tgt_c = Point2(0.0, 1.0), Point2(2.5, 1.0)
+        src_c, tgt_c = (0.0, 1.0), (2.5, 1.0)
         rng = np.random.default_rng(14)
         a = rng.normal(size=21) + 1j * rng.normal(size=21)
         b = rng.normal(size=21) + 1j * rng.normal(size=21)
-        for op in (lambda v: m2m(MultipoleExpansion(src_c, 10, v, K), tgt_c).coeffs,
-                   lambda v: m2l_free(MultipoleExpansion(src_c, 10, v, K), tgt_c).coeffs,
-                   lambda v: l2l(LocalExpansion(src_c, 10, v, K), Point2(0.1, 1.1)).coeffs):
+        for op in (lambda v: _m2m(v, src_c, tgt_c), lambda v: _m2l(v, src_c, tgt_c),
+                   lambda v: _l2l(v, src_c, (0.1, 1.1))):
             np.testing.assert_allclose(op(a + 2j * b), op(a) + 2j * op(b),
                                        atol=1e-12)
 
@@ -196,10 +213,7 @@ class TestTranslations:
 class TestToeplitz:
     def test_assembled_operator_is_toeplitz(self):
         P = 6
-        vec = translation_vector_h(K, 2.0, 0.5, P)
-        basis = np.eye(2 * P + 1, dtype=complex)
-        mat = np.column_stack([apply_translation(vec, basis[:, j], "m-p")
-                               for j in range(2 * P + 1)])
+        mat = translation_matrix(translation_vector_h(K, 2.0, 0.5, P), P, "m-p")
         for d in range(-2 * P, 2 * P + 1):
             diag = np.diagonal(mat, offset=d)
             assert np.max(np.abs(diag - diag[0])) <= 1e-14 * max(1.0, abs(diag[0]))
@@ -214,26 +228,23 @@ class TestToeplitz:
 
     def test_bad_index_convention(self):
         with pytest.raises(ValueError):
-            apply_translation(np.zeros(9, complex), np.zeros(5, complex), "pm")
+            translation_matrix(np.zeros(9, complex), 2, "pm")
 
 
 class TestImageCoefficients:
     def test_matches_mirrored_sources(self):
-        c = Point2(0.2, 1.0)
-        parts = _sources(15, 10, c, 0.3)
-        alpha = p2m(parts, c, 12, K).coeffs
-        mirrored = [Particle(Point2(p.position.x, -p.position.y), p.strength)
-                    for p in parts]
-        beta = p2m(mirrored, Point2(c.x, -c.y), 12, K).coeffs
+        c = (0.2, 1.0)
+        xs, ys, qs = _sources(15, 10, c, 0.3)
+        alpha = _p2m((xs, ys, qs), c, 12)
+        beta = _p2m((xs, -ys, qs), (c[0], -c[1]), 12)
         np.testing.assert_allclose(image_coefficients(alpha), beta, atol=1e-13)
 
     def test_conjugate_for_real_strengths(self):
-        c = Point2(0.0, 1.0)
+        c = (0.0, 1.0)
         rng = np.random.default_rng(16)
-        parts = [Particle(Point2(c.x + rng.uniform(-0.2, 0.2),
-                                 c.y + rng.uniform(-0.2, 0.2)),
-                          float(rng.normal())) for _ in range(9)]
-        alpha = p2m(parts, c, 10, K).coeffs
+        xs = c[0] + rng.uniform(-0.2, 0.2, 9)
+        ys = c[1] + rng.uniform(-0.2, 0.2, 9)
+        alpha = _p2m((xs, ys, rng.normal(size=9)), c, 10)
         np.testing.assert_allclose(image_coefficients(alpha), np.conj(alpha),
                                    atol=1e-13)
 
@@ -242,3 +253,9 @@ class TestImageCoefficients:
         alpha = rng.normal(size=15) + 1j * rng.normal(size=15)
         np.testing.assert_array_equal(
             image_coefficients(image_coefficients(alpha)), alpha)
+
+    def test_stack_equals_rows(self):
+        rng = np.random.default_rng(18)
+        stack = rng.normal(size=(6, 15)) + 1j * rng.normal(size=(6, 15))
+        np.testing.assert_array_equal(image_coefficients(stack),
+                                      [image_coefficients(row) for row in stack])

@@ -5,7 +5,7 @@ import pytest
 
 from hfmm.greens import (MediaConfig, Point2, domain_green, free_space,
                          free_space_spectral, line_image_density, mirror_image,
-                         polar_offset, reflectance, scattered_batch,
+                         reflectance, scattered_batch,
                          scattered_direct, three_layer_sigma, vertical_wavenumber)
 from hfmm.quadrature import SommerfeldRules
 
@@ -16,12 +16,6 @@ SCATTERED_REGRESSION = -0.0008746040461407173 - 0.010916981317584264j
 
 
 class TestGeometryHelpers:
-    def test_polar_offset_round_trip(self):
-        off = polar_offset(0.3, -0.4)
-        assert off.rho == pytest.approx(0.5, rel=1e-14)
-        assert off.rho * np.cos(off.theta) == pytest.approx(0.3, abs=1e-14)
-        assert off.rho * np.sin(off.theta) == pytest.approx(-0.4, abs=1e-14)
-
     def test_mirror_image(self):
         assert mirror_image(Point2(0.0, 1.0)) == Point2(0.0, -1.0)
         assert mirror_image(Point2(2.0, 0.0)) == Point2(2.0, 0.0)

@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from hfmm.expansions import apply_translation, eval_local, p2m
+from hfmm.driver import local_values
+from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, free_space, line_image_density, \
     mirror_image, scattered_direct
 from hfmm.layered import (TableKey, TableStore, TranslationGeometry, box_center_y,
-                          compute_A, compute_B_tail, load_tables, m2l_heterogeneous,
+                          compute_A, compute_B_tail, load_tables,
                           pair_key, precompute_tables, save_tables)
 from hfmm.quadrature import SommerfeldRules, gauss_legendre
 from hfmm.specfun import hankel1
@@ -25,6 +26,19 @@ def _real_sources(seed, n, center, radius):
     return [Particle(Point2(center.x + r * np.cos(a), center.y + r * np.sin(a)),
                      float(rng.normal()))
             for r, a in zip(rad, ang)]
+
+
+def _scattered_local(parts, src_c, entries, P, k):
+    """Scattered-field local coefficients as the driver forms them: image coefficients through A."""
+    xs = np.array([p.position.x for p in parts])
+    ys = np.array([p.position.y for p in parts])
+    qs = np.array([p.strength for p in parts])
+    image = image_coefficients(p2m_arrays(xs, ys, qs, src_c.x, src_c.y, P, k))
+    return translation_matrix(entries, P, "m-p") @ image
+
+
+def _eval_local(coeffs, c, x, k):
+    return complex(local_values(coeffs, [x[0]], [x[1]], c.x, c.y, k)[0])
 
 
 def _scattered_sum(media, parts, x, tol=1e-13):
@@ -110,9 +124,7 @@ class TestComputeA:
     def test_toeplitz_assembly(self):
         media = MediaConfig.two_layer(1.0, 1.0)
         entries = compute_A(TranslationGeometry(dx=1.0, dy=2.5), media, 5, RULES)
-        basis = np.eye(11, dtype=complex)
-        mat = np.column_stack([apply_translation(entries, basis[:, j], "m-p")
-                               for j in range(11)])
+        mat = translation_matrix(entries, 5, "m-p")
         for d in range(-10, 11):
             diag = np.diagonal(mat, offset=d)
             assert np.max(np.abs(diag - diag[0])) <= 1e-14 * max(1.0, abs(diag[0]))
@@ -137,13 +149,12 @@ class TestComputeA:
         src_c, tgt_c = Point2(0.0, center_y), Point2(1.5, center_y)
         parts = _real_sources(21, 15, src_c, 0.2)
         P = 25
-        exp = p2m(parts, src_c, P, media.k1)
         geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y)
-        loc = m2l_heterogeneous(exp, compute_A(geom, media, P, RULES), tgt_c)
+        loc = _scattered_local(parts, src_c, compute_A(geom, media, P, RULES), P, media.k1)
         rng = np.random.default_rng(22)
         for _ in range(6):
             x = (tgt_c.x + rng.uniform(-0.2, 0.2), tgt_c.y + rng.uniform(-0.2, 0.2))
-            assert eval_local(loc, x) == pytest.approx(
+            assert _eval_local(loc, tgt_c, x, media.k1) == pytest.approx(
                 _scattered_sum(media, parts, x), abs=1e-9)
 
     def test_x_invariance(self):
@@ -154,36 +165,18 @@ class TestComputeA:
         tgt_c = Point2(shift + 1.25, 0.8)
         parts = _real_sources(23, 10, src_c, 0.15)
         geom = TranslationGeometry(dx=1.25, dy=1.6)
-        loc = m2l_heterogeneous(p2m(parts, src_c, 15, 1.0),
-                                compute_A(geom, media, 15, RULES), tgt_c)
+        loc = _scattered_local(parts, src_c, compute_A(geom, media, 15, RULES), 15, 1.0)
         x = (tgt_c.x + 0.1, tgt_c.y - 0.05)
-        assert eval_local(loc, x) == pytest.approx(
+        assert _eval_local(loc, tgt_c, x, 1.0) == pytest.approx(
             _scattered_sum(media, parts, x), abs=1e-9)
 
 
 class TestM2LHeterogeneous:
-    def test_anti_linearity(self):
-        media = MediaConfig.two_layer(1.0, 1.0)
-        entries = compute_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8, RULES)
-        rng = np.random.default_rng(24)
-        coeffs = rng.normal(size=17) + 1j * rng.normal(size=17)
-        from hfmm.expansions import MultipoleExpansion
-        tgt = Point2(1.5, 1.0)
-        base = m2l_heterogeneous(MultipoleExpansion(Point2(0, 1), 8, coeffs, 1.0),
-                                 entries, tgt).coeffs
-        scaled = m2l_heterogeneous(MultipoleExpansion(Point2(0, 1), 8,
-                                                      2j * coeffs, 1.0),
-                                   entries, tgt).coeffs
-        np.testing.assert_allclose(scaled, np.conj(2j) * base, atol=1e-12)
-
     def test_order_mismatch(self):
-        from hfmm.expansions import MultipoleExpansion
         media = MediaConfig.two_layer(1.0, 1.0)
         entries = compute_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8, RULES)
         with pytest.raises(ValueError):
-            m2l_heterogeneous(MultipoleExpansion(Point2(0, 1), 7,
-                                                 np.zeros(15, complex), 1.0),
-                              entries, Point2(1.5, 1.0))
+            translation_matrix(entries, 7, "m-p")
 
 
 class TestComputeBTail:
@@ -220,7 +213,7 @@ class TestComputeBTail:
         P = 25
         geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y)
         entries = compute_B_tail(geom, C, media, P, RULES)
-        loc = m2l_heterogeneous(p2m(parts, src_c, P, k), entries, tgt_c)
+        loc = _scattered_local(parts, src_c, entries, P, k)
         rule = gauss_legendre(48, 0.0, C)
         for x in [(1.4, 0.25), (1.6, 0.4)]:
             expect = 0.0 + 0.0j
@@ -232,7 +225,7 @@ class TestComputeBTail:
                              * np.array([free_space(k, x, (im.x, im.y - s))
                                          for s in rule.nodes]))
                 expect += p.strength * (total - point - seg)
-            assert eval_local(loc, x) == pytest.approx(expect, abs=1e-8)
+            assert _eval_local(loc, tgt_c, x, k) == pytest.approx(expect, abs=1e-8)
 
 
 class TestTableStore:
