@@ -340,8 +340,9 @@ def build_parser():
 def _config_defaults(path, parser):
     """Read the INI file into a dict usable as the subparser's defaults.
 
-    argparse checks a flag's choices only for values given on the command
-    line, so the INI values are checked against them here.
+    A key that names no flag is a usage error, so a misspelt key cannot
+    go unnoticed.  argparse checks a flag's choices only for values given
+    on the command line, so the INI values are checked against them here.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -355,6 +356,9 @@ def _config_defaults(path, parser):
         "n_list": _int_list, "leaf_size": int, "seed": int,
         "tables": str, "out": str, "format": str, "timings": str,
     }
+    unknown = sorted(name for name in sec if name.replace("-", "_") not in converters)
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     choices = {action.dest: action.choices for action in parser._actions if action.choices}
     out = {}
     for key, conv in converters.items():

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expansions as ex
 from . import layered
-from .greens import MediaConfig, scattered_batch
+from .greens import MediaConfig, scattered_batch, scattered_sum
 from .quadrature import SommerfeldRules, legendre_base
 from .specfun import bessel_j_sweep, hankel0
 from .tree import TreeConfig, build_lists, build_tree, near_source_leaves
@@ -72,9 +72,17 @@ def error_metric(reference, test, M: int) -> float:
     return float(np.linalg.norm(ref - tst) / denom)
 
 
-def _check_above_interface(ys, media):
+def _check_positions(xs, ys, media):
+    """Refuse particles on or below the interface and distinct coincident particles."""
     if media.variant != "free" and np.any(ys <= 0.0):
         raise ValueError("layered media require all particles strictly above y = 0")
+    order = np.lexsort((ys, xs))
+    same = (np.diff(xs[order]) == 0.0) & (np.diff(ys[order]) == 0.0)
+    if np.any(same):
+        i = int(np.argmax(same))
+        a, b = sorted((int(order[i]), int(order[i + 1])))
+        raise ValueError(f"particles {a} and {b} coincide at ({xs[a]!r}, {ys[a]!r}); "
+                         "their interaction is infinite")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +98,7 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
     xs = np.array([p.position.x for p in particles])
     ys = np.array([p.position.y for p in particles])
     qs = np.array([p.strength for p in particles], dtype=complex)
-    _check_above_interface(ys, media)
+    _check_positions(xs, ys, media)
 
     t0 = time.perf_counter()
     dx = xs[:, None] - xs[None, :]
@@ -139,7 +147,7 @@ class _Workspace:
         self.config = config
         xs = np.array([p.position.x for p in particles])
         ys = np.array([p.position.y for p in particles])
-        _check_above_interface(ys, config.media)
+        _check_positions(xs, ys, config.media)
         self.tree = build_tree(particles, TreeConfig(leaf_capacity=config.leaf_capacity))
         build_lists(self.tree)
         self.media = config.media.rescaled(1.0 / self.tree.side)
@@ -256,20 +264,19 @@ def _leaf_potentials(ws, leaf):
     P, k = ws.P, ws.k
     a, b = leaf.span
     tx, ty = ws.x[a:b], ws.y[a:b]
-    nt = b - a
     two_layer = ws.media.variant == "two-layer"
 
     # collect the scattered near-field contributions into the leaf local
     # expansion before evaluating it
     local = ws.local[ws.ids[leaf]].copy()
     pair_quads = []   # (src_leaf, C) pairs needing pairwise image quadrature
-    oracle_srcs = []  # three-layer near-interface sources: pairwise oracle
+    cut_srcs = []     # three-layer near-interface sources: factorized spectral sum
     if ws.store is not None:
         y0 = ws.tree.root_xy[1]
         for src in ws.near[leaf]:
             key = layered.pair_key(y0, leaf, src, near=True)
             if key.tail and not two_layer:
-                oracle_srcs.append(src)
+                cut_srcs.append(src)
                 continue
             mat = ex.translation_matrix(ws.store.get(key), P, "m-p")
             local += mat @ ws.image[ws.ids[src]]
@@ -303,14 +310,11 @@ def _leaf_potentials(ws, leaf):
                               ty[:, None] + sy[None, :] + s_nodes[idx])
             out += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
 
-    # three-layer near-interface: pairwise oracle quadrature
-    for src in oracle_srcs:
-        c, d = src.span
-        sx, sy, sq = ws.x[c:d], ws.y[c:d], ws.q[c:d]
-        ddx = (tx[:, None] - sx[None, :]).ravel()
-        ddy = (ty[:, None] + sy[None, :]).ravel()
-        us = scattered_batch(ws.media, ddx, ddy, ws.config.oracle_tol)
-        out += us.reshape(nt, d - c) @ sq
+    # three-layer near-interface: one spectral sum over every cut source
+    if cut_srcs:
+        idx = np.concatenate([np.arange(*src.span) for src in cut_srcs])
+        out += scattered_sum(ws.media, tx, ty, ws.x[idx], ws.y[idx], ws.q[idx],
+                             ws.config.oracle_tol)
     return out
 
 

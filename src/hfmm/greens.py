@@ -38,6 +38,7 @@ __all__ = [
     "free_space_spectral",
     "scattered_direct",
     "scattered_batch",
+    "scattered_sum",
     "domain_green",
 ]
 
@@ -435,6 +436,40 @@ def scattered_direct(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:
     return complex(val_p + val_e)
 
 
+def _spectral_doubling(media, T, tol, prop_value, evan_value, floor):
+    """Propagating plus evanescent spectral integral, panel-doubled per segment.
+
+    prop_value(tau, w) and evan_value(t, w) return the node sums (one
+    entry per output) over [0, pi] and [0, T].  Each segment doubles its
+    panels until two successive levels agree to tol / segments relative
+    to max(floor, |value|), and gives up past 4096 panels.
+    """
+    out = 0.0
+    jobs = ((prop_value, 0.25j / np.pi, np.pi, "propagating"),
+            (evan_value, 0.25 / np.pi, T, "evanescent"))
+    for fn, scale, b, path in jobs:
+        maps = _segment_maps(0.0, b, spectral_breakpoints(media, path, b))
+        seg_tol = tol / len(maps)
+        for xw in maps:
+            prev = None
+            panels = 2
+            while True:
+                u, wu = _panel_nodes(0.0, 1.0, panels)
+                x, w = xw(u)
+                val = fn(x, wu * w)
+                if prev is not None:
+                    err = np.max(np.abs(val - prev) / np.maximum(floor, np.abs(val)))
+                    if err <= seg_tol:
+                        break
+                if panels > 4096:
+                    raise QuadratureConvergenceError(
+                        "batched Sommerfeld quadrature did not converge")
+                prev = val
+                panels *= 2
+            out = out + scale * val
+    return out
+
+
 def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarray:
     """Scattered field for many (dx, dy) offsets at once.
 
@@ -464,31 +499,72 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
         return mat @ base
 
     T = _evanescent_cutoff(media, float(dy.min()), tol)
+    return _spectral_doubling(media, T, tol, prop_value, evan_value, 1.0)
 
-    out = np.zeros(dx.shape, dtype=complex)
-    jobs = ((prop_value, 0.25j / np.pi, 0.0, np.pi, "propagating"),
-            (evan_value, 0.25 / np.pi, 0.0, T, "evanescent"))
-    for fn, scale, a, b, path in jobs:
-        maps = _segment_maps(a, b, spectral_breakpoints(media, path, b))
-        seg_tol = tol / len(maps)
-        for xw in maps:
-            prev = None
-            panels = 2
-            while True:
-                u, wu = _panel_nodes(0.0, 1.0, panels)
-                x, w = xw(u)
-                val = fn(x, wu * w)
-                if prev is not None:
-                    err = np.max(np.abs(val - prev) / np.maximum(1.0, np.abs(val)))
-                    if err <= seg_tol:
-                        break
-                if panels > 4096:
-                    raise QuadratureConvergenceError(
-                        "batched Sommerfeld quadrature did not converge")
-                prev = val
-                panels *= 2
-            out = out + scale * val
-    return out
+
+# Largest (points x nodes) complex block scattered_sum forms at once.
+_BLOCK_BYTES = 1 << 23
+
+
+def scattered_sum(media: MediaConfig, tx, ty, sx, sy, q, tol: float = 1e-12) -> np.ndarray:
+    """Scattered potentials sum_j q_j u^s(t_i; s_j) at every target t_i.
+
+    At each spectral node the integrand splits into a target factor times
+    a source factor: e^{ik(y_t sin tau - x_t cos tau)} e^{ik(y_s sin tau
+    + x_s cos tau)} on the propagating contour, and e^{-t y_t}
+    e^{+-i root x_t} e^{-t y_s} e^{-+i root x_s} on the evanescent one.
+    Every factor has modulus <= 1 for y > 0.  The source sum at the nodes
+    then costs one (nodes x sources) product and the potentials one
+    (targets x nodes) product, where scattered_batch forms a (pairs x
+    nodes) block; the node axis is chunked so that no block exceeds
+    _BLOCK_BYTES.  A target may coincide with a source: u^s stays finite.
+
+    The evanescent cutoff comes from the smallest y_t + y_s; panels double
+    until the summed potentials of each segment change by at most
+    tol / segments relative to max(|u_i|, sum_j |q_j|).
+    """
+    tx, ty, sx, sy = (np.asarray(v, dtype=float) for v in (tx, ty, sx, sy))
+    q = np.asarray(q, dtype=complex)
+    if min(ty.min(), sy.min()) <= 0.0:
+        raise ValueError("scattered_sum requires every point above the interface (y > 0)")
+    qsum = float(np.abs(q).sum())
+    if media.variant == "free" or qsum == 0.0:
+        return np.zeros(tx.shape, dtype=complex)
+    # phases taken about a nearby origin keep their arguments small
+    x0 = 0.5 * (tx.min() + tx.max())
+    tx, sx = tx - x0, sx - x0
+    k = media.k1
+    step = max(1, _BLOCK_BYTES // (16 * max(tx.size, sx.size)))
+    q2 = np.stack([np.conj(q), q], axis=1)
+
+    def prop_value(tau, w):
+        sigma = reflectance(media, -1j * k * np.sin(tau))
+        ks, kc = k * np.sin(tau), k * np.cos(tau)
+        val = np.zeros(tx.shape, dtype=complex)
+        for a in range(0, tau.size, step):
+            c = slice(a, a + step)
+            src = np.exp(1j * (np.outer(ks[c], sy) + np.outer(kc[c], sx))) @ q
+            tgt = np.exp(1j * (np.outer(ty, ks[c]) - np.outer(tx, kc[c])))
+            val += tgt @ (w[c] * sigma[c] * src)
+        return val
+
+    def evan_value(t, w):
+        root = np.sqrt(t * t + k * k)
+        base = w * reflectance(media, t.astype(complex)) / root
+        val = np.zeros(tx.shape, dtype=complex)
+        for a in range(0, t.size, step):
+            c = slice(a, a + step)
+            # 2 cos(root (x_t - x_s)) = E_t conj(E_s) + conj(E_t) E_s with
+            # E = e^{-t y} e^{i root x}; both terms come from one product each way
+            src = np.exp(np.outer(t[c], -sy) + 1j * np.outer(root[c], sx)) @ q2
+            tgt = np.exp(np.outer(-ty, t[c]) + 1j * np.outer(tx, root[c]))
+            both = tgt @ np.stack([base[c] * np.conj(src[:, 0]),
+                                   np.conj(base[c] * src[:, 1])], axis=1)
+            val += both[:, 0] + np.conj(both[:, 1])
+        return val
+
+    T = _evanescent_cutoff(media, float(ty.min() + sy.min()), tol)
+    return _spectral_doubling(media, T, tol, prop_value, evan_value, qsum)
 
 
 def domain_green(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:

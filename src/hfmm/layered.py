@@ -240,7 +240,7 @@ def _doubled_rules(rules: SommerfeldRules) -> SommerfeldRules:
 def _verify_doubling(entries, doubled, where):
     scale = np.maximum(np.abs(entries), 1.0)
     err = float((np.abs(entries - doubled) / scale).max())
-    if err > 1e-11:
+    if not err <= 1e-11:  # a NaN entry fails too
         raise QuadratureConvergenceError(
             f"{where}: node doubling changes entries by {err:.2e} (> 1e-11)")
 
@@ -416,7 +416,9 @@ def fill_tables(store: TableStore, tree, near=None) -> TableStore:
 
     With a near map (target leaf -> source leaves, as from
     tree.near_source_leaves) the near pairs' entries are read too,
-    except the cut three-layer pairs, which take the pairwise oracle.
+    except the cut three-layer pairs, whose scattered part the driver
+    sums spectrally per target leaf (greens.scattered_sum), without an
+    entry.
     """
     y0 = tree.root_xy[1]
     seen = set()

@@ -73,7 +73,11 @@ def gauss_laguerre_generalized(count: int, a_param: float = 0.0) -> QuadratureRu
         raise ValueError("count must be >= 1")
     if a_param < 0:
         raise ValueError("a_param must be >= 0")
-    x, w = roots_genlaguerre(count, a_param)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x, w = roots_genlaguerre(count, a_param)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError(f"{count}-point generalized Laguerre rule (a = {a_param:g}) "
+                         "has non-finite nodes or weights")
     return QuadratureRule(nodes=x, weights=w, kind=f"generalized-laguerre({a_param:g})",
                           count=count, a_param=a_param)
 

@@ -180,6 +180,13 @@ class TestConfigFile:
         assert main(["validate", "--list", "--config", str(cfg)]) == 2
         assert line.split()[0] in capsys.readouterr().err
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[hfmm]\nleaf_sise = 5\nthreads = 4\n")
+        assert main(["validate", "--list", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "leaf_sise" in err and "threads" in err
+
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

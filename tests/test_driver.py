@@ -10,7 +10,7 @@ from hfmm import driver, expansions, greens, layered, quadrature
 from hfmm.driver import (PotentialVector, RunConfig, direct_apply, error_metric,
                          fmm_apply)
 from hfmm.greens import MediaConfig, Point2
-from hfmm.tree import Particle, TreeConfig, build_tree
+from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
 
 
 def _random_particles(seed, n, ylo=0.5, yhi=1.5, complex_q=True):
@@ -224,6 +224,36 @@ class TestStructure:
         assert calls["adaptive"] > 0 and calls["tail"] > 0
         assert calls["rule"] == 0
         np.testing.assert_array_equal(first, second)
+
+    def test_three_layer_near_pairs_skip_the_pairwise_oracle(self, monkeypatch):
+        parts = _random_particles(17, 300, ylo=0.01, yhi=1.0)
+        tree = build_tree(parts, TreeConfig(leaf_capacity=30))
+        build_lists(tree)
+        y0 = tree.root_xy[1]
+        cut = sum(layered.pair_key(y0, tgt, src, near=True).tail
+                  for tgt, srcs in near_source_leaves(tree).items() for src in srcs)
+        assert cut > 0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return greens.scattered_batch(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "scattered_batch", counted)
+        fmm_apply(parts, RunConfig(media=MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+                                   order=12, leaf_capacity=30))
+        assert calls == []
+
+    @pytest.mark.parametrize("media", [
+        MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
+        MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)], ids=lambda m: m.variant)
+    def test_coincident_particles_rejected(self, media):
+        parts = _random_particles(18, 120)
+        parts.append(Particle(parts[7].position, 2.0))
+        with pytest.raises(ValueError, match="coincide"):
+            fmm_apply(parts, RunConfig(media=media, order=8, leaf_capacity=30))
+        with pytest.raises(ValueError, match="coincide"):
+            direct_apply(parts, media)
 
     def test_below_interface_rejected(self):
         parts = [Particle(Point2(0.0, 0.5), 1.0), Particle(Point2(0.1, -0.2), 1.0)]

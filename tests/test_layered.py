@@ -7,10 +7,10 @@ import pytest
 
 from hfmm.driver import local_values
 from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
-from hfmm.greens import MediaConfig, Point2, free_space, line_image_density, \
-    mirror_image, scattered_direct
-from hfmm.layered import (TableKey, TableStore, TranslationGeometry, box_center_y,
-                          compute_A, compute_B_tail, load_tables,
+from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
+    line_image_density, mirror_image, scattered_direct
+from hfmm.layered import (TableKey, TableStore, TranslationGeometry, _verify_doubling,
+                          box_center_y, compute_A, compute_B_tail, load_tables,
                           pair_key, precompute_tables, save_tables)
 from hfmm.quadrature import SommerfeldRules, gauss_legendre
 from hfmm.specfun import hankel1
@@ -138,6 +138,15 @@ class TestComputeA:
         media = MediaConfig.two_layer(1.0, 1.0)
         compute_A(TranslationGeometry(dx=1.5, dy=2.5), media, 10, RULES,
                   verify=True)  # raises on >1e-11 disagreement
+
+    def test_doubling_check_fails_on_nan(self):
+        entries = np.ones(9, dtype=complex)
+        doubled = entries.copy()
+        doubled[4] = np.nan
+        with pytest.raises(QuadratureConvergenceError):
+            _verify_doubling(entries, doubled, "test")
+        with pytest.raises(QuadratureConvergenceError):
+            _verify_doubling(doubled, entries, "test")
 
     @pytest.mark.parametrize("media,center_y", [
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 1.0, id="media0"),

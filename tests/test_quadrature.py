@@ -97,6 +97,11 @@ class TestGaussLaguerre:
         with pytest.raises(ValueError):
             gauss_laguerre_generalized(4, -0.5)
 
+    def test_non_finite_rule_refused(self):
+        # scipy's 512-point rule has NaN nodes and weights
+        with pytest.raises(ValueError, match="non-finite"):
+            gauss_laguerre_generalized(512, 0.0)
+
 
 class TestConvergence:
     def test_doubling_converged_legendre(self):
