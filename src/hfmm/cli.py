@@ -73,11 +73,13 @@ def _run_config(args, media, order, n):
 
 
 def _row(args, media, P, N, metric, value, seconds):
+    """One output row; media is a MediaConfig or, with k and alpha blank, a variant name."""
+    fixed = isinstance(media, MediaConfig)
     return {
         "scenario": args.command,
-        "media": media.variant,
-        "k": media.k1,
-        "alpha": media.alpha if media.variant == "two-layer" else "",
+        "media": media.variant if fixed else media,
+        "k": media.k1 if fixed else "",
+        "alpha": media.alpha if fixed and media.variant == "two-layer" else "",
         "P": P,
         "N": N,
         "metric": metric,
@@ -127,6 +129,9 @@ def cmd_bench(args):
             rows.append(_row(args, media, P, N, f"time_{phase}",
                              0.0 if hide else round(out.timings[phase], 6),
                              out.timings[phase]))
+        if not hide:  # --timings none keeps only the zeroed timing rows
+            for name, count in out.counts.items():
+                rows.append(_row(args, media, P, N, name, count, 0.0))
         totals.append(out.timings["total"])
     if len(args.n_list) >= 2:
         beta = float(np.polyfit(np.log(args.n_list), np.log(totals), 1)[0])
@@ -232,25 +237,27 @@ def check_oracle_agreement(seed=15, alpha=1.0):
     return err, err <= 1e-9
 
 
+# (name, the medium the check runs on, check); each check sets its own medium
 VALIDATION_CHECKS = [
-    ("sommerfeld-identity", check_sommerfeld_identity),
-    ("boundary-residual", check_boundary_residual),
-    ("reciprocity", check_reciprocity),
-    ("equal-wavenumber-three-layer", check_equal_wavenumber),
-    ("alpha-zero-mirror", check_alpha_zero_mirror),
-    ("toeplitz", check_toeplitz),
-    ("oracle-agreement", check_oracle_agreement),
+    ("sommerfeld-identity", "free", check_sommerfeld_identity),
+    ("boundary-residual", "two-layer", check_boundary_residual),
+    ("reciprocity", "two-layer", check_reciprocity),
+    ("equal-wavenumber-three-layer", "three-layer", check_equal_wavenumber),
+    ("alpha-zero-mirror", "two-layer", check_alpha_zero_mirror),
+    ("toeplitz", "two-layer", check_toeplitz),
+    ("oracle-agreement", "two-layer", check_oracle_agreement),
 ]
 
 
 def cmd_validate(args):
     if args.list:
-        for name, _ in VALIDATION_CHECKS:
+        for name, _, _ in VALIDATION_CHECKS:
             print(name)
         return [], 0
-    media = build_media(args)
+    if args.media is not None:
+        raise UsageError("validate runs each check on its own medium; drop --media")
     rows, failed = [], False
-    for name, fn in VALIDATION_CHECKS:
+    for name, media, fn in VALIDATION_CHECKS:
         t0 = time.perf_counter()
         try:
             value, ok = fn()
@@ -259,7 +266,7 @@ def cmd_validate(args):
             value, ok, note = float("nan"), False, f": {exc}"
         dt = time.perf_counter() - t0
         failed = failed or not ok
-        print(f"{name}: {'pass' if ok else 'FAIL'} (measure {value:.3e}{note})")
+        print(f"{name} ({media}): {'pass' if ok else 'FAIL'} (measure {value:.3e}{note})")
         rows.append(_row(args, media, 0, 0, name, value, dt))
     return rows, (1 if failed else 0)
 
@@ -308,7 +315,8 @@ def build_parser():
         parser.sub_commands[name] = p
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--media", choices=["free", "two-layer", "three-layer"],
-                       default="two-layer")
+                       default=None if name == "validate" else "two-layer",
+                       help="the medium (default two-layer); validate refuses it")
         p.add_argument("--k", type=float, default=1.0)
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--k1", type=float, default=1.0)

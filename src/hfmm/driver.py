@@ -57,6 +57,8 @@ class RunConfig:
 class PotentialVector:
     values: np.ndarray
     timings: dict = field(default_factory=dict)
+    # table entries this call computed, and those its store held at the end
+    counts: dict = field(default_factory=dict)
 
 
 def error_metric(reference, test, M: int) -> float:
@@ -193,10 +195,20 @@ class _Workspace:
         return {k: (np.array(s), np.array(t)) for k, (s, t) in groups.items()}
 
 
-def _translate(out, coeffs, groups, matrix):
-    """out[targets] += matrix(key) @ coeffs[sources]: one gather, GEMM and scatter per group."""
-    for key, (src, tgt) in groups.items():
-        out[tgt] += coeffs[src] @ matrix(key).T
+def _translate(out, coeffs, groups, vectors, index):
+    """out[targets] += T(vector) @ coeffs[sources]: one gather, GEMM and scatter per group.
+
+    vectors(keys) gives the translation vectors of all group keys in one call."""
+    if not groups:
+        return
+    P = (coeffs.shape[1] - 1) // 2
+    for vec, (src, tgt) in zip(vectors(list(groups)), groups.values()):
+        out[tgt] += coeffs[src] @ ex.translation_matrix(vec, P, index).T
+
+
+def _offsets(keys, scale):
+    """x and y arrays of integer offset keys times scale."""
+    return scale * np.array(keys, dtype=float).T
 
 
 def _upward(ws):
@@ -211,9 +223,8 @@ def _upward(ws):
         hw = 0.5 ** (level + 2)  # half width of the children
         pairs = [(child, node) for node in ws.levels[level] for child in node.children]
         _translate(ws.multipole, ws.multipole, ws.grouped(pairs, _quadrant),
-                   lambda o: ex.translation_matrix(
-                       np.conj(ex.translation_vector_j(k, o[0] * hw, o[1] * hw, P)),
-                       P, "p-m"))
+                   lambda o: np.conj(ex.translation_vector_j(k, *_offsets(o, hw), P)),
+                   "p-m")
 
 
 def _downward(ws):
@@ -229,19 +240,17 @@ def _downward(ws):
         pairs = [(node.parent, node) for node in nodes if node.parent is not None]
         _translate(ws.local, ws.local,
                    ws.grouped(pairs, lambda parent, child: _quadrant(child, parent)),
-                   lambda o: ex.translation_matrix(
-                       ex.translation_vector_j(k, o[0] * hw, o[1] * hw, P), P, "m-p"))
+                   lambda o: ex.translation_vector_j(k, *_offsets(o, hw), P), "m-p")
 
         vpairs = [(src, node) for node in nodes for src in node.interaction_list]
         _translate(ws.local, ws.multipole, ws.grouped(vpairs, _index_offset),
-                   lambda o: ex.translation_matrix(
-                       ex.translation_vector_h(k, 2 * o[0] * hw, 2 * o[1] * hw, P),
-                       P, "m-p"))
+                   lambda o: ex.translation_vector_h(k, *_offsets(o, 2 * hw), P), "m-p")
         if ws.store is not None:
-            # the scattered part: image coefficients through one table entry per key
+            # the scattered part: image coefficients through one table entry
+            # per (key, flip), so the pairs of one geometry share a GEMM
             _translate(ws.local, ws.image,
                        ws.grouped(vpairs, lambda src, tgt: layered.pair_key(y0, tgt, src)),
-                       lambda key: ex.translation_matrix(ws.store.get(key), P, "m-p"))
+                       lambda keys: [ws.store.get(*kf) for kf in keys], "m-p")
 
 
 def local_values(coeffs, xs, ys, cx: float, cy: float, k: float) -> np.ndarray:
@@ -274,13 +283,13 @@ def _leaf_potentials(ws, leaf):
     if ws.store is not None:
         y0 = ws.tree.root_xy[1]
         for src in ws.near[leaf]:
-            key = layered.pair_key(y0, leaf, src, near=True)
-            if key.tail and not two_layer:
+            key, flip = layered.pair_key(y0, leaf, src, near=True)
+            if key.cut and not two_layer:
                 cut_srcs.append(src)
                 continue
-            mat = ex.translation_matrix(ws.store.get(key), P, "m-p")
+            mat = ex.translation_matrix(ws.store.get(key, flip), P, "m-p")
             local += mat @ ws.image[ws.ids[src]]
-            if key.tail:
+            if key.cut:
                 pair_quads.append((src, ws.store.geometry(key).cutoff))
 
     out = local_values(local, tx, ty, leaf.center.x, leaf.center.y, k)
@@ -350,4 +359,7 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
         layered.save_tables(ws.store, config.table_cache)
         timings["tables"] += time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
-    return PotentialVector(values=values, timings=timings)
+    store = ws.store
+    counts = {"entries_computed": store.misses if store else 0,
+              "entries_held": len(store.entries) if store else 0}
+    return PotentialVector(values=values, timings=timings, counts=counts)

@@ -64,21 +64,24 @@ def p2m_arrays(xs, ys, qs, cx: float, cy: float, P: int, k: float) -> np.ndarray
     return (js * phases) @ qs
 
 
-def translation_vector_j(k: float, dx: float, dy: float, P: int) -> np.ndarray:
-    """F_nu = J_nu(k rho) e^{i nu theta} for nu = -2P..2P, offset (dx, dy)."""
-    js = _signed_orders(bessel_j_sweep(2 * P, k * float(np.hypot(dx, dy))), 2 * P)
-    nu = np.arange(-2 * P, 2 * P + 1)
-    return js * np.exp(1j * nu * float(np.arctan2(dy, dx)))
+def _offset_vector(sweep, dx, dy, P):
+    """C_nu(k rho) e^{i nu theta}, nu = -2P..2P, from an order sweep over k rho."""
+    nu = np.arange(-2 * P, 2 * P + 1).reshape((-1,) + (1,) * np.ndim(dx))
+    vec = _signed_orders(sweep, 2 * P) * np.exp(1j * nu * np.arctan2(dy, dx))
+    return np.moveaxis(vec, 0, -1)
 
 
-def translation_vector_h(k: float, dx: float, dy: float, P: int) -> np.ndarray:
-    """G_nu = H_nu^(1)(k rho) e^{i nu theta} for nu = -2P..2P, offset (dx, dy)."""
-    rho = float(np.hypot(dx, dy))
-    if rho == 0.0:
+def translation_vector_j(k: float, dx, dy, P: int) -> np.ndarray:
+    """F_nu = J_nu(k rho) e^{i nu theta}, nu = -2P..2P: (4P+1,), or (n, 4P+1) for n offsets."""
+    return _offset_vector(bessel_j_sweep(2 * P, k * np.hypot(dx, dy)), dx, dy, P)
+
+
+def translation_vector_h(k: float, dx, dy, P: int) -> np.ndarray:
+    """G_nu = H_nu^(1)(k rho) e^{i nu theta}, nu = -2P..2P: (4P+1,), or (n, 4P+1) for n offsets."""
+    rho = np.hypot(dx, dy)
+    if np.any(rho == 0.0):
         raise ValueError("M2L requires separated centers")
-    hs = _signed_orders(hankel1_sweep(2 * P, k * rho), 2 * P)
-    nu = np.arange(-2 * P, 2 * P + 1)
-    return hs * np.exp(1j * nu * float(np.arctan2(dy, dx)))
+    return _offset_vector(hankel1_sweep(2 * P, k * rho), dx, dy, P)
 
 
 def translation_matrix(vec_nu: np.ndarray, P: int, index: str) -> np.ndarray:

@@ -470,12 +470,17 @@ def _spectral_doubling(media, T, tol, prop_value, evan_value, floor):
     return out
 
 
+# Largest (points x nodes) complex block scattered_batch and scattered_sum form at once.
+_BLOCK_BYTES = 1 << 23
+
+
 def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarray:
     """Scattered field for many (dx, dy) offsets at once.
 
     dx = x - x0 and dy = y + y0 as arrays; panel counts are doubled
     until the whole batch is converged.  Used by the O(N^2) reference
-    driver, where per-pair adaptivity would be too slow.
+    driver, where per-pair adaptivity would be too slow.  The node axis
+    is chunked so that no (pairs x nodes) block exceeds _BLOCK_BYTES.
     """
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
@@ -484,26 +489,29 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
     if np.any(dy <= 0):
         raise ValueError("layered evaluation requires y + y0 > 0")
     k = media.k1
+    step = max(1, _BLOCK_BYTES // (16 * max(1, dx.size)))
 
     def prop_value(tau, w):
-        sigma = reflectance(media, -1j * k * np.sin(tau))
-        ph = np.exp(1j * k * (dy[:, None] * np.sin(tau)[None, :]
-                              - dx[:, None] * np.cos(tau)[None, :]))
-        return ph @ (w * sigma)
+        base = w * reflectance(media, -1j * k * np.sin(tau))
+        val = np.zeros(dx.shape, dtype=complex)
+        for a in range(0, tau.size, step):
+            c = slice(a, a + step)
+            val += np.exp(1j * k * (np.outer(dy, np.sin(tau[c]))
+                                    - np.outer(dx, np.cos(tau[c])))) @ base[c]
+        return val
 
     def evan_value(t, w):
         root = np.sqrt(t * t + k * k)
-        sigma = reflectance(media, t.astype(complex))
-        base = w * sigma / root
-        mat = np.exp(-np.outer(dy, t)) * 2.0 * np.cos(np.outer(dx, root))
-        return mat @ base
+        base = w * reflectance(media, t.astype(complex)) / root
+        val = np.zeros(dx.shape, dtype=complex)
+        for a in range(0, t.size, step):
+            c = slice(a, a + step)
+            val += (np.exp(-np.outer(dy, t[c]))
+                    * 2.0 * np.cos(np.outer(dx, root[c]))) @ base[c]
+        return val
 
     T = _evanescent_cutoff(media, float(dy.min()), tol)
     return _spectral_doubling(media, T, tol, prop_value, evan_value, 1.0)
-
-
-# Largest (points x nodes) complex block scattered_sum forms at once.
-_BLOCK_BYTES = 1 << 23
 
 
 def scattered_sum(media: MediaConfig, tx, ty, sx, sy, q, tol: float = 1e-12) -> np.ndarray:

@@ -8,10 +8,13 @@ entry is a Sommerfeld integral evaluated on the propagating/evanescent
 split with fixed quadrature rules.  Near the interface the line-image
 tail is translated separately (operator B with cutoff C).
 
-Entries are cached in one table store keyed by exact integers of the
-box pair (levels, y-indices, x offset) and the root height, since box
-pairs at the same heights and offset share the operator exactly (the
-kernel is invariant under horizontal translation).
+Entries are cached in one table store keyed by the geometry (|dx|, dy,
+C) as exact integers (TableKey): the kernel is invariant under
+horizontal translation, so every box pair with one geometry shares an
+entry, and a pair with dx < 0 reads the entry of -dx reversed.  A table
+file (save_tables) is the magic HFMMTB3, a header (medium fingerprint,
+P and the rule counts, all checked on load) and the entries, each as
+its key fields and its 4P+1 complex values.
 """
 
 from __future__ import annotations
@@ -24,24 +27,20 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from . import greens
 from .greens import (MediaConfig, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
 from .quadrature import (SommerfeldRules, gauss_laguerre_generalized, gauss_legendre,
                          legendre_base)
-from .tree import near_source_leaves
 
 __all__ = [
     "TranslationGeometry",
     "TableKey",
     "TableStore",
-    "box_center_y",
     "pair_key",
     "propagating_rule",
     "compute_A",
     "compute_B_tail",
     "fill_tables",
-    "precompute_tables",
     "save_tables",
     "load_tables",
 ]
@@ -304,65 +303,49 @@ def compute_B_tail(geom: TranslationGeometry, C: float, media: MediaConfig, P: i
     return entries
 
 
-def box_center_y(root_y0: float, level: int, iy: int) -> float:
-    """Normalized center height of box (level, iy), bit for bit as build_tree sets it.
-
-    The tree places each child at its parent's center plus or minus a
-    quarter of the parent's width, starting from root_y0 + 1/2; this
-    replays those additions along the path of iy's bits.
-    """
-    c = root_y0 + 0.5
-    for lev in range(1, level + 1):
-        c = c + (2 * ((iy >> (level - lev)) & 1) - 1) * 0.5 ** (lev + 1)
-    return c
-
-
-def _bottom(root_y0, level, iy):
-    return box_center_y(root_y0, level, iy) - 0.5 ** (level + 1)
-
-
-def _tail_cutoff(root_y0, l1, iy1, l2, iy2):
-    """Line-image cutoff C of a near pair: the coarser box width less both box bottoms."""
-    return max(0.0, 0.5 ** min(l1, l2) - (_bottom(root_y0, l2, iy2) + _bottom(root_y0, l1, iy1)))
-
-
 class TableKey(NamedTuple):
-    """Exact key of one table entry: the root height and the box pair.
+    """Exact key of one table entry: its translation geometry as integers.
 
-    oxh is target-center x minus source-center x in units of half the
-    finer box width; tail marks a near pair whose line image is cut at
-    C > 0 (a B-tail entry rather than A).  A pair across two levels
-    holds its coarser box in the tgt slot (see pair_key).
+    With h = 2**-shift, the entry translates by dx = ax * h >= 0 and
+    dy = 2 * root_y0 + sy * h; cut > 0 marks a B-tail entry with line-image
+    cutoff C = cut * h - 2 * root_y0, cut == 0 an A entry.  pair_key
+    reduces the integers (ax, sy and cut not all even), so every box pair
+    with one geometry, at any level, maps to one key.
     """
 
     root_y0: float
-    tgt_level: int
-    tgt_iy: int
-    src_level: int
-    src_iy: int
-    oxh: int
-    tail: bool
+    shift: int
+    ax: int
+    sy: int
+    cut: int
 
 
-def pair_key(root_y0: float, tgt, src, near: bool = False) -> TableKey:
+def pair_key(root_y0: float, tgt, src, near: bool = False):
     """Table key of the scattered translation from tree box src to tree box tgt.
 
-    A near pair (near=True) whose source box sits less than its own
-    width above the interface has its line image cut at C > 0, if C
-    comes out positive.  A pair across two levels is keyed with the
-    coarser box in the target slot: swapping the two boxes changes none
-    of dx, dy or C, so both orders share one entry.
+    Returns (key, flip): the translation's dx is negative when flip is
+    set, and its entries are then the key's entries reversed, since
+    A_{-dx}(nu) = A_{dx}(-nu) (TableStore.get).  A near pair (near=True)
+    whose source box sits less than its own width above the interface
+    has its line image cut at C > 0, if C comes out positive.
     """
     lt, (ixt, iyt) = tgt.level, tgt.index
     ls, (ixs, iys) = src.level, src.index
     fine = max(lt, ls)
-    oxh = ((2 * ixt + 1) << (fine - lt)) - ((2 * ixs + 1) << (fine - ls))
+    shift = fine + 1  # lengths in half-widths of the finer box
+    ax = ((2 * ixt + 1) << (fine - lt)) - ((2 * ixs + 1) << (fine - ls))
+    sy = ((2 * iyt + 1) << (fine - lt)) + ((2 * iys + 1) << (fine - ls))
+    cut = 0
     # with root_y0 > 0 only the bottom row (iys == 0) can sit that low
-    tail = (near and iys == 0 and _bottom(root_y0, ls, iys) < 0.5 ** ls
-            and _tail_cutoff(root_y0, lt, iyt, ls, iys) > 0.0)
-    if lt > ls:
-        lt, iyt, ls, iys = ls, iys, lt, iyt
-    return TableKey(root_y0, lt, iyt, ls, iys, oxh, tail)
+    if near and iys == 0 and root_y0 < 0.5 ** ls:
+        # C = coarser width + both half widths - dy
+        cut = (3 << (fine - min(lt, ls))) + 1 - sy
+        if cut * 0.5 ** shift - 2.0 * root_y0 <= 0.0:
+            cut = 0
+    flip, ax = ax < 0, abs(ax)
+    while not (ax | sy | cut) & 1:  # sy > 0, so this ends
+        shift, ax, sy, cut = shift - 1, ax >> 1, sy >> 1, cut >> 1
+    return TableKey(root_y0, shift, ax, sy, cut), flip
 
 
 class TableStore:
@@ -384,31 +367,25 @@ class TableStore:
 
     @staticmethod
     def geometry(key: TableKey) -> TranslationGeometry:
-        y0, lt, iyt, ls, iys, oxh, tail = key
-        dx = oxh * 0.5 ** (max(lt, ls) + 1)
-        if lt == ls and not tail:
-            # an uncut same-level pair takes the lattice closed form (one
-            # rounding); the others add the box centers as the tree
-            # rounded them.  The two can differ in the last bit.
-            dy = 2.0 * y0 + (iyt + iys + 1) * 0.5 ** lt
-        else:
-            dy = box_center_y(y0, lt, iyt) + box_center_y(y0, ls, iys)
-        cutoff = _tail_cutoff(y0, lt, iyt, ls, iys) if tail else 0.0
-        return TranslationGeometry(dx=dx, dy=dy, cutoff=cutoff)
+        h = 0.5 ** key.shift
+        cutoff = key.cut * h - 2.0 * key.root_y0 if key.cut else 0.0
+        return TranslationGeometry(dx=key.ax * h, dy=2.0 * key.root_y0 + key.sy * h,
+                                   cutoff=cutoff)
 
-    def get(self, key: TableKey) -> np.ndarray:
+    def get(self, key: TableKey, flip: bool = False) -> np.ndarray:
+        """Entries of key, reversed (the dx < 0 translation) when flip is set."""
         found = self.entries.get(key)
         if found is not None:
             self.hits += 1
-            return found
-        self.misses += 1
-        geom = self.geometry(key)
-        if geom.cutoff > 0.0:
-            entries = compute_B_tail(geom, geom.cutoff, self.media, self.P, self.rules)
         else:
-            entries = compute_A(geom, self.media, self.P, self.rules)
-        self.entries[key] = entries
-        return entries
+            self.misses += 1
+            geom = self.geometry(key)
+            if geom.cutoff > 0.0:
+                found = compute_B_tail(geom, geom.cutoff, self.media, self.P, self.rules)
+            else:
+                found = compute_A(geom, self.media, self.P, self.rules)
+            self.entries[key] = found
+        return found[::-1] if flip else found
 
 
 def fill_tables(store: TableStore, tree, near=None) -> TableStore:
@@ -421,36 +398,23 @@ def fill_tables(store: TableStore, tree, near=None) -> TableStore:
     entry.
     """
     y0 = tree.root_xy[1]
-    seen = set()
-    for node in tree.nodes.values():
-        for src in node.interaction_list:
-            # a same-level pair's key follows from its level, heights and x offset
-            pair = (node.level, node.index[1], src.index[1], node.index[0] - src.index[0])
-            if pair not in seen:
-                seen.add(pair)
-                store.get(pair_key(y0, node, src))
+    keys = {pair_key(y0, node, src)[0]
+            for node in tree.nodes.values() for src in node.interaction_list}
     for tgt, srcs in (near or {}).items():
         for src in srcs:
-            key = pair_key(y0, tgt, src, near=True)
-            if not key.tail or store.media.variant == "two-layer":
-                store.get(key)
+            key = pair_key(y0, tgt, src, near=True)[0]
+            if not key.cut or store.media.variant == "two-layer":
+                keys.add(key)
+    for key in keys:
+        store.get(key)
     return store
 
 
-def precompute_tables(tree, media: MediaConfig, P: int, rules: SommerfeldRules) -> TableStore:
-    """Build every table entry a run on this tree reads.
-
-    Covers all interaction-list pairs and the near pairs a run
-    translates.  Entries are deduplicated by key, so horizontally
-    translated box pairs share storage.
-    """
-    return fill_tables(TableStore(media, P, rules), tree, near_source_leaves(tree))
-
-
-_MAGIC = b"HFMMTB2\x00"
-_OLD_MAGIC = b"HFMMTB1\x00"  # root height in the header; no rule counts
-_HEADER = struct.Struct("<IIId")     # P, prop_count, evan_count, Laguerre a_param
-_ENTRY = struct.Struct("<diqiqqBI")  # TableKey fields, then the value count
+_MAGIC = b"HFMMTB3\x00"
+# older formats, keyed by the root height (1) or by the box pair (2)
+_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00")
+_HEADER = struct.Struct("<IIId")   # P, prop_count, evan_count, Laguerre a_param
+_ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
 
 
 def _rule_counts(rules: SommerfeldRules):
@@ -488,7 +452,7 @@ def load_tables(path, media: MediaConfig, P: int, rules: SommerfeldRules) -> Tab
     """Load a table store; the media fingerprint, P and rule counts must match."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
-        if magic == _OLD_MAGIC:
+        if magic in _OLD_MAGICS:
             raise ValueError("table cache has an old format; delete it to rebuild")
         if magic != _MAGIC:
             raise ValueError("not a translation table file")
@@ -508,6 +472,6 @@ def load_tables(path, media: MediaConfig, P: int, rules: SommerfeldRules) -> Tab
         (count,) = struct.unpack("<Q", _read(f, 8))
         for _ in range(count):
             *key, nvals = _ENTRY.unpack(_read(f, _ENTRY.size))
-            key = TableKey(*key[:-1], bool(key[-1]))
-            store.entries[key] = np.frombuffer(_read(f, 16 * nvals), dtype="<c16").copy()
+            vals = np.frombuffer(_read(f, 16 * nvals), dtype="<c16")
+            store.entries[TableKey(*key)] = vals.copy()
     return store

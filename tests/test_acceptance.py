@@ -16,7 +16,7 @@ from hfmm.driver import RunConfig, direct_apply, error_metric, fmm_apply, local_
 from hfmm.expansions import p2m_arrays, translation_matrix, translation_vector_h
 from hfmm.greens import MediaConfig, Point2, free_space, scattered_batch, \
     three_layer_sigma, vertical_wavenumber
-from hfmm.layered import precompute_tables
+from hfmm.layered import TableStore, fill_tables
 from hfmm.quadrature import SommerfeldRules
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, \
     near_source_leaves
@@ -177,8 +177,8 @@ def test_criterion_8_structural(capsys):
     media = MediaConfig.two_layer(1.0, 1.0)
     P = 20
     rules = SommerfeldRules.default()
-    s1 = precompute_tables(tree, media, P, rules)
-    s2 = precompute_tables(tree, media, P, rules)
+    s1, s2 = (fill_tables(TableStore(media, P, rules), tree, near_source_leaves(tree))
+              for _ in range(2))
     total = sum(len(v) for v in s1.entries.values())
     bound = 2 ** 4 * 49 * (4 * P + 1)
     size_ok = total <= bound

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from hfmm import cli
 from hfmm.cli import (CSV_HEADER, CSV_VERSION, check_boundary_residual,
-                      check_toeplitz, grid_particles, main, random_particles)
+                      check_equal_wavenumber, check_toeplitz, grid_particles, main,
+                      random_particles)
 
 
 def _parse_csv(text):
@@ -110,6 +112,14 @@ class TestBench:
                 if r["metric"] == "time_total" and r["N"] == "100"][0]
         assert t100 < 1.0
 
+    def test_entry_count_rows(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--n-list", "150", "--p", "6", "--leaf-size", "30",
+                     "--out", str(out)]) == 0
+        counts = {r["metric"]: int(r["value"]) for r in _read_rows(out)
+                  if r["metric"].startswith("entries_")}
+        assert counts["entries_computed"] == counts["entries_held"] > 0
+
     def test_empty_sweep_usage_error(self, capsys):
         assert main(["bench", "--n-list", ""]) == 2
         assert "error" in capsys.readouterr().err
@@ -134,6 +144,21 @@ class TestValidate:
         assert "boundary-residual" in names
         assert "oracle-agreement" in names
         assert len(names) == 7
+
+    def test_media_flag_refused(self, capsys):
+        assert main(["validate", "--media", "three-layer"]) == 2
+        assert "--media" in capsys.readouterr().err
+
+    def test_rows_name_each_checks_medium(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "VALIDATION_CHECKS", [
+            ("toeplitz", "two-layer", check_toeplitz),
+            ("equal-wavenumber-three-layer", "three-layer", check_equal_wavenumber)])
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--out", str(out)]) == 0
+        rows = _read_rows(out)
+        assert [(r["metric"], r["media"]) for r in rows] == [
+            ("toeplitz", "two-layer"), ("equal-wavenumber-three-layer", "three-layer")]
+        assert all(r["k"] == r["alpha"] == "" for r in rows)
 
     def test_injected_wrong_sign_alpha_fails(self):
         value, ok = check_boundary_residual(alpha=-1.0)

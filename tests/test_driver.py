@@ -230,7 +230,7 @@ class TestStructure:
         tree = build_tree(parts, TreeConfig(leaf_capacity=30))
         build_lists(tree)
         y0 = tree.root_xy[1]
-        cut = sum(layered.pair_key(y0, tgt, src, near=True).tail
+        cut = sum(layered.pair_key(y0, tgt, src, near=True)[0].cut > 0
                   for tgt, srcs in near_source_leaves(tree).items() for src in srcs)
         assert cut > 0
         calls = []
@@ -348,6 +348,19 @@ class TestTableCache:
         assert calls == {"compute_A": 0, "compute_B_tail": 0, "save_tables": 0}
         plain = fmm_apply(parts, RunConfig(media=media, order=12, table_policy=policy)).values
         np.testing.assert_array_equal(warm, plain)
+
+    def test_counts_report_computed_and_held(self, tmp_path):
+        parts = _random_particles(19, 300, ylo=5e-3, yhi=1.0, complex_q=False)
+        media = MediaConfig.two_layer(1.0, 1.0)
+        cfg = RunConfig(media=media, order=10, table_cache=str(tmp_path / "tables.bin"))
+        cold = fmm_apply(parts, cfg)
+        warm = fmm_apply(parts, cfg)
+        held = cold.counts["entries_held"]
+        assert cold.counts == {"entries_computed": held, "entries_held": held} and held > 0
+        assert warm.counts == {"entries_computed": 0, "entries_held": held}
+        assert "entries_held" not in cold.timings
+        free = fmm_apply(parts, RunConfig(media=MediaConfig.free(1.0), order=10))
+        assert free.counts == {"entries_computed": 0, "entries_held": 0}
 
     def test_file_refuses_other_rule_counts(self, tmp_path):
         parts = _random_particles(17, 200, ylo=0.1, yhi=1.1)

@@ -1,5 +1,7 @@
 """Tests for the direct Green's function oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,36 @@ class TestScatteredOracle:
         batch = scattered_batch(media, np.array([0.3]), np.array([1.2]), 1e-13)
         direct = scattered_direct(media, (0.3, 0.7), (0.0, 0.5), 1e-13)
         assert batch[0] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("media", [MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+                                       MediaConfig.two_layer(1.0, 1.0)],
+                             ids=lambda m: m.variant)
+    def test_batch_node_chunks_match_one_block(self, monkeypatch, media):
+        rng = np.random.default_rng(6)
+        dx = rng.uniform(-0.5, 0.5, 40)
+        dy = rng.uniform(1e-3, 0.5, 40)
+        whole = scattered_batch(media, dx, dy)
+        # about 7 nodes per block, so every panel level is split
+        monkeypatch.setattr(greens, "_BLOCK_BYTES", 16 * dx.size * 7)
+        chunked = scattered_batch(media, dx, dy)
+        assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
+
+    def test_batch_block_stays_under_budget(self, monkeypatch):
+        media = MediaConfig.two_layer(1.0, 1.0)
+        rng = np.random.default_rng(6)
+        dx, dy = rng.uniform(-0.5, 0.5, 40), rng.uniform(1e-3, 0.5, 40)
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                scattered_batch(media, dx, dy)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak_bytes()  # one (pairs x nodes) block per panel level: ~8 MiB
+        monkeypatch.setattr(greens, "_BLOCK_BYTES", 16 * dx.size * 7)
+        assert peak_bytes() < whole / 4
 
     def test_equal_wavenumber_three_layer_vanishes(self):
         media = MediaConfig.three_layer(1.0, 1.0, 1.0, 0.7)

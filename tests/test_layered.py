@@ -1,6 +1,7 @@
 """Tests for the heterogeneous translation operators and table store."""
 
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hfmm.driver import local_values
 from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
     line_image_density, mirror_image, scattered_direct
+from hfmm import layered
 from hfmm.layered import (TableKey, TableStore, TranslationGeometry, _verify_doubling,
-                          box_center_y, compute_A, compute_B_tail, load_tables,
-                          pair_key, precompute_tables, save_tables)
+                          compute_A, compute_B_tail, fill_tables, load_tables, pair_key,
+                          save_tables)
 from hfmm.quadrature import SommerfeldRules, gauss_legendre
 from hfmm.specfun import hankel1
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
@@ -41,6 +43,11 @@ def _eval_local(coeffs, c, x, k):
     return complex(local_values(coeffs, [x[0]], [x[1]], c.x, c.y, k)[0])
 
 
+def _filled_store(tree, media, P):
+    """The store a precompute run on this tree fills: interaction-list and near entries."""
+    return fill_tables(TableStore(media, P, RULES), tree, near_source_leaves(tree))
+
+
 def _scattered_sum(media, parts, x, tol=1e-13):
     return sum(p.strength * scattered_direct(media, x, (p.position.x, p.position.y), tol)
                for p in parts)
@@ -52,12 +59,17 @@ class TestGeometry:
             TranslationGeometry(dx=1.0, dy=0.0)
 
     def test_store_key_reconstruction(self):
-        # level 2, target iy 0, source iy 1, x offset 3 boxes = 6 half-widths
-        g = TableStore.geometry(TableKey(0.25, 2, 0, 2, 1, 6, False))
+        # level 2, target iy 0, source iy 1, x offset 3 boxes: in half-widths
+        # (h = 1/8) dx = 6 and the summed center heights are 1 + 3 = 4
+        g = TableStore.geometry(TableKey(0.25, 3, 6, 4, 0))
         w = 0.25
         assert g.dx == 3 * w
         assert g.dy == 2 * 0.25 + (0 + 1 + 1) * w
         assert g.cutoff == 0.0
+        # the reduced key (h = 1/4) is the same geometry bit for bit
+        assert TableStore.geometry(TableKey(0.25, 2, 3, 2, 0)) == g
+        # a tail key: C = cut * h - 2 * root_y0
+        assert TableStore.geometry(TableKey(0.25, 3, 6, 4, 5)).cutoff == 5 / 8 - 0.5
 
     def test_key_geometry_matches_tree_boxes(self):
         rng = np.random.default_rng(21)
@@ -65,18 +77,19 @@ class TestGeometry:
                  for x, y in zip(rng.uniform(-0.5, 0.5, 400), rng.uniform(0.01, 0.6, 400))]
         tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=8)))
         y0 = tree.root_xy[1]
-        for node in tree.nodes.values():
-            assert box_center_y(y0, node.level, node.index[1]) == node.center.y
         levels = {n.level for n in tree.leaves}
         assert len(levels) > 1
         for tgt in tree.leaves:
             for src in tree.leaves:
                 if abs(tgt.level - src.level) > 1:
                     continue
-                g = TableStore.geometry(pair_key(y0, tgt, src))
-                assert g.dx == tgt.center.x - src.center.x
-                if tgt.level != src.level:
-                    assert g.dy == tgt.center.y + src.center.y
+                key, flip = pair_key(y0, tgt, src)
+                g = TableStore.geometry(key)
+                assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
+                if tgt.level == src.level:
+                    # the lattice closed form, one rounding
+                    assert g.dy == 2.0 * y0 + (tgt.index[1] + src.index[1] + 1) \
+                        * 0.5 ** tgt.level
                 assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
                 assert g.cutoff == 0.0
         # near pairs: the line-image cutoff from the boxes' own floats
@@ -88,22 +101,23 @@ class TestGeometry:
                 w = 2.0 * max(src.half_width, tgt.half_width)
                 expect = 0.0 if src_bottom >= 2.0 * src.half_width else \
                     max(0.0, w - (src_bottom + tgt_bottom))
-                g = TableStore.geometry(pair_key(y0, tgt, src, near=True))
-                assert g.cutoff == expect
-                assert g.dy == tgt.center.y + src.center.y or not expect
+                g = TableStore.geometry(pair_key(y0, tgt, src, near=True)[0])
+                assert g.cutoff == pytest.approx(expect, rel=1e-15, abs=1e-15)
+                assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
                 cut += expect > 0.0
         assert cut > 0
 
     def test_swapped_levels_share_a_key(self):
         # coarse box to a fine box, and the mirrored fine box to the
-        # coarse box, have the same dx and dy
+        # coarse box, have the same dx and dy; swapping the boxes negates dx
         tree = TestTableStore()._uniform_tree(2)
         y0 = tree.root_xy[1]
         coarse = tree.nodes[(1, 0, 1)]
         left, right = tree.nodes[(2, 0, 3)], tree.nodes[(2, 1, 3)]
-        key = pair_key(y0, coarse, left)
-        assert key == pair_key(y0, right, coarse)
-        assert key != pair_key(y0, left, coarse)
+        key, flip = pair_key(y0, coarse, left)
+        assert not flip
+        assert pair_key(y0, right, coarse) == (key, False)
+        assert pair_key(y0, left, coarse) == (key, True)
         assert TableStore.geometry(key).dx == coarse.center.x - left.center.x
 
 
@@ -249,36 +263,42 @@ class TestTableStore:
     def test_cache_sharing(self):
         media = MediaConfig.two_layer(1.0, 1.0)
         store = TableStore(media, 5, RULES)
-        key = TableKey(0.0, 2, 1, 2, 1, 6, False)
+        key = TableKey(0.0, 2, 3, 3, 0)
         a = store.get(key)
         b = store.get(key)
         assert a is b
         assert store.hits == 1 and store.misses == 1
+        np.testing.assert_array_equal(store.get(key, True), a[::-1])
+        assert store.misses == 1
 
     def test_near_tail_keys(self):
         # the bottom row of a two-layer tree cuts its line images
         tree = self._uniform_tree(2)
         y0 = tree.root_xy[1]
-        store = precompute_tables(tree, MediaConfig.two_layer(1.0, 1.0), 5, RULES)
-        tails = [key for key in store.entries if key.tail]
-        assert tails and all(key.tgt_iy == key.src_iy == 0 for key in tails)
+        store = _filled_store(tree, MediaConfig.two_layer(1.0, 1.0), 5)
+        cut_pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items()
+                     for src in srcs if pair_key(y0, tgt, src, near=True)[0].cut]
+        assert cut_pairs
+        assert all(tgt.index[1] == src.index[1] == 0 for tgt, src in cut_pairs)
+        assert {pair_key(y0, *pair, near=True)[0] for pair in cut_pairs} \
+            == {key for key in store.entries if key.cut}
         leaf = tree.nodes[(2, 1, 0)]
-        geom = TableStore.geometry(pair_key(y0, leaf, tree.nodes[(2, 2, 0)], near=True))
-        assert geom.cutoff == pytest.approx(0.25 - 2 * y0)
+        key, _ = pair_key(y0, leaf, tree.nodes[(2, 2, 0)], near=True)
+        assert TableStore.geometry(key).cutoff == pytest.approx(0.25 - 2 * y0)
 
     def test_store_size_bound_uniform_l3(self):
         tree = self._uniform_tree(3)
         media = MediaConfig.two_layer(1.0, 1.0)
         P = 20
-        store = precompute_tables(tree, media, P, RULES)
+        store = _filled_store(tree, media, P)
         total = sum(len(v) for v in store.entries.values())
         assert total <= 2 ** 4 * 49 * (4 * P + 1)
 
     def test_determinism_bit_exact(self):
         tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
-        s1 = precompute_tables(tree, media, 8, RULES)
-        s2 = precompute_tables(tree, media, 8, RULES)
+        s1 = _filled_store(tree, media, 8)
+        s2 = _filled_store(tree, media, 8)
         assert s1.entries.keys() == s2.entries.keys()
         for key in s1.entries:
             np.testing.assert_array_equal(s1.entries[key], s2.entries[key])
@@ -286,7 +306,7 @@ class TestTableStore:
     def test_save_load_round_trip(self, tmp_path):
         tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
-        store = precompute_tables(tree, media, 8, RULES)
+        store = _filled_store(tree, media, 8)
         path = tmp_path / "tables.bin"
         save_tables(store, path)
         loaded = load_tables(path, media, 8, RULES)
@@ -296,7 +316,7 @@ class TestTableStore:
 
     def test_load_rejects_other_media(self, tmp_path):
         tree = self._uniform_tree(2)
-        store = precompute_tables(tree, MediaConfig.two_layer(1.0, 1.0), 8, RULES)
+        store = _filled_store(tree, MediaConfig.two_layer(1.0, 1.0), 8)
         path = tmp_path / "tables.bin"
         save_tables(store, path)
         with pytest.raises(ValueError):
@@ -308,7 +328,7 @@ class TestTableStore:
         tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
         path = tmp_path / "tables.bin"
-        save_tables(precompute_tables(tree, media, 8, RULES), path)
+        save_tables(_filled_store(tree, media, 8), path)
         for rules in (SommerfeldRules.default(64, 16), SommerfeldRules.default(32, 64),
                       SommerfeldRules.default(64, 64, a_param=0.5)):
             with pytest.raises(ValueError, match="evan_count"):
@@ -323,11 +343,21 @@ class TestTableStore:
         with pytest.raises(ValueError, match="old format"):
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8, RULES)
 
+    def test_load_rejects_box_pair_format(self, tmp_path):
+        # second format: entries keyed by the box pair, not the geometry
+        media = MediaConfig.two_layer(1.0, 1.0)
+        fp = media.fingerprint().encode()
+        path = tmp_path / "tables.bin"
+        path.write_bytes(b"HFMMTB2\x00" + struct.pack("<I", len(fp)) + fp
+                         + struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0))
+        with pytest.raises(ValueError, match="old format"):
+            load_tables(path, media, 8, RULES)
+
     def test_load_rejects_truncated_file(self, tmp_path):
         tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
         path = tmp_path / "tables.bin"
-        save_tables(precompute_tables(tree, media, 8, RULES), path)
+        save_tables(_filled_store(tree, media, 8), path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="truncated"):
             load_tables(path, media, 8, RULES)
@@ -337,3 +367,83 @@ class TestTableStore:
         path.write_bytes(b"not a table")
         with pytest.raises(ValueError):
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8, RULES)
+
+
+def _exact_geometry(y0, tgt, src, cut_line):
+    """(|dx|, dy, C) of a box pair as exact rationals, from the boxes' indices."""
+    def center(level, i):
+        return Fraction(2 * i + 1, 2 ** (level + 1))
+
+    dx = abs(center(tgt.level, tgt.index[0]) - center(src.level, src.index[0]))
+    dy = 2 * y0 + center(tgt.level, tgt.index[1]) + center(src.level, src.index[1])
+    cutoff = Fraction(0)
+    src_bottom = y0 + Fraction(src.index[1], 2 ** src.level)
+    if cut_line and src_bottom < Fraction(1, 2 ** src.level):
+        tgt_bottom = y0 + Fraction(tgt.index[1], 2 ** tgt.level)
+        cutoff = max(cutoff, Fraction(1, 2 ** min(tgt.level, src.level))
+                     - src_bottom - tgt_bottom)
+    return dx, dy, cutoff
+
+
+class TestOneEntryPerGeometry:
+    @pytest.mark.parametrize("media, dy", [
+        pytest.param(MediaConfig.two_layer(1.0, 1.0), 2.5, id="two-layer-laguerre"),
+        pytest.param(MediaConfig.two_layer(1.0, 1.0), 0.3, id="two-layer-adaptive"),
+        # dy times the nearest singularity distance (0.6) must reach 2
+        pytest.param(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 4.0,
+                     id="three-layer-laguerre"),
+        pytest.param(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 0.3,
+                     id="three-layer-adaptive"),
+    ])
+    def test_negative_dx_is_reversed(self, media, dy):
+        # A_{-dx}(nu) = A_{dx}(-nu)
+        for dx in (0.375, 1.5):
+            plus = compute_A(TranslationGeometry(dx=dx, dy=dy), media, 8, RULES)
+            minus = compute_A(TranslationGeometry(dx=-dx, dy=dy), media, 8, RULES)
+            assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
+
+    def test_negative_dx_tail_is_reversed(self):
+        media = MediaConfig.two_layer(1.0, 1.0)
+        plus = compute_B_tail(TranslationGeometry(dx=0.375, dy=0.15), 0.2, media, 8, RULES)
+        minus = compute_B_tail(TranslationGeometry(dx=-0.375, dy=0.15), 0.2, media, 8, RULES)
+        assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
+
+    def test_mirror_pairs_share_one_entry(self):
+        media = MediaConfig.two_layer(1.0, 1.0)
+        tree = TestTableStore()._uniform_tree(3)
+        y0 = tree.root_xy[1]
+        box = lambda ix, iy: tree.nodes[(3, ix, iy)]  # noqa: E731
+        pairs = [(box(2, 2), box(5, 4)),   # dx = -3 boxes, iy 2 + 4
+                 (box(2, 4), box(5, 2)),   # its vertical mirror
+                 (box(5, 2), box(2, 4))]   # its x mirror
+        assert all(src in tgt.interaction_list for tgt, src in pairs)
+        store = TableStore(media, 6, RULES)
+        entries = [store.get(*pair_key(y0, tgt, src)) for tgt, src in pairs]
+        assert len(store.entries) == 1 and store.misses == 1
+        for (tgt, src), got in zip(pairs, entries):
+            geom = TranslationGeometry(dx=tgt.center.x - src.center.x,
+                                       dy=tgt.center.y + src.center.y)
+            direct = compute_A(geom, media, 6, RULES)
+            assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
+
+    def test_one_computation_per_geometry(self, monkeypatch):
+        # near-interface particles: mixed-level pairs, adaptive entries and B tails
+        rng = np.random.default_rng(31)
+        parts = [Particle(Point2(float(x), float(y)), 1.0)
+                 for x, y in zip(rng.uniform(-0.5, 0.5, 300), rng.uniform(5e-3, 1.0, 300))]
+        tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=20)))
+        y0 = Fraction(tree.root_xy[1])
+        near = near_source_leaves(tree)
+        geometries = {_exact_geometry(y0, tgt, src, False)
+                      for tgt in tree.nodes.values() for src in tgt.interaction_list}
+        geometries |= {_exact_geometry(y0, tgt, src, True)
+                       for tgt, srcs in near.items() for src in srcs}
+        assert any(c > 0 for _, _, c in geometries)
+        assert len({n.level for n in tree.leaves}) > 1
+        calls = []
+        for name in ("compute_A", "compute_B_tail"):
+            fn = getattr(layered, name)
+            monkeypatch.setattr(layered, name,
+                                lambda *a, _fn=fn, **kw: calls.append(a) or _fn(*a, **kw))
+        fill_tables(TableStore(MediaConfig.two_layer(1.0, 1.0), 4, RULES), tree, near)
+        assert len(calls) == len(geometries)
