@@ -63,13 +63,16 @@ def _particles(xs, ys, qs):
 
 def _run_config(args, media, order, n):
     """RunConfig of one sweep run; cache=PATH gives each run PATH.P<order>.N<n>."""
-    policy, cache = args.tables, ""
-    if policy.startswith("cache="):
+    if args.tables == "precompute":
+        cache = ""
+    elif args.tables.startswith("cache=") and args.tables != "cache=":
         # a table file holds one P and one rescaled medium (set by the
         # particles' root box), so each run of a sweep gets its own
-        policy, cache = "precompute", f"{policy[len('cache='):]}.P{order}.N{n}"
+        cache = f"{args.tables[len('cache='):]}.P{order}.N{n}"
+    else:
+        raise UsageError(f"--tables takes precompute or cache=PATH, not {args.tables!r}")
     return RunConfig(media=media, order=order, leaf_capacity=args.leaf_size,
-                     table_policy=policy, table_cache=cache)
+                     table_cache=cache)
 
 
 def _row(args, media, P, N, metric, value, seconds):
@@ -254,8 +257,6 @@ def cmd_validate(args):
         for name, _, _ in VALIDATION_CHECKS:
             print(name)
         return [], 0
-    if args.media is not None:
-        raise UsageError("validate runs each check on its own medium; drop --media")
     rows, failed = [], False
     for name, media, fn in VALIDATION_CHECKS:
         t0 = time.perf_counter()
@@ -306,6 +307,7 @@ def _int_list(text):
 
 
 def build_parser():
+    """The hfmm parser; validate takes only --config, --out, --format, --timings, --list."""
     parser = argparse.ArgumentParser(prog="hfmm",
                                      description="heterogeneous FMM harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,43 +316,48 @@ def build_parser():
         p = sub.add_parser(name)
         parser.sub_commands[name] = p
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--media", choices=["free", "two-layer", "three-layer"],
-                       default=None if name == "validate" else "two-layer",
-                       help="the medium (default two-layer); validate refuses it")
-        p.add_argument("--k", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--k1", type=float, default=1.0)
-        p.add_argument("--k2", type=float, default=0.8)
-        p.add_argument("--k3", type=float, default=0.6)
-        p.add_argument("--d", type=float, default=0.8)
-        p.add_argument("--p", type=_int_list, default=None,
-                       help="comma-separated expansion orders")
-        p.add_argument("--p-ref", type=int, default=39, dest="p_ref")
-        p.add_argument("--n", type=int, default=10000)
-        p.add_argument("--n-list", type=_int_list, default=None,
-                       help="comma-separated N sweep for bench")
-        p.add_argument("--leaf-size", type=int, default=60, dest="leaf_size")
-        p.add_argument("--seed", type=int, default=2026)
-        p.add_argument("--tables", default="precompute",
-                       help="precompute | on-the-fly | cache=PATH (each run of a "
-                            "sweep reads and writes PATH.P<p>.N<n>)")
+        if name == "validate":
+            # every check sets its own medium and inputs
+            p.add_argument("--list", action="store_true")
+        else:
+            p.add_argument("--media", choices=["free", "two-layer", "three-layer"],
+                           default="two-layer")
+            p.add_argument("--k", type=float, default=1.0)
+            p.add_argument("--alpha", type=float, default=1.0)
+            p.add_argument("--k1", type=float, default=1.0)
+            p.add_argument("--k2", type=float, default=0.8)
+            p.add_argument("--k3", type=float, default=0.6)
+            p.add_argument("--d", type=float, default=0.8)
+            p.add_argument("--p", type=_int_list,
+                           default=[5, 10, 20, 30] if name == "accuracy" else None,
+                           help="comma-separated expansion orders (bench uses the "
+                                "first, default 16)")
+            p.add_argument("--p-ref", type=int, default=39, dest="p_ref")
+            p.add_argument("--n", type=int, default=10000)
+            p.add_argument("--n-list", type=_int_list, default=[10000, 90000, 360000],
+                           help="comma-separated N sweep for bench")
+            p.add_argument("--leaf-size", type=int, default=60, dest="leaf_size")
+            p.add_argument("--seed", type=int, default=2026)
+            p.add_argument("--tables", default="precompute",
+                           help="precompute | cache=PATH (each run of a sweep "
+                                "reads and writes PATH.P<p>.N<n>)")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv",
                        dest="fmt")
         p.add_argument("--timings", choices=["wall", "none"], default="wall",
                        help="'none' zeroes the seconds column for "
                             "byte-identical artifacts")
-        if name == "validate":
-            p.add_argument("--list", action="store_true")
     return parser
 
 
 def _config_defaults(path, parser):
     """Read the INI file into a dict usable as the subparser's defaults.
 
-    A key that names no flag is a usage error, so a misspelt key cannot
-    go unnoticed.  argparse checks a flag's choices only for values given
-    on the command line, so the INI values are checked against them here.
+    The keys are the subparser's value flags, spelt with - or _.  A key
+    that names none of them is a usage error, so a misspelt key, or one
+    the subcommand does not read, cannot go unnoticed.  argparse checks a
+    flag's choices only for values given on the command line, so the INI
+    values are checked against them here.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -358,26 +365,21 @@ def _config_defaults(path, parser):
     if not cp.has_section("hfmm"):
         raise UsageError("config file needs an [hfmm] section")
     sec = cp["hfmm"]
-    converters = {
-        "media": str, "k": float, "alpha": float, "k1": float, "k2": float,
-        "k3": float, "d": float, "p": _int_list, "p_ref": int, "n": int,
-        "n_list": _int_list, "leaf_size": int, "seed": int,
-        "tables": str, "out": str, "format": str, "timings": str,
-    }
-    unknown = sorted(name for name in sec if name.replace("-", "_") not in converters)
+    flags = {action.option_strings[-1][2:].replace("-", "_"): action
+             for action in parser._actions
+             if action.option_strings and action.nargs is None
+             and action.dest != "config"}
+    unknown = sorted(name for name in sec if name.replace("-", "_") not in flags)
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    choices = {action.dest: action.choices for action in parser._actions if action.choices}
     out = {}
-    for key, conv in converters.items():
-        raw = sec.get(key.replace("_", "-"), sec.get(key))
-        if raw is not None:
-            dest = "fmt" if key == "format" else key
-            value = conv(raw)
-            if dest in choices and value not in choices[dest]:
-                raise UsageError(f"config key {key}: {raw!r} is not one of "
-                                 f"{', '.join(choices[dest])}")
-            out[dest] = value
+    for name, raw in sec.items():
+        action = flags[name.replace("-", "_")]
+        value = (action.type or str)(raw)
+        if action.choices and value not in action.choices:
+            raise UsageError(f"config key {name}: {raw!r} is not one of "
+                             f"{', '.join(action.choices)}")
+        out[action.dest] = value
     return out
 
 
@@ -385,16 +387,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         # parse twice so explicit flags override config-file values
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         if args.config:
             # defaults live on the subparser; explicit flags still win
             sub = parser.sub_commands[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub))
-            args = parser.parse_args(argv)
-        if args.p is None:
-            args.p = [5, 10, 20, 30]
-        if args.n_list is None:
-            args.n_list = [10000, 90000, 360000]
+            args = _parse(parser, argv)
         handler = {"accuracy": cmd_accuracy, "bench": cmd_bench,
                    "validate": cmd_validate}[args.command]
         rows, code = handler(args)
@@ -407,6 +405,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _parse(parser, argv):
+    """Parsed arguments; a flag the subcommand does not take is a usage error."""
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        raise UsageError(f"{args.command} does not take {' '.join(extra)}")
+    return args
 
 
 if __name__ == "__main__":

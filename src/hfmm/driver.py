@@ -33,24 +33,11 @@ class RunConfig:
     media: MediaConfig
     order: int
     leaf_capacity: int = 40
-    table_policy: str = "precompute"  # "precompute" | "on-the-fly"
     table_cache: str = ""             # optional path for the binary table cache
-    prop_count: int = 64
-    evan_count: int = 0               # 0: 64 for two-layer, 128 for three-layer
-    oracle_tol: float = 1e-12
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("expansion order must be >= 1")
-        if self.table_policy not in ("precompute", "on-the-fly"):
-            raise ValueError("table_policy must be 'precompute' or 'on-the-fly'")
-
-    def resolved_evan_count(self) -> int:
-        if self.evan_count:
-            return self.evan_count
-        # sigma_1 of the three-layer medium decays slowly in the spectral
-        # variable; more Laguerre nodes keep table entries near 1e-9.
-        return 128 if self.media.variant == "three-layer" else 64
 
 
 @dataclass
@@ -139,10 +126,17 @@ def _index_offset(src, tgt):
 
 
 class _Workspace:
-    """Per-run state: tree, scaled media, coefficient arrays.
+    """Per-run state: tree, scaled media, coefficient arrays, table plan.
 
     multipole, local and image hold one row of 2P+1 coefficients per
-    tree node, indexed by the node's id in ids.
+    tree node, indexed by the node's id in ids.  A layered run keys each
+    scattered read once, here (the table plan):
+    - far[level] groups the level's V pairs (source in the target's
+      interaction list) by (key, flip) from layered.pair_key;
+    - near_reads[leaf] lists (source leaf, key, flip) for the near pairs
+      that read a table entry;
+    - cut[leaf] lists the three-layer near sources whose line image is
+      cut; greens.scattered_sum sums them without an entry.
     """
 
     def __init__(self, particles, config):
@@ -159,18 +153,41 @@ class _Workspace:
         self.x = self.tree.x
         self.y = self.tree.y
         self.P = config.order
-        self.rules = SommerfeldRules.default(config.prop_count,
-                                             config.resolved_evan_count())
+        # sigma_1 of the three-layer medium decays slowly in the spectral
+        # variable; more Laguerre nodes keep table entries near 1e-9
+        self.rules = SommerfeldRules.default(
+            evan=128 if self.media.variant == "three-layer" else 64)
         self.ids = {node: i for i, node in enumerate(self.tree.nodes.values())}
         self.levels = {}
         for node in self.tree.nodes.values():
             self.levels.setdefault(node.level, []).append(node)
+        self.vpairs = {level: [(src, node) for node in nodes for src in node.interaction_list]
+                       for level, nodes in self.levels.items()}
         self.multipole = self.local = self.image = None
         self.near = near_source_leaves(self.tree)
         self.store = None
+        self.far, self.near_reads, self.cut = {}, {}, {}
+        if self.media.variant != "free":
+            self._plan_tables()
+
+    def _plan_tables(self):
+        """Fill far, near_reads and cut: one pair_key call per V pair and near pair."""
+        y0 = self.tree.root_xy[1]
+        for level, pairs in self.vpairs.items():
+            self.far[level] = self.grouped(pairs, lambda src, tgt: layered.pair_key(y0, tgt, src))
+        three_layer = self.media.variant == "three-layer"
+        for leaf, srcs in self.near.items():
+            reads = self.near_reads[leaf] = []
+            cut = self.cut[leaf] = []
+            for src in srcs:
+                key, flip = layered.pair_key(y0, leaf, src, near=True)
+                if key.cut and three_layer:
+                    cut.append(src)
+                else:
+                    reads.append((src, key, flip))
 
     def build_tables(self):
-        """Load the table cache (or start a store); precompute fills it."""
+        """Load the table cache (or start a store) and get every planned entry."""
         if self.media.variant == "free":
             return
         cache = self.config.table_cache
@@ -178,8 +195,10 @@ class _Workspace:
             self.store = layered.load_tables(cache, self.media, self.P, self.rules)
         else:
             self.store = layered.TableStore(self.media, self.P, self.rules)
-        if self.config.table_policy == "precompute":
-            layered.fill_tables(self.store, self.tree, self.near)
+        keys = {key for groups in self.far.values() for key, _ in groups}
+        keys.update(key for reads in self.near_reads.values() for _, key, _ in reads)
+        for key in keys:
+            self.store.get(key)
 
     def grouped(self, pairs, key):
         """Node ids of (source, target) pairs, grouped by key(source, target).
@@ -233,7 +252,6 @@ def _downward(ws):
     ws.local = np.zeros_like(ws.multipole)
     if ws.store is not None:
         ws.image = ex.image_coefficients(ws.multipole)
-    y0 = ws.tree.root_xy[1]
     for level in sorted(ws.levels):
         nodes = ws.levels[level]
         hw = 0.5 ** (level + 1)  # half width of the boxes at this level
@@ -241,15 +259,12 @@ def _downward(ws):
         _translate(ws.local, ws.local,
                    ws.grouped(pairs, lambda parent, child: _quadrant(child, parent)),
                    lambda o: ex.translation_vector_j(k, *_offsets(o, hw), P), "m-p")
-
-        vpairs = [(src, node) for node in nodes for src in node.interaction_list]
-        _translate(ws.local, ws.multipole, ws.grouped(vpairs, _index_offset),
+        _translate(ws.local, ws.multipole, ws.grouped(ws.vpairs[level], _index_offset),
                    lambda o: ex.translation_vector_h(k, *_offsets(o, 2 * hw), P), "m-p")
         if ws.store is not None:
             # the scattered part: image coefficients through one table entry
             # per (key, flip), so the pairs of one geometry share a GEMM
-            _translate(ws.local, ws.image,
-                       ws.grouped(vpairs, lambda src, tgt: layered.pair_key(y0, tgt, src)),
+            _translate(ws.local, ws.image, ws.far[level],
                        lambda keys: [ws.store.get(*kf) for kf in keys], "m-p")
 
 
@@ -273,24 +288,16 @@ def _leaf_potentials(ws, leaf):
     P, k = ws.P, ws.k
     a, b = leaf.span
     tx, ty = ws.x[a:b], ws.y[a:b]
-    two_layer = ws.media.variant == "two-layer"
 
     # collect the scattered near-field contributions into the leaf local
     # expansion before evaluating it
     local = ws.local[ws.ids[leaf]].copy()
     pair_quads = []   # (src_leaf, C) pairs needing pairwise image quadrature
-    cut_srcs = []     # three-layer near-interface sources: factorized spectral sum
-    if ws.store is not None:
-        y0 = ws.tree.root_xy[1]
-        for src in ws.near[leaf]:
-            key, flip = layered.pair_key(y0, leaf, src, near=True)
-            if key.cut and not two_layer:
-                cut_srcs.append(src)
-                continue
-            mat = ex.translation_matrix(ws.store.get(key, flip), P, "m-p")
-            local += mat @ ws.image[ws.ids[src]]
-            if key.cut:
-                pair_quads.append((src, ws.store.geometry(key).cutoff))
+    for src, key, flip in ws.near_reads.get(leaf, ()):
+        mat = ex.translation_matrix(ws.store.get(key, flip), P, "m-p")
+        local += mat @ ws.image[ws.ids[src]]
+        if key.cut:
+            pair_quads.append((src, ws.store.geometry(key).cutoff))
 
     out = local_values(local, tx, ty, leaf.center.x, leaf.center.y, k)
 
@@ -320,10 +327,9 @@ def _leaf_potentials(ws, leaf):
             out += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
 
     # three-layer near-interface: one spectral sum over every cut source
-    if cut_srcs:
-        idx = np.concatenate([np.arange(*src.span) for src in cut_srcs])
-        out += scattered_sum(ws.media, tx, ty, ws.x[idx], ws.y[idx], ws.q[idx],
-                             ws.config.oracle_tol)
+    if ws.cut.get(leaf):
+        idx = np.concatenate([np.arange(*src.span) for src in ws.cut[leaf]])
+        out += scattered_sum(ws.media, tx, ty, ws.x[idx], ws.y[idx], ws.q[idx])
     return out
 
 

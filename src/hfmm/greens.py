@@ -29,9 +29,6 @@ __all__ = [
     "Point2",
     "MediaConfig",
     "QuadratureConvergenceError",
-    "mirror_image",
-    "line_image_density",
-    "vertical_wavenumber",
     "reflectance",
     "three_layer_sigma",
     "free_space",
@@ -57,17 +54,6 @@ def _xy(p):
     if isinstance(p, Point2):
         return p.x, p.y
     return float(p[0]), float(p[1])
-
-
-def mirror_image(p) -> Point2:
-    """Reflection about the interface y = 0."""
-    x, y = _xy(p)
-    return Point2(x, -y)
-
-
-def line_image_density(alpha: float, s) -> complex:
-    """Complex line-image charge density 2*i*alpha*exp(i*alpha*s)."""
-    return 2j * alpha * np.exp(1j * alpha * np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -141,27 +127,13 @@ class MediaConfig:
                 f"k2={self.k2!r};k3={self.k3!r};d={self.d!r}")
 
 
-def vertical_wavenumber(lam_sq, k: float, branch: int = -1):
-    """kappa = sqrt(lam^2 - k^2) from the (real) lam^2.
-
-    Positive real on the evanescent side |lam| > k.  On the propagating
-    side the root is imaginary and the branch matters: branch=-1 gives
-    the outgoing choice -i*sqrt(k^2 - lam^2) (what the lambda = -k cos
-    tau parameterization produces), branch=+1 the principal square root
-    +i*sqrt(k^2 - lam^2).
-    """
-    lam_sq = np.asarray(lam_sq, dtype=float)
-    diff = lam_sq - k * k
-    pos = np.sqrt(np.maximum(diff, 0.0))
-    neg = branch * 1j * np.sqrt(np.maximum(-diff, 0.0))
-    return np.where(diff >= 0.0, pos.astype(complex), neg)
-
-
-def three_layer_sigma(media: MediaConfig, lam_sq, path: str = "evanescent", kappa1=None):
+def three_layer_sigma(media: MediaConfig, kappa1, path: str = "evanescent"):
     """Spectral reflection/transmission coefficients (sigma1, sigma2+, sigma2-, sigma3).
 
     Solves, per spectral node, the 4x4 linear system expressing field and
-    normal-derivative continuity at the two interfaces.
+    normal-derivative continuity at the two interfaces.  kappa1 is the
+    top-layer vertical wavenumber from the contour parameterization: t on
+    the evanescent contour, -i k1 sin(tau) on the propagating one.
 
     path selects the branch of kappa_2, kappa_3 where lam^2 < k_j^2: on
     the propagating contour all three follow the -i branch of kappa_1,
@@ -174,32 +146,24 @@ def three_layer_sigma(media: MediaConfig, lam_sq, path: str = "evanescent", kapp
     if path not in ("propagating", "evanescent"):
         raise ValueError("path must be 'propagating' or 'evanescent'")
     lower = -1 if path == "propagating" else 1
-    lam_sq = np.atleast_1d(np.asarray(lam_sq, dtype=float))
-    # kappa1, when supplied by the caller from the contour parameterization,
-    # is more accurate than recomputing sqrt(lam_sq - k1^2) near lam = k1.
-    if kappa1 is None:
-        k1_ = vertical_wavenumber(lam_sq, media.k1, branch=-1)
-        k2_ = vertical_wavenumber(lam_sq, media.k2, branch=lower)
-        k3_ = vertical_wavenumber(lam_sq, media.k3, branch=lower)
-    else:
-        k1_ = np.atleast_1d(np.asarray(kappa1, dtype=complex))
-        # lam^2 - k_j^2 = kappa1^2 + (k1^2 - k_j^2) avoids the
-        # catastrophic cancellation of lam_sq - k_j^2 near lam = k_j
-        # (kappa1^2 is real on both contour parameterizations).
-        k1sq = (k1_ * k1_).real
+    k1_ = np.atleast_1d(np.asarray(kappa1, dtype=complex))
+    # lam^2 - k_j^2 = kappa1^2 + (k1^2 - k_j^2) avoids the catastrophic
+    # cancellation of lam^2 - k_j^2 near lam = k_j (kappa1^2 is real on
+    # both contour parameterizations)
+    k1sq = (k1_ * k1_).real
 
-        def lower_root(kj):
-            diff = k1sq + (media.k1 ** 2 - kj ** 2)
-            pos = np.sqrt(np.maximum(diff, 0.0))
-            neg = lower * 1j * np.sqrt(np.maximum(-diff, 0.0))
-            return np.where(diff >= 0.0, pos.astype(complex), neg)
+    def lower_root(kj):
+        diff = k1sq + (media.k1 ** 2 - kj ** 2)
+        pos = np.sqrt(np.maximum(diff, 0.0))
+        neg = lower * 1j * np.sqrt(np.maximum(-diff, 0.0))
+        return np.where(diff >= 0.0, pos.astype(complex), neg)
 
-        k2_ = lower_root(media.k2)
-        k3_ = lower_root(media.k3)
+    k2_ = lower_root(media.k2)
+    k3_ = lower_root(media.k3)
     if np.any(k1_ == 0.0) or np.any(k2_ == 0.0) or np.any(k3_ == 0.0):
         raise ValueError("spectral node exactly on a branch point (kappa = 0)")
     e = np.exp(-k2_ * media.d)
-    n = lam_sq.size
+    n = k1_.size
     mat = np.zeros((n, 4, 4), dtype=complex)
     rhs = np.zeros((n, 4), dtype=complex)
     mat[:, 0, 0] = 1.0 / k1_
@@ -251,8 +215,7 @@ def reflectance(media: MediaConfig, kappa1):
     # kappa1 real (t >= 0) means the evanescent contour; -i k sin(tau) the
     # propagating one.  The two are not mixed in a single call.
     path = "propagating" if np.any(kappa1.imag < -1e-300) else "evanescent"
-    sigma1, _, _, _ = three_layer_sigma(media, lam_sq.real, path=path,
-                                        kappa1=kappa1.ravel())
+    sigma1, _, _, _ = three_layer_sigma(media, kappa1.ravel(), path)
     return sigma1.reshape(kappa1.shape)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "propagating_rule",
     "compute_A",
     "compute_B_tail",
-    "fill_tables",
     "save_tables",
     "load_tables",
 ]
@@ -388,32 +387,10 @@ class TableStore:
         return found[::-1] if flip else found
 
 
-def fill_tables(store: TableStore, tree, near=None) -> TableStore:
-    """Read every entry of the tree's interaction lists through store.get.
-
-    With a near map (target leaf -> source leaves, as from
-    tree.near_source_leaves) the near pairs' entries are read too,
-    except the cut three-layer pairs, whose scattered part the driver
-    sums spectrally per target leaf (greens.scattered_sum), without an
-    entry.
-    """
-    y0 = tree.root_xy[1]
-    keys = {pair_key(y0, node, src)[0]
-            for node in tree.nodes.values() for src in node.interaction_list}
-    for tgt, srcs in (near or {}).items():
-        for src in srcs:
-            key = pair_key(y0, tgt, src, near=True)[0]
-            if not key.cut or store.media.variant == "two-layer":
-                keys.add(key)
-    for key in keys:
-        store.get(key)
-    return store
-
-
 _MAGIC = b"HFMMTB3\x00"
 # older formats, keyed by the root height (1) or by the box pair (2)
 _OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00")
-_HEADER = struct.Struct("<IIId")   # P, prop_count, evan_count, Laguerre a_param
+_HEADER = struct.Struct("<IIId")   # P, the two rule counts, Laguerre a_param
 _ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
 
 
@@ -466,8 +443,8 @@ def load_tables(path, media: MediaConfig, P: int, rules: SommerfeldRules) -> Tab
             raise ValueError(f"table cache was built for P={p_stored}, not P={P}")
         if tuple(counts) != _rule_counts(rules):
             raise ValueError(
-                "table cache was built with (prop_count, evan_count, a_param) = "
-                f"{tuple(counts)}, not {_rule_counts(rules)}")
+                "table cache was built with rule counts (propagating, evanescent, "
+                f"Laguerre a) = {tuple(counts)}, not {_rule_counts(rules)}")
         store = TableStore(media, P, rules)
         (count,) = struct.unpack("<Q", _read(f, 8))
         for _ in range(count):

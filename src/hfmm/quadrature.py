@@ -26,10 +26,6 @@ class QuadratureRule:
     count: int
     a_param: float = 0.0  # generalized-Laguerre weight exponent; 0 for Legendre
 
-    def apply(self, f) -> complex:
-        """Integrate a callable sampled at the nodes."""
-        return np.sum(self.weights * f(self.nodes))
-
 
 @lru_cache(maxsize=None)
 def legendre_base(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,9 +90,9 @@ class SommerfeldRules:
     evanescent: QuadratureRule
 
     @classmethod
-    def default(cls, prop_count: int = 64, evan_count: int = 64,
+    def default(cls, prop: int = 64, evan: int = 64,
                 a_param: float = 0.0) -> "SommerfeldRules":
         return cls(
-            propagating=gauss_legendre(prop_count, 0.0, np.pi),
-            evanescent=gauss_laguerre_generalized(evan_count, a_param),
+            propagating=gauss_legendre(prop, 0.0, np.pi),
+            evanescent=gauss_laguerre_generalized(evan, a_param),
         )

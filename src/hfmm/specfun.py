@@ -4,7 +4,7 @@ These are the kernel primitives behind every expansion and translation
 operator: J_n for multipole coefficients and local evaluation, H_n^(1)
 for outgoing expansions and multipole-to-local translations.
 
-Order sweeps (all orders 0..nmax at once) are the workhorse interface.
+Every function is an order sweep (all orders 0..nmax at once).
 J_n uses Miller's downward recurrence, anchored on the order-0/1 values,
 which is stable for the full order range needed here (up to 2P+2 with P
 as large as 39).  Y_n uses the three-term recurrence run upward from
@@ -18,9 +18,6 @@ from scipy.special import j0 as _j0, j1 as _j1, y0 as _y0, y1 as _y1
 
 __all__ = [
     "SUPPORTED_MAX_ARG",
-    "bessel_j",
-    "bessel_y",
-    "hankel1",
     "bessel_j_sweep",
     "bessel_y_sweep",
     "hankel1_sweep",
@@ -135,29 +132,3 @@ def hankel0(x) -> np.ndarray:
     """H_0^(1)(x), vectorized fast path for the near-field kernel."""
     x = np.asarray(x, dtype=float)
     return _j0(x) + 1j * _y0(x)
-
-
-def _reflect_sign(n):
-    return -1.0 if (n & 1) else 1.0
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order, x >= 0.
-
-    Negative orders via J_{-n}(x) = (-1)^n J_n(x).
-    """
-    m = abs(int(n))
-    val = float(bessel_j_sweep(m, float(x))[m])
-    return _reflect_sign(n) * val if n < 0 else val
-
-
-def bessel_y(n: int, x: float) -> float:
-    """Bessel function of the second kind, integer order, x > 0."""
-    m = abs(int(n))
-    val = float(bessel_y_sweep(m, float(x))[m])
-    return _reflect_sign(n) * val if n < 0 else val
-
-
-def hankel1(n: int, x: float) -> complex:
-    """Hankel function of the first kind, H_n^(1)(x) = J_n(x) + i Y_n(x)."""
-    return complex(bessel_j(n, x), bessel_y(n, x))

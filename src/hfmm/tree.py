@@ -5,8 +5,10 @@ Coordinates are normalized by its side length only (no vertical shift),
 so the interface y = 0 stays at y = 0 and the wavenumber rescales as
 k * side.  Boxes split while they hold more than leaf_capacity
 particles; empty children are pruned; a 2:1 level-balance refinement
-runs afterwards so that neighbor (U) and interaction (V) lists suffice
-and no W/X lists are needed.
+runs afterwards so that near (U) and interaction (V) lists suffice and
+no W/X lists are needed.  build_lists gives every box its V list;
+near_source_leaves gives every leaf its U list, the leaves whose
+particles it sums directly.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class QuadtreeNode:
     span: tuple  # (start, stop) into the permuted particle arrays
     children: list = field(default_factory=list, repr=False)
     parent: "QuadtreeNode" = field(default=None, repr=False)
-    neighbor_list: list = field(default_factory=list, repr=False)
     interaction_list: list = field(default_factory=list, repr=False)
 
     @property
@@ -63,20 +64,16 @@ class QuadtreeNode:
 class Tree:
     """Finished quadtree: immutable after construction."""
 
-    def __init__(self, nodes, root, perm, xn, yn, side, origin_x, root_xy):
+    def __init__(self, nodes, root, perm, xn, yn, side, root_xy):
         self.nodes = nodes              # dict: (level, ix, iy) -> node
         self.root = root
         self.perm = perm                # permuted original particle indices
         self.x = xn                     # normalized coords, permuted order
         self.y = yn
         self.side = side                # physical side length of the root box
-        self.origin_x = origin_x        # physical x of the root box left edge
         self.root_xy = root_xy          # normalized (x, y) of root lower-left
         self.leaves = [n for n in nodes.values() if n.is_leaf]
         self.max_depth = max(n.level for n in nodes.values())
-
-    def physical(self, xn, yn):
-        return self.origin_x + self.side * xn, self.side * yn
 
     def node_at(self, level, ix, iy):
         return self.nodes.get((level, ix, iy))
@@ -186,7 +183,7 @@ def build_tree(particles, config: TreeConfig) -> Tree:
             stack.extend(node.children)
 
     _balance(nodes, perm, xn, yn, config)
-    return Tree(nodes, root, perm, xn, yn, side, xmin, root_xy)
+    return Tree(nodes, root, perm, xn, yn, side, root_xy)
 
 
 def _balance(nodes, perm, xn, yn, config):
@@ -219,23 +216,16 @@ def _balance(nodes, perm, xn, yn, config):
 
 
 def build_lists(tree: Tree) -> Tree:
-    """Attach neighbor (same-level adjacent, incl. self) and interaction lists.
+    """Attach the interaction lists.
 
     The interaction list of a box holds the existing same-level children
     of the parent's neighbors that are not adjacent to the box.
     """
     for key, node in tree.nodes.items():
         level, ix, iy = key
-        node.neighbor_list = []
         node.interaction_list = []
         if level == 0:
             continue
-        span = 1 << level
-        for jx in range(max(ix - 1, 0), min(ix + 2, span)):
-            for jy in range(max(iy - 1, 0), min(iy + 2, span)):
-                nb = tree.node_at(level, jx, jy)
-                if nb is not None:
-                    node.neighbor_list.append(nb)
         # children of the parent's neighborhood, minus the near block
         px, py = ix >> 1, iy >> 1
         pspan = 1 << (level - 1)

@@ -15,9 +15,7 @@ from hfmm.cli import (check_boundary_residual, check_sommerfeld_identity,
 from hfmm.driver import RunConfig, direct_apply, error_metric, fmm_apply, local_values
 from hfmm.expansions import p2m_arrays, translation_matrix, translation_vector_h
 from hfmm.greens import MediaConfig, Point2, free_space, scattered_batch, \
-    three_layer_sigma, vertical_wavenumber
-from hfmm.layered import TableStore, fill_tables
-from hfmm.quadrature import SommerfeldRules
+    three_layer_sigma
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, \
     near_source_leaves
 
@@ -144,11 +142,9 @@ def test_criterion_7_three_layer_sanity(capsys):
     # (b) d -> infinity: sigma_1 -> (kappa1 - kappa2) / (kappa1 + kappa2)
     thick = MediaConfig.three_layer(1.0, 0.6, 1.3, 500.0)
     t = np.linspace(0.2, 6.0, 20)
-    lam_sq = t * t + thick.k1 ** 2
-    s1, _, _, _ = three_layer_sigma(thick, lam_sq, path="evanescent")
-    k1 = vertical_wavenumber(lam_sq, thick.k1)
-    k2 = vertical_wavenumber(lam_sq, thick.k2)
-    worst_d = float(np.abs(s1 - (k1 - k2) / (k1 + k2)).max())
+    s1, _, _, _ = three_layer_sigma(thick, t, path="evanescent")  # kappa1 = t
+    k2 = np.sqrt(t * t + thick.k1 ** 2 - thick.k2 ** 2)
+    worst_d = float(np.abs(s1 - (t - k2) / (t + k2)).max())
 
     # (c) fmm vs direct, N = 300 top-layer particles
     media = MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7)
@@ -164,26 +160,25 @@ def test_criterion_7_three_layer_sanity(capsys):
             f"(limit 1e-10), fmm-vs-direct {err:.2e} (limit 1e-7)")
 
 
-def test_criterion_8_structural(capsys):
+def test_criterion_8_structural(capsys, tmp_path):
     # Toeplitz structure of the assembled heterogeneous operator
     toe_val, toe_ok = check_toeplitz()
 
-    # store size bound and bit-exact determinism on a uniform L=3 tree
+    # store size bound and bit-exact determinism on a uniform L=3 tree:
+    # two runs write their table files, which must be byte-identical
     n = 8
     cs = np.arange(n) / (n - 1.0)
     xx, yy = np.meshgrid(cs, cs)
     parts = _particles(xx.ravel(), 0.05 + yy.ravel(), np.ones(n * n))
-    tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=1)))
     media = MediaConfig.two_layer(1.0, 1.0)
     P = 20
-    rules = SommerfeldRules.default()
-    s1, s2 = (fill_tables(TableStore(media, P, rules), tree, near_source_leaves(tree))
-              for _ in range(2))
-    total = sum(len(v) for v in s1.entries.values())
+    files = [tmp_path / f"tables{i}.bin" for i in range(2)]
+    runs = [fmm_apply(parts, RunConfig(media=media, order=P, leaf_capacity=1,
+                                       table_cache=str(path))) for path in files]
+    total = runs[0].counts["entries_held"] * (4 * P + 1)
     bound = 2 ** 4 * 49 * (4 * P + 1)
     size_ok = total <= bound
-    det_ok = s1.entries.keys() == s2.entries.keys() and all(
-        np.array_equal(s1.entries[k], s2.entries[k]) for k in s1.entries)
+    det_ok = files[0].read_bytes() == files[1].read_bytes()
 
     ok = toe_ok and size_ok and det_ok
     _report(capsys, 8, ok,

@@ -76,6 +76,12 @@ class TestAccuracy:
         assert doc["format"] == "hfmm-json v1"
         assert any(r["metric"] == "E_p" for r in doc["rows"])
 
+    @pytest.mark.parametrize("value", ["on-the-fly", "cache=", "lazy"])
+    def test_tables_value_refused(self, capsys, value):
+        assert main(["accuracy", "--n", "36", "--p", "5", "--p-ref", "8",
+                     "--tables", value]) == 2
+        assert "--tables takes precompute or cache=PATH" in capsys.readouterr().err
+
     def test_cache_sweep_gives_each_run_its_file(self, tmp_path):
         out = tmp_path / "acc.csv"
         argv = ["accuracy", "--n", "100", "--p", "5,8", "--p-ref", "12",
@@ -149,6 +155,21 @@ class TestValidate:
         assert main(["validate", "--media", "three-layer"]) == 2
         assert "--media" in capsys.readouterr().err
 
+    def test_takes_only_its_flags(self, capsys):
+        # every check sets its own inputs, so validate has no input flags
+        assert main(["validate", "--list", "--k", "5"]) == 2
+        assert "--k" in capsys.readouterr().err
+        args = cli.build_parser().parse_args(["validate"])
+        assert {"p", "n_list", "tables", "seed"}.isdisjoint(vars(args))
+
+    def test_config_keys_are_validates_own(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[hfmm]\nformat = json\ntimings = none\n")
+        assert main(["validate", "--list", "--config", str(cfg)]) == 0
+        cfg.write_text("[hfmm]\nformat = json\nseed = 3\n")
+        assert main(["validate", "--list", "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_rows_name_each_checks_medium(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "VALIDATION_CHECKS", [
             ("toeplitz", "two-layer", check_toeplitz),
@@ -198,11 +219,15 @@ class TestConfigFile:
         cfg.write_text("[other]\nn = 10\n")
         assert main(["accuracy", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("line", ["media = two_layer", "format = xml"])
-    def test_config_value_outside_choices(self, tmp_path, capsys, line):
+    # validate has no --media, so the media line goes to accuracy
+    @pytest.mark.parametrize("command, line", [
+        pytest.param("accuracy", "media = two_layer", id="media = two_layer"),
+        pytest.param("validate", "format = xml", id="format = xml")])
+    def test_config_value_outside_choices(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[hfmm]\n{line}\n")
-        assert main(["validate", "--list", "--config", str(cfg)]) == 2
+        argv = [command, "--config", str(cfg)] + (["--list"] if command == "validate" else [])
+        assert main(argv) == 2
         assert line.split()[0] in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):

