@@ -117,7 +117,7 @@ def cmd_accuracy(args):
 
 def cmd_bench(args):
     if not args.n_list:
-        raise UsageError("bench requires a nonempty --n sweep")
+        raise UsageError("bench requires a nonempty --n-list sweep")
     media = build_media(args)
     P = args.p[0] if args.p else 16
     rows, totals = [], []
@@ -307,13 +307,18 @@ def _int_list(text):
 
 
 def build_parser():
-    """The hfmm parser; validate takes only --config, --out, --format, --timings, --list."""
+    """The hfmm parser: each subcommand registers only the flags its handler reads.
+
+    validate takes only --config, --out, --format, --timings and --list;
+    accuracy takes --n and --p-ref, bench takes --n-list.
+    """
     parser = argparse.ArgumentParser(prog="hfmm",
                                      description="heterogeneous FMM harness")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.sub_commands = {}
     for name in ("accuracy", "bench", "validate"):
-        p = sub.add_parser(name)
+        # no abbreviations: bench's --n-list must not take --n
+        p = sub.add_parser(name, allow_abbrev=False)
         parser.sub_commands[name] = p
         p.add_argument("--config", default=None, help="INI config file")
         if name == "validate":
@@ -332,10 +337,12 @@ def build_parser():
                            default=[5, 10, 20, 30] if name == "accuracy" else None,
                            help="comma-separated expansion orders (bench uses the "
                                 "first, default 16)")
-            p.add_argument("--p-ref", type=int, default=39, dest="p_ref")
-            p.add_argument("--n", type=int, default=10000)
-            p.add_argument("--n-list", type=_int_list, default=[10000, 90000, 360000],
-                           help="comma-separated N sweep for bench")
+            if name == "accuracy":
+                p.add_argument("--p-ref", type=int, default=39, dest="p_ref")
+                p.add_argument("--n", type=int, default=10000)
+            else:
+                p.add_argument("--n-list", type=_int_list, default=[10000, 90000, 360000],
+                               help="comma-separated N sweep")
             p.add_argument("--leaf-size", type=int, default=60, dest="leaf_size")
             p.add_argument("--seed", type=int, default=2026)
             p.add_argument("--tables", default="precompute",

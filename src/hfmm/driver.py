@@ -44,7 +44,9 @@ class RunConfig:
 class PotentialVector:
     values: np.ndarray
     timings: dict = field(default_factory=dict)
-    # table entries this call computed, and those its store held at the end
+    # table entries this call computed and those its store held at the
+    # end; leaves; ordered near (target, source) leaf pairs; free-space
+    # kernel blocks the near field evaluated (one per unordered pair)
     counts: dict = field(default_factory=dict)
 
 
@@ -125,16 +127,30 @@ def _index_offset(src, tgt):
     return (tgt.index[0] - src.index[0], tgt.index[1] - src.index[1])
 
 
+# Particles per sweep of P2M or local evaluation: a chunk's (2P+1) x n
+# complex block of Bessel terms stays near this many bytes.
+_SWEEP_BYTES = 1 << 18
+
+
 class _Workspace:
-    """Per-run state: tree, scaled media, coefficient arrays, table plan.
+    """Per-run state: tree, scaled media, coefficient arrays, leaf and table plans.
 
     multipole, local and image hold one row of 2P+1 coefficients per
-    tree node, indexed by the node's id in ids.  A layered run keys each
-    scattered read once, here (the table plan):
+    tree node, indexed by the node's id in ids.  The leaf plan:
+    - leaves lists the leaves in particle order: their spans tile 0..N
+      in this order, which tree.leaves does not follow;
+    - row, cx and cy give each particle its leaf's node id and center;
+    - chunks splits leaves into runs of consecutive leaves, each swept
+      by one P2M and one local evaluation call;
+    - near_pairs holds each near leaf pair once, with the lower node id
+      first, and each leaf's pair with itself.
+
+    A layered run keys each scattered read once, here (the table plan):
     - far[level] groups the level's V pairs (source in the target's
       interaction list) by (key, flip) from layered.pair_key;
-    - near_reads[leaf] lists (source leaf, key, flip) for the near pairs
-      that read a table entry;
+    - near_reads groups the near pairs that read a table entry the
+      same way; line_image[leaf] lists the two-layer ones cut near the
+      interface as (source leaf, key), for the pairwise [0, C] image;
     - cut[leaf] lists the three-layer near sources whose line image is
       cut; greens.scattered_sum sums them without an entry.
     """
@@ -164,27 +180,71 @@ class _Workspace:
         self.vpairs = {level: [(src, node) for node in nodes for src in node.interaction_list]
                        for level, nodes in self.levels.items()}
         self.multipole = self.local = self.image = None
+        self._plan_leaves()
         self.near = near_source_leaves(self.tree)
+        self.near_pairs = self._unordered_near_pairs()
         self.store = None
-        self.far, self.near_reads, self.cut = {}, {}, {}
+        self.far, self.near_reads, self.line_image, self.cut = {}, {}, {}, {}
         if self.media.variant != "free":
             self._plan_tables()
 
+    def _plan_leaves(self):
+        """Fill leaves, row, cx, cy and chunks."""
+        self.leaves = sorted(self.tree.leaves, key=lambda leaf: leaf.span[0])
+        starts = np.array([leaf.span[0] for leaf in self.leaves])
+        sizes = np.array([leaf.count for leaf in self.leaves])
+        ids = np.array([self.ids[leaf] for leaf in self.leaves])
+        self.row = np.repeat(ids, sizes)
+        self.cx = np.repeat([leaf.center.x for leaf in self.leaves], sizes)
+        self.cy = np.repeat([leaf.center.y for leaf in self.leaves], sizes)
+        # a new chunk begins where the next leaf would take the current one
+        # past the budget; a leaf larger than the budget is a chunk alone
+        budget = max(1, _SWEEP_BYTES // (16 * (2 * self.P + 1)))
+        bounds = [0]
+        for i in range(1, len(starts)):
+            if starts[i] + sizes[i] - starts[bounds[-1]] > budget:
+                bounds.append(i)
+        bounds.append(len(starts))
+        # (particle slice, leaf node ids, leaf starts within the slice)
+        self.chunks = [(slice(starts[i], starts[j - 1] + sizes[j - 1]), ids[i:j],
+                        starts[i:j] - starts[i]) for i, j in zip(bounds, bounds[1:])]
+
+    def _unordered_near_pairs(self):
+        """Each near leaf pair once; raises unless the near map is symmetric.
+
+        The free-space near field evaluates one kernel block per pair for
+        both directions, so a one-sided entry of the map would be summed
+        in a direction the map does not ask for.
+        """
+        nodes = list(self.tree.nodes.values())
+        ordered = {(self.ids[tgt], self.ids[src]) for tgt, srcs in self.near.items()
+                   for src in srcs}
+        for i, j in ordered:
+            if (j, i) not in ordered:
+                a, b = nodes[i], nodes[j]
+                raise ValueError(
+                    f"near map is not symmetric: leaf {a.index} at level {a.level} lists "
+                    f"leaf {b.index} at level {b.level}, which does not list it")
+        return [(nodes[i], nodes[j]) for i, j in sorted(ordered) if i <= j]
+
     def _plan_tables(self):
-        """Fill far, near_reads and cut: one pair_key call per V pair and near pair."""
+        """Fill far, near_reads, line_image and cut: one pair_key call per V pair and near pair."""
         y0 = self.tree.root_xy[1]
         for level, pairs in self.vpairs.items():
-            self.far[level] = self.grouped(pairs, lambda src, tgt: layered.pair_key(y0, tgt, src))
+            self.far[level] = self.grouped((layered.pair_key(y0, tgt, src), src, tgt)
+                                           for src, tgt in pairs)
         three_layer = self.media.variant == "three-layer"
+        reads = []
         for leaf, srcs in self.near.items():
-            reads = self.near_reads[leaf] = []
-            cut = self.cut[leaf] = []
             for src in srcs:
                 key, flip = layered.pair_key(y0, leaf, src, near=True)
                 if key.cut and three_layer:
-                    cut.append(src)
-                else:
-                    reads.append((src, key, flip))
+                    self.cut.setdefault(leaf, []).append(src)
+                    continue
+                reads.append(((key, flip), src, leaf))
+                if key.cut:
+                    self.line_image.setdefault(leaf, []).append((src, key))
+        self.near_reads = self.grouped(reads)
 
     def build_tables(self):
         """Load the table cache (or start a store) and get every planned entry."""
@@ -196,19 +256,19 @@ class _Workspace:
         else:
             self.store = layered.TableStore(self.media, self.P, self.rules)
         keys = {key for groups in self.far.values() for key, _ in groups}
-        keys.update(key for reads in self.near_reads.values() for _, key, _ in reads)
+        keys.update(key for key, _ in self.near_reads)
         for key in keys:
             self.store.get(key)
 
-    def grouped(self, pairs, key):
-        """Node ids of (source, target) pairs, grouped by key(source, target).
+    def grouped(self, keyed):
+        """Node ids of (key, source, target) triples, grouped by key.
 
         Groups keep first-seen order.  Every key used here fixes the
         source of a target, so a target appears at most once per group.
         """
         groups = {}
-        for src, tgt in pairs:
-            s, t = groups.setdefault(key(src, tgt), ([], []))
+        for key, src, tgt in keyed:
+            s, t = groups.setdefault(key, ([], []))
             s.append(self.ids[src])
             t.append(self.ids[tgt])
         return {k: (np.array(s), np.array(t)) for k, (s, t) in groups.items()}
@@ -231,17 +291,17 @@ def _offsets(keys, scale):
 
 
 def _upward(ws):
-    """P2M at the leaves, then M2M toward the root, one GEMM per child quadrant."""
+    """P2M at the leaves, one sweep per chunk, then M2M toward the root, one GEMM per child quadrant."""
     P, k = ws.P, ws.k
     ws.multipole = np.zeros((len(ws.ids), 2 * P + 1), dtype=complex)
-    for leaf in ws.tree.leaves:
-        a, b = leaf.span
-        ws.multipole[ws.ids[leaf]] = ex.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
-                                                   leaf.center.x, leaf.center.y, P, k)
+    for span, ids, starts in ws.chunks:
+        ws.multipole[ids] = ex.p2m_arrays(ws.x[span], ws.y[span], ws.q[span],
+                                          ws.cx[span], ws.cy[span], P, k, starts=starts)
     for level in sorted(ws.levels, reverse=True):
         hw = 0.5 ** (level + 2)  # half width of the children
-        pairs = [(child, node) for node in ws.levels[level] for child in node.children]
-        _translate(ws.multipole, ws.multipole, ws.grouped(pairs, _quadrant),
+        pairs = ws.grouped((_quadrant(child, node), child, node)
+                           for node in ws.levels[level] for child in node.children)
+        _translate(ws.multipole, ws.multipole, pairs,
                    lambda o: np.conj(ex.translation_vector_j(k, *_offsets(o, hw), P)),
                    "p-m")
 
@@ -255,11 +315,12 @@ def _downward(ws):
     for level in sorted(ws.levels):
         nodes = ws.levels[level]
         hw = 0.5 ** (level + 1)  # half width of the boxes at this level
-        pairs = [(node.parent, node) for node in nodes if node.parent is not None]
-        _translate(ws.local, ws.local,
-                   ws.grouped(pairs, lambda parent, child: _quadrant(child, parent)),
+        parents = ws.grouped((_quadrant(node, node.parent), node.parent, node)
+                             for node in nodes if node.parent is not None)
+        _translate(ws.local, ws.local, parents,
                    lambda o: ex.translation_vector_j(k, *_offsets(o, hw), P), "m-p")
-        _translate(ws.local, ws.multipole, ws.grouped(ws.vpairs[level], _index_offset),
+        _translate(ws.local, ws.multipole,
+                   ws.grouped((_index_offset(src, tgt), src, tgt) for src, tgt in ws.vpairs[level]),
                    lambda o: ex.translation_vector_h(k, *_offsets(o, 2 * hw), P), "m-p")
         if ws.store is not None:
             # the scattered part: image coefficients through one table entry
@@ -268,68 +329,97 @@ def _downward(ws):
                        lambda keys: [ws.store.get(*kf) for kf in keys], "m-p")
 
 
-def local_values(coeffs, xs, ys, cx: float, cy: float, k: float) -> np.ndarray:
+def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
     """Local expansion (i/4) sum_p beta_p J_p(k r) e^{i p theta} at the targets.
 
-    coeffs holds beta_p for p = -P..P; (r, theta) is the polar offset of
-    each target (xs, ys) about the expansion center (cx, cy).
+    coeffs holds beta_p for p = -P..P, one row for every target or one
+    row per target, shape (n, 2P+1); (r, theta) is the polar offset of
+    each target (xs, ys) about the expansion center (cx, cy), one center
+    for every target or one per target.
     """
-    P = (len(coeffs) - 1) // 2
+    P = (np.shape(coeffs)[-1] - 1) // 2
     dx = np.asarray(xs, dtype=float) - cx
     dy = np.asarray(ys, dtype=float) - cy
     js = ex._signed_orders(bessel_j_sweep(P, k * np.hypot(dx, dy)), P)
-    orders = np.arange(-P, P + 1)
-    phases = np.exp(1j * np.outer(orders, np.arctan2(dy, dx)))
-    return 0.25j * (coeffs[:, None] * js * phases).sum(axis=0)
+    # built in place, so that a sweep over many leaves holds one complex block
+    terms = np.outer(1j * np.arange(-P, P + 1), np.arctan2(dy, dx))
+    np.exp(terms, out=terms)
+    terms *= js
+    terms *= np.reshape(np.transpose(coeffs), (2 * P + 1, -1))
+    return 0.25j * terms.sum(axis=0)
 
 
-def _leaf_potentials(ws, leaf):
-    """Potential at one target leaf: local expansion + near field."""
-    P, k = ws.P, ws.k
-    a, b = leaf.span
-    tx, ty = ws.x[a:b], ws.y[a:b]
+def _local_potentials(ws):
+    """Every leaf's local expansion at its own particles, in tree order: one sweep per chunk."""
+    out = np.empty(len(ws.q), dtype=complex)
+    for span, _, _ in ws.chunks:
+        out[span] = local_values(ws.local[ws.row[span]], ws.x[span], ws.y[span],
+                                 ws.cx[span], ws.cy[span], ws.k)
+    return out
 
-    # collect the scattered near-field contributions into the leaf local
-    # expansion before evaluating it
-    local = ws.local[ws.ids[leaf]].copy()
-    pair_quads = []   # (src_leaf, C) pairs needing pairwise image quadrature
-    for src, key, flip in ws.near_reads.get(leaf, ()):
-        mat = ex.translation_matrix(ws.store.get(key, flip), P, "m-p")
-        local += mat @ ws.image[ws.ids[src]]
-        if key.cut:
-            pair_quads.append((src, ws.store.geometry(key).cutoff))
 
-    out = local_values(local, tx, ty, leaf.center.x, leaf.center.y, k)
+def _near_free(ws, out):
+    """out += the free-space near field: one kernel block per unordered near pair.
 
-    # free-space near field, pairwise
-    for src in ws.near[leaf]:
+    G is symmetric in target and source, so a block gives both
+    directions: out_A += G @ q_B and out_B += G.T @ q_A.
+    """
+    x, y, q, k = ws.x, ws.y, ws.q, ws.k
+    for tgt, src in ws.near_pairs:
+        a, b = tgt.span
         c, d = src.span
-        r = np.hypot(tx[:, None] - ws.x[c:d][None, :], ty[:, None] - ws.y[c:d][None, :])
-        mask = r == 0.0
-        r[mask] = 1.0
+        r = np.hypot(x[a:b, None] - x[None, c:d], y[a:b, None] - y[None, c:d])
+        if src is tgt:
+            np.fill_diagonal(r, 1.0)  # masked below; omits the singular self term
         g = 0.25j * hankel0(k * r)
-        g[mask] = 0.0
-        out += g @ ws.q[c:d]
+        if src is tgt:
+            np.fill_diagonal(g, 0.0)
+            out[a:b] += g @ q[a:b]
+        else:
+            out[a:b] += g @ q[c:d]
+            out[c:d] += g.T @ q[a:b]
 
+
+def _near_cut(ws, out):
+    """out += the scattered near field of cut pairs the tables leave out, per target leaf."""
+    k, x, y, q = ws.k, ws.x, ws.y, ws.q
     # two-layer near-interface part I: point image plus truncated line image
-    for src, C in pair_quads:
-        c, d = src.span
-        sx, sy, sq = ws.x[c:d], ws.y[c:d], ws.q[c:d]
-        r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
-        out += (0.25j * hankel0(k * r_img)) @ sq
-        gl_x, gl_w = legendre_base(32)
-        s_nodes = 0.5 * C * (gl_x + 1.0)
-        s_w = 0.5 * C * gl_w
-        mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
-        for idx in range(len(s_nodes)):
-            r_line = np.hypot(tx[:, None] - sx[None, :],
-                              ty[:, None] + sy[None, :] + s_nodes[idx])
-            out += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
-
+    gl_x, gl_w = legendre_base(32)
+    for leaf, pairs in ws.line_image.items():
+        a, b = leaf.span
+        tx, ty = x[a:b], y[a:b]
+        for src, key in pairs:
+            C = ws.store.geometry(key).cutoff
+            c, d = src.span
+            sx, sy, sq = x[c:d], y[c:d], q[c:d]
+            r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
+            out[a:b] += (0.25j * hankel0(k * r_img)) @ sq
+            s_nodes = 0.5 * C * (gl_x + 1.0)
+            s_w = 0.5 * C * gl_w
+            mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
+            for idx in range(len(s_nodes)):
+                r_line = np.hypot(tx[:, None] - sx[None, :],
+                                  ty[:, None] + sy[None, :] + s_nodes[idx])
+                out[a:b] += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
     # three-layer near-interface: one spectral sum over every cut source
-    if ws.cut.get(leaf):
-        idx = np.concatenate([np.arange(*src.span) for src in ws.cut[leaf]])
-        out += scattered_sum(ws.media, tx, ty, ws.x[idx], ws.y[idx], ws.q[idx])
+    for leaf, srcs in ws.cut.items():
+        a, b = leaf.span
+        idx = np.concatenate([np.arange(*src.span) for src in srcs])
+        out[a:b] += scattered_sum(ws.media, x[a:b], y[a:b], x[idx], y[idx], q[idx])
+
+
+def _leaf_potentials(ws):
+    """Potentials at every particle, in tree order: local expansions plus near field.
+
+    The near pairs that read a table entry go into the leaf local
+    expansions first, one GEMM per (key, flip) as in the downward pass.
+    """
+    if ws.store is not None:
+        _translate(ws.local, ws.image, ws.near_reads,
+                   lambda keys: [ws.store.get(*kf) for kf in keys], "m-p")
+    out = _local_potentials(ws)
+    _near_free(ws, out)
+    _near_cut(ws, out)
     return out
 
 
@@ -353,10 +443,8 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     timings["downward"] = time.perf_counter() - t1
 
     t1 = time.perf_counter()
-    values = np.zeros(len(particles), dtype=complex)
-    for leaf in ws.tree.leaves:
-        a, b = leaf.span
-        values[ws.tree.perm[a:b]] = _leaf_potentials(ws, leaf)
+    values = np.empty(len(particles), dtype=complex)
+    values[ws.tree.perm] = _leaf_potentials(ws)
     timings["near"] = time.perf_counter() - t1
 
     # one write per call, and only when this call computed an entry
@@ -367,5 +455,8 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     timings["total"] = time.perf_counter() - t0
     store = ws.store
     counts = {"entries_computed": store.misses if store else 0,
-              "entries_held": len(store.entries) if store else 0}
+              "entries_held": len(store.entries) if store else 0,
+              "leaves": len(ws.leaves),
+              "near_pairs": sum(len(srcs) for srcs in ws.near.values()),
+              "near_blocks": len(ws.near_pairs)}
     return PotentialVector(values=values, timings=timings, counts=counts)

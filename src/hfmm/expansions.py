@@ -4,7 +4,8 @@ Cylindrical-harmonic expansions about box centers, held as plain
 arrays of 2P+1 coefficients (p = -P..P, index p + P), or as stacks of
 such rows.  The operators the driver applies:
 
-    p2m_arrays            sources -> multipole coefficients about a center
+    p2m_arrays            sources -> multipole coefficients about a center,
+                          or about each segment's own center
     translation_vector_j  F_nu = J_nu e^{i nu theta} (M2M and L2L)
     translation_vector_h  G_nu = H_nu e^{i nu theta} (free-space M2L)
     translation_matrix    the (2P+1)^2 Toeplitz matrix of a 4P+1 vector
@@ -51,17 +52,28 @@ def _signed_orders(sweep, P):
     return np.concatenate([neg, sweep], axis=0)
 
 
-def p2m_arrays(xs, ys, qs, cx: float, cy: float, P: int, k: float) -> np.ndarray:
-    """Multipole coefficients alpha_p (p = -P..P) for sources given as arrays."""
+def p2m_arrays(xs, ys, qs, cx, cy, P: int, k: float, starts=None) -> np.ndarray:
+    """Multipole coefficients alpha_p (p = -P..P) for sources given as arrays.
+
+    (cx, cy) is the expansion center, or one center per source.  Without
+    starts, all sources make one expansion, shape (2P+1,).  With starts
+    (increasing), the sources split into the segments [starts[i],
+    starts[i+1]), each summed about its own center: shape (len(starts), 2P+1).
+    """
     dx = np.asarray(xs, dtype=float) - cx
     dy = np.asarray(ys, dtype=float) - cy
     qs = np.asarray(qs, dtype=complex)
     rho = np.hypot(dx, dy)
     theta = np.arctan2(dy, dx)
     js = _signed_orders(bessel_j_sweep(P, k * rho), P)      # (2P+1, N)
-    orders = np.arange(-P, P + 1)
-    phases = np.exp(-1j * np.outer(orders, theta))
-    return (js * phases) @ qs
+    # built in place, so that a sweep over many leaves holds one complex block
+    terms = np.outer(-1j * np.arange(-P, P + 1), theta)
+    np.exp(terms, out=terms)
+    terms *= js
+    if starts is None:
+        return terms @ qs
+    terms *= qs
+    return np.add.reduceat(terms, starts, axis=1).T
 
 
 def _offset_vector(sweep, dx, dy, P):

@@ -123,8 +123,12 @@ class TestBench:
         assert main(["bench", "--n-list", "150", "--p", "6", "--leaf-size", "30",
                      "--out", str(out)]) == 0
         counts = {r["metric"]: int(r["value"]) for r in _read_rows(out)
-                  if r["metric"].startswith("entries_")}
+                  if r["metric"] in ("entries_computed", "entries_held", "leaves",
+                                     "near_pairs", "near_blocks")}
         assert counts["entries_computed"] == counts["entries_held"] > 0
+        # one kernel block per unordered near pair, each leaf with itself included
+        assert counts["near_blocks"] == (counts["near_pairs"] + counts["leaves"]) // 2
+        assert counts["leaves"] > 1
 
     def test_empty_sweep_usage_error(self, capsys):
         assert main(["bench", "--n-list", ""]) == 2
@@ -140,6 +144,25 @@ class TestBench:
         for r in _read_rows(a):
             assert float(r["seconds"]) == 0.0
             assert float(r["value"]) == 0.0
+
+
+class TestSubcommandFlags:
+    """accuracy and bench each take only the flags their handler reads."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["accuracy", "--n", "36", "--p", "4", "--p-ref", "6", "--n-list", "7"], "--n-list"),
+        (["bench", "--n-list", "60", "--p", "4", "--n", "5"], "--n"),
+        (["bench", "--n-list", "60", "--p", "4", "--p-ref", "3"], "--p-ref"),
+    ], ids=["accuracy-n-list", "bench-n", "bench-p-ref"])
+    def test_other_subcommands_flag_refused(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert f"does not take {flag}" in capsys.readouterr().err
+
+    def test_config_key_of_other_subcommand_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[hfmm]\nn = 36\n")
+        assert main(["bench", "--n-list", "60", "--config", str(cfg)]) == 2
+        assert "unknown config key(s): n" in capsys.readouterr().err
 
 
 class TestValidate:

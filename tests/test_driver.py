@@ -13,6 +13,7 @@ from hfmm.driver import (PotentialVector, RunConfig, direct_apply, error_metric,
                          fmm_apply)
 from hfmm.greens import MediaConfig, Point2
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
+from hfmm.specfun import hankel0
 
 
 def _random_particles(seed, n, ylo=0.5, yhi=1.5, complex_q=True):
@@ -274,18 +275,108 @@ class TestBenchmarkHooks:
         assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
     def test_upward_pass_calls_p2m_through_the_module(self, monkeypatch):
-        parts = _random_particles(16, 200)
+        # one p2m_arrays call per chunk of leaves, not one per leaf
+        parts = _random_particles(16, 1200)
+        cfg = RunConfig(media=MediaConfig.free(1.0), order=16, leaf_capacity=30)
         calls = []
         p2m = expansions.p2m_arrays
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return p2m(*args)
+            return p2m(*args, **kwargs)
 
         monkeypatch.setattr(expansions, "p2m_arrays", counted)
-        fmm_apply(parts, RunConfig(media=MediaConfig.free(1.0), order=8, leaf_capacity=30))
-        tree = build_tree(parts, TreeConfig(leaf_capacity=30))
-        assert len(calls) == len(tree.leaves)
+        fmm_apply(parts, cfg)
+        leaves = len(build_tree(parts, TreeConfig(leaf_capacity=30)).leaves)
+        assert len(calls) == len(driver._Workspace(parts, cfg).chunks)
+        assert 1 <= len(calls) < leaves
+
+
+def _clustered_particles(seed, n):
+    """Three tight clusters over a uniform background: an adaptive tree with leaves on several levels."""
+    rng = np.random.default_rng(seed)
+    m = n // 4
+    xs = np.concatenate([rng.uniform(-0.5, 0.5, n - 3 * m)]
+                        + [rng.normal(cx, 0.02, m) for cx in (-0.3, 0.05, 0.32)])
+    ys = np.concatenate([rng.uniform(0.5, 1.5, n - 3 * m)]
+                        + [rng.normal(cy, 0.02, m) for cy in (0.7, 1.25, 0.9)])
+    qs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return [Particle(Point2(float(x), float(y)), complex(q)) for x, y, q in zip(xs, ys, qs)]
+
+
+def _close(got, want, rtol):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestLeafSweeps:
+    """P2M and local evaluation sweep chunks of leaves taken in particle order."""
+
+    def _workspace(self):
+        ws = driver._Workspace(_clustered_particles(21, 1500),
+                               RunConfig(media=MediaConfig.free(1.0), order=12,
+                                         leaf_capacity=20))
+        starts = [leaf.span[0] for leaf in ws.tree.leaves]
+        assert starts != sorted(starts)  # tree.leaves is not in particle order
+        assert 1 < len(ws.chunks) < len(ws.leaves)
+        return ws
+
+    def test_chunked_p2m_matches_per_leaf(self):
+        ws = self._workspace()
+        driver._upward(ws)
+        for leaf in ws.tree.leaves:
+            a, b = leaf.span
+            want = expansions.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
+                                         leaf.center.x, leaf.center.y, ws.P, ws.k)
+            assert _close(ws.multipole[ws.ids[leaf]], want, 1e-14)
+
+    def test_chunked_local_evaluation_matches_per_leaf(self):
+        ws = self._workspace()
+        rng = np.random.default_rng(22)
+        shape = (len(ws.ids), 2 * ws.P + 1)
+        ws.local = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = driver._local_potentials(ws)
+        for leaf in ws.tree.leaves:
+            a, b = leaf.span
+            want = driver.local_values(ws.local[ws.ids[leaf]], ws.x[a:b], ws.y[a:b],
+                                       leaf.center.x, leaf.center.y, ws.k)
+            assert _close(got[a:b], want, 1e-14)
+
+
+class TestNearField:
+    def test_symmetric_blocks_match_ordered_pairs(self):
+        ws = driver._Workspace(_clustered_particles(23, 1500),
+                               RunConfig(media=MediaConfig.free(1.0), order=8,
+                                         leaf_capacity=20))
+        assert len({leaf.level for leaf in ws.leaves}) > 1
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._near_free(ws, got)
+        want = np.zeros_like(got)
+        for tgt, srcs in ws.near.items():  # every (target, source) block on its own
+            a, b = tgt.span
+            for src in srcs:
+                c, d = src.span
+                r = np.hypot(ws.x[a:b, None] - ws.x[None, c:d],
+                             ws.y[a:b, None] - ws.y[None, c:d])
+                g = np.zeros(r.shape, dtype=complex)
+                g[r > 0] = 0.25j * hankel0(ws.k * r[r > 0])
+                want[a:b] += g @ ws.q[c:d]
+        assert len(ws.near_pairs) < sum(len(srcs) for srcs in ws.near.values())
+        assert _close(got, want, 1e-14)
+
+    def test_asymmetric_near_map_refused(self, monkeypatch):
+        parts = _clustered_particles(24, 600)
+        real = driver.near_source_leaves
+
+        def one_sided(tree):
+            near = real(tree)
+            leaf = next(leaf for leaf, srcs in near.items() if len(srcs) > 1)
+            near[leaf] = [src for src in near[leaf] if src is leaf]
+            return near
+
+        monkeypatch.setattr(driver, "near_source_leaves", one_sided)
+        with pytest.raises(ValueError, match="not symmetric"):
+            driver._Workspace(parts, RunConfig(media=MediaConfig.free(1.0), order=8,
+                                               leaf_capacity=20))
 
 
 def _pinned_particles(seed, n, ylo):
@@ -352,11 +443,17 @@ class TestTableCache:
         cold = fmm_apply(parts, cfg)
         warm = fmm_apply(parts, cfg)
         held = cold.counts["entries_held"]
-        assert cold.counts == {"entries_computed": held, "entries_held": held} and held > 0
-        assert warm.counts == {"entries_computed": 0, "entries_held": held}
+        near = near_source_leaves(build_tree(parts, TreeConfig(leaf_capacity=40)))
+        shape = {"leaves": len(near),
+                 "near_pairs": sum(len(srcs) for srcs in near.values()),
+                 "near_blocks": len({frozenset((tgt, src)) for tgt, srcs in near.items()
+                                     for src in srcs})}
+        assert cold.counts == {"entries_computed": held, "entries_held": held, **shape}
+        assert held > 0
+        assert warm.counts == {"entries_computed": 0, "entries_held": held, **shape}
         assert "entries_held" not in cold.timings
         free = fmm_apply(parts, RunConfig(media=MediaConfig.free(1.0), order=10))
-        assert free.counts == {"entries_computed": 0, "entries_held": 0}
+        assert free.counts == {"entries_computed": 0, "entries_held": 0, **shape}
 
     def test_file_refuses_other_rule_counts(self, tmp_path):
         # root side 1, so the run's rescaled medium is media itself and
