@@ -21,7 +21,7 @@ import numpy as np
 from . import expansions as ex
 from . import layered
 from .greens import MediaConfig, scattered_batch, scattered_sum
-from .quadrature import SommerfeldRules, legendre_base
+from .quadrature import legendre_base
 from .specfun import bessel_j_sweep, hankel0
 from .tree import TreeConfig, build_lists, build_tree, near_source_leaves
 
@@ -63,8 +63,13 @@ def error_metric(reference, test, M: int) -> float:
     return float(np.linalg.norm(ref - tst) / denom)
 
 
-def _check_positions(xs, ys, media):
-    """Refuse particles on or below the interface and distinct coincident particles."""
+def _check_positions(xs, ys, qs, media):
+    """Refuse non-finite input, particles on or below the interface and distinct coincident ones."""
+    finite = np.isfinite(xs) & np.isfinite(ys) & np.isfinite(qs)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValueError(f"particle {i} is not finite: position ({xs[i]!r}, {ys[i]!r}), "
+                         f"charge {qs[i]!r}")
     if media.variant != "free" and np.any(ys <= 0.0):
         raise ValueError("layered media require all particles strictly above y = 0")
     order = np.lexsort((ys, xs))
@@ -89,7 +94,7 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
     xs = np.array([p.position.x for p in particles])
     ys = np.array([p.position.y for p in particles])
     qs = np.array([p.strength for p in particles], dtype=complex)
-    _check_positions(xs, ys, media)
+    _check_positions(xs, ys, qs, media)
 
     t0 = time.perf_counter()
     dx = xs[:, None] - xs[None, :]
@@ -159,20 +164,16 @@ class _Workspace:
         self.config = config
         xs = np.array([p.position.x for p in particles])
         ys = np.array([p.position.y for p in particles])
-        _check_positions(xs, ys, config.media)
+        qs = np.array([p.strength for p in particles], dtype=complex)
+        _check_positions(xs, ys, qs, config.media)
         self.tree = build_tree(particles, TreeConfig(leaf_capacity=config.leaf_capacity))
         build_lists(self.tree)
         self.media = config.media.rescaled(1.0 / self.tree.side)
         self.k = self.media.k1
-        qs = np.array([p.strength for p in particles], dtype=complex)
         self.q = qs[self.tree.perm]
         self.x = self.tree.x
         self.y = self.tree.y
         self.P = config.order
-        # sigma_1 of the three-layer medium decays slowly in the spectral
-        # variable; more Laguerre nodes keep table entries near 1e-9
-        self.rules = SommerfeldRules.default(
-            evan=128 if self.media.variant == "three-layer" else 64)
         self.ids = {node: i for i, node in enumerate(self.tree.nodes.values())}
         self.levels = {}
         for node in self.tree.nodes.values():
@@ -252,9 +253,9 @@ class _Workspace:
             return
         cache = self.config.table_cache
         if cache and os.path.exists(cache):
-            self.store = layered.load_tables(cache, self.media, self.P, self.rules)
+            self.store = layered.load_tables(cache, self.media, self.P)
         else:
-            self.store = layered.TableStore(self.media, self.P, self.rules)
+            self.store = layered.TableStore(self.media, self.P)
         keys = {key for groups in self.far.values() for key, _ in groups}
         keys.update(key for key, _ in self.near_reads)
         for key in keys:

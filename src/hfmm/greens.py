@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import legendre_base
+from .quadrature import gauss_legendre, legendre_base
 from .specfun import hankel0
 
 __all__ = [
@@ -102,10 +102,6 @@ class MediaConfig:
     @classmethod
     def three_layer(cls, k1: float, k2: float, k3: float, d: float) -> "MediaConfig":
         return cls(variant="three-layer", k1=k1, k2=k2, k3=k3, d=d)
-
-    @property
-    def k(self) -> float:
-        return self.k1
 
     def rescaled(self, length_scale: float) -> "MediaConfig":
         """Medium in coordinates scaled by length_scale (y' = y * scale).
@@ -229,12 +225,12 @@ def free_space(k: float, x, x0) -> complex:
     return complex(0.25j * hankel0(k * r))
 
 
-def free_space_spectral(k: float, x, x0, rules) -> complex:
+def free_space_spectral(k: float, x, x0) -> complex:
     """Free-space kernel through the propagating/evanescent split.
 
-    Validation-only path; requires a nonzero vertical separation.
-    rules is a SommerfeldRules bundle (fixed-node Legendre + generalized
-    Laguerre).
+    Validation-only path; requires a nonzero vertical separation.  The
+    propagating part takes the fixed 64-node Gauss-Legendre rule of the
+    table entries.
     """
     x1, y1 = _xy(x)
     x2, y2 = _xy(x0)
@@ -242,8 +238,7 @@ def free_space_spectral(k: float, x, x0, rules) -> complex:
     dy = abs(y1 - y2)
     if dy == 0.0:
         raise ValueError("split spectral form requires |y - y0| > 0")
-    prop = rules.propagating
-    tau, w = prop.nodes, prop.weights
+    tau, w = gauss_legendre(64, 0.0, np.pi)
     val_p = np.sum(w * np.exp(1j * k * (dy * np.sin(tau) - dx * np.cos(tau))))
 
     # The evanescent integrand peaks at the scale t ~ k (through the

@@ -5,8 +5,9 @@ invariant, so its M2L operator A depends on the source-image/target
 geometry (horizontal offset dx and interface height dy = y_t + y_s).
 A is Toeplitz in the expansion orders, A_{p,m} = A(m - p), and each
 entry is a Sommerfeld integral evaluated on the propagating/evanescent
-split with fixed quadrature rules.  Near the interface the line-image
-tail is translated separately (operator B with cutoff C).
+split with fixed quadrature rules, whose node counts this module alone
+chooses (_rule_counts).  Near the interface the line-image tail is
+translated separately (operator B with cutoff C).
 
 Entries are cached in one table store keyed by the geometry (|dx|, dy,
 C) as exact integers (TableKey): the kernel is invariant under
@@ -29,8 +30,7 @@ from scipy.optimize import brentq
 
 from .greens import (MediaConfig, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
-from .quadrature import (SommerfeldRules, gauss_laguerre_generalized, gauss_legendre,
-                         legendre_base)
+from .quadrature import gauss_laguerre_generalized, gauss_legendre, legendre_base
 
 __all__ = [
     "TranslationGeometry",
@@ -78,16 +78,25 @@ def propagating_rule(media: MediaConfig, count: int):
     """
     pts = spectral_breakpoints(media, "propagating", np.pi)
     if not pts:
-        r = gauss_legendre(count, 0.0, np.pi)
-        return r.nodes, r.weights
+        return gauss_legendre(count, 0.0, np.pi)
     edges = [0.0] + pts + [np.pi]
-    base = gauss_legendre(count, 0.0, 1.0)
+    u, w = gauss_legendre(count, 0.0, 1.0)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         h = b - a
-        nodes.append(a + 0.5 * h * (1.0 - np.cos(np.pi * base.nodes)))
-        weights.append(0.5 * h * np.pi * np.sin(np.pi * base.nodes) * base.weights)
+        nodes.append(a + 0.5 * h * (1.0 - np.cos(np.pi * u)))
+        weights.append(0.5 * h * np.pi * np.sin(np.pi * u) * w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _rule_counts(media):
+    """(propagating, Laguerre) node counts of the table entries of media.
+
+    sigma_1 of the three-layer medium decays slowly in the spectral
+    variable; more Laguerre nodes keep its entries near 1e-9.  The
+    Laguerre parameter is always 0.
+    """
+    return (64, 128) if media.variant == "three-layer" else (64, 64)
 
 
 def _singularity_scale(media):
@@ -185,14 +194,15 @@ def _evan_entries_adaptive(media, dx, dy_eff, P, r_evan, tol=1e-12):
         f"(dx={dx:.3g}, dy_eff={dy_eff:.3g}, P={P})")
 
 
-def _spectral_entries(media, dx, dy, P, rules, r_prop, r_evan, decay_shift=0.0):
+def _spectral_entries(media, dx, dy, P, r_prop, r_evan, decay_shift=0.0, refine=1):
     """Assemble the (4P+1)-vector of plane-wave split entries.
 
     r_prop(tau) and r_evan(t) supply the spectral factor of the operator
     being built (full reflectance for A, tail factor for B).
     decay_shift adds extra exponential decay exp(-t*shift) handled by
     rescaling the Laguerre nodes, keeping them where the integrand
-    actually lives.
+    actually lives.  refine multiplies both rule counts (2 for the
+    doubling check).
     """
     k = media.k1
     nu = np.arange(-2 * P, 2 * P + 1)
@@ -200,7 +210,8 @@ def _spectral_entries(media, dx, dy, P, rules, r_prop, r_evan, decay_shift=0.0):
     neg_i_nu = np.conj(i_nu)
     sign_nu = np.where(nu % 2 == 0, 1.0, -1.0)
 
-    tau, w_tau = propagating_rule(media, rules.propagating.count)
+    n_prop, n_lag = (refine * n for n in _rule_counts(media))
+    tau, w_tau = propagating_rule(media, n_prop)
     base_p = w_tau * np.exp(1j * k * (dy * np.sin(tau) - dx * np.cos(tau))) * r_prop(tau)
     prop = (i_nu / np.pi) * (np.exp(-1j * np.outer(nu, tau)) @ base_p)
 
@@ -211,28 +222,18 @@ def _spectral_entries(media, dx, dy, P, rules, r_prop, r_evan, decay_shift=0.0):
         raw = _evan_entries_adaptive(media, dx, dy_eff, P, r_evan)
         return prop + (neg_i_nu / (1j * np.pi)) * raw
 
-    lag = rules.evanescent
+    nodes, weights = gauss_laguerre_generalized(n_lag)
     scale = dy_eff
-    t = lag.nodes / scale
+    t = nodes / scale
     root = np.sqrt(t * t + k * k)
     # z = (root - t)/k computed without cancellation
     lnz = np.log(k) - np.log(root + t)
-    base_e = lag.weights * r_evan(t) / (root * scale)
-    if lag.a_param != 0.0:
-        base_e = base_e / lag.nodes ** lag.a_param
+    base_e = weights * r_evan(t) / (root * scale)
     psi = np.exp(1j * root * dx)
     zpow = np.exp(np.outer(nu, lnz))
     term = (psi * zpow + np.conj(psi) * sign_nu[:, None] / zpow) * base_e
     evan = (neg_i_nu / (1j * np.pi)) * term.sum(axis=1)
     return prop + evan
-
-
-def _doubled_rules(rules: SommerfeldRules) -> SommerfeldRules:
-    return SommerfeldRules(
-        propagating=gauss_legendre(2 * rules.propagating.count, 0.0, np.pi),
-        evanescent=gauss_laguerre_generalized(2 * rules.evanescent.count,
-                                              rules.evanescent.a_param),
-    )
 
 
 def _verify_doubling(entries, doubled, where):
@@ -244,7 +245,7 @@ def _verify_doubling(entries, doubled, where):
 
 
 def compute_A(geom: TranslationGeometry, media: MediaConfig, P: int,
-              rules: SommerfeldRules, verify: bool = False) -> np.ndarray:
+              verify: bool = False) -> np.ndarray:
     """Heterogeneous M2L entries A(nu), nu = -2P..2P.
 
     The assembled operator A_{p,m} = A(m - p) maps the image
@@ -260,17 +261,16 @@ def compute_A(geom: TranslationGeometry, media: MediaConfig, P: int,
     def r_evan(t):
         return reflectance(media, t.astype(complex))
 
-    entries = _spectral_entries(media, geom.dx, geom.dy, P, rules, r_prop, r_evan)
+    entries = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan)
     if verify:
-        doubled = _spectral_entries(media, geom.dx, geom.dy, P,
-                                    _doubled_rules(rules), r_prop, r_evan)
+        doubled = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan, refine=2)
         _verify_doubling(entries, doubled, "compute_A")
     return entries
 
 
-def compute_B_tail(geom: TranslationGeometry, C: float, media: MediaConfig, P: int,
-                   rules: SommerfeldRules, verify: bool = False) -> np.ndarray:
-    """Tail translation entries B(nu) for the truncated line image.
+def compute_B_tail(geom: TranslationGeometry, media: MediaConfig, P: int,
+                   verify: bool = False) -> np.ndarray:
+    """Tail translation entries B(nu) for the truncated line image cut at C = geom.cutoff.
 
     The line-image spectral factor 2i*alpha/(kappa - i*alpha) is
     replaced by its analytically integrated tail
@@ -279,6 +279,7 @@ def compute_B_tail(geom: TranslationGeometry, C: float, media: MediaConfig, P: i
     """
     if media.variant != "two-layer":
         raise ValueError("tail translation is defined for two-layer media only")
+    C = geom.cutoff
     if C <= 0:
         raise ValueError("tail cutoff must be positive (use compute_A when C = 0)")
     k, alpha = media.k1, media.alpha
@@ -293,11 +294,10 @@ def compute_B_tail(geom: TranslationGeometry, C: float, media: MediaConfig, P: i
         # the e^{-tC} decay is folded into the Laguerre rescale
         return 2.0j * alpha * phase_c / (t - 1j * alpha)
 
-    entries = _spectral_entries(media, geom.dx, geom.dy, P, rules,
-                                r_prop, r_evan, decay_shift=C)
+    entries = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan, decay_shift=C)
     if verify:
-        doubled = _spectral_entries(media, geom.dx, geom.dy, P, _doubled_rules(rules),
-                                    r_prop, r_evan, decay_shift=C)
+        doubled = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan,
+                                    decay_shift=C, refine=2)
         _verify_doubling(entries, doubled, "compute_B_tail")
     return entries
 
@@ -355,11 +355,10 @@ class TableStore:
     several root heights can share one store.
     """
 
-    def __init__(self, media: MediaConfig, P: int, rules: SommerfeldRules):
+    def __init__(self, media: MediaConfig, P: int):
         self.media = media
         self.fingerprint = media.fingerprint()
         self.P = P
-        self.rules = rules
         self.entries = {}
         self.hits = 0
         self.misses = 0
@@ -380,9 +379,9 @@ class TableStore:
             self.misses += 1
             geom = self.geometry(key)
             if geom.cutoff > 0.0:
-                found = compute_B_tail(geom, geom.cutoff, self.media, self.P, self.rules)
+                found = compute_B_tail(geom, self.media, self.P)
             else:
-                found = compute_A(geom, self.media, self.P, self.rules)
+                found = compute_A(geom, self.media, self.P)
             self.entries[key] = found
         return found[::-1] if flip else found
 
@@ -392,10 +391,6 @@ _MAGIC = b"HFMMTB3\x00"
 _OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00")
 _HEADER = struct.Struct("<IIId")   # P, the two rule counts, Laguerre a_param
 _ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
-
-
-def _rule_counts(rules: SommerfeldRules):
-    return (rules.propagating.count, rules.evanescent.count, rules.evanescent.a_param)
 
 
 def save_tables(store: TableStore, path):
@@ -410,7 +405,7 @@ def save_tables(store: TableStore, path):
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(fp)))
         f.write(fp)
-        f.write(_HEADER.pack(store.P, *_rule_counts(store.rules)))
+        f.write(_HEADER.pack(store.P, *_rule_counts(store.media), 0.0))
         f.write(struct.pack("<Q", len(store.entries)))
         for key, vals in sorted(store.entries.items()):
             f.write(_ENTRY.pack(*key, len(vals)))
@@ -425,7 +420,7 @@ def _read(f, size):
     return raw
 
 
-def load_tables(path, media: MediaConfig, P: int, rules: SommerfeldRules) -> TableStore:
+def load_tables(path, media: MediaConfig, P: int) -> TableStore:
     """Load a table store; the media fingerprint, P and rule counts must match."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
@@ -441,11 +436,12 @@ def load_tables(path, media: MediaConfig, P: int, rules: SommerfeldRules) -> Tab
                              f"({fp}, not {media.fingerprint()})")
         if p_stored != P:
             raise ValueError(f"table cache was built for P={p_stored}, not P={P}")
-        if tuple(counts) != _rule_counts(rules):
+        expected = (*_rule_counts(media), 0.0)
+        if tuple(counts) != expected:
             raise ValueError(
                 "table cache was built with rule counts (propagating, evanescent, "
-                f"Laguerre a) = {tuple(counts)}, not {_rule_counts(rules)}")
-        store = TableStore(media, P, rules)
+                f"Laguerre a) = {tuple(counts)}, not {expected}")
+        store = TableStore(media, P)
         (count,) = struct.unpack("<Q", _read(f, 8))
         for _ in range(count):
             *key, nvals = _ENTRY.unpack(_read(f, _ENTRY.size))

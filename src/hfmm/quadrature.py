@@ -3,28 +3,17 @@
 The propagating part lives on a finite interval (Gauss-Legendre);
 the evanescent part is a semi-infinite integral with exponential decay
 (generalized Gauss-Laguerre, the e^{-t y} factor supplying the weight
-after rescaling t -> t / y).
+after rescaling t -> t / y).  Each rule is a (nodes, weights) pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre, roots_genlaguerre
 
-__all__ = ["QuadratureRule", "legendre_base", "gauss_legendre", "gauss_laguerre_generalized",
-           "SommerfeldRules"]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-    count: int
-    a_param: float = 0.0  # generalized-Laguerre weight exponent; 0 for Legendre
+__all__ = ["legendre_base", "gauss_legendre", "gauss_laguerre_generalized"]
 
 
 @lru_cache(maxsize=None)
@@ -45,8 +34,8 @@ def legendre_base(count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
-    """Count-point Gauss-Legendre rule affinely mapped to [a, b].
+def gauss_legendre(count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Count-point Gauss-Legendre nodes and weights affinely mapped to [a, b].
 
     Exact for polynomials up to degree 2*count - 1.
     """
@@ -54,16 +43,17 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
         raise ValueError("invalid interval: need a < b")
     x, w = legendre_base(count)
     half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x
-    weights = half * w
-    return QuadratureRule(nodes=nodes, weights=weights, kind=f"legendre-on-[{a:g},{b:g}]", count=count)
+    return 0.5 * (a + b) + half * x, half * w
 
 
-def gauss_laguerre_generalized(count: int, a_param: float = 0.0) -> QuadratureRule:
-    """Count-point generalized Gauss-Laguerre rule.
+@lru_cache(maxsize=None)
+def gauss_laguerre_generalized(count: int, a_param: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Count-point generalized Gauss-Laguerre nodes and weights.
 
     Integrates f against the weight t^a_param e^{-t} on [0, inf);
-    exact for polynomial f up to degree 2*count - 1.
+    exact for polynomial f up to degree 2*count - 1.  Built once per
+    (count, a_param) and shared like legendre_base, so the arrays are
+    read-only.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -74,25 +64,6 @@ def gauss_laguerre_generalized(count: int, a_param: float = 0.0) -> QuadratureRu
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         raise ValueError(f"{count}-point generalized Laguerre rule (a = {a_param:g}) "
                          "has non-finite nodes or weights")
-    return QuadratureRule(nodes=x, weights=w, kind=f"generalized-laguerre({a_param:g})",
-                          count=count, a_param=a_param)
-
-
-@dataclass(frozen=True)
-class SommerfeldRules:
-    """Node-count bundle for the propagating/evanescent split.
-
-    The counts are tunables; 64/64 reproduces the reference accuracy
-    tables in the convergence tests.
-    """
-
-    propagating: QuadratureRule
-    evanescent: QuadratureRule
-
-    @classmethod
-    def default(cls, prop: int = 64, evan: int = 64,
-                a_param: float = 0.0) -> "SommerfeldRules":
-        return cls(
-            propagating=gauss_legendre(prop, 0.0, np.pi),
-            evanescent=gauss_laguerre_generalized(evan, a_param),
-        )
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w

@@ -1,6 +1,7 @@
 """Tests for the FMM driver and the direct reference."""
 
 import importlib.util
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -88,14 +89,21 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(media=MediaConfig.free(1.0), order=0)
 
-    def test_evan_count_resolution(self):
-        # the three-layer reflectance needs twice the Laguerre nodes
-        parts = _random_particles(9, 20)
-        counts = {media.variant: driver._Workspace(parts, RunConfig(media=media, order=5))
-                  .rules.evanescent.count
-                  for media in (MediaConfig.two_layer(1.0, 1.0),
-                                MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7))}
-        assert counts == {"two-layer": 64, "three-layer": 128}
+    def test_evan_count_resolution(self, tmp_path):
+        # the table file header holds P, the propagating and Laguerre rule
+        # counts and the Laguerre a; the three-layer reflectance needs
+        # twice the Laguerre nodes
+        parts = _random_particles(9, 60)
+        headers = {}
+        for media in (MediaConfig.two_layer(1.0, 1.0),
+                      MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7)):
+            path = tmp_path / f"{media.variant}.bin"
+            fmm_apply(parts, RunConfig(media=media, order=5, leaf_capacity=10,
+                                       table_cache=str(path)))
+            raw = path.read_bytes()
+            (fplen,) = struct.unpack_from("<I", raw, 8)
+            headers[media.variant] = struct.unpack_from("<IIId", raw, 12 + fplen)
+        assert headers == {"two-layer": (5, 64, 64, 0.0), "three-layer": (5, 64, 128, 0.0)}
 
 
 class TestFmmAgainstDirect:
@@ -216,6 +224,28 @@ class TestStructure:
         assert calls["rule"] == 0
         np.testing.assert_array_equal(first, second)
 
+    def test_warm_call_builds_no_laguerre_rule(self, monkeypatch):
+        # particles well above the interface: table entries take the
+        # Laguerre path, so the warm call asks for the rule again
+        parts = _random_particles(15, 300, ylo=1.0, yhi=2.0)
+        cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=12, leaf_capacity=30)
+        fmm_apply(parts, cfg)
+        calls = {"asked": 0, "built": 0}
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(layered, "gauss_laguerre_generalized",
+                            counted("asked", layered.gauss_laguerre_generalized))
+        monkeypatch.setattr(quadrature, "roots_genlaguerre",
+                            counted("built", quadrature.roots_genlaguerre))
+        fmm_apply(parts, cfg)
+        assert calls["built"] == 0
+        assert calls["asked"] > 0
+
     def test_three_layer_near_pairs_skip_the_pairwise_oracle(self, monkeypatch):
         parts = _random_particles(17, 300, ylo=0.01, yhi=1.0)
         tree = build_tree(parts, TreeConfig(leaf_capacity=30))
@@ -244,6 +274,19 @@ class TestStructure:
         with pytest.raises(ValueError, match="coincide"):
             fmm_apply(parts, RunConfig(media=media, order=8, leaf_capacity=30))
         with pytest.raises(ValueError, match="coincide"):
+            direct_apply(parts, media)
+
+    @pytest.mark.parametrize("bad", ["nan-x", "inf-y", "nan-charge"])
+    def test_non_finite_input_rejected(self, bad):
+        parts = _random_particles(20, 200)
+        pos, q = parts[7].position, parts[7].strength
+        parts[7] = {"nan-x": Particle(Point2(np.nan, pos.y), q),
+                    "inf-y": Particle(Point2(pos.x, np.inf), q),
+                    "nan-charge": Particle(pos, complex(np.nan, 0.0))}[bad]
+        media = MediaConfig.two_layer(1.0, 1.0)
+        with pytest.raises(ValueError, match="particle 7 is not finite"):
+            fmm_apply(parts, RunConfig(media=media, order=8, leaf_capacity=30))
+        with pytest.raises(ValueError, match="particle 7 is not finite"):
             direct_apply(parts, media)
 
     def test_below_interface_rejected(self):
@@ -457,11 +500,13 @@ class TestTableCache:
 
     def test_file_refuses_other_rule_counts(self, tmp_path):
         # root side 1, so the run's rescaled medium is media itself and
-        # only the evanescent rule count differs from the file's
+        # only the rule counts differ from the file's (runs use 64, 64, 0.0)
         parts = _pinned_particles(17, 200, 0.1)
         media = MediaConfig.two_layer(1.0, 1.0)
-        cache = str(tmp_path / "tables.bin")
-        rules = quadrature.SommerfeldRules.default(64, 16)  # runs use 64 and 64
-        layered.save_tables(layered.TableStore(media, 10, rules), cache)
-        with pytest.raises(ValueError, match="rule counts"):
-            fmm_apply(parts, RunConfig(media=media, order=10, table_cache=cache))
+        fp = media.fingerprint().encode()
+        cache = tmp_path / "tables.bin"
+        for counts in ((64, 16, 0.0), (32, 64, 0.0), (64, 64, 0.5)):
+            cache.write_bytes(b"HFMMTB3\x00" + struct.pack("<I", len(fp)) + fp
+                              + struct.pack("<IIIdQ", 10, *counts, 0))
+            with pytest.raises(ValueError, match="rule counts"):
+                fmm_apply(parts, RunConfig(media=media, order=10, table_cache=str(cache)))

@@ -9,7 +9,6 @@ from hfmm import greens
 from hfmm.greens import (MediaConfig, domain_green, free_space, free_space_spectral,
                          reflectance, scattered_batch, scattered_direct, scattered_sum,
                          three_layer_sigma)
-from hfmm.quadrature import SommerfeldRules
 
 # Frozen regression constant: scattered_direct(two-layer k=1 alpha=1,
 # x=(0.5,1.5), x0=(0,1)) at tol=1e-13, recorded once from the adaptive
@@ -56,30 +55,22 @@ class TestFreeSpace:
 
     @pytest.mark.parametrize("k", [0.1, 1.0])
     def test_spectral_split_matches(self, k):
-        rules = SommerfeldRules.default()
         rng = np.random.default_rng(3)
         for _ in range(10):
             dx, dy = rng.uniform(-2, 2), rng.uniform(0.2, 3.0)
             x, x0 = (dx, 1.0 + dy), (0.0, 1.0)
             direct = free_space(k, x, x0)
-            split = free_space_spectral(k, x, x0, rules)
+            split = free_space_spectral(k, x, x0)
             assert abs(split - direct) <= 1e-10 * abs(direct)
 
     def test_spectral_reflection_invariance(self):
-        rules = SommerfeldRules.default()
-        v1 = free_space_spectral(1.0, (0.4, 1.9), (-0.1, 1.0), rules)
-        v2 = free_space_spectral(1.0, (-0.4, 1.9), (0.1, 1.0), rules)
+        v1 = free_space_spectral(1.0, (0.4, 1.9), (-0.1, 1.0))
+        v2 = free_space_spectral(1.0, (-0.4, 1.9), (0.1, 1.0))
         assert v1 == pytest.approx(v2, abs=1e-14)
 
     def test_spectral_requires_vertical_separation(self):
         with pytest.raises(ValueError):
-            free_space_spectral(1.0, (1.0, 1.0), (0.0, 1.0), SommerfeldRules.default())
-
-    def test_spectral_rule_doubling_stable(self):
-        x, x0 = (0.3, 1.4), (0.0, 1.0)
-        v1 = free_space_spectral(1.0, x, x0, SommerfeldRules.default(64, 64))
-        v2 = free_space_spectral(1.0, x, x0, SommerfeldRules.default(128, 128))
-        assert abs(v2 - v1) <= 1e-12
+            free_space_spectral(1.0, (1.0, 1.0), (0.0, 1.0))
 
 
 class TestReflectance:

@@ -14,10 +14,8 @@ from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_sp
 from hfmm import layered
 from hfmm.layered import (TableKey, TableStore, TranslationGeometry, _verify_doubling,
                           compute_A, compute_B_tail, load_tables, pair_key, save_tables)
-from hfmm.quadrature import SommerfeldRules, gauss_legendre
+from hfmm.quadrature import gauss_legendre
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
-
-RULES = SommerfeldRules.default()
 
 
 def _real_sources(seed, n, center, radius):
@@ -137,7 +135,7 @@ class TestComputeA:
         # target-about-image offset
         media = MediaConfig.two_layer(1.0, 0.0)
         geom = TranslationGeometry(dx=1.5, dy=2.2)
-        entries = compute_A(geom, media, 8, RULES)
+        entries = compute_A(geom, media, 8)
         rho = np.hypot(geom.dx, geom.dy)
         theta = np.arctan2(geom.dy, geom.dx)
         nu = np.arange(-16, 17)
@@ -146,7 +144,7 @@ class TestComputeA:
 
     def test_toeplitz_assembly(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        entries = compute_A(TranslationGeometry(dx=1.0, dy=2.5), media, 5, RULES)
+        entries = compute_A(TranslationGeometry(dx=1.0, dy=2.5), media, 5)
         mat = translation_matrix(entries, 5, "m-p")
         for d in range(-10, 11):
             diag = np.diagonal(mat, offset=d)
@@ -154,12 +152,11 @@ class TestComputeA:
 
     def test_free_media_rejected(self):
         with pytest.raises(ValueError):
-            compute_A(TranslationGeometry(dx=1.0, dy=2.0), MediaConfig.free(1.0),
-                      5, RULES)
+            compute_A(TranslationGeometry(dx=1.0, dy=2.0), MediaConfig.free(1.0), 5)
 
     def test_node_doubling_stable(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        compute_A(TranslationGeometry(dx=1.5, dy=2.5), media, 10, RULES,
+        compute_A(TranslationGeometry(dx=1.5, dy=2.5), media, 10,
                   verify=True)  # raises on >1e-11 disagreement
 
     def test_doubling_check_fails_on_nan(self):
@@ -182,7 +179,7 @@ class TestComputeA:
         parts = _real_sources(21, 15, src_c, 0.2)
         P = 25
         geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y)
-        loc = _scattered_local(parts, src_c, compute_A(geom, media, P, RULES), P, media.k1)
+        loc = _scattered_local(parts, src_c, compute_A(geom, media, P), P, media.k1)
         rng = np.random.default_rng(22)
         for _ in range(6):
             x = (tgt_c.x + rng.uniform(-0.2, 0.2), tgt_c.y + rng.uniform(-0.2, 0.2))
@@ -197,7 +194,7 @@ class TestComputeA:
         tgt_c = Point2(shift + 1.25, 0.8)
         parts = _real_sources(23, 10, src_c, 0.15)
         geom = TranslationGeometry(dx=1.25, dy=1.6)
-        loc = _scattered_local(parts, src_c, compute_A(geom, media, 15, RULES), 15, 1.0)
+        loc = _scattered_local(parts, src_c, compute_A(geom, media, 15), 15, 1.0)
         x = (tgt_c.x + 0.1, tgt_c.y - 0.05)
         assert _eval_local(loc, tgt_c, x, 1.0) == pytest.approx(
             _scattered_sum(media, parts, x), abs=1e-9)
@@ -206,7 +203,7 @@ class TestComputeA:
 class TestM2LHeterogeneous:
     def test_order_mismatch(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        entries = compute_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8, RULES)
+        entries = compute_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8)
         with pytest.raises(ValueError):
             translation_matrix(entries, 7, "m-p")
 
@@ -214,8 +211,7 @@ class TestM2LHeterogeneous:
 class TestComputeBTail:
     def test_alpha_zero_is_zero_vector(self):
         media = MediaConfig.two_layer(1.0, 0.0)
-        entries = compute_B_tail(TranslationGeometry(dx=1.5, dy=0.8), 0.4,
-                                 media, 6, RULES)
+        entries = compute_B_tail(TranslationGeometry(dx=1.5, dy=0.8, cutoff=0.4), media, 6)
         np.testing.assert_array_equal(entries, 0.0)
 
     def test_c_to_zero_collapse(self):
@@ -223,18 +219,18 @@ class TestComputeBTail:
         # A(alpha) minus the point-image entries A(alpha = 0)
         media = MediaConfig.two_layer(1.0, 1.0)
         geom = TranslationGeometry(dx=1.5, dy=1.1)
-        full = compute_A(geom, media, 8, RULES)
-        point = compute_A(geom, MediaConfig.two_layer(1.0, 0.0), 8, RULES)
-        tail = compute_B_tail(geom, 1e-9, media, 8, RULES)
+        full = compute_A(geom, media, 8)
+        point = compute_A(geom, MediaConfig.two_layer(1.0, 0.0), 8)
+        tail = compute_B_tail(TranslationGeometry(dx=1.5, dy=1.1, cutoff=1e-9), media, 8)
         np.testing.assert_allclose(tail, full - point, atol=1e-10)
 
     def test_invalid_cutoff(self):
         media = MediaConfig.two_layer(1.0, 1.0)
         with pytest.raises(ValueError):
-            compute_B_tail(TranslationGeometry(dx=1.0, dy=1.0), 0.0, media, 5, RULES)
+            compute_B_tail(TranslationGeometry(dx=1.0, dy=1.0), media, 5)
         with pytest.raises(ValueError):
-            compute_B_tail(TranslationGeometry(dx=1.0, dy=1.0), 0.5,
-                           MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 5, RULES)
+            compute_B_tail(TranslationGeometry(dx=1.0, dy=1.0, cutoff=0.5),
+                           MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 5)
 
     def test_tail_matches_split_oracle(self):
         # potential II = scattered - point image - integral over [0, C]
@@ -243,20 +239,20 @@ class TestComputeBTail:
         src_c, tgt_c, C = Point2(0.0, 0.3), Point2(1.5, 0.3), 0.5
         parts = _real_sources(25, 8, src_c, 0.15)
         P = 25
-        geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y)
-        entries = compute_B_tail(geom, C, media, P, RULES)
+        geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y, cutoff=C)
+        entries = compute_B_tail(geom, media, P)
         loc = _scattered_local(parts, src_c, entries, P, k)
-        rule = gauss_legendre(48, 0.0, C)
+        nodes, weights = gauss_legendre(48, 0.0, C)
         for x in [(1.4, 0.25), (1.6, 0.4)]:
             expect = 0.0 + 0.0j
-            density = 2j * media.alpha * np.exp(1j * media.alpha * rule.nodes)
+            density = 2j * media.alpha * np.exp(1j * media.alpha * nodes)
             for p in parts:
                 im = (p.position.x, -p.position.y)
                 total = scattered_direct(media, x, (p.position.x, p.position.y), 1e-13)
                 point = free_space(k, x, im)
-                seg = np.sum(rule.weights * density
+                seg = np.sum(weights * density
                              * np.array([free_space(k, x, (im[0], im[1] - s))
-                                         for s in rule.nodes]))
+                                         for s in nodes]))
                 expect += p.strength * (total - point - seg)
             assert _eval_local(loc, tgt_c, x, k) == pytest.approx(expect, abs=1e-8)
 
@@ -267,7 +263,7 @@ class TestTableStore:
 
     def test_cache_sharing(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        store = TableStore(media, 5, RULES)
+        store = TableStore(media, 5)
         key = TableKey(0.0, 2, 3, 3, 0)
         a = store.get(key)
         b = store.get(key)
@@ -311,7 +307,7 @@ class TestTableStore:
         store = _planned(2, media, 8).store
         path = tmp_path / "tables.bin"
         save_tables(store, path)
-        loaded = load_tables(path, media, 8, RULES)
+        loaded = load_tables(path, media, 8)
         assert loaded.entries.keys() == store.entries.keys()
         for key in store.entries:
             np.testing.assert_array_equal(loaded.entries[key], store.entries[key])
@@ -321,18 +317,21 @@ class TestTableStore:
         path = tmp_path / "tables.bin"
         save_tables(store, path)
         with pytest.raises(ValueError):
-            load_tables(path, MediaConfig.two_layer(1.0, 0.5), 8, RULES)
+            load_tables(path, MediaConfig.two_layer(1.0, 0.5), 8)
         with pytest.raises(ValueError):
-            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 9, RULES)
+            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 9)
 
     def test_load_rejects_other_rule_counts(self, tmp_path):
+        # header: P, propagating count, Laguerre count, Laguerre a; the
+        # two-layer entries take (64, 64, 0.0)
         media = MediaConfig.two_layer(1.0, 1.0)
+        fp = media.fingerprint().encode()
         path = tmp_path / "tables.bin"
-        save_tables(_planned(2, media, 8).store, path)
-        for rules in (SommerfeldRules.default(64, 16), SommerfeldRules.default(32, 64),
-                      SommerfeldRules.default(64, 64, a_param=0.5)):
+        for counts in ((64, 16, 0.0), (32, 64, 0.0), (64, 64, 0.5)):
+            path.write_bytes(b"HFMMTB3\x00" + struct.pack("<I", len(fp)) + fp
+                             + struct.pack("<IIIdQ", 8, *counts, 0))
             with pytest.raises(ValueError, match="rule counts"):
-                load_tables(path, media, 8, rules)
+                load_tables(path, media, 8)
 
     def test_load_rejects_old_format(self, tmp_path):
         # first format: magic, fingerprint, P, max level, root height, entries
@@ -341,7 +340,7 @@ class TestTableStore:
         path.write_bytes(b"HFMMTB1\x00" + struct.pack("<I", len(fp)) + fp
                          + struct.pack("<IIdQ", 8, 2, 0.05, 0))
         with pytest.raises(ValueError, match="old format"):
-            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8, RULES)
+            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)
 
     def test_load_rejects_box_pair_format(self, tmp_path):
         # second format: entries keyed by the box pair, not the geometry
@@ -351,7 +350,7 @@ class TestTableStore:
         path.write_bytes(b"HFMMTB2\x00" + struct.pack("<I", len(fp)) + fp
                          + struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0))
         with pytest.raises(ValueError, match="old format"):
-            load_tables(path, media, 8, RULES)
+            load_tables(path, media, 8)
 
     def test_load_rejects_truncated_file(self, tmp_path):
         media = MediaConfig.two_layer(1.0, 1.0)
@@ -359,13 +358,13 @@ class TestTableStore:
         save_tables(_planned(2, media, 8).store, path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="truncated"):
-            load_tables(path, media, 8, RULES)
+            load_tables(path, media, 8)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a table")
         with pytest.raises(ValueError):
-            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8, RULES)
+            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)
 
 
 def _exact_geometry(y0, tgt, src, cut_line):
@@ -397,14 +396,14 @@ class TestOneEntryPerGeometry:
     def test_negative_dx_is_reversed(self, media, dy):
         # A_{-dx}(nu) = A_{dx}(-nu)
         for dx in (0.375, 1.5):
-            plus = compute_A(TranslationGeometry(dx=dx, dy=dy), media, 8, RULES)
-            minus = compute_A(TranslationGeometry(dx=-dx, dy=dy), media, 8, RULES)
+            plus = compute_A(TranslationGeometry(dx=dx, dy=dy), media, 8)
+            minus = compute_A(TranslationGeometry(dx=-dx, dy=dy), media, 8)
             assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
 
     def test_negative_dx_tail_is_reversed(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        plus = compute_B_tail(TranslationGeometry(dx=0.375, dy=0.15), 0.2, media, 8, RULES)
-        minus = compute_B_tail(TranslationGeometry(dx=-0.375, dy=0.15), 0.2, media, 8, RULES)
+        plus = compute_B_tail(TranslationGeometry(dx=0.375, dy=0.15, cutoff=0.2), media, 8)
+        minus = compute_B_tail(TranslationGeometry(dx=-0.375, dy=0.15, cutoff=0.2), media, 8)
         assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
 
     def test_mirror_pairs_share_one_entry(self):
@@ -416,13 +415,13 @@ class TestOneEntryPerGeometry:
                  (box(2, 4), box(5, 2)),   # its vertical mirror
                  (box(5, 2), box(2, 4))]   # its x mirror
         assert all(src in tgt.interaction_list for tgt, src in pairs)
-        store = TableStore(media, 6, RULES)
+        store = TableStore(media, 6)
         entries = [store.get(*pair_key(y0, tgt, src)) for tgt, src in pairs]
         assert len(store.entries) == 1 and store.misses == 1
         for (tgt, src), got in zip(pairs, entries):
             geom = TranslationGeometry(dx=tgt.center.x - src.center.x,
                                        dy=tgt.center.y + src.center.y)
-            direct = compute_A(geom, media, 6, RULES)
+            direct = compute_A(geom, media, 6)
             assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
     def test_one_computation_per_geometry(self, monkeypatch):

@@ -4,25 +4,25 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from hfmm.quadrature import (QuadratureRule, SommerfeldRules, gauss_laguerre_generalized,
-                             gauss_legendre, legendre_base)
+from hfmm.quadrature import gauss_laguerre_generalized, gauss_legendre, legendre_base
 
 
 def _integrate(rule, f):
-    return np.sum(rule.weights * f(rule.nodes))
+    nodes, weights = rule
+    return np.sum(weights * f(nodes))
 
 
 class TestGaussLegendre:
     def test_one_point_is_midpoint_rule(self):
-        rule = gauss_legendre(1, -1.0, 1.0)
-        np.testing.assert_allclose(rule.nodes, [0.0], atol=1e-15)
-        np.testing.assert_allclose(rule.weights, [2.0], rtol=1e-15)
+        nodes, weights = gauss_legendre(1, -1.0, 1.0)
+        np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+        np.testing.assert_allclose(weights, [2.0], rtol=1e-15)
 
     def test_two_point_nodes(self):
-        rule = gauss_legendre(2, -1.0, 1.0)
+        nodes, weights = gauss_legendre(2, -1.0, 1.0)
         r = 0.577350269189626
-        np.testing.assert_allclose(rule.nodes, [-r, r], atol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0, 1.0], rtol=1e-14)
+        np.testing.assert_allclose(nodes, [-r, r], atol=1e-14)
+        np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-14)
 
     def test_two_point_integrates_x_squared(self):
         rule = gauss_legendre(2, -1.0, 1.0)
@@ -31,11 +31,11 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("count", [1, 3, 8, 64])
     def test_weights_positive_and_sum_to_length(self, count):
         a, b = 0.3, 2.7
-        rule = gauss_legendre(count, a, b)
-        assert np.all(rule.weights > 0)
-        assert rule.weights.sum() == pytest.approx(b - a, rel=1e-14)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all((a < rule.nodes) & (rule.nodes < b))
+        nodes, weights = gauss_legendre(count, a, b)
+        assert np.all(weights > 0)
+        assert weights.sum() == pytest.approx(b - a, rel=1e-14)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all((a < nodes) & (nodes < b))
 
     @pytest.mark.parametrize("count,deg", [(3, 5), (6, 11), (10, 19)])
     def test_polynomial_exactness(self, count, deg):
@@ -59,24 +59,23 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             w[0] = 0.0
         # a mapped rule owns its arrays: mutating it leaves the next rule intact
-        first = gauss_legendre(8, -1.0, 1.0)
-        first.nodes[:] = 0.0
-        first.weights[:] = 0.0
+        for mapped in gauss_legendre(8, -1.0, 1.0):
+            mapped[:] = 0.0
         again = gauss_legendre(8, -1.0, 1.0)
-        np.testing.assert_array_equal(again.nodes, x)
-        np.testing.assert_array_equal(again.weights, w)
+        np.testing.assert_array_equal(again[0], x)
+        np.testing.assert_array_equal(again[1], w)
 
 
 class TestGaussLaguerre:
     def test_one_point_plain(self):
-        rule = gauss_laguerre_generalized(1, 0.0)
-        np.testing.assert_allclose(rule.nodes, [1.0], rtol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0], rtol=1e-14)
+        nodes, weights = gauss_laguerre_generalized(1, 0.0)
+        np.testing.assert_allclose(nodes, [1.0], rtol=1e-14)
+        np.testing.assert_allclose(weights, [1.0], rtol=1e-14)
 
     def test_one_point_a_param_one(self):
-        rule = gauss_laguerre_generalized(1, 1.0)
-        np.testing.assert_allclose(rule.nodes, [2.0], rtol=1e-14)
-        np.testing.assert_allclose(rule.weights, [1.0], rtol=1e-14)
+        nodes, weights = gauss_laguerre_generalized(1, 1.0)
+        np.testing.assert_allclose(nodes, [2.0], rtol=1e-14)
+        np.testing.assert_allclose(weights, [1.0], rtol=1e-14)
 
     def test_two_point_integrates_t_cubed(self):
         rule = gauss_laguerre_generalized(2, 0.0)
@@ -85,12 +84,12 @@ class TestGaussLaguerre:
     @pytest.mark.parametrize("count", [1, 4, 16, 64])
     @pytest.mark.parametrize("a_param", [0.0, 1.0, 2.5])
     def test_moment_exactness(self, count, a_param):
-        rule = gauss_laguerre_generalized(count, a_param)
-        assert np.all(rule.nodes > 0)
-        assert np.all(rule.weights > 0)
+        nodes, weights = gauss_laguerre_generalized(count, a_param)
+        assert np.all(nodes > 0)
+        assert np.all(weights > 0)
         for j in range(min(2 * count, 8)):
             exact = gamma(a_param + j + 1)
-            got = _integrate(rule, lambda t, j=j: t ** j)
+            got = _integrate((nodes, weights), lambda t, j=j: t ** j)
             assert got == pytest.approx(exact, rel=1e-12)
 
     def test_zero_count(self):
@@ -100,6 +99,14 @@ class TestGaussLaguerre:
     def test_negative_a_param(self):
         with pytest.raises(ValueError):
             gauss_laguerre_generalized(4, -0.5)
+
+    def test_shared_rule_is_read_only(self):
+        x, w = gauss_laguerre_generalized(8)
+        assert gauss_laguerre_generalized(8)[0] is x  # built once, shared
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_non_finite_rule_refused(self):
         # scipy's 512-point rule has NaN nodes and weights
@@ -120,29 +127,3 @@ class TestConvergence:
         v128 = _integrate(gauss_laguerre_generalized(128, 0.0), f)
         assert abs(v128 - v64) <= 1e-12 * abs(v64)
 
-
-class TestSommerfeldRules:
-    def test_default_bundle(self):
-        rules = SommerfeldRules.default()
-        assert rules.propagating.count == 64
-        assert rules.evanescent.count == 64
-        assert rules.propagating.kind.startswith("legendre")
-        assert rules.evanescent.kind.startswith("generalized-laguerre")
-        assert rules.propagating.nodes[0] > 0.0
-        assert rules.propagating.nodes[-1] < np.pi
-
-    def test_custom_counts(self):
-        rules = SommerfeldRules.default(32, 128, a_param=1.0)
-        assert rules.propagating.count == 32
-        assert rules.evanescent.count == 128
-        assert rules.evanescent.a_param == 1.0
-
-    def test_rules_are_immutable(self):
-        rules = SommerfeldRules.default()
-        with pytest.raises(AttributeError):
-            rules.propagating = rules.evanescent
-
-    def test_rule_record_consistency(self):
-        rule = gauss_legendre(5, 0.0, 2.0)
-        assert isinstance(rule, QuadratureRule)
-        assert len(rule.nodes) == rule.count == len(rule.weights)
