@@ -214,7 +214,7 @@ def check_alpha_zero_mirror(seed=14, alpha=0.0):
 def check_toeplitz(alpha=1.0):
     media = MediaConfig.two_layer(1.0, alpha)
     P = 12
-    entries = compute_A(TranslationGeometry(dx=0.25, dy=2.5), media, P)
+    entries = compute_A([TranslationGeometry(dx=0.25, dy=2.5)], media, P)[0][0]
     mat = ex.translation_matrix(entries, P, "m-p")
     worst = 0.0
     for d in range(-2 * P, 2 * P + 1):

@@ -45,8 +45,9 @@ class PotentialVector:
     values: np.ndarray
     timings: dict = field(default_factory=dict)
     # table entries this call computed and those its store held at the
-    # end; leaves; ordered near (target, source) leaf pairs; free-space
-    # kernel blocks the near field evaluated (one per unordered pair)
+    # end; evanescent nodes of the grids that computed them; leaves;
+    # ordered near (target, source) leaf pairs; free-space kernel blocks
+    # the near field evaluated (one per unordered pair)
     counts: dict = field(default_factory=dict)
 
 
@@ -248,7 +249,7 @@ class _Workspace:
         self.near_reads = self.grouped(reads)
 
     def build_tables(self):
-        """Load the table cache (or start a store) and get every planned entry."""
+        """Load the table cache (or start a store) and fill it with every planned key."""
         if self.media.variant == "free":
             return
         cache = self.config.table_cache
@@ -258,8 +259,7 @@ class _Workspace:
             self.store = layered.TableStore(self.media, self.P)
         keys = {key for groups in self.far.values() for key, _ in groups}
         keys.update(key for key, _ in self.near_reads)
-        for key in keys:
-            self.store.get(key)
+        self.store.fill(keys)
 
     def grouped(self, keyed):
         """Node ids of (key, source, target) triples, grouped by key.
@@ -457,6 +457,7 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     store = ws.store
     counts = {"entries_computed": store.misses if store else 0,
               "entries_held": len(store.entries) if store else 0,
+              "grid_nodes": store.grid_nodes if store else 0,
               "leaves": len(ws.leaves),
               "near_pairs": sum(len(srcs) for srcs in ws.near.values()),
               "near_blocks": len(ws.near_pairs)}

@@ -4,18 +4,25 @@ The scattered part of the layered-media kernel is not translation
 invariant, so its M2L operator A depends on the source-image/target
 geometry (horizontal offset dx and interface height dy = y_t + y_s).
 A is Toeplitz in the expansion orders, A_{p,m} = A(m - p), and each
-entry is a Sommerfeld integral evaluated on the propagating/evanescent
-split with fixed quadrature rules, whose node counts this module alone
-chooses (_rule_counts).  Near the interface the line-image tail is
-translated separately (operator B with cutoff C).
+entry is a Sommerfeld integral on the propagating/evanescent split.
+Near the interface the line-image tail is translated separately
+(operator B with cutoff C).
+
+Entries are computed in batches with one quadrature, which this module
+alone fixes (_RULE): a 64-node Gauss-Legendre rule on the propagating
+contour, and on the evanescent contour one grid per batch, geometric
+panels of cosine-mapped Gauss-Legendre nodes whose count doubles until
+two grids agree for every entry of the batch.  The spectral factor
+depends only on the spectral variable, so each half is a product of a
+(keys x nodes) matrix with a (nodes x 4P+1) matrix, taken in blocks.
 
 Entries are cached in one table store keyed by the geometry (|dx|, dy,
 C) as exact integers (TableKey): the kernel is invariant under
 horizontal translation, so every box pair with one geometry shares an
 entry, and a pair with dx < 0 reads the entry of -dx reversed.  A table
-file (save_tables) is the magic HFMMTB3, a header (medium fingerprint,
-P and the rule counts, all checked on load) and the entries, each as
-its key fields and its 4P+1 complex values.
+file (save_tables) is the magic HFMMTB4, a header (medium fingerprint,
+P and the quadrature rule constants, all checked on load) and the
+entries, each as its key fields and its 4P+1 complex values.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from scipy.optimize import brentq
 
 from .greens import (MediaConfig, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
-from .quadrature import gauss_laguerre_generalized, gauss_legendre, legendre_base
+from .quadrature import gauss_legendre, legendre_base
 
 __all__ = [
     "TranslationGeometry",
@@ -79,24 +86,32 @@ def propagating_rule(media: MediaConfig, count: int):
     pts = spectral_breakpoints(media, "propagating", np.pi)
     if not pts:
         return gauss_legendre(count, 0.0, np.pi)
-    edges = [0.0] + pts + [np.pi]
-    u, w = gauss_legendre(count, 0.0, 1.0)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        h = b - a
-        nodes.append(a + 0.5 * h * (1.0 - np.cos(np.pi * u)))
-        weights.append(0.5 * h * np.pi * np.sin(np.pi * u) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _cosine_panels(np.array([0.0, *pts, np.pi]), count)
 
 
-def _rule_counts(media):
-    """(propagating, Laguerre) node counts of the table entries of media.
+def _cosine_panels(edges, count):
+    """count Gauss-Legendre nodes and weights per panel between edges, cosine-mapped.
 
-    sigma_1 of the three-layer medium decays slowly in the spectral
-    variable; more Laguerre nodes keep its entries near 1e-9.  The
-    Laguerre parameter is always 0.
+    The map clusters nodes at both panel ends, keeping the rule spectral
+    across endpoint square-root kinks.
     """
-    return (64, 128) if media.variant == "three-layer" else (64, 64)
+    x, wx = legendre_base(count)
+    u = 0.5 * (x + 1.0)
+    a, h = edges[:-1, None], np.diff(edges)[:, None]
+    return ((a + 0.5 * h * (1.0 - np.cos(np.pi * u))).ravel(),
+            (0.25 * h * np.pi * np.sin(np.pi * u) * wx).ravel())
+
+
+# The table quadrature (_spectral_entries), written to and checked in the
+# table file header: Gauss-Legendre nodes per propagating segment;
+# evanescent nodes per panel, from the start count doubled up to the cap;
+# and the three tolerances of the doubling check.
+_RULE = _PROP_NODES, _GRID_START, _GRID_CAP, _TOL_REL, _TOL_MASS, _TOL_CAP = \
+    64, 48, 384, 1e-12, 5e-12, 1e-10
+
+# Largest complex block, (keys x nodes) or (nodes x 4P+1), that the entry
+# products form at once; each product holds several such blocks.
+_BLOCK_BYTES = 1 << 16
 
 
 def _singularity_scale(media):
@@ -107,149 +122,125 @@ def _singularity_scale(media):
     t = i*sqrt(k1^2 - kj^2) for each slower layer.
     """
     k1 = media.k1
-    scales = [k1]
     if media.variant == "two-layer":
-        if media.alpha > 0.0:
-            scales.append(media.alpha)
-    elif media.variant == "three-layer":
-        for kj in (media.k2, media.k3):
-            if kj < k1:
-                scales.append(float(np.sqrt(k1 * k1 - kj * kj)))
-    return min(scales)
+        return min(k1, media.alpha) if media.alpha > 0.0 else k1
+    return min([k1] + [float(np.sqrt(k1 * k1 - kj * kj)) for kj in (media.k2, media.k3) if kj < k1])
 
 
-def _evan_entries_adaptive(media, dx, dy_eff, P, r_evan, tol=1e-12):
-    """Evanescent entry integrals by adaptive geometric-panel Gauss-Legendre.
+def _panel_edges(media, P, dy):
+    """Evanescent panel edges for a batch whose smallest decay height is dy.
 
-    Used when dy_eff is too small for the Laguerre rule to resolve the
-    spectral structure near the origin.  The exponents of z^nu and the
-    decay e^{-t dy} are combined before exponentiation, so intermediate
-    factors never overflow even when the entries themselves are huge.
-    Returns the integral without the (-i)^nu/(i pi) prefactor.
+    Panels double in width from the singularity scale up to where the
+    envelope z^{-2P} e^{-t dy} is 45 e-folds below its peak (keys with a
+    larger dy decay sooner), and break at the kinks of a three-layer sigma_1.
     """
     k = media.k1
-    nu = np.arange(-2 * P, 2 * P + 1)
-    sign_nu = np.where(nu % 2 == 0, 1.0, -1.0)
     n2 = 2 * P
 
     def log_env(t):
-        # magnitude envelope of the dominant z^{-|nu|} e^{-t dy} factor
-        return n2 * np.log((t + np.hypot(t, k)) / k) - t * dy_eff
+        return n2 * np.log((t + np.hypot(t, k)) / k) - t * dy
 
-    tstar = max(n2 / dy_eff, k)
+    tstar = max(n2 / dy, k)
     target = log_env(tstar) - 45.0
-    hi = 2.0 * tstar + (45.0 + n2) / dy_eff
+    hi = 2.0 * tstar + (45.0 + n2) / dy
     while log_env(hi) > target:
         hi *= 2.0
     cutoff = brentq(lambda t: log_env(t) - target, tstar, hi)
-
     s0 = min(max(_singularity_scale(media), 1e-3), cutoff / 2.0)
     edges = [0.0, s0]
     while edges[-1] < cutoff:
         edges.append(min(2.0 * edges[-1], cutoff))
-    # sigma_1 of a faster lower layer has a sqrt kink on the contour;
-    # panels must break there to keep Gauss-Legendre spectral
-    kinks = spectral_breakpoints(media, "evanescent", cutoff)
-    if kinks:
-        edges = sorted(set(edges) | set(kinks))
-
-    prev = None
-    count = 24
-    while count <= 384:
-        total = np.zeros(len(nu), dtype=complex)
-        mass = np.zeros(len(nu))  # L1 mass: sets the roundoff floor
-        xg, wg = legendre_base(count)
-        ug = 0.5 * (xg + 1.0)
-        for a, b in zip(edges[:-1], edges[1:]):
-            # cosine map clusters nodes at the panel ends, keeping the
-            # rule spectral across endpoint sqrt kinks
-            t = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * ug))
-            w = 0.25 * (b - a) * np.pi * np.sin(np.pi * ug) * wg
-            root = np.hypot(t, k)
-            lnz = np.log(k) - np.log(root + t)
-            base = w * r_evan(t) / root
-            psi = np.exp(1j * root * dx)
-            up = np.exp(np.outer(nu, lnz) - t * dy_eff)
-            # nu runs symmetrically over -2P..2P and (-a)*b == -(a*b)
-            # exactly, so the -nu rows are the nu rows reversed
-            dn = up[::-1]
-            terms = psi * up + np.conj(psi) * sign_nu[:, None] * dn
-            total += terms @ base
-            mass += np.abs(terms) @ np.abs(base)
-        if prev is not None:
-            # entries with heavy cancellation cannot beat the noise
-            # floor of the real-axis contour; allow noise at that level
-            allowed = tol * np.maximum(np.abs(total), 1.0) + 5e-12 * mass
-            diff = np.abs(total - prev)
-            if bool(np.all(diff <= allowed)):
-                return total
-        prev = total
-        count *= 2
-    # discretization error decays exponentially under doubling, so a
-    # persistent change this far below the integrand mass is noise
-    if bool(np.all(diff <= 1e-10 * mass)):
-        return total
-    raise QuadratureConvergenceError(
-        "adaptive evanescent entry integration failed to converge "
-        f"(dx={dx:.3g}, dy_eff={dy_eff:.3g}, P={P})")
+    return np.array(sorted(set(edges) | set(spectral_breakpoints(media, "evanescent", cutoff))))
 
 
-def _spectral_entries(media, dx, dy, P, r_prop, r_evan, decay_shift=0.0, refine=1):
-    """Assemble the (4P+1)-vector of plane-wave split entries.
+def _chunks(rows, width):
+    """Row slices of a (rows x width) complex array, each block at most _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (16 * width))
+    return [slice(a, a + step) for a in range(0, rows, step)]
 
-    r_prop(tau) and r_evan(t) supply the spectral factor of the operator
-    being built (full reflectance for A, tail factor for B).
-    decay_shift adds extra exponential decay exp(-t*shift) handled by
-    rescaling the Laguerre nodes, keeping them where the integrand
-    actually lives.  refine multiplies both rule counts (2 for the
-    doubling check).
+
+def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
+    """Evanescent integrals of every key on count nodes per panel, and a bound on their L1 mass.
+
+    Row j holds, for nu = -2P..2P, the integral of r(t)/root * (e^{i root
+    dx} z^nu + (-1)^nu e^{-i root dx} z^{-nu}) e^{-t dy}, without the
+    (-i)^nu/(i pi) prefactor.  The key side E+- = w r/root e^{+-i root dx
+    - t dy} z^{-2P} meets Z = z^{2P+nu} <= 1 in one product, so nothing
+    overflows unless the integrand does; the z^{-nu} half is E- @ Z reversed.
     """
     k = media.k1
+    t, w = _cosine_panels(edges, count)
+    plus = np.zeros((len(dx), 4 * P + 1), dtype=complex)
+    minus = np.zeros_like(plus)
+    mass = np.zeros(plus.shape)
+    for n in _chunks(len(t), 4 * P + 1):
+        root = np.hypot(t[n], k)
+        lnz = np.log(k) - np.log(root + t[n])  # z = (root - t)/k without cancellation
+        base = w[n] * r_evan(t[n]) / root
+        zpow = np.exp(np.outer(lnz, np.arange(4 * P + 1)))
+        for c in _chunks(len(dx), len(root)):
+            env = np.exp(-np.outer(dy[c], t[n]) - 2 * P * lnz)
+            side = base * env
+            psi = np.exp(1j * np.outer(dx[c], root))
+            plus[c] += (side * psi) @ zpow
+            minus[c] += (side * np.conj(psi)) @ zpow
+            mass[c] += (np.abs(base) * env) @ zpow
+    sign = np.where(np.arange(-2 * P, 2 * P + 1) % 2 == 0, 1.0, -1.0)
+    return plus + sign * minus[:, ::-1], mass + mass[:, ::-1]
+
+
+def _spectral_entries(media, geoms, P, r_prop, r_evan, shift=0.0):
+    """Plane-wave split entries of a batch (rows of 4P+1) and the evanescent nodes used.
+
+    r_prop(tau) and r_evan(t) supply the spectral factor (reflectance for
+    A, tail factor for B); shift adds a decay e^{-t shift} per key on both
+    contours.  The evanescent grid is shared by the batch; its nodes per
+    panel double until two successive grids agree for every entry, or
+    QuadratureConvergenceError is raised at the cap.
+    """
+    k = media.k1
+    dx = np.array([g.dx for g in geoms])
+    dy = np.array([g.dy for g in geoms]) + shift
     nu = np.arange(-2 * P, 2 * P + 1)
     i_nu = _I_POWERS[nu % 4]
-    neg_i_nu = np.conj(i_nu)
-    sign_nu = np.where(nu % 2 == 0, 1.0, -1.0)
 
-    n_prop, n_lag = (refine * n for n in _rule_counts(media))
-    tau, w_tau = propagating_rule(media, n_prop)
-    base_p = w_tau * np.exp(1j * k * (dy * np.sin(tau) - dx * np.cos(tau))) * r_prop(tau)
-    prop = (i_nu / np.pi) * (np.exp(-1j * np.outer(nu, tau)) @ base_p)
+    tau, w_tau = propagating_rule(media, _PROP_NODES)
+    base_p = w_tau * r_prop(tau)
+    waves = np.exp(-1j * np.outer(tau, nu))
+    prop = np.empty((len(dx), len(nu)), dtype=complex)
+    for c in _chunks(len(dx), len(tau)):
+        prop[c] = (np.exp(1j * k * (np.outer(dy[c], np.sin(tau))
+                                    - np.outer(dx[c], np.cos(tau)))) * base_p) @ waves
 
-    dy_eff = dy + decay_shift
-    if dy_eff * _singularity_scale(media) < 2.0:
-        # the Laguerre rule cannot resolve the spectral structure when
-        # the decay scale 1/dy_eff dwarfs the singularity distances
-        raw = _evan_entries_adaptive(media, dx, dy_eff, P, r_evan)
-        return prop + (neg_i_nu / (1j * np.pi)) * raw
-
-    nodes, weights = gauss_laguerre_generalized(n_lag)
-    scale = dy_eff
-    t = nodes / scale
-    root = np.sqrt(t * t + k * k)
-    # z = (root - t)/k computed without cancellation
-    lnz = np.log(k) - np.log(root + t)
-    base_e = weights * r_evan(t) / (root * scale)
-    psi = np.exp(1j * root * dx)
-    zpow = np.exp(np.outer(nu, lnz))
-    term = (psi * zpow + np.conj(psi) * sign_nu[:, None] / zpow) * base_e
-    evan = (neg_i_nu / (1j * np.pi)) * term.sum(axis=1)
-    return prop + evan
-
-
-def _verify_doubling(entries, doubled, where):
-    scale = np.maximum(np.abs(entries), 1.0)
-    err = float((np.abs(entries - doubled) / scale).max())
-    if not err <= 1e-11:  # a NaN entry fails too
-        raise QuadratureConvergenceError(
-            f"{where}: node doubling changes entries by {err:.2e} (> 1e-11)")
+    edges = _panel_edges(media, P, float(dy.min()))
+    count, evan = _GRID_START, None
+    while True:
+        prev = evan
+        evan, mass = _evanescent_grid(media, P, dx, dy, r_evan, edges, count)
+        if prev is not None:
+            diff = np.abs(evan - prev)
+            if np.all(diff <= _TOL_REL * np.maximum(np.abs(evan), 1.0) + _TOL_MASS * mass):
+                break
+        if 2 * count > _GRID_CAP:
+            # discretization error decays exponentially under doubling, so a
+            # persistent change this far below the integrand mass is noise
+            if prev is not None and np.all(diff <= _TOL_CAP * mass):
+                break
+            raise QuadratureConvergenceError(
+                f"evanescent table grid did not converge at {count} nodes per panel "
+                f"(P={P}, smallest dy {dy.min():.3g}, largest |dx| {np.abs(dx).max():.3g})")
+        count *= 2
+    rows = (i_nu / np.pi) * prop + (np.conj(i_nu) / (1j * np.pi)) * evan
+    return rows, count * (len(edges) - 1)
 
 
-def compute_A(geom: TranslationGeometry, media: MediaConfig, P: int,
-              verify: bool = False) -> np.ndarray:
-    """Heterogeneous M2L entries A(nu), nu = -2P..2P.
+def compute_A(geoms, media: MediaConfig, P: int):
+    """Heterogeneous M2L entries A(nu), nu = -2P..2P, of a batch of translations.
 
-    The assembled operator A_{p,m} = A(m - p) maps the image
-    coefficients (expansions.image_coefficients) of a source box to the
+    Returns (rows, grid_nodes): row j holds the entries of geoms[j], and
+    grid_nodes counts the evanescent nodes of the accepted grid.  The
+    assembled operator A_{p,m} = A(m - p) maps the image coefficients
+    (expansions.image_coefficients) of a source box to the
     scattered-field local expansion at a well-separated target box.
     """
     if media.variant == "free":
@@ -261,45 +252,35 @@ def compute_A(geom: TranslationGeometry, media: MediaConfig, P: int,
     def r_evan(t):
         return reflectance(media, t.astype(complex))
 
-    entries = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan)
-    if verify:
-        doubled = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan, refine=2)
-        _verify_doubling(entries, doubled, "compute_A")
-    return entries
+    return _spectral_entries(media, geoms, P, r_prop, r_evan)
 
 
-def compute_B_tail(geom: TranslationGeometry, media: MediaConfig, P: int,
-                   verify: bool = False) -> np.ndarray:
-    """Tail translation entries B(nu) for the truncated line image cut at C = geom.cutoff.
+def compute_B_tail(geoms, media: MediaConfig, P: int):
+    """Tail translation entries B(nu) for line images cut at C = geom.cutoff, per geometry.
 
-    The line-image spectral factor 2i*alpha/(kappa - i*alpha) is
-    replaced by its analytically integrated tail
-    2i*alpha*exp((i*alpha - kappa)C)/(kappa - i*alpha); the point-image
-    term is excluded (it moves to near-field part I when C > 0).
+    Returns (rows, grid_nodes) like compute_A.  The line-image spectral
+    factor 2i*alpha/(kappa - i*alpha) is replaced by its analytically
+    integrated tail 2i*alpha*exp((i*alpha - kappa)C)/(kappa - i*alpha);
+    the point-image term is excluded (it moves to near-field part I when
+    C > 0).  The e^{-kappa C} factor is a decay shift by C on both
+    contours, and e^{i alpha C} scales each row.
     """
     if media.variant != "two-layer":
         raise ValueError("tail translation is defined for two-layer media only")
-    C = geom.cutoff
-    if C <= 0:
+    C = np.array([g.cutoff for g in geoms])
+    if not np.all(C > 0):
         raise ValueError("tail cutoff must be positive (use compute_A when C = 0)")
     k, alpha = media.k1, media.alpha
-    phase_c = np.exp(1j * alpha * C)
 
     def r_prop(tau):
-        # kappa = -i k sin(tau): 2i*alpha*e^{(i alpha - kappa)C}/(kappa - i alpha)
-        return -2.0 * alpha * phase_c * np.exp(1j * k * C * np.sin(tau)) \
-            / (k * np.sin(tau) + alpha)
+        # kappa = -i k sin(tau); e^{-kappa C} = e^{i k C sin(tau)} is in the shift
+        return -2.0 * alpha / (k * np.sin(tau) + alpha)
 
     def r_evan(t):
-        # the e^{-tC} decay is folded into the Laguerre rescale
-        return 2.0j * alpha * phase_c / (t - 1j * alpha)
+        return 2.0j * alpha / (t - 1j * alpha)
 
-    entries = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan, decay_shift=C)
-    if verify:
-        doubled = _spectral_entries(media, geom.dx, geom.dy, P, r_prop, r_evan,
-                                    decay_shift=C, refine=2)
-        _verify_doubling(entries, doubled, "compute_B_tail")
-    return entries
+    rows, nodes = _spectral_entries(media, geoms, P, r_prop, r_evan, shift=C)
+    return np.exp(1j * alpha * C)[:, None] * rows, nodes
 
 
 class TableKey(NamedTuple):
@@ -350,9 +331,11 @@ def pair_key(root_y0: float, tgt, src, near: bool = False):
 class TableStore:
     """The one cache of heterogeneous translation entries, keyed by TableKey.
 
-    geometry() maps a key to its translation; get() is the only read
-    path and computes (and keeps) an entry on a miss.  Entries of
-    several root heights can share one store.
+    geometry() maps a key to its translation; fill() computes the keys
+    not held, one batch per kind; get() is the only read path and fills
+    a key it does not hold.  misses counts the keys computed and
+    grid_nodes the evanescent nodes of the grids that computed them.
+    Entries of several root heights can share one store.
     """
 
     def __init__(self, media: MediaConfig, P: int):
@@ -362,6 +345,7 @@ class TableStore:
         self.entries = {}
         self.hits = 0
         self.misses = 0
+        self.grid_nodes = 0
 
     @staticmethod
     def geometry(key: TableKey) -> TranslationGeometry:
@@ -370,26 +354,32 @@ class TableStore:
         return TranslationGeometry(dx=key.ax * h, dy=2.0 * key.root_y0 + key.sy * h,
                                    cutoff=cutoff)
 
+    def fill(self, keys):
+        """Compute the keys not held: one compute_A batch and one compute_B_tail batch."""
+        missing = sorted(set(keys) - self.entries.keys())
+        for compute, batch in ((compute_A, [key for key in missing if not key.cut]),
+                               (compute_B_tail, [key for key in missing if key.cut])):
+            if batch:
+                rows, nodes = compute([self.geometry(key) for key in batch], self.media, self.P)
+                self.entries.update(zip(batch, rows))
+                self.misses += len(batch)
+                self.grid_nodes += nodes
+
     def get(self, key: TableKey, flip: bool = False) -> np.ndarray:
         """Entries of key, reversed (the dx < 0 translation) when flip is set."""
-        found = self.entries.get(key)
-        if found is not None:
+        if key in self.entries:
             self.hits += 1
         else:
-            self.misses += 1
-            geom = self.geometry(key)
-            if geom.cutoff > 0.0:
-                found = compute_B_tail(geom, self.media, self.P)
-            else:
-                found = compute_A(geom, self.media, self.P)
-            self.entries[key] = found
+            self.fill([key])
+        found = self.entries[key]
         return found[::-1] if flip else found
 
 
-_MAGIC = b"HFMMTB3\x00"
-# older formats, keyed by the root height (1) or by the box pair (2)
-_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00")
-_HEADER = struct.Struct("<IIId")   # P, the two rule counts, Laguerre a_param
+_MAGIC = b"HFMMTB4\x00"
+# older formats: keyed by the root height (1), by the box pair (2), or
+# built with the Laguerre and per-entry adaptive rules (3)
+_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00", b"HFMMTB3\x00")
+_HEADER = struct.Struct("<IIIIddd")  # P, then _RULE
 _ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
 
 
@@ -397,20 +387,26 @@ def save_tables(store: TableStore, path):
     """Serialize a table store (little-endian, complex as re/im f64 pairs).
 
     The file is written beside path and renamed over it, so a reader
-    never sees a partial file.
+    never sees a partial file; a failed write removes its temporary file
+    and leaves path as it was.
     """
     fp = store.fingerprint.encode()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(fp)))
-        f.write(fp)
-        f.write(_HEADER.pack(store.P, *_rule_counts(store.media), 0.0))
-        f.write(struct.pack("<Q", len(store.entries)))
-        for key, vals in sorted(store.entries.items()):
-            f.write(_ENTRY.pack(*key, len(vals)))
-            f.write(np.ascontiguousarray(vals, dtype="<c16").tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", len(fp)))
+            f.write(fp)
+            f.write(_HEADER.pack(store.P, *_RULE))
+            f.write(struct.pack("<Q", len(store.entries)))
+            for key, vals in sorted(store.entries.items()):
+                f.write(_ENTRY.pack(*key, len(vals)))
+                f.write(np.ascontiguousarray(vals, dtype="<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read(f, size):
@@ -421,7 +417,7 @@ def _read(f, size):
 
 
 def load_tables(path, media: MediaConfig, P: int) -> TableStore:
-    """Load a table store; the media fingerprint, P and rule counts must match."""
+    """Load a table store; the media fingerprint, P and quadrature rule must match."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic in _OLD_MAGICS:
@@ -430,17 +426,16 @@ def load_tables(path, media: MediaConfig, P: int) -> TableStore:
             raise ValueError("not a translation table file")
         (fplen,) = struct.unpack("<I", _read(f, 4))
         fp = _read(f, fplen).decode()
-        p_stored, *counts = _HEADER.unpack(_read(f, _HEADER.size))
+        p_stored, *rule = _HEADER.unpack(_read(f, _HEADER.size))
         if fp != media.fingerprint():
             raise ValueError("table cache was built for different media "
                              f"({fp}, not {media.fingerprint()})")
         if p_stored != P:
             raise ValueError(f"table cache was built for P={p_stored}, not P={P}")
-        expected = (*_rule_counts(media), 0.0)
-        if tuple(counts) != expected:
+        if tuple(rule) != _RULE:
             raise ValueError(
-                "table cache was built with rule counts (propagating, evanescent, "
-                f"Laguerre a) = {tuple(counts)}, not {expected}")
+                "table cache was built with the quadrature rule (propagating nodes, grid "
+                f"start, grid cap, tolerances) {tuple(rule)}, not {_RULE}")
         store = TableStore(media, P)
         (count,) = struct.unpack("<Q", _read(f, 8))
         for _ in range(count):

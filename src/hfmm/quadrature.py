@@ -1,9 +1,9 @@
-"""Fixed quadrature rules for the Sommerfeld-integral split.
+"""Gauss-Legendre and generalized Gauss-Laguerre rules, each a (nodes, weights) pair.
 
-The propagating part lives on a finite interval (Gauss-Legendre);
-the evanescent part is a semi-infinite integral with exponential decay
-(generalized Gauss-Laguerre, the e^{-t y} factor supplying the weight
-after rescaling t -> t / y).  Each rule is a (nodes, weights) pair.
+Every spectral integral of the package maps Gauss-Legendre rules
+(legendre_base) onto its own intervals.  gauss_laguerre_generalized has
+no caller in the package; the benchmark tracer (perfbench/tracing.py)
+wraps it by name.
 """
 
 from __future__ import annotations

@@ -90,9 +90,9 @@ class TestRunConfig:
             RunConfig(media=MediaConfig.free(1.0), order=0)
 
     def test_evan_count_resolution(self, tmp_path):
-        # the table file header holds P, the propagating and Laguerre rule
-        # counts and the Laguerre a; the three-layer reflectance needs
-        # twice the Laguerre nodes
+        # the table file header holds P and the quadrature rule: propagating
+        # nodes, grid start and cap nodes per panel and the three
+        # tolerances, the same for every medium
         parts = _random_particles(9, 60)
         headers = {}
         for media in (MediaConfig.two_layer(1.0, 1.0),
@@ -102,8 +102,9 @@ class TestRunConfig:
                                        table_cache=str(path)))
             raw = path.read_bytes()
             (fplen,) = struct.unpack_from("<I", raw, 8)
-            headers[media.variant] = struct.unpack_from("<IIId", raw, 12 + fplen)
-        assert headers == {"two-layer": (5, 64, 64, 0.0), "three-layer": (5, 64, 128, 0.0)}
+            headers[media.variant] = struct.unpack_from("<IIIIddd", raw, 12 + fplen)
+        rule = (5, 64, 48, 384, 1e-12, 5e-12, 1e-10)
+        assert headers == {"two-layer": rule, "three-layer": rule}
 
 
 class TestFmmAgainstDirect:
@@ -127,6 +128,29 @@ class TestFmmAgainstDirect:
         ref = direct_apply(parts, media)
         got = fmm_apply(parts, RunConfig(media=media, order=20, leaf_capacity=30))
         assert error_metric(ref, got, len(parts)) <= 1e-8
+
+    @pytest.mark.parametrize("half_width", [5.0, 1.5], ids=["width-10", "width-3"])
+    def test_flat_strip_near_interface(self, half_width):
+        # a strip 0.1 high just above the interface: its rescaled k and
+        # alpha reach 10, and entries with dx several times dy must
+        # resolve e^{i root dx} on the evanescent contour
+        rng = np.random.default_rng(41)
+        xs = rng.uniform(-half_width, half_width, 400)
+        ys = rng.uniform(0.01, 0.11, 400)
+        qs = rng.normal(size=400)
+        parts = [Particle(Point2(float(x), float(y)), float(q)) for x, y, q in zip(xs, ys, qs)]
+        media = MediaConfig.two_layer(1.0, 1.0)
+        got = fmm_apply(parts, RunConfig(media=media, order=16, leaf_capacity=20)).values
+        # sampled oracle: free-space rows plus batched scattered rows
+        rows = rng.choice(400, 8, replace=False)
+        ref = []
+        for i in rows:
+            r = np.hypot(xs[i] - xs, ys[i] - ys)
+            r[i] = 1.0
+            free = 0.25j * hankel0(r)
+            free[i] = 0.0
+            ref.append(free @ qs + greens.scattered_batch(media, xs[i] - xs, ys[i] + ys) @ qs)
+        assert error_metric(np.array(ref), got[rows], len(rows)) <= 1e-8
 
     def test_three_layer(self):
         parts = _random_particles(6, 150, ylo=0.05, yhi=1.0)
@@ -195,17 +219,18 @@ class TestStructure:
         np.testing.assert_array_equal(first, second)
 
     def test_warm_call_builds_no_legendre_rule(self, monkeypatch):
-        # y down to 5e-3 sends table entries down the adaptive evanescent
-        # path and near pairs through the truncated line image
+        # y down to 5e-3: entries near the reflectance pole, B tails and
+        # near pairs through the truncated line image
         parts = _random_particles(15, 300, ylo=5e-3, yhi=1.0)
         cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=12,
                         leaf_capacity=30)
         first = fmm_apply(parts, cfg).values
-        calls = {"rule": 0, "adaptive": 0, "tail": 0}
+        calls = {"rule": 0, "A": 0, "tail": 0}
 
         def counted(key, fn):
+            # a table computation counts its keys
             def wrapped(*args, **kwargs):
-                calls[key] += 1
+                calls[key] += len(args[0]) if key != "rule" else 1
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -215,36 +240,13 @@ class TestStructure:
                                     counted("rule", mod.roots_legendre))
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             counted("rule", np.polynomial.legendre.leggauss))
-        monkeypatch.setattr(layered, "_evan_entries_adaptive",
-                            counted("adaptive", layered._evan_entries_adaptive))
+        monkeypatch.setattr(layered, "compute_A", counted("A", layered.compute_A))
         monkeypatch.setattr(layered, "compute_B_tail",
                             counted("tail", layered.compute_B_tail))
         second = fmm_apply(parts, cfg).values
-        assert calls["adaptive"] > 0 and calls["tail"] > 0
+        assert calls["A"] > 0 and calls["tail"] > 0
         assert calls["rule"] == 0
         np.testing.assert_array_equal(first, second)
-
-    def test_warm_call_builds_no_laguerre_rule(self, monkeypatch):
-        # particles well above the interface: table entries take the
-        # Laguerre path, so the warm call asks for the rule again
-        parts = _random_particles(15, 300, ylo=1.0, yhi=2.0)
-        cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=12, leaf_capacity=30)
-        fmm_apply(parts, cfg)
-        calls = {"asked": 0, "built": 0}
-
-        def counted(key, fn):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(layered, "gauss_laguerre_generalized",
-                            counted("asked", layered.gauss_laguerre_generalized))
-        monkeypatch.setattr(quadrature, "roots_genlaguerre",
-                            counted("built", quadrature.roots_genlaguerre))
-        fmm_apply(parts, cfg)
-        assert calls["built"] == 0
-        assert calls["asked"] > 0
 
     def test_three_layer_near_pairs_skip_the_pairwise_oracle(self, monkeypatch):
         parts = _random_particles(17, 300, ylo=0.01, yhi=1.0)
@@ -433,12 +435,13 @@ def _pinned_particles(seed, n, ylo):
 
 
 def _count_entry_work(monkeypatch):
+    # keys computed per kind, and table file writes
     calls = {"compute_A": 0, "compute_B_tail": 0, "save_tables": 0}
     for name in calls:
         fn = getattr(layered, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name] += 1 if _name == "save_tables" else len(args[0])
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(layered, name, counted)
@@ -491,22 +494,30 @@ class TestTableCache:
                  "near_pairs": sum(len(srcs) for srcs in near.values()),
                  "near_blocks": len({frozenset((tgt, src)) for tgt, srcs in near.items()
                                      for src in srcs})}
-        assert cold.counts == {"entries_computed": held, "entries_held": held, **shape}
+        grid = cold.counts["grid_nodes"]
+        assert cold.counts == {"entries_computed": held, "entries_held": held,
+                               "grid_nodes": grid, **shape}
         assert held > 0
-        assert warm.counts == {"entries_computed": 0, "entries_held": held, **shape}
+        # an A batch and a B-tail batch, each on panels of at least 96 nodes
+        assert grid >= 2 * 96 and grid % 96 == 0
+        assert warm.counts == {"entries_computed": 0, "entries_held": held,
+                               "grid_nodes": 0, **shape}
         assert "entries_held" not in cold.timings
         free = fmm_apply(parts, RunConfig(media=MediaConfig.free(1.0), order=10))
-        assert free.counts == {"entries_computed": 0, "entries_held": 0, **shape}
+        assert free.counts == {"entries_computed": 0, "entries_held": 0, "grid_nodes": 0,
+                               **shape}
 
     def test_file_refuses_other_rule_counts(self, tmp_path):
         # root side 1, so the run's rescaled medium is media itself and
-        # only the rule counts differ from the file's (runs use 64, 64, 0.0)
+        # only the quadrature rule differs from the file's (runs use 64,
+        # 48, 384, 1e-12, 5e-12, 1e-10)
         parts = _pinned_particles(17, 200, 0.1)
         media = MediaConfig.two_layer(1.0, 1.0)
         fp = media.fingerprint().encode()
         cache = tmp_path / "tables.bin"
-        for counts in ((64, 16, 0.0), (32, 64, 0.0), (64, 64, 0.5)):
-            cache.write_bytes(b"HFMMTB3\x00" + struct.pack("<I", len(fp)) + fp
-                              + struct.pack("<IIIdQ", 10, *counts, 0))
-            with pytest.raises(ValueError, match="rule counts"):
+        for rule in ((64, 96, 384, 1e-12, 5e-12, 1e-10), (64, 48, 768, 1e-12, 5e-12, 1e-10),
+                     (64, 48, 384, 1e-12, 1e-11, 1e-10)):
+            cache.write_bytes(b"HFMMTB4\x00" + struct.pack("<I", len(fp)) + fp
+                              + struct.pack("<IIIIdddQ", 10, *rule, 0))
+            with pytest.raises(ValueError, match="quadrature rule"):
                 fmm_apply(parts, RunConfig(media=media, order=10, table_cache=str(cache)))

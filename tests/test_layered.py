@@ -12,10 +12,18 @@ from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
     scattered_direct
 from hfmm import layered
-from hfmm.layered import (TableKey, TableStore, TranslationGeometry, _verify_doubling,
-                          compute_A, compute_B_tail, load_tables, pair_key, save_tables)
+from hfmm.layered import (TableKey, TableStore, TranslationGeometry, compute_A,
+                          compute_B_tail, load_tables, pair_key, save_tables)
 from hfmm.quadrature import gauss_legendre
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
+
+
+def _entries_A(geom, media, P):
+    return compute_A([geom], media, P)[0][0]
+
+
+def _entries_B(geom, media, P):
+    return compute_B_tail([geom], media, P)[0][0]
 
 
 def _real_sources(seed, n, center, radius):
@@ -135,7 +143,7 @@ class TestComputeA:
         # target-about-image offset
         media = MediaConfig.two_layer(1.0, 0.0)
         geom = TranslationGeometry(dx=1.5, dy=2.2)
-        entries = compute_A(geom, media, 8)
+        entries = _entries_A(geom, media, 8)
         rho = np.hypot(geom.dx, geom.dy)
         theta = np.arctan2(geom.dy, geom.dx)
         nu = np.arange(-16, 17)
@@ -144,7 +152,7 @@ class TestComputeA:
 
     def test_toeplitz_assembly(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        entries = compute_A(TranslationGeometry(dx=1.0, dy=2.5), media, 5)
+        entries = _entries_A(TranslationGeometry(dx=1.0, dy=2.5), media, 5)
         mat = translation_matrix(entries, 5, "m-p")
         for d in range(-10, 11):
             diag = np.diagonal(mat, offset=d)
@@ -152,26 +160,37 @@ class TestComputeA:
 
     def test_free_media_rejected(self):
         with pytest.raises(ValueError):
-            compute_A(TranslationGeometry(dx=1.0, dy=2.0), MediaConfig.free(1.0), 5)
+            _entries_A(TranslationGeometry(dx=1.0, dy=2.0), MediaConfig.free(1.0), 5)
 
-    def test_node_doubling_stable(self):
+    def test_node_doubling_stable(self, monkeypatch):
+        # every batch checks its grid by doubling; with the cap at the
+        # start count there is no second grid to compare, so it raises
         media = MediaConfig.two_layer(1.0, 1.0)
-        compute_A(TranslationGeometry(dx=1.5, dy=2.5), media, 10,
-                  verify=True)  # raises on >1e-11 disagreement
+        geoms = [TranslationGeometry(dx=1.5, dy=2.5), TranslationGeometry(dx=0.75, dy=0.26)]
+        rows, nodes = compute_A(geoms, media, 10)
+        assert rows.shape == (2, 41) and np.all(np.isfinite(rows)) and nodes > 0
+        monkeypatch.setattr(layered, "_GRID_CAP", layered._GRID_START)
+        with pytest.raises(QuadratureConvergenceError, match="did not converge"):
+            compute_A(geoms[1:], media, 10)
 
-    def test_doubling_check_fails_on_nan(self):
-        entries = np.ones(9, dtype=complex)
-        doubled = entries.copy()
-        doubled[4] = np.nan
+    def test_doubling_check_fails_on_nan(self, monkeypatch):
+        # a NaN reflectance at one evanescent node never converges
+        reflectance = layered.reflectance
+
+        def poisoned(media, kappa):
+            out = np.array(reflectance(media, kappa))
+            if np.all(np.imag(kappa) == 0.0):
+                out[len(out) // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(layered, "reflectance", poisoned)
         with pytest.raises(QuadratureConvergenceError):
-            _verify_doubling(entries, doubled, "test")
-        with pytest.raises(QuadratureConvergenceError):
-            _verify_doubling(doubled, entries, "test")
+            compute_A([TranslationGeometry(dx=1.5, dy=2.5)], MediaConfig.two_layer(1.0, 1.0), 8)
 
     @pytest.mark.parametrize("media,center_y", [
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 1.0, id="media0"),
         pytest.param(MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 1.0, id="media1"),
-        # dy * min(k, alpha) = 0.6 < 2: the two-layer adaptive evanescent path
+        # dy * min(k, alpha) = 0.6: the decay scale reaches the reflectance pole
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 0.3, id="two-layer-near-interface"),
     ])
     def test_m2l_vs_scattered_oracle(self, media, center_y):
@@ -179,7 +198,7 @@ class TestComputeA:
         parts = _real_sources(21, 15, src_c, 0.2)
         P = 25
         geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y)
-        loc = _scattered_local(parts, src_c, compute_A(geom, media, P), P, media.k1)
+        loc = _scattered_local(parts, src_c, _entries_A(geom, media, P), P, media.k1)
         rng = np.random.default_rng(22)
         for _ in range(6):
             x = (tgt_c.x + rng.uniform(-0.2, 0.2), tgt_c.y + rng.uniform(-0.2, 0.2))
@@ -194,7 +213,7 @@ class TestComputeA:
         tgt_c = Point2(shift + 1.25, 0.8)
         parts = _real_sources(23, 10, src_c, 0.15)
         geom = TranslationGeometry(dx=1.25, dy=1.6)
-        loc = _scattered_local(parts, src_c, compute_A(geom, media, 15), 15, 1.0)
+        loc = _scattered_local(parts, src_c, _entries_A(geom, media, 15), 15, 1.0)
         x = (tgt_c.x + 0.1, tgt_c.y - 0.05)
         assert _eval_local(loc, tgt_c, x, 1.0) == pytest.approx(
             _scattered_sum(media, parts, x), abs=1e-9)
@@ -203,7 +222,7 @@ class TestComputeA:
 class TestM2LHeterogeneous:
     def test_order_mismatch(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        entries = compute_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8)
+        entries = _entries_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8)
         with pytest.raises(ValueError):
             translation_matrix(entries, 7, "m-p")
 
@@ -211,7 +230,7 @@ class TestM2LHeterogeneous:
 class TestComputeBTail:
     def test_alpha_zero_is_zero_vector(self):
         media = MediaConfig.two_layer(1.0, 0.0)
-        entries = compute_B_tail(TranslationGeometry(dx=1.5, dy=0.8, cutoff=0.4), media, 6)
+        entries = _entries_B(TranslationGeometry(dx=1.5, dy=0.8, cutoff=0.4), media, 6)
         np.testing.assert_array_equal(entries, 0.0)
 
     def test_c_to_zero_collapse(self):
@@ -219,18 +238,18 @@ class TestComputeBTail:
         # A(alpha) minus the point-image entries A(alpha = 0)
         media = MediaConfig.two_layer(1.0, 1.0)
         geom = TranslationGeometry(dx=1.5, dy=1.1)
-        full = compute_A(geom, media, 8)
-        point = compute_A(geom, MediaConfig.two_layer(1.0, 0.0), 8)
-        tail = compute_B_tail(TranslationGeometry(dx=1.5, dy=1.1, cutoff=1e-9), media, 8)
+        full = _entries_A(geom, media, 8)
+        point = _entries_A(geom, MediaConfig.two_layer(1.0, 0.0), 8)
+        tail = _entries_B(TranslationGeometry(dx=1.5, dy=1.1, cutoff=1e-9), media, 8)
         np.testing.assert_allclose(tail, full - point, atol=1e-10)
 
     def test_invalid_cutoff(self):
         media = MediaConfig.two_layer(1.0, 1.0)
         with pytest.raises(ValueError):
-            compute_B_tail(TranslationGeometry(dx=1.0, dy=1.0), media, 5)
+            _entries_B(TranslationGeometry(dx=1.0, dy=1.0), media, 5)
         with pytest.raises(ValueError):
-            compute_B_tail(TranslationGeometry(dx=1.0, dy=1.0, cutoff=0.5),
-                           MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 5)
+            _entries_B(TranslationGeometry(dx=1.0, dy=1.0, cutoff=0.5),
+                       MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 5)
 
     def test_tail_matches_split_oracle(self):
         # potential II = scattered - point image - integral over [0, C]
@@ -240,7 +259,7 @@ class TestComputeBTail:
         parts = _real_sources(25, 8, src_c, 0.15)
         P = 25
         geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y, cutoff=C)
-        entries = compute_B_tail(geom, media, P)
+        entries = _entries_B(geom, media, P)
         loc = _scattered_local(parts, src_c, entries, P, k)
         nodes, weights = gauss_legendre(48, 0.0, C)
         for x in [(1.4, 0.25), (1.6, 0.4)]:
@@ -322,25 +341,29 @@ class TestTableStore:
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 9)
 
     def test_load_rejects_other_rule_counts(self, tmp_path):
-        # header: P, propagating count, Laguerre count, Laguerre a; the
-        # two-layer entries take (64, 64, 0.0)
+        # header: P, propagating nodes, grid start and cap nodes per panel
+        # and the three tolerances; runs use (64, 48, 384, 1e-12, 5e-12, 1e-10)
         media = MediaConfig.two_layer(1.0, 1.0)
         fp = media.fingerprint().encode()
         path = tmp_path / "tables.bin"
-        for counts in ((64, 16, 0.0), (32, 64, 0.0), (64, 64, 0.5)):
-            path.write_bytes(b"HFMMTB3\x00" + struct.pack("<I", len(fp)) + fp
-                             + struct.pack("<IIIdQ", 8, *counts, 0))
-            with pytest.raises(ValueError, match="rule counts"):
+        for rule in ((32, 48, 384, 1e-12, 5e-12, 1e-10), (64, 24, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 48, 192, 1e-12, 5e-12, 1e-10), (64, 48, 384, 1e-11, 5e-12, 1e-10),
+                     (64, 48, 384, 1e-12, 5e-12, 1e-9)):
+            path.write_bytes(b"HFMMTB4\x00" + struct.pack("<I", len(fp)) + fp
+                             + struct.pack("<IIIIdddQ", 8, *rule, 0))
+            with pytest.raises(ValueError, match="quadrature rule"):
                 load_tables(path, media, 8)
 
     def test_load_rejects_old_format(self, tmp_path):
-        # first format: magic, fingerprint, P, max level, root height, entries
+        # first format: magic, fingerprint, P, max level, root height,
+        # entries; third: P, propagating and Laguerre counts, Laguerre a
         fp = MediaConfig.two_layer(1.0, 1.0).fingerprint().encode()
         path = tmp_path / "tables.bin"
-        path.write_bytes(b"HFMMTB1\x00" + struct.pack("<I", len(fp)) + fp
-                         + struct.pack("<IIdQ", 8, 2, 0.05, 0))
-        with pytest.raises(ValueError, match="old format"):
-            load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)
+        for magic, header in ((b"HFMMTB1\x00", struct.pack("<IIdQ", 8, 2, 0.05, 0)),
+                              (b"HFMMTB3\x00", struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0))):
+            path.write_bytes(magic + struct.pack("<I", len(fp)) + fp + header)
+            with pytest.raises(ValueError, match="old format"):
+                load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)
 
     def test_load_rejects_box_pair_format(self, tmp_path):
         # second format: entries keyed by the box pair, not the geometry
@@ -351,6 +374,18 @@ class TestTableStore:
                          + struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0))
         with pytest.raises(ValueError, match="old format"):
             load_tables(path, media, 8)
+
+    def test_failed_save_leaves_file_and_no_temporary(self, tmp_path):
+        media = MediaConfig.two_layer(1.0, 1.0)
+        store = _planned(2, media, 8).store
+        path = tmp_path / "tables.bin"
+        save_tables(store, path)
+        before = path.read_bytes()
+        store.entries[TableKey(0.0, 2, 3, 3, 0)] = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_tables(store, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["tables.bin"]
 
     def test_load_rejects_truncated_file(self, tmp_path):
         media = MediaConfig.two_layer(1.0, 1.0)
@@ -384,10 +419,11 @@ def _exact_geometry(y0, tgt, src, cut_line):
 
 
 class TestOneEntryPerGeometry:
+    # "laguerre" ids: dy times the nearest singularity distance (1 and 0.6)
+    # is 2.5 or more; "adaptive" ids: 0.3 or less, near the singularities
     @pytest.mark.parametrize("media, dy", [
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 2.5, id="two-layer-laguerre"),
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 0.3, id="two-layer-adaptive"),
-        # dy times the nearest singularity distance (0.6) must reach 2
         pytest.param(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 4.0,
                      id="three-layer-laguerre"),
         pytest.param(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 0.3,
@@ -396,14 +432,14 @@ class TestOneEntryPerGeometry:
     def test_negative_dx_is_reversed(self, media, dy):
         # A_{-dx}(nu) = A_{dx}(-nu)
         for dx in (0.375, 1.5):
-            plus = compute_A(TranslationGeometry(dx=dx, dy=dy), media, 8)
-            minus = compute_A(TranslationGeometry(dx=-dx, dy=dy), media, 8)
+            plus = _entries_A(TranslationGeometry(dx=dx, dy=dy), media, 8)
+            minus = _entries_A(TranslationGeometry(dx=-dx, dy=dy), media, 8)
             assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
 
     def test_negative_dx_tail_is_reversed(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        plus = compute_B_tail(TranslationGeometry(dx=0.375, dy=0.15, cutoff=0.2), media, 8)
-        minus = compute_B_tail(TranslationGeometry(dx=-0.375, dy=0.15, cutoff=0.2), media, 8)
+        plus = _entries_B(TranslationGeometry(dx=0.375, dy=0.15, cutoff=0.2), media, 8)
+        minus = _entries_B(TranslationGeometry(dx=-0.375, dy=0.15, cutoff=0.2), media, 8)
         assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
 
     def test_mirror_pairs_share_one_entry(self):
@@ -421,11 +457,12 @@ class TestOneEntryPerGeometry:
         for (tgt, src), got in zip(pairs, entries):
             geom = TranslationGeometry(dx=tgt.center.x - src.center.x,
                                        dy=tgt.center.y + src.center.y)
-            direct = compute_A(geom, media, 6)
+            direct = _entries_A(geom, media, 6)
             assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
     def test_one_computation_per_geometry(self, monkeypatch):
-        # near-interface particles: mixed-level pairs, adaptive entries and B tails
+        # near-interface particles: mixed-level pairs, entries near the
+        # reflectance pole and B tails
         rng = np.random.default_rng(31)
         parts = [Particle(Point2(float(x), float(y)), 1.0)
                  for x, y in zip(rng.uniform(-0.5, 0.5, 300), rng.uniform(5e-3, 1.0, 300))]
@@ -438,11 +475,11 @@ class TestOneEntryPerGeometry:
                        for tgt, srcs in near.items() for src in srcs}
         assert any(c > 0 for _, _, c in geometries)
         assert len({n.level for n in tree.leaves}) > 1
-        calls = []
+        computed = []
         for name in ("compute_A", "compute_B_tail"):
             fn = getattr(layered, name)
             monkeypatch.setattr(layered, name,
-                                lambda *a, _fn=fn, **kw: calls.append(a) or _fn(*a, **kw))
-        fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=4,
-                                   leaf_capacity=20))
-        assert len(calls) == len(geometries)
+                                lambda g, *a, _fn=fn: computed.extend(g) or _fn(g, *a))
+        out = fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=4,
+                                         leaf_capacity=20))
+        assert len(computed) == len(geometries) == out.counts["entries_computed"]
