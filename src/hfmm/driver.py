@@ -45,9 +45,10 @@ class PotentialVector:
     values: np.ndarray
     timings: dict = field(default_factory=dict)
     # table entries this call computed and those its store held at the
-    # end; evanescent nodes of the grids that computed them; leaves;
-    # ordered near (target, source) leaf pairs; free-space kernel blocks
-    # the near field evaluated (one per unordered pair)
+    # end; evanescent nodes of the grids that computed them; leaves; the
+    # deepest level; V pairs; ordered near (target, source) leaf pairs;
+    # free-space kernel blocks the near field evaluated (one per
+    # unordered pair)
     counts: dict = field(default_factory=dict)
 
 
@@ -123,42 +124,55 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 # fmm passes
 
 
-def _quadrant(child, parent):
-    """Child center minus parent center, in half-widths of the child."""
-    return (2 * (child.index[0] - 2 * parent.index[0]) - 1,
-            2 * (child.index[1] - 2 * parent.index[1]) - 1)
-
-
-def _index_offset(src, tgt):
-    return (tgt.index[0] - src.index[0], tgt.index[1] - src.index[1])
-
-
 # Particles per sweep of P2M or local evaluation: a chunk's (2P+1) x n
 # complex block of Bessel terms stays near this many bytes.
 _SWEEP_BYTES = 1 << 18
 
 
+def _cell_codes(cells):
+    """One int64 per (level, ix, iy) row, in the rows' order: a level bit above the index bits."""
+    level, ix, iy = np.asarray(cells, dtype=np.int64).T
+    return (1 << 2 * level) | (ix << level) | iy
+
+
+def _groups(src, tgt, *columns):
+    """(rows, srcs, tgts): the distinct rows of the integer columns, sorted, and
+    the source and target ids of each row's pairs, in their given order."""
+    cols = np.stack(columns)
+    if not cols.shape[1]:
+        return cols.T, [], []
+    order = np.lexsort(cols[::-1])
+    cols = cols[:, order]
+    cuts = np.flatnonzero(np.any(cols[:, 1:] != cols[:, :-1], axis=0)) + 1
+    members = np.split(order, cuts)
+    return cols[:, np.r_[0, cuts]].T, [src[m] for m in members], [tgt[m] for m in members]
+
+
+def _per_level(level, src, tgt, *columns):
+    """{level: (rows, srcs, tgts)}: the groups of each level's pairs."""
+    rows, srcs, tgts = _groups(src, tgt, level, *columns)
+    sel = {lev: np.flatnonzero(rows[:, 0] == lev) for lev in np.unique(rows[:, 0]).tolist()}
+    return {lev: (rows[i, 1:], [srcs[j] for j in i], [tgts[j] for j in i])
+            for lev, i in sel.items()}
+
+
 class _Workspace:
-    """Per-run state: tree, scaled media, coefficient arrays, leaf and table plans.
+    """Per-run state: tree, scaled media, coefficient arrays and the integer plan.
 
-    multipole, local and image hold one row of 2P+1 coefficients per
-    tree node, indexed by the node's id in ids.  The leaf plan:
-    - leaves lists the leaves in particle order: their spans tile 0..N
-      in this order, which tree.leaves does not follow;
-    - row, cx and cy give each particle its leaf's node id and center;
-    - chunks splits leaves into runs of consecutive leaves, each swept
-      by one P2M and one local evaluation call;
-    - near_pairs holds each near leaf pair once, with the lower node id
-      first, and each leaf's pair with itself.
-
-    A layered run keys each scattered read once, here (the table plan):
-    - far[level] groups the level's V pairs (source in the target's
-      interaction list) by (key, flip) from layered.pair_key;
-    - near_reads groups the near pairs that read a table entry the
-      same way; line_image[leaf] lists the two-layer ones cut near the
-      interface as (source leaf, key), for the pairwise [0, C] image;
-    - cut[leaf] lists the three-layer near sources whose line image is
-      cut; greens.scattered_sum sums them without an entry.
+    _plan_nodes turns the tree into arrays once; the passes read only
+    these.  Node ids order the nodes by cell (level, ix, iy).  Per id:
+    cells, level, ix, iy, parent (-1 at the root), start, stop, and a row
+    of multipole, local and image.  Id pairs: v_src, v_tgt (source in the
+    target's V list); near, the ordered near leaf pairs as (tgt, src);
+    blocks, each once.  leaves: leaf ids in particle order; row, cx, cy:
+    each particle's leaf id and center; chunks: runs of leaves, each one
+    P2M and one local evaluation sweep.  One group-by (_groups) makes
+    every grouping, a GEMM per group: quadrants[level] (M2M, L2L),
+    offsets[level] (free M2L), and in a layered run the table plan from
+    one pair_key call for the V pairs and one for the near pairs:
+    far[level] and near_reads by (key, flip) (a two-layer cut key also
+    takes the pairwise [0, C] line image), and cut, the three-layer pairs
+    cut near the interface, by target leaf.
     """
 
     def __init__(self, particles, config):
@@ -172,33 +186,58 @@ class _Workspace:
         self.media = config.media.rescaled(1.0 / self.tree.side)
         self.k = self.media.k1
         self.q = qs[self.tree.perm]
-        self.x = self.tree.x
-        self.y = self.tree.y
+        self.x, self.y = self.tree.x, self.tree.y
         self.P = config.order
-        self.ids = {node: i for i, node in enumerate(self.tree.nodes.values())}
-        self.levels = {}
-        for node in self.tree.nodes.values():
-            self.levels.setdefault(node.level, []).append(node)
-        self.vpairs = {level: [(src, node) for node in nodes for src in node.interaction_list]
-                       for level, nodes in self.levels.items()}
         self.multipole = self.local = self.image = None
-        self._plan_leaves()
-        self.near = near_source_leaves(self.tree)
-        self.near_pairs = self._unordered_near_pairs()
-        self.store = None
-        self.far, self.near_reads, self.line_image, self.cut = {}, {}, {}, {}
+        self._plan_nodes()
+        level, ix, iy = self.level, self.ix, self.iy
+        child = np.arange(1, len(level))
+        self.quadrants = _per_level(level[child], self.parent[child], child,
+                                    2 * (ix[child] & 1) - 1, 2 * (iy[child] & 1) - 1)
+        src, tgt = self.v_src, self.v_tgt
+        self.offsets = _per_level(level[tgt], src, tgt, ix[tgt] - ix[src], iy[tgt] - iy[src])
+        self.store, self.far, self.near_reads, self.cut = None, {}, ([], [], []), ([], [], [])
         if self.media.variant != "free":
             self._plan_tables()
 
-    def _plan_leaves(self):
-        """Fill leaves, row, cx, cy and chunks."""
-        self.leaves = sorted(self.tree.leaves, key=lambda leaf: leaf.span[0])
-        starts = np.array([leaf.span[0] for leaf in self.leaves])
-        sizes = np.array([leaf.count for leaf in self.leaves])
-        ids = np.array([self.ids[leaf] for leaf in self.leaves])
-        self.row = np.repeat(ids, sizes)
-        self.cx = np.repeat([leaf.center.x for leaf in self.leaves], sizes)
-        self.cy = np.repeat([leaf.center.y for leaf in self.leaves], sizes)
+    def _ids(self, boxes):
+        """Node ids of tree nodes, looked up by the codes of their cells."""
+        cells = np.c_[[box.level for box in boxes], np.reshape([box.index for box in boxes], (-1, 2))]
+        return np.searchsorted(self._codes, _cell_codes(cells))
+
+    def _plan_nodes(self):
+        """Node arrays, pairs and leaf plan: the one walk over the tree's objects.
+
+        The near map must be symmetric: _near_free sums both directions
+        of a pair from one kernel block.
+        """
+        cells = sorted(self.tree.nodes)
+        nodes = [self.tree.nodes[cell] for cell in cells]
+        self.cells = np.array(cells, dtype=np.int64)
+        self.level, self.ix, self.iy = self.cells.T
+        self._codes = _cell_codes(self.cells)
+        self.start, self.stop = np.array([node.span for node in nodes], dtype=np.int64).T
+        self.parent = np.r_[-1, self._ids([node.parent for node in nodes[1:]])]
+        n = len(cells)
+        self.v_tgt = np.repeat(np.arange(n), [len(node.interaction_list) for node in nodes])
+        self.v_src = self._ids([src for node in nodes for src in node.interaction_list])
+        near = near_source_leaves(self.tree)
+        tgt = np.repeat(self._ids(list(near)), [len(srcs) for srcs in near.values()])
+        src = self._ids([src for srcs in near.values() for src in srcs])
+        one_sided = ~np.isin(src * n + tgt, tgt * n + src)
+        if one_sided.any():
+            a, b = cells[tgt[np.argmax(one_sided)]], cells[src[np.argmax(one_sided)]]
+            raise ValueError(f"near map is not symmetric: leaf {a[1:]} at level {a[0]} lists "
+                             f"leaf {b[1:]} at level {b[0]}, which does not list it")
+        self.near = (tgt, src)
+        self.blocks = np.divmod(np.unique((tgt * n + src)[tgt <= src]), n)
+        leaves = sorted(self.tree.leaves, key=lambda leaf: leaf.span[0])
+        self.leaves = self._ids(leaves)
+        centers = [(leaf.center.x, leaf.center.y) for leaf in leaves]
+        starts = self.start[self.leaves]
+        sizes = self.stop[self.leaves] - starts
+        self.row = np.repeat(self.leaves, sizes)
+        self.cx, self.cy = np.repeat(centers, sizes, axis=0).T
         # a new chunk begins where the next leaf would take the current one
         # past the budget; a leaf larger than the budget is a chunk alone
         budget = max(1, _SWEEP_BYTES // (16 * (2 * self.P + 1)))
@@ -208,45 +247,26 @@ class _Workspace:
                 bounds.append(i)
         bounds.append(len(starts))
         # (particle slice, leaf node ids, leaf starts within the slice)
-        self.chunks = [(slice(starts[i], starts[j - 1] + sizes[j - 1]), ids[i:j],
+        self.chunks = [(slice(starts[i], starts[j - 1] + sizes[j - 1]), self.leaves[i:j],
                         starts[i:j] - starts[i]) for i, j in zip(bounds, bounds[1:])]
 
-    def _unordered_near_pairs(self):
-        """Each near leaf pair once; raises unless the near map is symmetric.
-
-        The free-space near field evaluates one kernel block per pair for
-        both directions, so a one-sided entry of the map would be summed
-        in a direction the map does not ask for.
-        """
-        nodes = list(self.tree.nodes.values())
-        ordered = {(self.ids[tgt], self.ids[src]) for tgt, srcs in self.near.items()
-                   for src in srcs}
-        for i, j in ordered:
-            if (j, i) not in ordered:
-                a, b = nodes[i], nodes[j]
-                raise ValueError(
-                    f"near map is not symmetric: leaf {a.index} at level {a.level} lists "
-                    f"leaf {b.index} at level {b.level}, which does not list it")
-        return [(nodes[i], nodes[j]) for i, j in sorted(ordered) if i <= j]
-
     def _plan_tables(self):
-        """Fill far, near_reads, line_image and cut: one pair_key call per V pair and near pair."""
+        """Fill far, near_reads and cut: one pair_key call for the V pairs, one for the near pairs."""
         y0 = self.tree.root_xy[1]
-        for level, pairs in self.vpairs.items():
-            self.far[level] = self.grouped((layered.pair_key(y0, tgt, src), src, tgt)
-                                           for src, tgt in pairs)
-        three_layer = self.media.variant == "three-layer"
-        reads = []
-        for leaf, srcs in self.near.items():
-            for src in srcs:
-                key, flip = layered.pair_key(y0, leaf, src, near=True)
-                if key.cut and three_layer:
-                    self.cut.setdefault(leaf, []).append(src)
-                    continue
-                reads.append(((key, flip), src, leaf))
-                if key.cut:
-                    self.line_image.setdefault(leaf, []).append((src, key))
-        self.near_reads = self.grouped(reads)
+
+        def reads(rows):  # (key, flip) of each (shift, ax, sy, cut, flip) row
+            return [(layered.TableKey(y0, *row[:4]), bool(row[4])) for row in rows.tolist()]
+
+        src, tgt = self.v_src, self.v_tgt
+        keys, flip = layered.pair_key(y0, self.cells[tgt].T, self.cells[src].T)
+        self.far = {level: (reads(rows), srcs, tgts) for level, (rows, srcs, tgts)
+                    in _per_level(self.level[tgt], src, tgt, *keys.T, flip).items()}
+        tgt, src = self.near
+        keys, flip = layered.pair_key(y0, self.cells[tgt].T, self.cells[src].T, near=True)
+        cut = (keys[:, 3] > 0) & (self.media.variant == "three-layer")
+        rows, srcs, tgts = _groups(src[~cut], tgt[~cut], *keys[~cut].T, flip[~cut])
+        self.near_reads = (reads(rows), srcs, tgts)
+        self.cut = _groups(src[cut], tgt[cut], tgt[cut])
 
     def build_tables(self):
         """Load the table cache (or start a store) and fill it with every planned key."""
@@ -257,54 +277,37 @@ class _Workspace:
             self.store = layered.load_tables(cache, self.media, self.P)
         else:
             self.store = layered.TableStore(self.media, self.P)
-        keys = {key for groups in self.far.values() for key, _ in groups}
-        keys.update(key for key, _ in self.near_reads)
+        keys = {key for reads, _, _ in self.far.values() for key, _ in reads}
+        keys.update(key for key, _ in self.near_reads[0])
         self.store.fill(keys)
-
-    def grouped(self, keyed):
-        """Node ids of (key, source, target) triples, grouped by key.
-
-        Groups keep first-seen order.  Every key used here fixes the
-        source of a target, so a target appears at most once per group.
-        """
-        groups = {}
-        for key, src, tgt in keyed:
-            s, t = groups.setdefault(key, ([], []))
-            s.append(self.ids[src])
-            t.append(self.ids[tgt])
-        return {k: (np.array(s), np.array(t)) for k, (s, t) in groups.items()}
 
 
 def _translate(out, coeffs, groups, vectors, index):
     """out[targets] += T(vector) @ coeffs[sources]: one gather, GEMM and scatter per group.
 
-    vectors(keys) gives the translation vectors of all group keys in one call."""
-    if not groups:
+    groups is (rows, srcs, tgts) or None, vectors(rows) all its vectors
+    at once; a grouping fixes each target's source, so no group repeats a target.
+    """
+    if groups is None:
         return
-    P = (coeffs.shape[1] - 1) // 2
-    for vec, (src, tgt) in zip(vectors(list(groups)), groups.values()):
+    rows, srcs, tgts = groups
+    P = (out.shape[1] - 1) // 2
+    for vec, src, tgt in zip(vectors(rows), srcs, tgts):
         out[tgt] += coeffs[src] @ ex.translation_matrix(vec, P, index).T
-
-
-def _offsets(keys, scale):
-    """x and y arrays of integer offset keys times scale."""
-    return scale * np.array(keys, dtype=float).T
 
 
 def _upward(ws):
     """P2M at the leaves, one sweep per chunk, then M2M toward the root, one GEMM per child quadrant."""
     P, k = ws.P, ws.k
-    ws.multipole = np.zeros((len(ws.ids), 2 * P + 1), dtype=complex)
+    ws.multipole = np.zeros((len(ws.level), 2 * P + 1), dtype=complex)
     for span, ids, starts in ws.chunks:
         ws.multipole[ids] = ex.p2m_arrays(ws.x[span], ws.y[span], ws.q[span],
                                           ws.cx[span], ws.cy[span], P, k, starts=starts)
-    for level in sorted(ws.levels, reverse=True):
-        hw = 0.5 ** (level + 2)  # half width of the children
-        pairs = ws.grouped((_quadrant(child, node), child, node)
-                           for node in ws.levels[level] for child in node.children)
-        _translate(ws.multipole, ws.multipole, pairs,
-                   lambda o: np.conj(ex.translation_vector_j(k, *_offsets(o, hw), P)),
-                   "p-m")
+    for level in sorted(ws.quadrants, reverse=True):
+        hw = 0.5 ** (level + 1)  # half width of the children
+        quadrants, parents, children = ws.quadrants[level]
+        _translate(ws.multipole, ws.multipole, (quadrants, children, parents),
+                   lambda q: np.conj(ex.translation_vector_j(k, *(hw * q.T), P)), "p-m")
 
 
 def _downward(ws):
@@ -313,21 +316,16 @@ def _downward(ws):
     ws.local = np.zeros_like(ws.multipole)
     if ws.store is not None:
         ws.image = ex.image_coefficients(ws.multipole)
-    for level in sorted(ws.levels):
-        nodes = ws.levels[level]
+    for level in range(int(ws.level[-1]) + 1):
         hw = 0.5 ** (level + 1)  # half width of the boxes at this level
-        parents = ws.grouped((_quadrant(node, node.parent), node.parent, node)
-                             for node in nodes if node.parent is not None)
-        _translate(ws.local, ws.local, parents,
-                   lambda o: ex.translation_vector_j(k, *_offsets(o, hw), P), "m-p")
-        _translate(ws.local, ws.multipole,
-                   ws.grouped((_index_offset(src, tgt), src, tgt) for src, tgt in ws.vpairs[level]),
-                   lambda o: ex.translation_vector_h(k, *_offsets(o, 2 * hw), P), "m-p")
-        if ws.store is not None:
-            # the scattered part: image coefficients through one table entry
-            # per (key, flip), so the pairs of one geometry share a GEMM
-            _translate(ws.local, ws.image, ws.far[level],
-                       lambda keys: [ws.store.get(*kf) for kf in keys], "m-p")
+        _translate(ws.local, ws.local, ws.quadrants.get(level),
+                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P), "m-p")
+        _translate(ws.local, ws.multipole, ws.offsets.get(level),
+                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P), "m-p")
+        # the scattered part: image coefficients through one table entry
+        # per (key, flip), so the pairs of one geometry share a GEMM
+        _translate(ws.local, ws.image, ws.far.get(level),
+                   lambda reads: [ws.store.get(*read) for read in reads], "m-p")
 
 
 def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
@@ -366,14 +364,15 @@ def _near_free(ws, out):
     directions: out_A += G @ q_B and out_B += G.T @ q_A.
     """
     x, y, q, k = ws.x, ws.y, ws.q, ws.k
-    for tgt, src in ws.near_pairs:
-        a, b = tgt.span
-        c, d = src.span
+    tgt, src = ws.blocks
+    for same, a, b, c, d in zip((tgt == src).tolist(), ws.start[tgt].tolist(),
+                                ws.stop[tgt].tolist(), ws.start[src].tolist(),
+                                ws.stop[src].tolist()):
         r = np.hypot(x[a:b, None] - x[None, c:d], y[a:b, None] - y[None, c:d])
-        if src is tgt:
+        if same:
             np.fill_diagonal(r, 1.0)  # masked below; omits the singular self term
         g = 0.25j * hankel0(k * r)
-        if src is tgt:
+        if same:
             np.fill_diagonal(g, 0.0)
             out[a:b] += g @ q[a:b]
         else:
@@ -382,30 +381,32 @@ def _near_free(ws, out):
 
 
 def _near_cut(ws, out):
-    """out += the scattered near field of cut pairs the tables leave out, per target leaf."""
+    """out += the scattered near field of cut pairs the tables leave out."""
     k, x, y, q = ws.k, ws.x, ws.y, ws.q
+    start, stop = ws.start, ws.stop
     # two-layer near-interface part I: point image plus truncated line image
     gl_x, gl_w = legendre_base(32)
-    for leaf, pairs in ws.line_image.items():
-        a, b = leaf.span
-        tx, ty = x[a:b], y[a:b]
-        for src, key in pairs:
-            C = ws.store.geometry(key).cutoff
-            c, d = src.span
+    for (key, _), srcs, tgts in zip(*ws.near_reads):
+        if not key.cut:
+            continue
+        C = ws.store.geometry(key).cutoff
+        s_nodes = 0.5 * C * (gl_x + 1.0)
+        s_w = 0.5 * C * gl_w
+        mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
+        for t, s in zip(tgts.tolist(), srcs.tolist()):
+            a, b, c, d = start[t], stop[t], start[s], stop[s]
+            tx, ty = x[a:b], y[a:b]
             sx, sy, sq = x[c:d], y[c:d], q[c:d]
             r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
             out[a:b] += (0.25j * hankel0(k * r_img)) @ sq
-            s_nodes = 0.5 * C * (gl_x + 1.0)
-            s_w = 0.5 * C * gl_w
-            mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
             for idx in range(len(s_nodes)):
                 r_line = np.hypot(tx[:, None] - sx[None, :],
                                   ty[:, None] + sy[None, :] + s_nodes[idx])
                 out[a:b] += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
-    # three-layer near-interface: one spectral sum over every cut source
-    for leaf, srcs in ws.cut.items():
-        a, b = leaf.span
-        idx = np.concatenate([np.arange(*src.span) for src in srcs])
+    # three-layer near-interface: one spectral sum per target leaf over its cut sources
+    for s, t in zip(*ws.cut[1:]):
+        a, b = start[t[0]], stop[t[0]]
+        idx = np.concatenate([np.arange(c, d) for c, d in zip(start[s], stop[s])])
         out[a:b] += scattered_sum(ws.media, x[a:b], y[a:b], x[idx], y[idx], q[idx])
 
 
@@ -415,9 +416,8 @@ def _leaf_potentials(ws):
     The near pairs that read a table entry go into the leaf local
     expansions first, one GEMM per (key, flip) as in the downward pass.
     """
-    if ws.store is not None:
-        _translate(ws.local, ws.image, ws.near_reads,
-                   lambda keys: [ws.store.get(*kf) for kf in keys], "m-p")
+    _translate(ws.local, ws.image, ws.near_reads,
+               lambda reads: [ws.store.get(*read) for read in reads], "m-p")
     out = _local_potentials(ws)
     _near_free(ws, out)
     _near_cut(ws, out)
@@ -459,6 +459,8 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
               "entries_held": len(store.entries) if store else 0,
               "grid_nodes": store.grid_nodes if store else 0,
               "leaves": len(ws.leaves),
-              "near_pairs": sum(len(srcs) for srcs in ws.near.values()),
-              "near_blocks": len(ws.near_pairs)}
+              "depth": int(ws.level[-1]),
+              "v_pairs": len(ws.v_src),
+              "near_pairs": len(ws.near[0]),
+              "near_blocks": len(ws.blocks[0])}
     return PotentialVector(values=values, timings=timings, counts=counts)

@@ -301,41 +301,44 @@ class TableKey(NamedTuple):
 
 
 def pair_key(root_y0: float, tgt, src, near: bool = False):
-    """Table key of the scattered translation from tree box src to tree box tgt.
+    """Table keys of the scattered translations from tree boxes src to tree boxes tgt.
 
-    Returns (key, flip): the translation's dx is negative when flip is
-    set, and its entries are then the key's entries reversed, since
-    A_{-dx}(nu) = A_{dx}(-nu) (TableStore.get).  A near pair (near=True)
-    whose source box sits less than its own width above the interface
-    has its line image cut at C > 0, if C comes out positive.
+    tgt and src are (level, ix, iy) integer arrays, one entry per pair.
+    Returns (keys, flip): rows of TableKey fields (shift, ax, sy, cut),
+    and whether dx < 0, when the entries are the key's reversed, since
+    A_{-dx}(nu) = A_{dx}(-nu).  A near pair (near=True) whose source box
+    sits less than its own width above the interface has its line image
+    cut at C > 0, if C comes out positive.
     """
-    lt, (ixt, iyt) = tgt.level, tgt.index
-    ls, (ixs, iys) = src.level, src.index
-    fine = max(lt, ls)
+    lt, ixt, iyt = (np.asarray(a, dtype=np.int64) for a in tgt)
+    ls, ixs, iys = (np.asarray(a, dtype=np.int64) for a in src)
+    fine = np.maximum(lt, ls)
     shift = fine + 1  # lengths in half-widths of the finer box
     ax = ((2 * ixt + 1) << (fine - lt)) - ((2 * ixs + 1) << (fine - ls))
     sy = ((2 * iyt + 1) << (fine - lt)) + ((2 * iys + 1) << (fine - ls))
-    cut = 0
-    # with root_y0 > 0 only the bottom row (iys == 0) can sit that low
-    if near and iys == 0 and root_y0 < 0.5 ** ls:
-        # C = coarser width + both half widths - dy
-        cut = (3 << (fine - min(lt, ls))) + 1 - sy
-        if cut * 0.5 ** shift - 2.0 * root_y0 <= 0.0:
-            cut = 0
-    flip, ax = ax < 0, abs(ax)
-    while not (ax | sy | cut) & 1:  # sy > 0, so this ends
-        shift, ax, sy, cut = shift - 1, ax >> 1, sy >> 1, cut >> 1
-    return TableKey(root_y0, shift, ax, sy, cut), flip
+    cut = np.zeros_like(sy)
+    if near:
+        # C = coarser width + both half widths - dy; with root_y0 > 0 only
+        # the bottom row (iys == 0) can sit that low
+        c = (3 << (fine - np.minimum(lt, ls))) + 1 - sy
+        low = (iys == 0) & (root_y0 < np.ldexp(1.0, -ls))
+        cut = np.where(low & (c * np.ldexp(1.0, -shift) - 2.0 * root_y0 > 0.0), c, 0)
+    flip, ax = ax < 0, np.abs(ax)
+    # divide out the common power of two: v & -v is the lowest set bit of
+    # v > 0 (sy > 0), and frexp reads its exponent exactly
+    v = ax | sy | cut
+    tz = np.frexp((v & -v).astype(float))[1] - 1
+    return np.stack([shift - tz, ax >> tz, sy >> tz, cut >> tz], axis=-1), flip
 
 
 class TableStore:
     """The one cache of heterogeneous translation entries, keyed by TableKey.
 
     geometry() maps a key to its translation; fill() computes the keys
-    not held, one batch per kind; get() is the only read path and fills
-    a key it does not hold.  misses counts the keys computed and
-    grid_nodes the evanescent nodes of the grids that computed them.
-    Entries of several root heights can share one store.
+    not held, one batch per kind, and is the only compute path; get() is
+    the only read path.  misses counts the keys computed and grid_nodes
+    the evanescent nodes of the grids that computed them.  Entries of
+    several root heights can share one store.
     """
 
     def __init__(self, media: MediaConfig, P: int):
@@ -343,7 +346,6 @@ class TableStore:
         self.fingerprint = media.fingerprint()
         self.P = P
         self.entries = {}
-        self.hits = 0
         self.misses = 0
         self.grid_nodes = 0
 
@@ -366,11 +368,7 @@ class TableStore:
                 self.grid_nodes += nodes
 
     def get(self, key: TableKey, flip: bool = False) -> np.ndarray:
-        """Entries of key, reversed (the dx < 0 translation) when flip is set."""
-        if key in self.entries:
-            self.hits += 1
-        else:
-            self.fill([key])
+        """Entries of key, reversed (the dx < 0 translation) when flip is set; KeyError if not held."""
         found = self.entries[key]
         return found[::-1] if flip else found
 
@@ -417,7 +415,7 @@ def _read(f, size):
 
 
 def load_tables(path, media: MediaConfig, P: int) -> TableStore:
-    """Load a table store; the media fingerprint, P and quadrature rule must match."""
+    """Load a table store; media fingerprint, P and quadrature rule must match, entries be sound."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic in _OLD_MAGICS:
@@ -441,5 +439,8 @@ def load_tables(path, media: MediaConfig, P: int) -> TableStore:
         for _ in range(count):
             *key, nvals = _ENTRY.unpack(_read(f, _ENTRY.size))
             vals = np.frombuffer(_read(f, 16 * nvals), dtype="<c16")
+            if nvals != 4 * P + 1 or not np.all(np.isfinite(vals)):
+                raise ValueError(f"table cache entry {TableKey(*key)} is corrupt: want "
+                                 f"4P+1 = {4 * P + 1} finite values, found {nvals} values")
             store.entries[TableKey(*key)] = vals.copy()
     return store

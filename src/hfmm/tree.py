@@ -78,14 +78,6 @@ class Tree:
     def node_at(self, level, ix, iy):
         return self.nodes.get((level, ix, iy))
 
-    def covering_node(self, level, ix, iy):
-        """Deepest existing node whose cell contains (level, ix, iy)."""
-        for l in range(level, -1, -1):
-            n = self.nodes.get((l, ix >> (level - l), iy >> (level - l)))
-            if n is not None:
-                return n
-        return None
-
     def descendant_leaves(self, node):
         if node.is_leaf:
             return [node]
@@ -98,6 +90,15 @@ class Tree:
             else:
                 stack.extend(n.children)
         return out
+
+
+def _covering(nodes, level, ix, iy):
+    """Deepest node of nodes whose cell contains (level, ix, iy), or None."""
+    for l in range(level, -1, -1):
+        n = nodes.get((l, ix >> (level - l), iy >> (level - l)))
+        if n is not None:
+            return n
+    return None
 
 
 def _child_cell(node, perm, xn, yn):
@@ -202,13 +203,7 @@ def _balance(nodes, perm, xn, yn, config):
                     jx, jy = ix + dx, iy + dy
                     if jx < 0 or jy < 0 or jx >> l or jy >> l:
                         continue
-                    # existing node covering the neighbor cell
-                    cover = None
-                    for ll in range(l - 2, -1, -1):
-                        cand = nodes.get((ll, jx >> (l - ll), jy >> (l - ll)))
-                        if cand is not None:
-                            cover = cand
-                            break
+                    cover = _covering(nodes, l, jx, jy)
                     if cover is not None and cover.is_leaf and cover.level < l - 1 \
                             and cover.level < config.max_level:
                         _split(nodes, cover, perm, xn, yn)
@@ -256,7 +251,7 @@ def near_source_leaves(tree: Tree):
         found = set()
         for jx in range(max(ix - 1, 0), min(ix + 2, span)):
             for jy in range(max(iy - 1, 0), min(iy + 2, span)):
-                cover = tree.covering_node(l, jx, jy)
+                cover = _covering(tree.nodes, l, jx, jy)
                 if cover is None:
                     continue
                 if cover.level == l:

@@ -250,12 +250,9 @@ class TestStructure:
 
     def test_three_layer_near_pairs_skip_the_pairwise_oracle(self, monkeypatch):
         parts = _random_particles(17, 300, ylo=0.01, yhi=1.0)
-        tree = build_tree(parts, TreeConfig(leaf_capacity=30))
-        build_lists(tree)
-        y0 = tree.root_xy[1]
-        cut = sum(layered.pair_key(y0, tgt, src, near=True)[0].cut > 0
-                  for tgt, srcs in near_source_leaves(tree).items() for src in srcs)
-        assert cut > 0
+        cfg = RunConfig(media=MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), order=12,
+                        leaf_capacity=30)
+        assert len(driver._Workspace(parts, cfg).cut[1]) > 0
         calls = []
 
         def counted(*args, **kwargs):
@@ -263,9 +260,24 @@ class TestStructure:
             return greens.scattered_batch(*args, **kwargs)
 
         monkeypatch.setattr(driver, "scattered_batch", counted)
-        fmm_apply(parts, RunConfig(media=MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
-                                   order=12, leaf_capacity=30))
+        fmm_apply(parts, cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("media", [
+        MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
+        MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)], ids=lambda m: m.variant)
+    def test_one_pair_key_call_for_v_pairs_and_one_for_near_pairs(self, monkeypatch, media):
+        parts = _random_particles(26, 600, ylo=0.01, yhi=1.0)
+        calls = []
+        real = layered.pair_key
+
+        def counted(*args, near=False):
+            calls.append(near)
+            return real(*args, near=near)
+
+        monkeypatch.setattr(layered, "pair_key", counted)
+        fmm_apply(parts, RunConfig(media=media, order=6, leaf_capacity=20))
+        assert calls == ([] if media.variant == "free" else [False, True])
 
     @pytest.mark.parametrize("media", [
         MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
@@ -297,19 +309,42 @@ class TestStructure:
             fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=5))
 
 
+def _tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkHooks:
     """The benchmark wraps functions at the names the driver calls them by."""
 
     def test_tracer_finds_every_function(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        tracer = tracing.Tracer()
+        tracer = _tracing().Tracer()
         try:
             assert tracer.missing == set()
         finally:
             tracer.restore()
+
+    def test_counts_match_the_traced_tree(self):
+        # the tree shape in counts comes from the plan arrays; the tracer
+        # reads it off the tree objects
+        tracing = _tracing()
+        parts = _clustered_particles(25, 1200)
+        tracer = tracing.Tracer()
+        try:
+            tracer.recording = True
+            out = fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=6,
+                                             leaf_capacity=20))
+            tracer.recording = False
+            layers = tracing.summarize(tracer.drain())
+        finally:
+            tracer.restore()
+        assert out.counts["depth"] == layers["tree.build_tree"]["depth"] > 2
+        assert out.counts["leaves"] == layers["tree.build_tree"]["leaves"]
+        assert out.counts["v_pairs"] == layers["tree.build_lists"]["v_pairs"] > 0
+        assert out.counts["near_pairs"] == layers["tree.near_source_leaves"]["near_pairs"]
 
     def test_benchmark_smoke_check_passes(self):
         # every workload, untraced and traced, on tiny inputs: the tracer
@@ -362,27 +397,33 @@ class TestLeafSweeps:
                                          leaf_capacity=20))
         starts = [leaf.span[0] for leaf in ws.tree.leaves]
         assert starts != sorted(starts)  # tree.leaves is not in particle order
-        assert 1 < len(ws.chunks) < len(ws.leaves)
+        assert 1 < len(ws.chunks) < len(ws.leaves) == len(ws.tree.leaves)
         return ws
+
+    @staticmethod
+    def _leaves(ws):
+        """(node id, leaf) of every leaf, the leaf looked up in the tree by its cell."""
+        return [(i, ws.tree.nodes[(ws.level[i], ws.ix[i], ws.iy[i])]) for i in ws.leaves]
 
     def test_chunked_p2m_matches_per_leaf(self):
         ws = self._workspace()
         driver._upward(ws)
-        for leaf in ws.tree.leaves:
+        for i, leaf in self._leaves(ws):
             a, b = leaf.span
+            assert (a, b) == (ws.start[i], ws.stop[i])
             want = expansions.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
                                          leaf.center.x, leaf.center.y, ws.P, ws.k)
-            assert _close(ws.multipole[ws.ids[leaf]], want, 1e-14)
+            assert _close(ws.multipole[i], want, 1e-14)
 
     def test_chunked_local_evaluation_matches_per_leaf(self):
         ws = self._workspace()
         rng = np.random.default_rng(22)
-        shape = (len(ws.ids), 2 * ws.P + 1)
+        shape = (len(ws.level), 2 * ws.P + 1)
         ws.local = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got = driver._local_potentials(ws)
-        for leaf in ws.tree.leaves:
+        for i, leaf in self._leaves(ws):
             a, b = leaf.span
-            want = driver.local_values(ws.local[ws.ids[leaf]], ws.x[a:b], ws.y[a:b],
+            want = driver.local_values(ws.local[i], ws.x[a:b], ws.y[a:b],
                                        leaf.center.x, leaf.center.y, ws.k)
             assert _close(got[a:b], want, 1e-14)
 
@@ -392,11 +433,12 @@ class TestNearField:
         ws = driver._Workspace(_clustered_particles(23, 1500),
                                RunConfig(media=MediaConfig.free(1.0), order=8,
                                          leaf_capacity=20))
-        assert len({leaf.level for leaf in ws.leaves}) > 1
+        assert len(set(ws.level[ws.leaves])) > 1
         got = np.zeros(len(ws.q), dtype=complex)
         driver._near_free(ws, got)
         want = np.zeros_like(got)
-        for tgt, srcs in ws.near.items():  # every (target, source) block on its own
+        near = near_source_leaves(ws.tree)
+        for tgt, srcs in near.items():  # every (target, source) block on its own
             a, b = tgt.span
             for src in srcs:
                 c, d = src.span
@@ -405,7 +447,7 @@ class TestNearField:
                 g = np.zeros(r.shape, dtype=complex)
                 g[r > 0] = 0.25j * hankel0(ws.k * r[r > 0])
                 want[a:b] += g @ ws.q[c:d]
-        assert len(ws.near_pairs) < sum(len(srcs) for srcs in ws.near.values())
+        assert len(ws.blocks[0]) < len(ws.near[0]) == sum(len(srcs) for srcs in near.values())
         assert _close(got, want, 1e-14)
 
     def test_asymmetric_near_map_refused(self, monkeypatch):
@@ -489,8 +531,10 @@ class TestTableCache:
         cold = fmm_apply(parts, cfg)
         warm = fmm_apply(parts, cfg)
         held = cold.counts["entries_held"]
-        near = near_source_leaves(build_tree(parts, TreeConfig(leaf_capacity=40)))
-        shape = {"leaves": len(near),
+        tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=40)))
+        near = near_source_leaves(tree)
+        shape = {"leaves": len(near), "depth": tree.max_depth,
+                 "v_pairs": sum(len(node.interaction_list) for node in tree.nodes.values()),
                  "near_pairs": sum(len(srcs) for srcs in near.values()),
                  "near_blocks": len({frozenset((tgt, src)) for tgt, srcs in near.items()
                                      for src in srcs})}

@@ -1,6 +1,8 @@
 """Tests for the heterogeneous translation operators and table store."""
 
+import re
 import struct
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +66,23 @@ def _planned(level, media, P):
     return ws
 
 
+def _pair_keys(y0, pairs, near=False):
+    """(TableKey, flip) of each (target, source) tree box pair, from one pair_key call."""
+    def cells(boxes):
+        return np.array([(box.level, *box.index) for box in boxes]).reshape(-1, 3).T
+
+    keys, flip = pair_key(y0, cells([t for t, _ in pairs]), cells([s for _, s in pairs]), near)
+    return [(TableKey(y0, *row), bool(f)) for row, f in zip(keys.tolist(), flip)]
+
+
+def _expected_cutoff(tgt, src):
+    """Line-image cutoff of a near pair from the boxes' own floats."""
+    src_bottom = src.center.y - src.half_width
+    tgt_bottom = tgt.center.y - tgt.half_width
+    w = 2.0 * max(src.half_width, tgt.half_width)
+    return 0.0 if src_bottom >= 2.0 * src.half_width else max(0.0, w - (src_bottom + tgt_bottom))
+
+
 def _scattered_sum(media, parts, x, tol=1e-13):
     return sum(p.strength * scattered_direct(media, x, (p.position.x, p.position.y), tol)
                for p in parts)
@@ -88,39 +107,42 @@ class TestGeometry:
         assert TableStore.geometry(TableKey(0.25, 3, 6, 4, 5)).cutoff == 5 / 8 - 0.5
 
     def test_key_geometry_matches_tree_boxes(self):
+        # a box on the interface, a flat strip, a tree down to 5e-3 and the
+        # three-layer workload's root height
+        for half_width, ylo, yhi in ((0.5, 0.01, 0.6), (5.0, 0.01, 0.11), (0.5, 5e-3, 1.005),
+                                     (0.5, 0.05, 1.05)):
+            self._check_tree_keys(half_width, ylo, yhi)
+
+    @staticmethod
+    def _check_tree_keys(half_width, ylo, yhi):
         rng = np.random.default_rng(21)
         parts = [Particle(Point2(float(x), float(y)), 1.0)
-                 for x, y in zip(rng.uniform(-0.5, 0.5, 400), rng.uniform(0.01, 0.6, 400))]
+                 for x, y in zip(rng.uniform(-half_width, half_width, 400),
+                                 rng.uniform(ylo, yhi, 400))]
         tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=8)))
         y0 = tree.root_xy[1]
         levels = {n.level for n in tree.leaves}
         assert len(levels) > 1
-        for tgt in tree.leaves:
-            for src in tree.leaves:
-                if abs(tgt.level - src.level) > 1:
-                    continue
-                key, flip = pair_key(y0, tgt, src)
-                g = TableStore.geometry(key)
-                assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
-                if tgt.level == src.level:
-                    # the lattice closed form, one rounding
-                    assert g.dy == 2.0 * y0 + (tgt.index[1] + src.index[1] + 1) \
-                        * 0.5 ** tgt.level
-                assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
-                assert g.cutoff == 0.0
+        pairs = [(tgt, src) for tgt in tree.leaves for src in tree.leaves
+                 if abs(tgt.level - src.level) <= 1]
+        for (tgt, src), (key, flip) in zip(pairs, _pair_keys(y0, pairs)):
+            g = TableStore.geometry(key)
+            assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
+            if tgt.level == src.level:
+                # the lattice closed form, one rounding
+                assert g.dy == 2.0 * y0 + (tgt.index[1] + src.index[1] + 1) \
+                    * 0.5 ** tgt.level
+            assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+            assert g.cutoff == 0.0
         # near pairs: the line-image cutoff from the boxes' own floats
+        pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items() for src in srcs]
         cut = 0
-        for tgt, srcs in near_source_leaves(tree).items():
-            for src in srcs:
-                src_bottom = src.center.y - src.half_width
-                tgt_bottom = tgt.center.y - tgt.half_width
-                w = 2.0 * max(src.half_width, tgt.half_width)
-                expect = 0.0 if src_bottom >= 2.0 * src.half_width else \
-                    max(0.0, w - (src_bottom + tgt_bottom))
-                g = TableStore.geometry(pair_key(y0, tgt, src, near=True)[0])
-                assert g.cutoff == pytest.approx(expect, rel=1e-15, abs=1e-15)
-                assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
-                cut += expect > 0.0
+        for (tgt, src), (key, _) in zip(pairs, _pair_keys(y0, pairs, near=True)):
+            expect = _expected_cutoff(tgt, src)
+            g = TableStore.geometry(key)
+            assert g.cutoff == pytest.approx(expect, rel=1e-15, abs=1e-15)
+            assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+            cut += expect > 0.0
         assert cut > 0
 
     def test_swapped_levels_share_a_key(self):
@@ -130,11 +152,88 @@ class TestGeometry:
         y0 = tree.root_xy[1]
         coarse = tree.nodes[(1, 0, 1)]
         left, right = tree.nodes[(2, 0, 3)], tree.nodes[(2, 1, 3)]
-        key, flip = pair_key(y0, coarse, left)
+        (key, flip), swapped, mirrored = _pair_keys(
+            y0, [(coarse, left), (right, coarse), (left, coarse)])
         assert not flip
-        assert pair_key(y0, right, coarse) == (key, False)
-        assert pair_key(y0, left, coarse) == (key, True)
+        assert swapped == (key, False)
+        assert mirrored == (key, True)
         assert TableStore.geometry(key).dx == coarse.center.x - left.center.x
+
+
+class TestPlan:
+    @pytest.mark.parametrize("media", [
+        MediaConfig.two_layer(1.0, 1.0), MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+    ], ids=lambda m: m.variant)
+    def test_every_pair_in_one_group(self, media):
+        # each V pair and each ordered near pair lands in exactly one group
+        # (or, three-layer, one cut list), and each group's key, offset or
+        # quadrant reproduces the geometry of every box pair in it
+        rng = np.random.default_rng(33)
+        parts = [Particle(Point2(float(x), float(y)), 1.0)
+                 for x, y in zip(rng.uniform(-0.5, 0.5, 500), rng.uniform(5e-3, 1.0, 500))]
+        ws = _Workspace(parts, RunConfig(media=media, order=4, leaf_capacity=12))
+        tree = ws.tree
+        assert len({n.level for n in tree.leaves}) > 1
+
+        def boxes(ids):
+            return [tree.nodes[(ws.level[i], ws.ix[i], ws.iy[i])] for i in ids]
+
+        def pairs(srcs, tgts):
+            return [list(zip(boxes(s), boxes(t))) for s, t in zip(srcs, tgts)]
+
+        v_pairs = Counter((src, tgt) for tgt in tree.nodes.values()
+                          for src in tgt.interaction_list)
+        near = near_source_leaves(tree)
+        near_pairs = Counter((src, tgt) for tgt, srcs in near.items() for src in srcs)
+
+        far, offsets = Counter(), Counter()
+        for level, (reads, srcs, tgts) in ws.far.items():
+            for (key, flip), group in zip(reads, pairs(srcs, tgts)):
+                g = TableStore.geometry(key)
+                assert g.cutoff == 0.0
+                for src, tgt in group:
+                    assert tgt.level == src.level == level
+                    assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
+                    assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+                far.update(group)
+        for level, (rows, srcs, tgts) in ws.offsets.items():
+            for row, group in zip(rows.tolist(), pairs(srcs, tgts)):
+                assert all(tgt.level == level and row == [tgt.index[0] - src.index[0],
+                                                          tgt.index[1] - src.index[1]]
+                           for src, tgt in group)
+                offsets.update(group)
+        assert far == offsets == v_pairs
+
+        quadrants = Counter()
+        for level, (rows, parents, children) in ws.quadrants.items():
+            for row, group in zip(rows.tolist(), pairs(parents, children)):
+                for parent, child in group:
+                    assert child.parent is parent and child.level == level
+                    assert row == [np.sign(child.center.x - parent.center.x),
+                                   np.sign(child.center.y - parent.center.y)]
+                quadrants.update(child for _, child in group)
+        assert quadrants == Counter(n for n in tree.nodes.values() if n.parent is not None)
+
+        read, cut = Counter(), Counter()
+        reads, srcs, tgts = ws.near_reads
+        for (key, flip), group in zip(reads, pairs(srcs, tgts)):
+            g = TableStore.geometry(key)
+            for src, tgt in group:
+                assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
+                assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+                assert g.cutoff == pytest.approx(_expected_cutoff(tgt, src), rel=1e-15,
+                                                 abs=1e-15)
+            read.update(group)
+        leaves, srcs, tgts = ws.cut
+        for leaf, group in zip(boxes(leaves[:, 0]), pairs(srcs, tgts)):
+            assert all(tgt is leaf and _expected_cutoff(tgt, src) > 0.0 for src, tgt in group)
+            cut.update(group)
+        assert read + cut == near_pairs
+        assert not read & cut
+        if media.variant == "three-layer":
+            assert cut and all(not key.cut for key, _ in reads)
+        else:
+            assert not cut and any(key.cut for key, _ in reads)
 
 
 class TestComputeA:
@@ -284,10 +383,13 @@ class TestTableStore:
         media = MediaConfig.two_layer(1.0, 1.0)
         store = TableStore(media, 5)
         key = TableKey(0.0, 2, 3, 3, 0)
+        with pytest.raises(KeyError, match=re.escape(str(key))):
+            store.get(key)  # get only reads: fill is the one compute path
+        store.fill([key, key])
+        store.fill([key])
+        assert store.misses == 1
         a = store.get(key)
-        b = store.get(key)
-        assert a is b
-        assert store.hits == 1 and store.misses == 1
+        assert store.get(key) is a
         np.testing.assert_array_equal(store.get(key, True), a[::-1])
         assert store.misses == 1
 
@@ -296,14 +398,13 @@ class TestTableStore:
         ws = _planned(2, MediaConfig.two_layer(1.0, 1.0), 5)
         tree, store = ws.tree, ws.store
         y0 = tree.root_xy[1]
-        cut_pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items()
-                     for src in srcs if pair_key(y0, tgt, src, near=True)[0].cut]
-        assert cut_pairs
-        assert all(tgt.index[1] == src.index[1] == 0 for tgt, src in cut_pairs)
-        assert {pair_key(y0, *pair, near=True)[0] for pair in cut_pairs} \
-            == {key for key in store.entries if key.cut}
-        leaf = tree.nodes[(2, 1, 0)]
-        key, _ = pair_key(y0, leaf, tree.nodes[(2, 2, 0)], near=True)
+        pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items() for src in srcs]
+        cut = [(pair, key) for pair, (key, _) in zip(pairs, _pair_keys(y0, pairs, near=True))
+               if key.cut]
+        assert cut
+        assert all(tgt.index[1] == src.index[1] == 0 for (tgt, src), _ in cut)
+        assert {key for _, key in cut} == {key for key in store.entries if key.cut}
+        [(key, _)] = _pair_keys(y0, [(tree.nodes[(2, 1, 0)], tree.nodes[(2, 2, 0)])], near=True)
         assert TableStore.geometry(key).cutoff == pytest.approx(0.25 - 2 * y0)
 
     def test_store_size_bound_uniform_l3(self):
@@ -387,6 +488,22 @@ class TestTableStore:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["tables.bin"]
 
+    @pytest.mark.parametrize("corrupt", ["non-finite", "short"])
+    def test_load_rejects_corrupt_entry(self, tmp_path, corrupt):
+        media = MediaConfig.two_layer(1.0, 1.0)
+        store = _planned(2, media, 8).store
+        key = sorted(store.entries)[0]
+        vals = store.entries[key].copy()
+        if corrupt == "short":
+            vals = vals[:-1]
+        else:
+            vals[3] = complex(np.nan, 0.0)
+        store.entries[key] = vals
+        path = tmp_path / "tables.bin"
+        save_tables(store, path)
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            load_tables(path, media, 8)
+
     def test_load_rejects_truncated_file(self, tmp_path):
         media = MediaConfig.two_layer(1.0, 1.0)
         path = tmp_path / "tables.bin"
@@ -452,7 +569,9 @@ class TestOneEntryPerGeometry:
                  (box(5, 2), box(2, 4))]   # its x mirror
         assert all(src in tgt.interaction_list for tgt, src in pairs)
         store = TableStore(media, 6)
-        entries = [store.get(*pair_key(y0, tgt, src)) for tgt, src in pairs]
+        reads = _pair_keys(y0, pairs)
+        store.fill(key for key, _ in reads)
+        entries = [store.get(*read) for read in reads]
         assert len(store.entries) == 1 and store.misses == 1
         for (tgt, src), got in zip(pairs, entries):
             geom = TranslationGeometry(dx=tgt.center.x - src.center.x,
