@@ -47,8 +47,8 @@ class PotentialVector:
     # table entries this call computed and those its store held at the
     # end; evanescent nodes of the grids that computed them; leaves; the
     # deepest level; V pairs; ordered near (target, source) leaf pairs;
-    # free-space kernel blocks the near field evaluated (one per
-    # unordered pair)
+    # the most source leaves of one target leaf; free-space kernel blocks
+    # the near field evaluated (one per unordered pair)
     counts: dict = field(default_factory=dict)
 
 
@@ -65,8 +65,15 @@ def error_metric(reference, test, M: int) -> float:
     return float(np.linalg.norm(ref - tst) / denom)
 
 
-def _check_positions(xs, ys, qs, media):
-    """Refuse non-finite input, particles on or below the interface and distinct coincident ones."""
+def _particle_arrays(particles, media):
+    """Positions and charges as arrays, once per call.
+
+    Refuses non-finite input, particles on or below the interface and
+    distinct coincident ones.
+    """
+    xs = np.array([p.position.x for p in particles], dtype=float)
+    ys = np.array([p.position.y for p in particles], dtype=float)
+    qs = np.array([p.strength for p in particles], dtype=complex)
     finite = np.isfinite(xs) & np.isfinite(ys) & np.isfinite(qs)
     if not np.all(finite):
         i = int(np.argmin(finite))
@@ -81,6 +88,7 @@ def _check_positions(xs, ys, qs, media):
         a, b = sorted((int(order[i]), int(order[i + 1])))
         raise ValueError(f"particles {a} and {b} coincide at ({xs[a]!r}, {ys[a]!r}); "
                          "their interaction is infinite")
+    return xs, ys, qs
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +101,7 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
     n = len(particles)
     if n > max_n:
         raise ValueError(f"direct_apply guard: N={n} > {max_n} (raise max_n to override)")
-    xs = np.array([p.position.x for p in particles])
-    ys = np.array([p.position.y for p in particles])
-    qs = np.array([p.strength for p in particles], dtype=complex)
-    _check_positions(xs, ys, qs, media)
+    xs, ys, qs = _particle_arrays(particles, media)
 
     t0 = time.perf_counter()
     dx = xs[:, None] - xs[None, :]
@@ -129,12 +134,6 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 _SWEEP_BYTES = 1 << 18
 
 
-def _cell_codes(cells):
-    """One int64 per (level, ix, iy) row, in the rows' order: a level bit above the index bits."""
-    level, ix, iy = np.asarray(cells, dtype=np.int64).T
-    return (1 << 2 * level) | (ix << level) | iy
-
-
 def _groups(src, tgt, *columns):
     """(rows, srcs, tgts): the distinct rows of the integer columns, sorted, and
     the source and target ids of each row's pairs, in their given order."""
@@ -159,96 +158,76 @@ def _per_level(level, src, tgt, *columns):
 class _Workspace:
     """Per-run state: tree, scaled media, coefficient arrays and the integer plan.
 
-    _plan_nodes turns the tree into arrays once; the passes read only
-    these.  Node ids order the nodes by cell (level, ix, iy).  Per id:
-    cells, level, ix, iy, parent (-1 at the root), start, stop, and a row
-    of multipole, local and image.  Id pairs: v_src, v_tgt (source in the
-    target's V list); near, the ordered near leaf pairs as (tgt, src);
-    blocks, each once.  leaves: leaf ids in particle order; row, cx, cy:
-    each particle's leaf id and center; chunks: runs of leaves, each one
-    P2M and one local evaluation sweep.  One group-by (_groups) makes
-    every grouping, a GEMM per group: quadrants[level] (M2M, L2L),
-    offsets[level] (free M2L), and in a layered run the table plan from
-    one pair_key call for the V pairs and one for the near pairs:
-    far[level] and near_reads by (key, flip) (a two-layer cut key also
-    takes the pairwise [0, C] line image), and cut, the three-layer pairs
-    cut near the interface, by target leaf.
+    The tree (tree.py) is node-id arrays, and the passes read them as
+    built: the workspace names level, ix, iy, start, stop and leaves
+    (leaf ids in particle order) from it and adds per id a row of
+    multipole, local and image.  _plan_nodes adds near, the ordered
+    near leaf pairs as (tgt, src) id arrays; blocks, each near pair
+    once; row, cx, cy: each particle's leaf id and leaf center; chunks:
+    runs of leaves, each one P2M and one local evaluation sweep.
+    One group-by (_groups) makes every grouping, a GEMM per group:
+    quadrants[level] (M2M, L2L), offsets[level] (free M2L), and in a
+    layered run the table plan from one pair_key call for the V pairs
+    and one for the near pairs: far[level] and near_reads by (key, flip)
+    (a two-layer cut key also takes the pairwise [0, C] line image), and
+    cut, the three-layer pairs cut near the interface, by target leaf.
     """
 
     def __init__(self, particles, config):
         self.config = config
-        xs = np.array([p.position.x for p in particles])
-        ys = np.array([p.position.y for p in particles])
-        qs = np.array([p.strength for p in particles], dtype=complex)
-        _check_positions(xs, ys, qs, config.media)
-        self.tree = build_tree(particles, TreeConfig(leaf_capacity=config.leaf_capacity))
-        build_lists(self.tree)
-        self.media = config.media.rescaled(1.0 / self.tree.side)
+        xs, ys, qs = _particle_arrays(particles, config.media)
+        tree = self.tree = build_tree(xs, ys, TreeConfig(leaf_capacity=config.leaf_capacity))
+        build_lists(tree)
+        self.level, self.ix, self.iy = tree.level, tree.ix, tree.iy
+        self.start, self.stop, self.leaves = tree.start, tree.stop, tree.leaves
+        self.media = config.media.rescaled(1.0 / tree.side)
         self.k = self.media.k1
-        self.q = qs[self.tree.perm]
-        self.x, self.y = self.tree.x, self.tree.y
+        self.q = qs[tree.perm]
+        self.x, self.y = tree.x, tree.y
         self.P = config.order
         self.multipole = self.local = self.image = None
         self._plan_nodes()
         level, ix, iy = self.level, self.ix, self.iy
         child = np.arange(1, len(level))
-        self.quadrants = _per_level(level[child], self.parent[child], child,
+        self.quadrants = _per_level(level[child], tree.parent[child], child,
                                     2 * (ix[child] & 1) - 1, 2 * (iy[child] & 1) - 1)
-        src, tgt = self.v_src, self.v_tgt
+        src, tgt = tree.v_src, tree.v_tgt
         self.offsets = _per_level(level[tgt], src, tgt, ix[tgt] - ix[src], iy[tgt] - iy[src])
         self.store, self.far, self.near_reads, self.cut = None, {}, ([], [], []), ([], [], [])
         if self.media.variant != "free":
             self._plan_tables()
 
-    def _ids(self, boxes):
-        """Node ids of tree nodes, looked up by the codes of their cells."""
-        cells = np.c_[[box.level for box in boxes], np.reshape([box.index for box in boxes], (-1, 2))]
-        return np.searchsorted(self._codes, _cell_codes(cells))
-
     def _plan_nodes(self):
-        """Node arrays, pairs and leaf plan: the one walk over the tree's objects.
+        """Near pairs, kernel blocks and the leaf sweeps.
 
         The near map must be symmetric: _near_free sums both directions
         of a pair from one kernel block.
         """
-        cells = sorted(self.tree.nodes)
-        nodes = [self.tree.nodes[cell] for cell in cells]
-        self.cells = np.array(cells, dtype=np.int64)
-        self.level, self.ix, self.iy = self.cells.T
-        self._codes = _cell_codes(self.cells)
-        self.start, self.stop = np.array([node.span for node in nodes], dtype=np.int64).T
-        self.parent = np.r_[-1, self._ids([node.parent for node in nodes[1:]])]
-        n = len(cells)
-        self.v_tgt = np.repeat(np.arange(n), [len(node.interaction_list) for node in nodes])
-        self.v_src = self._ids([src for node in nodes for src in node.interaction_list])
-        near = near_source_leaves(self.tree)
-        tgt = np.repeat(self._ids(list(near)), [len(srcs) for srcs in near.values()])
-        src = self._ids([src for srcs in near.values() for src in srcs])
+        tgt, src = near_source_leaves(self.tree)
+        n = len(self.level)
         one_sided = ~np.isin(src * n + tgt, tgt * n + src)
         if one_sided.any():
-            a, b = cells[tgt[np.argmax(one_sided)]], cells[src[np.argmax(one_sided)]]
+            a, b = ((int(self.level[i]), int(self.ix[i]), int(self.iy[i]))
+                    for i in (tgt[np.argmax(one_sided)], src[np.argmax(one_sided)]))
             raise ValueError(f"near map is not symmetric: leaf {a[1:]} at level {a[0]} lists "
                              f"leaf {b[1:]} at level {b[0]}, which does not list it")
         self.near = (tgt, src)
         self.blocks = np.divmod(np.unique((tgt * n + src)[tgt <= src]), n)
-        leaves = sorted(self.tree.leaves, key=lambda leaf: leaf.span[0])
-        self.leaves = self._ids(leaves)
-        centers = [(leaf.center.x, leaf.center.y) for leaf in leaves]
-        starts = self.start[self.leaves]
-        sizes = self.stop[self.leaves] - starts
+        starts, ends = self.start[self.leaves], self.stop[self.leaves]
+        sizes = ends - starts
         self.row = np.repeat(self.leaves, sizes)
-        self.cx, self.cy = np.repeat(centers, sizes, axis=0).T
-        # a new chunk begins where the next leaf would take the current one
-        # past the budget; a leaf larger than the budget is a chunk alone
+        self.cx = np.repeat(self.tree.cx[self.leaves], sizes)
+        self.cy = np.repeat(self.tree.cy[self.leaves], sizes)
+        # a chunk takes the leaves that end within the budget of its first
+        # particle; a leaf larger than the budget is a chunk alone
         budget = max(1, _SWEEP_BYTES // (16 * (2 * self.P + 1)))
         bounds = [0]
-        for i in range(1, len(starts)):
-            if starts[i] + sizes[i] - starts[bounds[-1]] > budget:
-                bounds.append(i)
-        bounds.append(len(starts))
+        while bounds[-1] < len(starts):
+            i = bounds[-1]
+            bounds.append(max(i + 1, int(np.searchsorted(ends, starts[i] + budget, "right"))))
         # (particle slice, leaf node ids, leaf starts within the slice)
-        self.chunks = [(slice(starts[i], starts[j - 1] + sizes[j - 1]), self.leaves[i:j],
-                        starts[i:j] - starts[i]) for i, j in zip(bounds, bounds[1:])]
+        self.chunks = [(slice(starts[i], ends[j - 1]), self.leaves[i:j], starts[i:j] - starts[i])
+                       for i, j in zip(bounds, bounds[1:])]
 
     def _plan_tables(self):
         """Fill far, near_reads and cut: one pair_key call for the V pairs, one for the near pairs."""
@@ -257,12 +236,13 @@ class _Workspace:
         def reads(rows):  # (key, flip) of each (shift, ax, sy, cut, flip) row
             return [(layered.TableKey(y0, *row[:4]), bool(row[4])) for row in rows.tolist()]
 
-        src, tgt = self.v_src, self.v_tgt
-        keys, flip = layered.pair_key(y0, self.cells[tgt].T, self.cells[src].T)
+        cells = np.stack((self.level, self.ix, self.iy))
+        src, tgt = self.tree.v_src, self.tree.v_tgt
+        keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src])
         self.far = {level: (reads(rows), srcs, tgts) for level, (rows, srcs, tgts)
                     in _per_level(self.level[tgt], src, tgt, *keys.T, flip).items()}
         tgt, src = self.near
-        keys, flip = layered.pair_key(y0, self.cells[tgt].T, self.cells[src].T, near=True)
+        keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src], near=True)
         cut = (keys[:, 3] > 0) & (self.media.variant == "three-layer")
         rows, srcs, tgts = _groups(src[~cut], tgt[~cut], *keys[~cut].T, flip[~cut])
         self.near_reads = (reads(rows), srcs, tgts)
@@ -459,8 +439,9 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
               "entries_held": len(store.entries) if store else 0,
               "grid_nodes": store.grid_nodes if store else 0,
               "leaves": len(ws.leaves),
-              "depth": int(ws.level[-1]),
-              "v_pairs": len(ws.v_src),
+              "depth": ws.tree.max_depth,
+              "v_pairs": len(ws.tree.v_src),
               "near_pairs": len(ws.near[0]),
+              "max_near": int(np.bincount(ws.near[0]).max()),
               "near_blocks": len(ws.blocks[0])}
     return PotentialVector(values=values, timings=timings, counts=counts)

@@ -235,23 +235,25 @@ def test_criterion_9_property_suites(capsys):
     # interaction-list partition on a <= 4-level tree
     tparts = _particles(rng.uniform(-0.5, 0.5, 250), rng.uniform(0.05, 1.5, 250),
                         np.ones(250))
-    tree = build_lists(build_tree(tparts, TreeConfig(leaf_capacity=6, max_level=4)))
-    near = near_source_leaves(tree)
+    tree = build_lists(build_tree([p.position.x for p in tparts], [p.position.y for p in tparts],
+                                  TreeConfig(leaf_capacity=6, max_level=4)))
+    near = set(zip(*near_source_leaves(tree)))
+    v_pairs = set(zip(tree.v_tgt, tree.v_src))
 
     def ancestors(node):
         out = []
-        while node is not None:
+        while node >= 0:
             out.append(node)
-            node = node.parent
+            node = tree.parent[node]
         return out
 
     part_ok = True
     for tgt in tree.leaves:
         tanc = ancestors(tgt)
         for srcl in tree.leaves:
-            sanc = set(ancestors(srcl))
-            hits = sum(1 for a in tanc for b in a.interaction_list if b in sanc)
-            hits += 1 if srcl in near[tgt] else 0
+            sanc = ancestors(srcl)
+            hits = sum(1 for a in tanc for b in sanc if (a, b) in v_pairs)
+            hits += 1 if (tgt, srcl) in near else 0
             if hits != 1:
                 part_ok = False
 

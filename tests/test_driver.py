@@ -367,7 +367,7 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(expansions, "p2m_arrays", counted)
         fmm_apply(parts, cfg)
-        leaves = len(build_tree(parts, TreeConfig(leaf_capacity=30)).leaves)
+        leaves = len(build_tree(*_positions(parts), TreeConfig(leaf_capacity=30)).leaves)
         assert len(calls) == len(driver._Workspace(parts, cfg).chunks)
         assert 1 <= len(calls) < leaves
 
@@ -384,6 +384,10 @@ def _clustered_particles(seed, n):
     return [Particle(Point2(float(x), float(y)), complex(q)) for x, y, q in zip(xs, ys, qs)]
 
 
+def _positions(parts):
+    return [p.position.x for p in parts], [p.position.y for p in parts]
+
+
 def _close(got, want, rtol):
     return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
@@ -395,36 +399,52 @@ class TestLeafSweeps:
         ws = driver._Workspace(_clustered_particles(21, 1500),
                                RunConfig(media=MediaConfig.free(1.0), order=12,
                                          leaf_capacity=20))
-        starts = [leaf.span[0] for leaf in ws.tree.leaves]
-        assert starts != sorted(starts)  # tree.leaves is not in particle order
-        assert 1 < len(ws.chunks) < len(ws.leaves) == len(ws.tree.leaves)
+        tree = ws.tree
+        # the leaves in particle order: their spans tile the particles
+        starts, stops = tree.start[tree.leaves], tree.stop[tree.leaves]
+        assert starts[0] == 0 and stops[-1] == len(ws.q)
+        np.testing.assert_array_equal(starts[1:], stops[:-1])
+        assert len(set(tree.level[tree.leaves])) > 1
+        assert 1 < len(ws.chunks) < len(ws.leaves) == len(tree.leaves)
         return ws
 
-    @staticmethod
-    def _leaves(ws):
-        """(node id, leaf) of every leaf, the leaf looked up in the tree by its cell."""
-        return [(i, ws.tree.nodes[(ws.level[i], ws.ix[i], ws.iy[i])]) for i in ws.leaves]
+    def test_chunk_bounds_follow_the_greedy_rule(self):
+        ws = self._workspace()
+        # per leaf: a new chunk begins where the next leaf would take the
+        # current one past the budget; a leaf larger than it is a chunk alone
+        budget = driver._SWEEP_BYTES // (16 * (2 * ws.P + 1))
+        starts, stops = ws.start[ws.leaves], ws.stop[ws.leaves]
+        bounds = [0]
+        for i in range(1, len(starts)):
+            if stops[i] - starts[bounds[-1]] > budget:
+                bounds.append(i)
+        bounds.append(len(starts))
+        assert [(span.start, span.stop, ids.tolist(), offsets.tolist())
+                for span, ids, offsets in ws.chunks] == [
+            (starts[i], stops[j - 1], ws.leaves[i:j].tolist(), (starts[i:j] - starts[i]).tolist())
+            for i, j in zip(bounds, bounds[1:])]
 
     def test_chunked_p2m_matches_per_leaf(self):
         ws = self._workspace()
+        tree = ws.tree
         driver._upward(ws)
-        for i, leaf in self._leaves(ws):
-            a, b = leaf.span
-            assert (a, b) == (ws.start[i], ws.stop[i])
+        for i in ws.leaves:
+            a, b = tree.start[i], tree.stop[i]
             want = expansions.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
-                                         leaf.center.x, leaf.center.y, ws.P, ws.k)
+                                         tree.cx[i], tree.cy[i], ws.P, ws.k)
             assert _close(ws.multipole[i], want, 1e-14)
 
     def test_chunked_local_evaluation_matches_per_leaf(self):
         ws = self._workspace()
+        tree = ws.tree
         rng = np.random.default_rng(22)
         shape = (len(ws.level), 2 * ws.P + 1)
         ws.local = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got = driver._local_potentials(ws)
-        for i, leaf in self._leaves(ws):
-            a, b = leaf.span
+        for i in ws.leaves:
+            a, b = tree.start[i], tree.stop[i]
             want = driver.local_values(ws.local[i], ws.x[a:b], ws.y[a:b],
-                                       leaf.center.x, leaf.center.y, ws.k)
+                                       tree.cx[i], tree.cy[i], ws.k)
             assert _close(got[a:b], want, 1e-14)
 
 
@@ -437,17 +457,16 @@ class TestNearField:
         got = np.zeros(len(ws.q), dtype=complex)
         driver._near_free(ws, got)
         want = np.zeros_like(got)
-        near = near_source_leaves(ws.tree)
-        for tgt, srcs in near.items():  # every (target, source) block on its own
-            a, b = tgt.span
-            for src in srcs:
-                c, d = src.span
-                r = np.hypot(ws.x[a:b, None] - ws.x[None, c:d],
-                             ws.y[a:b, None] - ws.y[None, c:d])
-                g = np.zeros(r.shape, dtype=complex)
-                g[r > 0] = 0.25j * hankel0(ws.k * r[r > 0])
-                want[a:b] += g @ ws.q[c:d]
-        assert len(ws.blocks[0]) < len(ws.near[0]) == sum(len(srcs) for srcs in near.values())
+        tgt, src = near_source_leaves(ws.tree)
+        start, stop = ws.tree.start, ws.tree.stop
+        for t, s in zip(tgt, src):  # every (target, source) block on its own
+            a, b, c, d = start[t], stop[t], start[s], stop[s]
+            r = np.hypot(ws.x[a:b, None] - ws.x[None, c:d],
+                         ws.y[a:b, None] - ws.y[None, c:d])
+            g = np.zeros(r.shape, dtype=complex)
+            g[r > 0] = 0.25j * hankel0(ws.k * r[r > 0])
+            want[a:b] += g @ ws.q[c:d]
+        assert len(ws.blocks[0]) < len(ws.near[0]) == len(tgt)
         assert _close(got, want, 1e-14)
 
     def test_asymmetric_near_map_refused(self, monkeypatch):
@@ -455,10 +474,11 @@ class TestNearField:
         real = driver.near_source_leaves
 
         def one_sided(tree):
-            near = real(tree)
-            leaf = next(leaf for leaf, srcs in near.items() if len(srcs) > 1)
-            near[leaf] = [src for src in near[leaf] if src is leaf]
-            return near
+            tgt, src = real(tree)
+            # one leaf keeps only itself; its partners still list it
+            leaf = tgt[np.argmax(tgt != src)]
+            keep = (tgt != leaf) | (src == leaf)
+            return tgt[keep], src[keep]
 
         monkeypatch.setattr(driver, "near_source_leaves", one_sided)
         with pytest.raises(ValueError, match="not symmetric"):
@@ -531,13 +551,16 @@ class TestTableCache:
         cold = fmm_apply(parts, cfg)
         warm = fmm_apply(parts, cfg)
         held = cold.counts["entries_held"]
-        tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=40)))
-        near = near_source_leaves(tree)
-        shape = {"leaves": len(near), "depth": tree.max_depth,
-                 "v_pairs": sum(len(node.interaction_list) for node in tree.nodes.values()),
-                 "near_pairs": sum(len(srcs) for srcs in near.values()),
-                 "near_blocks": len({frozenset((tgt, src)) for tgt, srcs in near.items()
-                                     for src in srcs})}
+        tree = build_lists(build_tree(*_positions(parts), TreeConfig(leaf_capacity=40)))
+        tgt, src = near_source_leaves(tree)
+        sources = {leaf: [s for t, s in zip(tgt, src) if t == leaf] for leaf in tree.leaves}
+        shape = {"leaves": len(sources), "depth": tree.max_depth,
+                 "v_pairs": len(tree.v_src),
+                 "near_pairs": sum(len(srcs) for srcs in sources.values()),
+                 "max_near": max(len(srcs) for srcs in sources.values()),
+                 "near_blocks": len({frozenset((leaf, s)) for leaf, srcs in sources.items()
+                                     for s in srcs})}
+        assert shape["max_near"] > 1
         grid = cold.counts["grid_nodes"]
         assert cold.counts == {"entries_computed": held, "entries_held": held,
                                "grid_nodes": grid, **shape}

@@ -50,13 +50,25 @@ def _eval_local(coeffs, c, x, k):
     return complex(local_values(coeffs, [x[0]], [x[1]], c.x, c.y, k)[0])
 
 
-def _uniform_particles(level):
+def _uniform_positions(level):
     # one particle per cell of the level grid, root side 1, y from 0.05
     n = 1 << level
     cs = np.arange(n) / (n - 1.0)
     xx, yy = np.meshgrid(cs, cs)
-    return [Particle(Point2(float(x), float(0.05 + y)), 1.0)
-            for x, y in zip(xx.ravel(), yy.ravel())]
+    return xx.ravel(), 0.05 + yy.ravel()
+
+
+def _uniform_particles(level):
+    return [Particle(Point2(float(x), float(y)), 1.0) for x, y in zip(*_uniform_positions(level))]
+
+
+def _random_positions(seed, n, halfwidth, ylo, yhi):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-halfwidth, halfwidth, n), rng.uniform(ylo, yhi, n)
+
+
+def _node(tree, level, ix, iy):
+    return int(np.flatnonzero((tree.level == level) & (tree.ix == ix) & (tree.iy == iy))[0])
 
 
 def _planned(level, media, P):
@@ -66,21 +78,21 @@ def _planned(level, media, P):
     return ws
 
 
-def _pair_keys(y0, pairs, near=False):
-    """(TableKey, flip) of each (target, source) tree box pair, from one pair_key call."""
-    def cells(boxes):
-        return np.array([(box.level, *box.index) for box in boxes]).reshape(-1, 3).T
-
-    keys, flip = pair_key(y0, cells([t for t, _ in pairs]), cells([s for _, s in pairs]), near)
+def _pair_keys(tree, tgt, src, near=False):
+    """(TableKey, flip) of each (target, source) pair of tree node ids, from one pair_key call."""
+    y0 = tree.root_xy[1]
+    cells = np.stack((tree.level, tree.ix, tree.iy))
+    keys, flip = pair_key(y0, cells[:, tgt], cells[:, src], near)
     return [(TableKey(y0, *row), bool(f)) for row, f in zip(keys.tolist(), flip)]
 
 
-def _expected_cutoff(tgt, src):
+def _expected_cutoff(tree, tgt, src):
     """Line-image cutoff of a near pair from the boxes' own floats."""
-    src_bottom = src.center.y - src.half_width
-    tgt_bottom = tgt.center.y - tgt.half_width
-    w = 2.0 * max(src.half_width, tgt.half_width)
-    return 0.0 if src_bottom >= 2.0 * src.half_width else max(0.0, w - (src_bottom + tgt_bottom))
+    src_hw, tgt_hw = 0.5 ** (tree.level[src] + 1), 0.5 ** (tree.level[tgt] + 1)
+    src_bottom = tree.cy[src] - src_hw
+    tgt_bottom = tree.cy[tgt] - tgt_hw
+    w = 2.0 * max(src_hw, tgt_hw)
+    return 0.0 if src_bottom >= 2.0 * src_hw else max(0.0, w - (src_bottom + tgt_bottom))
 
 
 def _scattered_sum(media, parts, x, tol=1e-13):
@@ -115,33 +127,30 @@ class TestGeometry:
 
     @staticmethod
     def _check_tree_keys(half_width, ylo, yhi):
-        rng = np.random.default_rng(21)
-        parts = [Particle(Point2(float(x), float(y)), 1.0)
-                 for x, y in zip(rng.uniform(-half_width, half_width, 400),
-                                 rng.uniform(ylo, yhi, 400))]
-        tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=8)))
+        xs, ys = _random_positions(21, 400, half_width, ylo, yhi)
+        tree = build_lists(build_tree(xs, ys, TreeConfig(leaf_capacity=8)))
         y0 = tree.root_xy[1]
-        levels = {n.level for n in tree.leaves}
-        assert len(levels) > 1
-        pairs = [(tgt, src) for tgt in tree.leaves for src in tree.leaves
-                 if abs(tgt.level - src.level) <= 1]
-        for (tgt, src), (key, flip) in zip(pairs, _pair_keys(y0, pairs)):
+        level, iy, cx, cy = tree.level, tree.iy, tree.cx, tree.cy
+        assert len(set(level[tree.leaves])) > 1
+        tgt, src = np.meshgrid(tree.leaves, tree.leaves, indexing="ij")
+        close = abs(level[tgt] - level[src]) <= 1
+        tgt, src = tgt[close], src[close]
+        for t, s, (key, flip) in zip(tgt, src, _pair_keys(tree, tgt, src)):
             g = TableStore.geometry(key)
-            assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
-            if tgt.level == src.level:
+            assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
+            if level[t] == level[s]:
                 # the lattice closed form, one rounding
-                assert g.dy == 2.0 * y0 + (tgt.index[1] + src.index[1] + 1) \
-                    * 0.5 ** tgt.level
-            assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+                assert g.dy == 2.0 * y0 + (iy[t] + iy[s] + 1) * 0.5 ** level[t]
+            assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
             assert g.cutoff == 0.0
         # near pairs: the line-image cutoff from the boxes' own floats
-        pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items() for src in srcs]
+        tgt, src = near_source_leaves(tree)
         cut = 0
-        for (tgt, src), (key, _) in zip(pairs, _pair_keys(y0, pairs, near=True)):
-            expect = _expected_cutoff(tgt, src)
+        for t, s, (key, _) in zip(tgt, src, _pair_keys(tree, tgt, src, near=True)):
+            expect = _expected_cutoff(tree, t, s)
             g = TableStore.geometry(key)
             assert g.cutoff == pytest.approx(expect, rel=1e-15, abs=1e-15)
-            assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+            assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
             cut += expect > 0.0
         assert cut > 0
 
@@ -149,15 +158,14 @@ class TestGeometry:
         # coarse box to a fine box, and the mirrored fine box to the
         # coarse box, have the same dx and dy; swapping the boxes negates dx
         tree = TestTableStore()._uniform_tree(2)
-        y0 = tree.root_xy[1]
-        coarse = tree.nodes[(1, 0, 1)]
-        left, right = tree.nodes[(2, 0, 3)], tree.nodes[(2, 1, 3)]
+        coarse = _node(tree, 1, 0, 1)
+        left, right = _node(tree, 2, 0, 3), _node(tree, 2, 1, 3)
         (key, flip), swapped, mirrored = _pair_keys(
-            y0, [(coarse, left), (right, coarse), (left, coarse)])
+            tree, [coarse, right, left], [left, coarse, coarse])
         assert not flip
         assert swapped == (key, False)
         assert mirrored == (key, True)
-        assert TableStore.geometry(key).dx == coarse.center.x - left.center.x
+        assert TableStore.geometry(key).dx == tree.cx[coarse] - tree.cx[left]
 
 
 class TestPlan:
@@ -168,65 +176,60 @@ class TestPlan:
         # each V pair and each ordered near pair lands in exactly one group
         # (or, three-layer, one cut list), and each group's key, offset or
         # quadrant reproduces the geometry of every box pair in it
-        rng = np.random.default_rng(33)
-        parts = [Particle(Point2(float(x), float(y)), 1.0)
-                 for x, y in zip(rng.uniform(-0.5, 0.5, 500), rng.uniform(5e-3, 1.0, 500))]
+        xs, ys = _random_positions(33, 500, 0.5, 5e-3, 1.0)
+        parts = [Particle(Point2(float(x), float(y)), 1.0) for x, y in zip(xs, ys)]
         ws = _Workspace(parts, RunConfig(media=media, order=4, leaf_capacity=12))
         tree = ws.tree
-        assert len({n.level for n in tree.leaves}) > 1
-
-        def boxes(ids):
-            return [tree.nodes[(ws.level[i], ws.ix[i], ws.iy[i])] for i in ids]
+        level, ix, iy, cx, cy = tree.level, tree.ix, tree.iy, tree.cx, tree.cy
+        assert len(set(level[tree.leaves])) > 1
 
         def pairs(srcs, tgts):
-            return [list(zip(boxes(s), boxes(t))) for s, t in zip(srcs, tgts)]
+            return [list(zip(s.tolist(), t.tolist())) for s, t in zip(srcs, tgts)]
 
-        v_pairs = Counter((src, tgt) for tgt in tree.nodes.values()
-                          for src in tgt.interaction_list)
-        near = near_source_leaves(tree)
-        near_pairs = Counter((src, tgt) for tgt, srcs in near.items() for src in srcs)
+        v_pairs = Counter(zip(tree.v_src.tolist(), tree.v_tgt.tolist()))
+        tgt, src = near_source_leaves(tree)
+        near_pairs = Counter(zip(src.tolist(), tgt.tolist()))
 
         far, offsets = Counter(), Counter()
-        for level, (reads, srcs, tgts) in ws.far.items():
+        for lev, (reads, srcs, tgts) in ws.far.items():
             for (key, flip), group in zip(reads, pairs(srcs, tgts)):
                 g = TableStore.geometry(key)
                 assert g.cutoff == 0.0
-                for src, tgt in group:
-                    assert tgt.level == src.level == level
-                    assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
-                    assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
+                for s, t in group:
+                    assert level[t] == level[s] == lev
+                    assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
+                    assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
                 far.update(group)
-        for level, (rows, srcs, tgts) in ws.offsets.items():
+        for lev, (rows, srcs, tgts) in ws.offsets.items():
             for row, group in zip(rows.tolist(), pairs(srcs, tgts)):
-                assert all(tgt.level == level and row == [tgt.index[0] - src.index[0],
-                                                          tgt.index[1] - src.index[1]]
-                           for src, tgt in group)
+                assert all(level[t] == lev and row == [ix[t] - ix[s], iy[t] - iy[s]]
+                           for s, t in group)
                 offsets.update(group)
         assert far == offsets == v_pairs
 
         quadrants = Counter()
-        for level, (rows, parents, children) in ws.quadrants.items():
+        for lev, (rows, parents, children) in ws.quadrants.items():
             for row, group in zip(rows.tolist(), pairs(parents, children)):
                 for parent, child in group:
-                    assert child.parent is parent and child.level == level
-                    assert row == [np.sign(child.center.x - parent.center.x),
-                                   np.sign(child.center.y - parent.center.y)]
+                    assert tree.parent[child] == parent and level[child] == lev
+                    assert row == [np.sign(cx[child] - cx[parent]),
+                                   np.sign(cy[child] - cy[parent])]
                 quadrants.update(child for _, child in group)
-        assert quadrants == Counter(n for n in tree.nodes.values() if n.parent is not None)
+        assert quadrants == Counter(range(1, len(level)))
 
         read, cut = Counter(), Counter()
         reads, srcs, tgts = ws.near_reads
         for (key, flip), group in zip(reads, pairs(srcs, tgts)):
             g = TableStore.geometry(key)
-            for src, tgt in group:
-                assert (-g.dx if flip else g.dx) == tgt.center.x - src.center.x
-                assert g.dy == pytest.approx(tgt.center.y + src.center.y, rel=1e-15)
-                assert g.cutoff == pytest.approx(_expected_cutoff(tgt, src), rel=1e-15,
+            for s, t in group:
+                assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
+                assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
+                assert g.cutoff == pytest.approx(_expected_cutoff(tree, t, s), rel=1e-15,
                                                  abs=1e-15)
             read.update(group)
         leaves, srcs, tgts = ws.cut
-        for leaf, group in zip(boxes(leaves[:, 0]), pairs(srcs, tgts)):
-            assert all(tgt is leaf and _expected_cutoff(tgt, src) > 0.0 for src, tgt in group)
+        for leaf, group in zip(leaves[:, 0].tolist(), pairs(srcs, tgts)):
+            assert all(t == leaf and _expected_cutoff(tree, t, s) > 0.0 for s, t in group)
             cut.update(group)
         assert read + cut == near_pairs
         assert not read & cut
@@ -377,7 +380,7 @@ class TestComputeBTail:
 
 class TestTableStore:
     def _uniform_tree(self, level=3):
-        return build_lists(build_tree(_uniform_particles(level), TreeConfig(leaf_capacity=1)))
+        return build_lists(build_tree(*_uniform_positions(level), TreeConfig(leaf_capacity=1)))
 
     def test_cache_sharing(self):
         media = MediaConfig.two_layer(1.0, 1.0)
@@ -398,13 +401,13 @@ class TestTableStore:
         ws = _planned(2, MediaConfig.two_layer(1.0, 1.0), 5)
         tree, store = ws.tree, ws.store
         y0 = tree.root_xy[1]
-        pairs = [(tgt, src) for tgt, srcs in near_source_leaves(tree).items() for src in srcs]
-        cut = [(pair, key) for pair, (key, _) in zip(pairs, _pair_keys(y0, pairs, near=True))
+        tgt, src = near_source_leaves(tree)
+        cut = [(t, s, key) for t, s, (key, _) in zip(tgt, src, _pair_keys(tree, tgt, src, True))
                if key.cut]
         assert cut
-        assert all(tgt.index[1] == src.index[1] == 0 for (tgt, src), _ in cut)
-        assert {key for _, key in cut} == {key for key in store.entries if key.cut}
-        [(key, _)] = _pair_keys(y0, [(tree.nodes[(2, 1, 0)], tree.nodes[(2, 2, 0)])], near=True)
+        assert all(tree.iy[t] == tree.iy[s] == 0 for t, s, _ in cut)
+        assert {key for _, _, key in cut} == {key for key in store.entries if key.cut}
+        [(key, _)] = _pair_keys(tree, [_node(tree, 2, 1, 0)], [_node(tree, 2, 2, 0)], near=True)
         assert TableStore.geometry(key).cutoff == pytest.approx(0.25 - 2 * y0)
 
     def test_store_size_bound_uniform_l3(self):
@@ -519,19 +522,20 @@ class TestTableStore:
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)
 
 
-def _exact_geometry(y0, tgt, src, cut_line):
+def _exact_geometry(y0, tree, tgt, src, cut_line):
     """(|dx|, dy, C) of a box pair as exact rationals, from the boxes' indices."""
-    def center(level, i):
-        return Fraction(2 * i + 1, 2 ** (level + 1))
+    def center(i, node):
+        return Fraction(2 * int(i[node]) + 1, 2 ** (int(tree.level[node]) + 1))
 
-    dx = abs(center(tgt.level, tgt.index[0]) - center(src.level, src.index[0]))
-    dy = 2 * y0 + center(tgt.level, tgt.index[1]) + center(src.level, src.index[1])
+    def bottom(node):
+        return y0 + Fraction(int(tree.iy[node]), 2 ** int(tree.level[node]))
+
+    dx = abs(center(tree.ix, tgt) - center(tree.ix, src))
+    dy = 2 * y0 + center(tree.iy, tgt) + center(tree.iy, src)
     cutoff = Fraction(0)
-    src_bottom = y0 + Fraction(src.index[1], 2 ** src.level)
-    if cut_line and src_bottom < Fraction(1, 2 ** src.level):
-        tgt_bottom = y0 + Fraction(tgt.index[1], 2 ** tgt.level)
-        cutoff = max(cutoff, Fraction(1, 2 ** min(tgt.level, src.level))
-                     - src_bottom - tgt_bottom)
+    if cut_line and bottom(src) < Fraction(1, 2 ** int(tree.level[src])):
+        cutoff = max(cutoff, Fraction(1, 2 ** int(min(tree.level[tgt], tree.level[src])))
+                     - bottom(src) - bottom(tgt))
     return dx, dy, cutoff
 
 
@@ -562,38 +566,35 @@ class TestOneEntryPerGeometry:
     def test_mirror_pairs_share_one_entry(self):
         media = MediaConfig.two_layer(1.0, 1.0)
         tree = TestTableStore()._uniform_tree(3)
-        y0 = tree.root_xy[1]
-        box = lambda ix, iy: tree.nodes[(3, ix, iy)]  # noqa: E731
+        box = lambda ix, iy: _node(tree, 3, ix, iy)  # noqa: E731
         pairs = [(box(2, 2), box(5, 4)),   # dx = -3 boxes, iy 2 + 4
                  (box(2, 4), box(5, 2)),   # its vertical mirror
                  (box(5, 2), box(2, 4))]   # its x mirror
-        assert all(src in tgt.interaction_list for tgt, src in pairs)
+        assert set(pairs) <= set(zip(tree.v_tgt.tolist(), tree.v_src.tolist()))
         store = TableStore(media, 6)
-        reads = _pair_keys(y0, pairs)
+        reads = _pair_keys(tree, *zip(*pairs))
         store.fill(key for key, _ in reads)
         entries = [store.get(*read) for read in reads]
         assert len(store.entries) == 1 and store.misses == 1
         for (tgt, src), got in zip(pairs, entries):
-            geom = TranslationGeometry(dx=tgt.center.x - src.center.x,
-                                       dy=tgt.center.y + src.center.y)
+            geom = TranslationGeometry(dx=tree.cx[tgt] - tree.cx[src],
+                                       dy=tree.cy[tgt] + tree.cy[src])
             direct = _entries_A(geom, media, 6)
             assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
     def test_one_computation_per_geometry(self, monkeypatch):
         # near-interface particles: mixed-level pairs, entries near the
         # reflectance pole and B tails
-        rng = np.random.default_rng(31)
-        parts = [Particle(Point2(float(x), float(y)), 1.0)
-                 for x, y in zip(rng.uniform(-0.5, 0.5, 300), rng.uniform(5e-3, 1.0, 300))]
-        tree = build_lists(build_tree(parts, TreeConfig(leaf_capacity=20)))
+        xs, ys = _random_positions(31, 300, 0.5, 5e-3, 1.0)
+        parts = [Particle(Point2(float(x), float(y)), 1.0) for x, y in zip(xs, ys)]
+        tree = build_lists(build_tree(xs, ys, TreeConfig(leaf_capacity=20)))
         y0 = Fraction(tree.root_xy[1])
-        near = near_source_leaves(tree)
-        geometries = {_exact_geometry(y0, tgt, src, False)
-                      for tgt in tree.nodes.values() for src in tgt.interaction_list}
-        geometries |= {_exact_geometry(y0, tgt, src, True)
-                       for tgt, srcs in near.items() for src in srcs}
+        geometries = {_exact_geometry(y0, tree, tgt, src, False)
+                      for tgt, src in zip(tree.v_tgt, tree.v_src)}
+        geometries |= {_exact_geometry(y0, tree, tgt, src, True)
+                       for tgt, src in zip(*near_source_leaves(tree))}
         assert any(c > 0 for _, _, c in geometries)
-        assert len({n.level for n in tree.leaves}) > 1
+        assert len(set(tree.level[tree.leaves])) > 1
         computed = []
         for name in ("compute_A", "compute_B_tail"):
             fn = getattr(layered, name)
