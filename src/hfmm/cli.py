@@ -148,7 +148,7 @@ def cmd_bench(args):
 # validation checks
 
 
-def check_sommerfeld_identity(seed=11, alpha=1.0):
+def check_sommerfeld_identity(seed=11):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in (0.1, 1.0):
@@ -189,7 +189,7 @@ def check_reciprocity(seed=12, alpha=1.0):
     return worst, worst <= 1e-12
 
 
-def check_equal_wavenumber(seed=13, alpha=1.0):
+def check_equal_wavenumber(seed=13):
     media = MediaConfig.three_layer(1.0, 1.0, 1.0, 0.7)
     rng = np.random.default_rng(seed)
     dx = rng.uniform(-2, 2, 20)

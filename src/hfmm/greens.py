@@ -2,7 +2,8 @@
 
 Everything here is direct (non-hierarchical) evaluation: the free-space
 kernel, the spectral (Sommerfeld) representations, interface reflectance
-coefficients, and the adaptive-quadrature oracle for the scattered field.
+coefficients in closed form, and the adaptive-quadrature oracle for the
+scattered field: one panel-doubling loop over quadrature.cosine_panels.
 The fast summation path is validated against these routines.
 
 Conventions
@@ -18,11 +19,11 @@ kappa = -i k sin(tau) and never touches the branch cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_legendre, legendre_base
+from .quadrature import cosine_panels, gauss_legendre
 from .specfun import hankel0
 
 __all__ = [
@@ -77,6 +78,12 @@ class MediaConfig:
     def __post_init__(self):
         if self.variant not in ("free", "two-layer", "three-layer"):
             raise ValueError(f"unknown media variant {self.variant!r}")
+        for name in ("k1", "alpha", "k2", "k3", "d"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
+        if self.variant == "two-layer" and self.alpha < 0:
+            # the reflectance pole kappa = i*alpha would sit on the propagating contour
+            raise ValueError(f"alpha must be >= 0, not {self.alpha!r}")
         if self.k1 <= 0:
             raise ValueError("wavenumber must be positive")
         if self.variant == "three-layer":
@@ -126,8 +133,15 @@ class MediaConfig:
 def three_layer_sigma(media: MediaConfig, kappa1, path: str = "evanescent"):
     """Spectral reflection/transmission coefficients (sigma1, sigma2+, sigma2-, sigma3).
 
-    Solves, per spectral node, the 4x4 linear system expressing field and
-    normal-derivative continuity at the two interfaces.  kappa1 is the
+    Closed form, per spectral node, of field and normal-derivative
+    continuity at the two interfaces (Chew, Waves and Fields in
+    Inhomogeneous Media, 1990, ch. 2).  With e = exp(-kappa_2 d), which
+    has |e| <= 1 on both contours, p_ij = kappa_i + kappa_j and m_ij =
+    kappa_i - kappa_j: D = p12 p23 + e^2 m12 m23, sigma1 = (m12 p23 + e^2
+    p12 m23) / D, sigma2+ = 2 kappa_2 p23 / D, sigma2- = 2 e kappa_2 m23 / D
+    and sigma3 = 4 e kappa_2 kappa_3 / D.  A non-finite D, or |D| below
+    1e-8 (|kappa_1| + |kappa_2|)(|kappa_2| + |kappa_3|), raises ValueError.
+    kappa1 is the
     top-layer vertical wavenumber from the contour parameterization: t on
     the evanescent contour, -i k1 sin(tau) on the propagating one.
 
@@ -159,41 +173,24 @@ def three_layer_sigma(media: MediaConfig, kappa1, path: str = "evanescent"):
     if np.any(k1_ == 0.0) or np.any(k2_ == 0.0) or np.any(k3_ == 0.0):
         raise ValueError("spectral node exactly on a branch point (kappa = 0)")
     e = np.exp(-k2_ * media.d)
-    n = k1_.size
-    mat = np.zeros((n, 4, 4), dtype=complex)
-    rhs = np.zeros((n, 4), dtype=complex)
-    mat[:, 0, 0] = 1.0 / k1_
-    mat[:, 0, 1] = -1.0 / k2_
-    mat[:, 0, 2] = -e / k2_
-    mat[:, 1, 1] = e / k2_
-    mat[:, 1, 2] = 1.0 / k2_
-    mat[:, 1, 3] = -1.0 / k3_
-    mat[:, 2, 0] = 1.0
-    mat[:, 2, 1] = 1.0
-    mat[:, 2, 2] = -e
-    mat[:, 3, 1] = e
-    mat[:, 3, 2] = -1.0
-    mat[:, 3, 3] = -1.0
-    rhs[:, 0] = -1.0 / k1_
-    rhs[:, 2] = 1.0
-    try:
-        sol = np.linalg.solve(mat, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular three-layer spectral system: {exc}") from exc
-    resid = np.abs(np.einsum("nij,nj->ni", mat, sol) - rhs).max(axis=1)
-    scale = np.abs(mat).max(axis=(1, 2)) * np.maximum(np.abs(sol).max(axis=1), 1.0)
-    worst = float((resid / scale).max())
-    if not np.isfinite(worst) or worst > 1e-8:
+    ee = e * e
+    p12, m12 = k1_ + k2_, k1_ - k2_
+    p23, m23 = k2_ + k3_, k2_ - k3_
+    denom = p12 * p23 + ee * m12 * m23
+    worst = np.min(np.abs(denom) / ((np.abs(k1_) + np.abs(k2_)) * (np.abs(k2_) + np.abs(k3_))))
+    if not np.isfinite(worst) or worst < 1e-8:
         raise ValueError(
-            f"ill-conditioned three-layer spectral system (relative residual {worst:.2e})")
-    return sol[:, 0], sol[:, 1], sol[:, 2], sol[:, 3]
+            f"ill-conditioned three-layer spectral system (relative denominator {worst:.2e})")
+    two_k2 = 2.0 * k2_ / denom
+    return ((m12 * p23 + ee * p12 * m23) / denom, two_k2 * p23, two_k2 * e * m23,
+            2.0 * two_k2 * e * k3_)
 
 
 def reflectance(media: MediaConfig, kappa1):
     """Spectral reflectance evaluated at the top-layer vertical wavenumber.
 
     Two-layer: (kappa + i*alpha) / (kappa - i*alpha).  Three-layer:
-    sigma1 from the 4x4 interface system (lambda^2 recovered from
+    sigma1 of three_layer_sigma (lambda^2 recovered from
     kappa1^2 + k1^2, which is real on both split branches).  Free space
     returns 0.
     """
@@ -245,28 +242,13 @@ def free_space_spectral(k: float, x, x0) -> complex:
     # 1/sqrt(t^2 + k^2) factor) and decays at the scale 1/dy; a single
     # fixed rule cannot serve both when k*dy is small, so this part is
     # panel-doubled to convergence with a breakpoint at t = k.
-    def f_evan(t):
+    def evan_value(t, w):
         root = np.sqrt(t * t + k * k)
-        return np.exp(-t * dy) * 2.0 * np.cos(root * dx) / root
+        return np.sum(w * np.exp(-t * dy) * 2.0 * np.cos(root * dx) / root)
 
     T = max(2.0 * k, 45.0 / dy)
-    interior = (k,) if k < T else ()
-    val_e = _adaptive_gl(f_evan, 0.0, T, 1e-13, interior=interior)
+    val_e = _panel_doubling(evan_value, T, [k] if k < T else [], 1e-13, 1.0)
     return complex(0.25j / np.pi * val_p + 0.25 / np.pi * val_e)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive panel-doubling quadrature (the oracle's engine)
-
-
-def _panel_nodes(a, b, panels, n=16):
-    x, w = legendre_base(n)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
 
 
 def spectral_breakpoints(media: MediaConfig, path: str, upper: float):
@@ -291,56 +273,6 @@ def spectral_breakpoints(media: MediaConfig, path: str, upper: float):
     return sorted({p for p in pts if 0.0 < p < upper})
 
 
-def _segment_maps(a, b, interior):
-    """Per-segment cosine maps u in [0,1] -> x in [s0,s1].
-
-    The map x = s0 + (s1-s0)(1-cos(pi u))/2 clusters nodes quadratically
-    at both segment ends, which turns endpoint square-root kinks into
-    analytic integrands and keeps panel doubling exponentially
-    convergent.
-    """
-    edges = [a] + list(interior) + [b]
-    maps = []
-    for s0, s1 in zip(edges[:-1], edges[1:]):
-        h = s1 - s0
-
-        def xw(u, s0=s0, h=h):
-            x = s0 + 0.5 * h * (1.0 - np.cos(np.pi * u))
-            w = 0.5 * h * np.pi * np.sin(np.pi * u)
-            return x, w
-
-        maps.append(xw)
-    return maps
-
-
-def _adaptive_gl(f, a, b, tol, interior=(), max_panels=4096):
-    """Panel-doubling composite Gauss-Legendre for a vectorized integrand.
-
-    The range is split at the interior breakpoints and each segment is
-    integrated under the cosine substitution; panels double per segment
-    until two successive levels agree.
-    """
-    total = 0.0 + 0.0j
-    maps = _segment_maps(a, b, interior)
-    seg_tol = tol / len(maps)
-    for xw in maps:
-        prev = None
-        panels = 1
-        while True:
-            u, wu = _panel_nodes(0.0, 1.0, panels)
-            x, w = xw(u)
-            val = np.sum(wu * w * f(x))
-            if prev is not None and abs(val - prev) <= seg_tol * max(1.0, abs(val)):
-                break
-            if panels >= max_panels:
-                raise QuadratureConvergenceError(
-                    f"panel-doubling quadrature on [{a:g},{b:g}] did not converge to {tol:g}")
-            prev = val
-            panels *= 2
-        total += val
-    return total
-
-
 def _check_layered_geometry(media, y, y0):
     if media.variant == "free":
         raise ValueError("scattered field is zero in free space")
@@ -352,80 +284,62 @@ def _check_layered_geometry(media, y, y0):
         raise ValueError("layered evaluation requires y + y0 > 0")
 
 
-def _evanescent_cutoff(media, dy, tol):
-    # e^{-T dy} below tol (with margin) bounds the dropped tail.
-    return max(2.0 * media.k1, (-np.log(max(tol, 1e-16)) + 8.0) / dy)
-
-
 def scattered_direct(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:
-    """Brute-force scattered field u^s(x; x0) by adaptive Sommerfeld quadrature.
+    """Scattered field u^s(x; x0) of one pair by adaptive Sommerfeld quadrature.
 
-    The spectral integral is split into the propagating part over
-    [0, pi] (after lambda = -k cos tau) and the evanescent part over
-    [0, T] with T chosen so the dropped tail is below tol.
+    The one-pair case of scattered_batch, after checking tol and the
+    geometry.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-14, 1e-6]")
     x1, y1 = _xy(x)
     x2, y2 = _xy(x0)
     _check_layered_geometry(media, y1, y2)
-    k = media.k1
-    dx = x1 - x2
-    dy = y1 + y2
-
-    def f_prop(tau):
-        kappa = -1j * k * np.sin(tau)
-        return np.exp(1j * k * (dy * np.sin(tau) - dx * np.cos(tau))) * reflectance(media, kappa)
-
-    val_p = 0.25j / np.pi * _adaptive_gl(
-        f_prop, 0.0, np.pi, tol,
-        interior=spectral_breakpoints(media, "propagating", np.pi))
-
-    T = _evanescent_cutoff(media, dy, tol)
-
-    def f_evan(t):
-        root = np.sqrt(t * t + k * k)
-        return (np.exp(-t * dy) / root * 2.0 * np.cos(root * dx)
-                * reflectance(media, t.astype(complex)))
-
-    val_e = 0.25 / np.pi * _adaptive_gl(
-        f_evan, 0.0, T, tol,
-        interior=spectral_breakpoints(media, "evanescent", T))
-    return complex(val_p + val_e)
+    return complex(scattered_batch(media, [x1 - x2], [y1 + y2], tol)[0])
 
 
-def _spectral_doubling(media, T, tol, prop_value, evan_value, floor):
-    """Propagating plus evanescent spectral integral, panel-doubled per segment.
+def _panel_doubling(fn, b, interior, tol, floor):
+    """Integral over [0, b] by cosine-mapped panels doubled per segment.
+
+    The range is split at the interior breakpoints.  fn(x, w) returns
+    the node sums (one entry per output) of a rule.  Each segment
+    doubles its 16-node panels (quadrature.cosine_panels) until two
+    successive levels agree to tol / segments relative to
+    max(floor, |value|), and gives up past 4096 panels.
+    """
+    edges = np.array([0.0, *interior, b])
+    seg_tol = tol / (len(edges) - 1)
+    total = 0.0
+    for seg in zip(edges[:-1], edges[1:]):
+        prev, panels = None, 2
+        while True:
+            val = fn(*cosine_panels(seg, 16, panels))
+            if prev is not None:
+                err = np.max(np.abs(val - prev) / np.maximum(floor, np.abs(val)))
+                if err <= seg_tol:
+                    break
+            if panels > 4096:
+                raise QuadratureConvergenceError(
+                    f"panel-doubling quadrature on [0, {b:g}] did not converge to {tol:g}")
+            prev = val
+            panels *= 2
+        total = total + val
+    return total
+
+
+def _spectral_doubling(media, dy, tol, prop_value, evan_value, floor):
+    """Propagating plus evanescent spectral integral, each half panel-doubled.
 
     prop_value(tau, w) and evan_value(t, w) return the node sums (one
-    entry per output) over [0, pi] and [0, T].  Each segment doubles its
-    panels until two successive levels agree to tol / segments relative
-    to max(floor, |value|), and gives up past 4096 panels.
+    entry per output) over [0, pi] and [0, T], with e^{-T dy} below tol
+    for the smallest decay height dy; the halves break at the kinks of
+    the reflectance (spectral_breakpoints).
     """
-    out = 0.0
-    jobs = ((prop_value, 0.25j / np.pi, np.pi, "propagating"),
-            (evan_value, 0.25 / np.pi, T, "evanescent"))
-    for fn, scale, b, path in jobs:
-        maps = _segment_maps(0.0, b, spectral_breakpoints(media, path, b))
-        seg_tol = tol / len(maps)
-        for xw in maps:
-            prev = None
-            panels = 2
-            while True:
-                u, wu = _panel_nodes(0.0, 1.0, panels)
-                x, w = xw(u)
-                val = fn(x, wu * w)
-                if prev is not None:
-                    err = np.max(np.abs(val - prev) / np.maximum(floor, np.abs(val)))
-                    if err <= seg_tol:
-                        break
-                if panels > 4096:
-                    raise QuadratureConvergenceError(
-                        "batched Sommerfeld quadrature did not converge")
-                prev = val
-                panels *= 2
-            out = out + scale * val
-    return out
+    T = max(2.0 * media.k1, (-np.log(max(tol, 1e-16)) + 8.0) / dy)
+    return (0.25j / np.pi * _panel_doubling(
+                prop_value, np.pi, spectral_breakpoints(media, "propagating", np.pi), tol, floor)
+            + 0.25 / np.pi * _panel_doubling(
+                evan_value, T, spectral_breakpoints(media, "evanescent", T), tol, floor))
 
 
 # Largest (points x nodes) complex block scattered_batch and scattered_sum form at once.
@@ -468,8 +382,7 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
                     * 2.0 * np.cos(np.outer(dx, root[c]))) @ base[c]
         return val
 
-    T = _evanescent_cutoff(media, float(dy.min()), tol)
-    return _spectral_doubling(media, T, tol, prop_value, evan_value, 1.0)
+    return _spectral_doubling(media, float(dy.min()), tol, prop_value, evan_value, 1.0)
 
 
 def scattered_sum(media: MediaConfig, tx, ty, sx, sy, q, tol: float = 1e-12) -> np.ndarray:
@@ -529,8 +442,8 @@ def scattered_sum(media: MediaConfig, tx, ty, sx, sy, q, tol: float = 1e-12) -> 
             val += both[:, 0] + np.conj(both[:, 1])
         return val
 
-    T = _evanescent_cutoff(media, float(ty.min() + sy.min()), tol)
-    return _spectral_doubling(media, T, tol, prop_value, evan_value, qsum)
+    return _spectral_doubling(media, float(ty.min() + sy.min()), tol, prop_value, evan_value,
+                              qsum)
 
 
 def domain_green(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:

@@ -10,11 +10,13 @@ Near the interface the line-image tail is translated separately
 
 Entries are computed in batches with one quadrature, which this module
 alone fixes (_RULE): a 64-node Gauss-Legendre rule on the propagating
-contour, and on the evanescent contour one grid per batch, geometric
-panels of cosine-mapped Gauss-Legendre nodes whose count doubles until
-two grids agree for every entry of the batch.  The spectral factor
-depends only on the spectral variable, so each half is a product of a
-(keys x nodes) matrix with a (nodes x 4P+1) matrix, taken in blocks.
+contour (cosine-mapped per segment where a three-layer sigma_1 kinks),
+and on the evanescent contour one grid per batch, geometric panels of
+cosine-mapped Gauss-Legendre nodes (quadrature.cosine_panels) whose
+count doubles until two grids agree for every entry of the batch.  The
+spectral factor depends only on the spectral variable, so each half is
+a product of a (keys x nodes) matrix with a (nodes x 4P+1) matrix,
+taken in blocks.
 
 Entries are cached in one table store keyed by the geometry (|dx|, dy,
 C) as exact integers (TableKey): the kernel is invariant under
@@ -37,7 +39,7 @@ from scipy.optimize import brentq
 
 from .greens import (MediaConfig, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
-from .quadrature import gauss_legendre, legendre_base
+from .quadrature import cosine_panels, gauss_legendre
 
 __all__ = [
     "TranslationGeometry",
@@ -86,20 +88,7 @@ def propagating_rule(media: MediaConfig, count: int):
     pts = spectral_breakpoints(media, "propagating", np.pi)
     if not pts:
         return gauss_legendre(count, 0.0, np.pi)
-    return _cosine_panels(np.array([0.0, *pts, np.pi]), count)
-
-
-def _cosine_panels(edges, count):
-    """count Gauss-Legendre nodes and weights per panel between edges, cosine-mapped.
-
-    The map clusters nodes at both panel ends, keeping the rule spectral
-    across endpoint square-root kinks.
-    """
-    x, wx = legendre_base(count)
-    u = 0.5 * (x + 1.0)
-    a, h = edges[:-1, None], np.diff(edges)[:, None]
-    return ((a + 0.5 * h * (1.0 - np.cos(np.pi * u))).ravel(),
-            (0.25 * h * np.pi * np.sin(np.pi * u) * wx).ravel())
+    return cosine_panels([0.0, *pts, np.pi], count)
 
 
 # The table quadrature (_spectral_entries), written to and checked in the
@@ -169,7 +158,7 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     overflows unless the integrand does; the z^{-nu} half is E- @ Z reversed.
     """
     k = media.k1
-    t, w = _cosine_panels(edges, count)
+    t, w = cosine_panels(edges, count)
     plus = np.zeros((len(dx), 4 * P + 1), dtype=complex)
     minus = np.zeros_like(plus)
     mass = np.zeros(plus.shape)

@@ -1,9 +1,10 @@
 """Gauss-Legendre and generalized Gauss-Laguerre rules, each a (nodes, weights) pair.
 
 Every spectral integral of the package maps Gauss-Legendre rules
-(legendre_base) onto its own intervals.  gauss_laguerre_generalized has
-no caller in the package; the benchmark tracer (perfbench/tracing.py)
-wraps it by name.
+(legendre_base) onto its own intervals, affinely (gauss_legendre) or
+cosine-mapped (cosine_panels, shared by the table entries and the
+Sommerfeld oracle).  gauss_laguerre_generalized has no caller in the
+package; the benchmark tracer (perfbench/tracing.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre, roots_genlaguerre
 
-__all__ = ["legendre_base", "gauss_legendre", "gauss_laguerre_generalized"]
+__all__ = ["legendre_base", "gauss_legendre", "cosine_panels", "gauss_laguerre_generalized"]
 
 
 @lru_cache(maxsize=None)
@@ -44,6 +45,23 @@ def gauss_legendre(count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     x, w = legendre_base(count)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
+
+
+def cosine_panels(edges, count: int, split: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine-mapped composite Gauss-Legendre nodes and weights between edges.
+
+    Each segment [a, a + h] of edges is the image of u in [0, 1] under
+    x = a + h (1 - cos(pi u)) / 2; u is cut into split equal panels of
+    count Gauss-Legendre nodes each, ordered by segment, then panel.  The
+    map clusters nodes quadratically at both segment ends, which turns an
+    endpoint square-root kink into an analytic integrand.
+    """
+    x, wx = legendre_base(count)
+    u = ((np.arange(split)[:, None] + 0.5 * (x + 1.0)) / split).ravel()
+    edges = np.asarray(edges, dtype=float)
+    a, h = edges[:-1, None], np.diff(edges)[:, None]
+    return ((a + 0.5 * h * (1.0 - np.cos(np.pi * u))).ravel(),
+            (0.25 * h * np.pi * np.sin(np.pi * u) * (np.tile(wx, split) / split)).ravel())
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,24 @@ class TestMediaConfig:
         with pytest.raises(ValueError):
             MediaConfig.three_layer(1.0, 0.6, 1.3, 0.0)
 
+    @pytest.mark.parametrize("name,make", [
+        ("k1", lambda: MediaConfig.free(float("nan"))),
+        ("k1", lambda: MediaConfig.two_layer(float("inf"), 1.0)),
+        ("alpha", lambda: MediaConfig.two_layer(1.0, float("nan"))),
+        ("alpha", lambda: MediaConfig.two_layer(1.0, -0.5)),
+        ("k2", lambda: MediaConfig.three_layer(1.0, float("nan"), 0.6, 0.8)),
+        ("k3", lambda: MediaConfig.three_layer(1.0, 0.8, float("inf"), 0.8)),
+        ("d", lambda: MediaConfig.three_layer(1.0, 0.8, 0.6, float("nan"))),
+        ("d", lambda: MediaConfig.three_layer(1.0, 0.8, 0.6, float("inf"))),
+    ], ids=["free-k1-nan", "two-layer-k1-inf", "alpha-nan", "alpha-negative",
+            "k2-nan", "k3-inf", "d-nan", "d-inf"])
+    def test_bad_parameter_refused_by_name(self, name, make):
+        # refused up front: a non-finite value would fail deep inside, if at
+        # all, and a negative alpha puts the reflectance pole on the
+        # propagating contour
+        with pytest.raises(ValueError, match=f"^{name} "):
+            make()
+
     def test_guided_mode_guard(self):
         with pytest.raises(ValueError):
             MediaConfig.three_layer(1.0, 1.5, 0.8, 0.5)
@@ -110,6 +128,71 @@ class TestReflectance:
         k2 = np.sqrt(t * t + media.k1 ** 2 - media.k2 ** 2)  # kappa1 = t
         s1, _, _, _ = three_layer_sigma(media, t, path="evanescent")
         np.testing.assert_allclose(s1, (t - k2) / (t + k2), atol=1e-10)
+
+    @pytest.mark.parametrize("medium", [(1.0, 0.8, 0.6, 0.8), (1.0, 0.6, 1.3, 0.7),
+                                        (2.0, 1.5, 3.0, 0.2), (1.0, 0.3, 0.9, 5.0)],
+                             ids=["slower-layers", "mixed", "faster-bottom", "thick"])
+    @pytest.mark.parametrize("path", ["propagating", "evanescent"])
+    def test_three_layer_matches_extended_precision_solve(self, medium, path):
+        # all four coefficients against a 40-digit solve of the 4x4
+        # continuity system from the same kappa1; near a branch point the
+        # float kappa_2 carries the rounding of lam^2 - k_j^2, which the
+        # measured ~1e-11 there reflects
+        mp = pytest.importorskip("mpmath")
+        media = MediaConfig.three_layer(*medium)
+        k1 = media.k1
+
+        @mp.workdps(40)
+        def reference(kappa1):
+            g1 = mp.mpc(complex(kappa1))
+
+            def root(kj):
+                diff = (g1 * g1).real + mp.mpf(k1) ** 2 - mp.mpf(kj) ** 2
+                if diff >= 0:
+                    return mp.sqrt(diff)
+                return (-1j if path == "propagating" else 1j) * mp.sqrt(-diff)
+
+            g2, g3 = root(media.k2), root(media.k3)
+            e = mp.exp(-g2 * mp.mpf(media.d))
+            mat = mp.matrix([[1 / g1, -1 / g2, -e / g2, 0], [0, e / g2, 1 / g2, -1 / g3],
+                             [1, 1, -e, 0], [0, e, -1, -1]])
+            return [complex(v) for v in mp.lu_solve(mat, mp.matrix([-1 / g1, 0, 1, 0]))]
+
+        if path == "propagating":
+            upper, ends = np.pi, [0.0, np.pi]
+            regular = np.linspace(0.05, np.pi - 0.05, 12)
+        else:
+            upper, ends = 1e4, [0.0]
+            regular = np.geomspace(1e-3, 1e4, 12)
+        kinks = greens.spectral_breakpoints(media, path, upper) + ends
+        near = np.array([v for b in kinks for d in (1e-10, 1e-6) for v in (b - d, b + d)
+                         if 0.0 < v < upper])
+        for nodes, bound in ((regular, 1e-14), (near, 1e-10)):
+            kappa1 = (-1j * k1 * np.sin(nodes) if path == "propagating"
+                      else nodes.astype(complex))
+            got = np.array(three_layer_sigma(media, kappa1, path)).T
+            want = np.array([reference(kap) for kap in kappa1])
+            err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+            assert err.max() <= bound
+
+    def test_three_layer_branch_point_refused(self):
+        with pytest.raises(ValueError, match="kappa = 0"):
+            three_layer_sigma(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+                              np.array([0.5, 0.0]), path="evanescent")
+        with pytest.raises(ValueError, match="kappa = 0"):
+            three_layer_sigma(MediaConfig.three_layer(1.0, 1.0, 1.0, 0.7),
+                              np.array([-0.3j, 0.0]), path="propagating")
+
+    @pytest.mark.parametrize("k3,kappa1", [(1.0, -0.5), (1.0 + 1e-10, -0.5),
+                                           (1.0, float("nan"))],
+                             ids=["zero", "tiny", "nan"])
+    def test_three_layer_singular_system_refused(self, k3, kappa1):
+        # k2 = k1 and kappa1 = -kappa_2 give D = e^2 m12 m23, which vanishes
+        # for k3 = k2; D near zero or non-finite must raise rather than
+        # return huge coefficients
+        media = MediaConfig.three_layer(1.0, 1.0, k3, 0.7)
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            three_layer_sigma(media, np.array([0.5, kappa1]), path="evanescent")
 
     def test_three_layer_propagating_near_endpoint(self):
         # near tau = 0 the recomputed kappa_2 would round to zero for

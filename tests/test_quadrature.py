@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, gammainc
 
-from hfmm.quadrature import gauss_laguerre_generalized, gauss_legendre, legendre_base
+from hfmm.quadrature import (cosine_panels, gauss_laguerre_generalized, gauss_legendre,
+                             legendre_base)
 
 
 def _integrate(rule, f):
@@ -64,6 +65,45 @@ class TestGaussLegendre:
         again = gauss_legendre(8, -1.0, 1.0)
         np.testing.assert_array_equal(again[0], x)
         np.testing.assert_array_equal(again[1], w)
+
+
+class TestCosinePanels:
+    EDGES = np.array([0.0, 0.3, 1.7, 2.0])
+
+    @pytest.mark.parametrize("split", [1, 4])
+    def test_weights_sum_to_segment_lengths(self, split):
+        nodes, weights = cosine_panels(self.EDGES, 8, split)
+        per_segment = weights.reshape(len(self.EDGES) - 1, -1)
+        np.testing.assert_allclose(per_segment.sum(axis=1), np.diff(self.EDGES), rtol=1e-14)
+        assert np.all(weights > 0)
+        assert np.all(np.diff(nodes) > 0)
+
+    @pytest.mark.parametrize("split", [2, 4, 8])
+    def test_split_is_composite_rule_on_u_panels(self, split):
+        # each u-panel [j/split, (j+1)/split] carries its own Gauss-Legendre
+        # rule, then x = a + h (1 - cos(pi u)) / 2 with dx = h pi sin(pi u) / 2 du
+        count = 6
+        nodes, weights = cosine_panels(self.EDGES, count, split)
+        for seg, (a, b) in enumerate(zip(self.EDGES[:-1], self.EDGES[1:])):
+            h = b - a
+            for j in range(split):
+                u, wu = gauss_legendre(count, j / split, (j + 1) / split)
+                block = slice((seg * split + j) * count, (seg * split + j + 1) * count)
+                np.testing.assert_allclose(nodes[block], a + 0.5 * h * (1.0 - np.cos(np.pi * u)),
+                                           rtol=1e-15, atol=1e-15)
+                np.testing.assert_allclose(weights[block],
+                                           wu * 0.5 * h * np.pi * np.sin(np.pi * u), rtol=1e-14)
+
+    def test_endpoint_square_root_kink_converges(self):
+        # int_0^2 sqrt(x) e^{-x} dx = Gamma(3/2) P(3/2, 2): the map turns the
+        # kink at x = 0 into an analytic integrand in u; the plain rule stalls
+        exact = gamma(1.5) * gammainc(1.5, 2.0)
+        f = lambda x: np.sqrt(x) * np.exp(-x)
+        errors = [abs(_integrate(cosine_panels([0.0, 2.0], 8, split), f) - exact)
+                  for split in (1, 2, 4)]
+        assert errors[0] > 1e4 * errors[1] and errors[1] > 1e4 * errors[2]
+        assert errors[-1] <= 1e-14
+        assert abs(_integrate(gauss_legendre(64, 0.0, 2.0), f) - exact) > 1e-7
 
 
 class TestGaussLaguerre:
