@@ -127,7 +127,8 @@ def cmd_bench(args):
         parts = _particles(xs, ys, qs)
         out = fmm_apply(parts, _run_config(args, media, P, N))
         hide = args.timings == "none"  # timing values are nondeterministic
-        for phase in ("build", "tables", "upward", "downward", "near", "total"):
+        for phase in ("build", "tables", "upward", "downward", "near", "near_local",
+                      "near_free", "near_cut", "total"):
             rows.append(_row(args, media, P, N, f"time_{phase}",
                              0.0 if hide else round(out.timings[phase], 6),
                              out.timings[phase]))

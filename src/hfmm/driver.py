@@ -23,7 +23,7 @@ from . import layered
 from .greens import MediaConfig, scattered_batch, scattered_sum
 from .quadrature import legendre_base
 from .specfun import bessel_j_sweep, hankel0
-from .tree import TreeConfig, build_lists, build_tree, near_source_leaves
+from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
 
 __all__ = ["RunConfig", "PotentialVector", "fmm_apply", "direct_apply", "error_metric"]
 
@@ -47,8 +47,8 @@ class PotentialVector:
     # table entries this call computed and those its store held at the
     # end; evanescent nodes of the grids that computed them; leaves; the
     # deepest level; V pairs; ordered near (target, source) leaf pairs;
-    # the most source leaves of one target leaf; free-space kernel blocks
-    # the near field evaluated (one per unordered pair)
+    # the most source leaves of one target leaf; unordered near leaf
+    # pairs, each of which the free-space near field evaluates once
     counts: dict = field(default_factory=dict)
 
 
@@ -130,8 +130,20 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 
 
 # Particles per sweep of P2M or local evaluation: a chunk's (2P+1) x n
-# complex block of Bessel terms stays near this many bytes.
+# complex block of Bessel terms stays near this many bytes.  The near
+# field holds each of its complex kernel blocks under the same budget.
 _SWEEP_BYTES = 1 << 18
+
+
+def _rows(start, stop, tgt, src):
+    """(targets, bounds, cols): (tgt, src) leaf pairs, sorted by target, as one row per target.
+
+    Row i lists the particle indices of targets[i]'s source leaves in
+    their given order: cols[bounds[i]:bounds[i + 1]].
+    """
+    first = np.flatnonzero(np.diff(tgt, prepend=-1))
+    ends = np.r_[0, np.cumsum(stop[src] - start[src])]
+    return tgt[first], ends[np.r_[first, len(tgt)]], _ranges(start[src], stop[src])
 
 
 def _groups(src, tgt, *columns):
@@ -168,9 +180,11 @@ class _Workspace:
     One group-by (_groups) makes every grouping, a GEMM per group:
     quadrants[level] (M2M, L2L), offsets[level] (free M2L), and in a
     layered run the table plan from one pair_key call for the V pairs
-    and one for the near pairs: far[level] and near_reads by (key, flip)
-    (a two-layer cut key also takes the pairwise [0, C] line image), and
-    cut, the three-layer pairs cut near the interface, by target leaf.
+    and one for the near pairs: far[level] and near_reads by (key, flip);
+    line_image, the two-layer cut pairs as (tgt, src, cutoff C) arrays,
+    which also take the [0, C] line image; and cut, the three-layer
+    pairs cut near the interface, as rows by target leaf.  near_rows
+    lays out the blocks as one row (_rows) per target leaf.
     """
 
     def __init__(self, particles, config):
@@ -193,9 +207,17 @@ class _Workspace:
                                     2 * (ix[child] & 1) - 1, 2 * (iy[child] & 1) - 1)
         src, tgt = tree.v_src, tree.v_tgt
         self.offsets = _per_level(level[tgt], src, tgt, ix[tgt] - ix[src], iy[tgt] - iy[src])
-        self.store, self.far, self.near_reads, self.cut = None, {}, ([], [], []), ([], [], [])
+        self.store, self.far, self.near_reads = None, {}, ([], [], [])
+        none = np.zeros(0, dtype=np.int64)
+        self.line_image = (none, none, np.zeros(0))
+        self.cut = _rows(self.start, self.stop, none, none)
         if self.media.variant != "free":
             self._plan_tables()
+        # blocks are sorted by (tgt, src) and each leaf pairs with itself,
+        # so a row starts with its own leaf.  Built last, its index array
+        # (one entry per near particle pair) is not held through the peak
+        # memory of the table plan.
+        self.near_rows = _rows(self.start, self.stop, *self.blocks)
 
     def _plan_nodes(self):
         """Near pairs, kernel blocks and the leaf sweeps.
@@ -230,7 +252,7 @@ class _Workspace:
                        for i, j in zip(bounds, bounds[1:])]
 
     def _plan_tables(self):
-        """Fill far, near_reads and cut: one pair_key call for the V pairs, one for the near pairs."""
+        """Fill far, near_reads, line_image and cut: one pair_key call for the V pairs, one for the near pairs."""
         y0 = self.tree.root_xy[1]
 
         def reads(rows):  # (key, flip) of each (shift, ax, sy, cut, flip) row
@@ -243,10 +265,16 @@ class _Workspace:
                     in _per_level(self.level[tgt], src, tgt, *keys.T, flip).items()}
         tgt, src = self.near
         keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src], near=True)
-        cut = (keys[:, 3] > 0) & (self.media.variant == "three-layer")
+        cut = keys[:, 3] > 0
+        line = cut & (self.media.variant == "two-layer")
+        cut &= ~line
         rows, srcs, tgts = _groups(src[~cut], tgt[~cut], *keys[~cut].T, flip[~cut])
         self.near_reads = (reads(rows), srcs, tgts)
-        self.cut = _groups(src[cut], tgt[cut], tgt[cut])
+        self.cut = _rows(self.start, self.stop, tgt[cut], src[cut])
+        uniq, inverse = np.unique(keys[line], axis=0, return_inverse=True)
+        cutoff = [layered.TableStore.geometry(layered.TableKey(y0, *row)).cutoff
+                  for row in uniq.tolist()]
+        self.line_image = (tgt[line], src[line], np.array(cutoff)[inverse.reshape(-1)])
 
     def build_tables(self):
         """Load the table cache (or start a store) and fill it with every planned key."""
@@ -338,70 +366,84 @@ def _local_potentials(ws):
 
 
 def _near_free(ws, out):
-    """out += the free-space near field: one kernel block per unordered near pair.
+    """out += the free-space near field: one row of kernel blocks per target leaf.
 
-    G is symmetric in target and source, so a block gives both
-    directions: out_A += G @ q_B and out_B += G.T @ q_A.
+    A target leaf t's row holds the particles of its near source leaves
+    s >= t, its own first, cut into column chunks whose complex block
+    stays under _SWEEP_BYTES.  G is symmetric in target and source, so
+    a block gives both directions: out_t += G @ q_s and, for s > t,
+    out_s += G.T @ q_t.
     """
     x, y, q, k = ws.x, ws.y, ws.q, ws.k
-    tgt, src = ws.blocks
-    for same, a, b, c, d in zip((tgt == src).tolist(), ws.start[tgt].tolist(),
-                                ws.stop[tgt].tolist(), ws.start[src].tolist(),
-                                ws.stop[src].tolist()):
-        r = np.hypot(x[a:b, None] - x[None, c:d], y[a:b, None] - y[None, c:d])
-        if same:
-            np.fill_diagonal(r, 1.0)  # masked below; omits the singular self term
-        g = 0.25j * hankel0(k * r)
-        if same:
-            np.fill_diagonal(g, 0.0)
-            out[a:b] += g @ q[a:b]
-        else:
-            out[a:b] += g @ q[c:d]
-            out[c:d] += g.T @ q[a:b]
+    targets, bounds, cols = ws.near_rows
+    for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        a, b = int(ws.start[t]), int(ws.stop[t])
+        n = b - a
+        width = max(1, _SWEEP_BYTES // (16 * n))
+        for off in range(0, hi - lo, width):  # off: the chunk's first column in the row
+            j = cols[lo + off:min(lo + off + width, hi)]
+            dx = x[a:b, None] - x[j]
+            dy = y[a:b, None] - y[j]
+            dx *= dx
+            dy *= dy
+            r = np.add(dx, dy, out=dx)
+            np.sqrt(r, out=r)
+            r *= k
+            # the own leaf's diagonal in this chunk: masked below, omits
+            # the singular self term
+            own = np.arange(off, min(n, off + len(j)))
+            r[own, own - off] = 1.0
+            g = hankel0(r)
+            g[own, own - off] = 0.0
+            out[a:b] += 0.25j * (g @ q[j])
+            past = max(n - off, 0)  # the chunk's first column of a source s > t
+            if past < len(j):
+                out[j[past:]] += 0.25j * (q[a:b] @ g[:, past:])
 
 
 def _near_cut(ws, out):
     """out += the scattered near field of cut pairs the tables leave out."""
     k, x, y, q = ws.k, ws.x, ws.y, ws.q
     start, stop = ws.start, ws.stop
-    # two-layer near-interface part I: point image plus truncated line image
+    # two-layer near-interface part I: the point image plus the truncated
+    # line image, as one kernel sum over the stacked nodes per cut pair
     gl_x, gl_w = legendre_base(32)
-    for (key, _), srcs, tgts in zip(*ws.near_reads):
-        if not key.cut:
-            continue
-        C = ws.store.geometry(key).cutoff
+    alpha = ws.media.alpha
+    for t, s, C in zip(*(a.tolist() for a in ws.line_image)):
+        a, b, c, d = int(start[t]), int(stop[t]), int(start[s]), int(stop[s])
         s_nodes = 0.5 * C * (gl_x + 1.0)
-        s_w = 0.5 * C * gl_w
-        mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
-        for t, s in zip(tgts.tolist(), srcs.tolist()):
-            a, b, c, d = start[t], stop[t], start[s], stop[s]
-            tx, ty = x[a:b], y[a:b]
-            sx, sy, sq = x[c:d], y[c:d], q[c:d]
-            r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
-            out[a:b] += (0.25j * hankel0(k * r_img)) @ sq
-            for idx in range(len(s_nodes)):
-                r_line = np.hypot(tx[:, None] - sx[None, :],
-                                  ty[:, None] + sy[None, :] + s_nodes[idx])
-                out[a:b] += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
+        shifts = np.r_[0.0, s_nodes]
+        weights = np.r_[1.0, 0.5 * C * gl_w * (2j * alpha * np.exp(1j * alpha * s_nodes))]
+        dx2 = np.subtract.outer(x[a:b], x[c:d])
+        dx2 *= dx2
+        height = np.add.outer(y[a:b], y[c:d])
+        step = max(1, _SWEEP_BYTES // (16 * dx2.size))
+        g = np.zeros(dx2.shape, dtype=complex)
+        for i in range(0, len(shifts), step):
+            r = height + shifts[i:i + step, None, None]
+            r *= r
+            r += dx2
+            np.sqrt(r, out=r)
+            r *= k
+            g += np.tensordot(weights[i:i + step], hankel0(r), axes=1)
+        out[a:b] += 0.25j * (g @ q[c:d])
     # three-layer near-interface: one spectral sum per target leaf over its cut sources
-    for s, t in zip(*ws.cut[1:]):
-        a, b = start[t[0]], stop[t[0]]
-        idx = np.concatenate([np.arange(c, d) for c, d in zip(start[s], stop[s])])
-        out[a:b] += scattered_sum(ws.media, x[a:b], y[a:b], x[idx], y[idx], q[idx])
+    targets, bounds, cols = ws.cut
+    for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        a, b = start[t], stop[t]
+        j = cols[lo:hi]
+        out[a:b] += scattered_sum(ws.media, x[a:b], y[a:b], x[j], y[j], q[j])
 
 
-def _leaf_potentials(ws):
-    """Potentials at every particle, in tree order: local expansions plus near field.
+def _near_local(ws):
+    """Every leaf's local expansion at its own particles, in tree order.
 
     The near pairs that read a table entry go into the leaf local
     expansions first, one GEMM per (key, flip) as in the downward pass.
     """
     _translate(ws.local, ws.image, ws.near_reads,
                lambda reads: [ws.store.get(*read) for read in reads], "m-p")
-    out = _local_potentials(ws)
-    _near_free(ws, out)
-    _near_cut(ws, out)
-    return out
+    return _local_potentials(ws)
 
 
 def fmm_apply(particles, config: RunConfig) -> PotentialVector:
@@ -423,10 +465,18 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     _downward(ws)
     timings["downward"] = time.perf_counter() - t1
 
+    # the leaf potentials in tree order: local expansions, then the near
+    # field; near is the sum of its three sub-phases
     t1 = time.perf_counter()
+    out = _near_local(ws)
+    timings["near_local"] = time.perf_counter() - t1
+    for phase, near in (("near_free", _near_free), ("near_cut", _near_cut)):
+        t1 = time.perf_counter()
+        near(ws, out)
+        timings[phase] = time.perf_counter() - t1
+    timings["near"] = timings["near_local"] + timings["near_free"] + timings["near_cut"]
     values = np.empty(len(particles), dtype=complex)
-    values[ws.tree.perm] = _leaf_potentials(ws)
-    timings["near"] = time.perf_counter() - t1
+    values[ws.tree.perm] = out
 
     # one write per call, and only when this call computed an entry
     if config.table_cache and ws.store is not None and ws.store.misses:

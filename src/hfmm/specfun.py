@@ -129,6 +129,13 @@ def hankel1_sweep(nmax: int, x) -> np.ndarray:
 
 
 def hankel0(x) -> np.ndarray:
-    """H_0^(1)(x), vectorized fast path for the near-field kernel."""
+    """H_0^(1)(x), vectorized fast path for the near-field kernel.
+
+    J_0 and Y_0 are written straight into the real and imaginary parts
+    of one complex array, so a kernel block makes no temporaries.
+    """
     x = np.asarray(x, dtype=float)
-    return _j0(x) + 1j * _y0(x)
+    out = np.empty(x.shape, dtype=complex)
+    _j0(x, out=out.real)
+    _y0(x, out=out.imag)
+    return out

@@ -112,7 +112,8 @@ class TestBench:
         rows = _read_rows(out)
         metrics = {r["metric"] for r in rows}
         assert {"time_build", "time_tables", "time_upward", "time_downward",
-                "time_near", "time_total", "beta"} <= metrics
+                "time_near", "time_near_local", "time_near_free", "time_near_cut",
+                "time_total", "beta"} <= metrics
         # N = 100 completes well under a second
         t100 = [float(r["seconds"]) for r in rows
                 if r["metric"] == "time_total" and r["N"] == "100"][0]

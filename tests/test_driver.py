@@ -204,9 +204,13 @@ class TestStructure:
         parts = _random_particles(12, 150)
         out = fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0),
                                          order=8))
-        for key in ("build", "tables", "upward", "downward", "near", "total"):
+        for key in ("build", "tables", "upward", "downward", "near", "near_local",
+                    "near_free", "near_cut", "total"):
             assert key in out.timings
             assert out.timings[key] >= 0.0
+        # the near sub-phases partition the near phase
+        assert out.timings["near"] == pytest.approx(
+            out.timings["near_local"] + out.timings["near_free"] + out.timings["near_cut"])
 
     def test_table_cache_round_trip(self, tmp_path):
         parts = _random_particles(14, 200, ylo=0.1, yhi=1.2)
@@ -252,7 +256,7 @@ class TestStructure:
         parts = _random_particles(17, 300, ylo=0.01, yhi=1.0)
         cfg = RunConfig(media=MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), order=12,
                         leaf_capacity=30)
-        assert len(driver._Workspace(parts, cfg).cut[1]) > 0
+        assert len(driver._Workspace(parts, cfg).cut[0]) > 0
         calls = []
 
         def counted(*args, **kwargs):
@@ -449,11 +453,22 @@ class TestLeafSweeps:
 
 
 class TestNearField:
-    def test_symmetric_blocks_match_ordered_pairs(self):
+    # 2 KiB: 128 complex values, so rows split into several column
+    # chunks and the line-image nodes into several batches
+    SMALL = 1 << 11
+
+    @pytest.mark.parametrize("budget", [None, SMALL], ids=["whole-rows", "chunked"])
+    def test_symmetric_blocks_match_ordered_pairs(self, monkeypatch, budget):
         ws = driver._Workspace(_clustered_particles(23, 1500),
                                RunConfig(media=MediaConfig.free(1.0), order=8,
                                          leaf_capacity=20))
         assert len(set(ws.level[ws.leaves])) > 1
+        if budget is not None:
+            monkeypatch.setattr(driver, "_SWEEP_BYTES", budget)
+            targets, bounds, _ = ws.near_rows
+            sizes = ws.stop[targets] - ws.start[targets]
+            # some row is wider than its chunks
+            assert np.any(np.diff(bounds) > budget // (16 * sizes))
         got = np.zeros(len(ws.q), dtype=complex)
         driver._near_free(ws, got)
         want = np.zeros_like(got)
@@ -468,6 +483,78 @@ class TestNearField:
             want[a:b] += g @ ws.q[c:d]
         assert len(ws.blocks[0]) < len(ws.near[0]) == len(tgt)
         assert _close(got, want, 1e-14)
+
+    def test_rows_hold_the_blocks_own_leaf_first(self):
+        ws = driver._Workspace(_clustered_particles(23, 1500),
+                               RunConfig(media=MediaConfig.free(1.0), order=8,
+                                         leaf_capacity=20))
+        targets, bounds, cols = ws.near_rows
+        tgt, src = ws.blocks
+        assert targets.tolist() == sorted(set(tgt.tolist()))
+        for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            want = [np.arange(ws.start[s], ws.stop[s]) for s in sorted(src[tgt == t])]
+            assert sorted(src[tgt == t])[0] == t
+            np.testing.assert_array_equal(cols[lo:hi], np.concatenate(want))
+
+    @pytest.mark.parametrize("budget", [None, SMALL], ids=["whole-nodes", "chunked"])
+    def test_stacked_line_image_matches_per_node_loop(self, monkeypatch, budget):
+        # two-layer near-interface part I: the point image and the 32
+        # line-image nodes, summed one node and one pair at a time
+        ws = driver._Workspace(_random_particles(27, 400, ylo=5e-3, yhi=1.0),
+                               RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=8,
+                                         leaf_capacity=20))
+        assert len(np.unique(ws.line_image[2])) >= 2
+        if budget is not None:
+            monkeypatch.setattr(driver, "_SWEEP_BYTES", budget)
+            sizes = ws.stop - ws.start
+            t, s, _ = ws.line_image
+            # some pair's 33 nodes take more than one batch
+            assert np.any(budget // (16 * sizes[t] * sizes[s]) < 33)
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._near_cut(ws, got)
+        want = np.zeros_like(got)
+        k, x, y, q, start, stop = ws.k, ws.x, ws.y, ws.q, ws.start, ws.stop
+        gl_x, gl_w = quadrature.legendre_base(32)
+        for (key, _), srcs, tgts in zip(*ws.near_reads):
+            if not key.cut:
+                continue
+            C = layered.TableStore.geometry(key).cutoff
+            s_nodes = 0.5 * C * (gl_x + 1.0)
+            s_w = 0.5 * C * gl_w
+            mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
+            for t, s in zip(tgts.tolist(), srcs.tolist()):
+                a, b, c, d = start[t], stop[t], start[s], stop[s]
+                tx, ty = x[a:b], y[a:b]
+                sx, sy, sq = x[c:d], y[c:d], q[c:d]
+                r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
+                want[a:b] += (0.25j * hankel0(k * r_img)) @ sq
+                for idx in range(len(s_nodes)):
+                    r_line = np.hypot(tx[:, None] - sx[None, :],
+                                      ty[:, None] + sy[None, :] + s_nodes[idx])
+                    want[a:b] += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
+        assert np.any(want != 0)
+        assert _close(got, want, 1e-14)
+
+    def test_no_kernel_value_evaluated_twice(self, monkeypatch):
+        # one value per unordered near particle pair, and 33 (the point
+        # image and 32 line-image nodes) per particle pair of a cut leaf pair
+        parts = _random_particles(27, 400, ylo=5e-3, yhi=1.0)
+        cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=8, leaf_capacity=20)
+        ws = driver._Workspace(parts, cfg)
+        sizes = ws.stop - ws.start
+        tgt, src = ws.blocks
+        t, s, _ = ws.line_image
+        assert len(t) > 0
+        want = int(np.sum(sizes[tgt] * sizes[src]) + 33 * np.sum(sizes[t] * sizes[s]))
+        values = []
+
+        def counted(x):
+            values.append(np.size(x))
+            return hankel0(x)
+
+        monkeypatch.setattr(driver, "hankel0", counted)
+        fmm_apply(parts, cfg)
+        assert sum(values) == want
 
     def test_asymmetric_near_map_refused(self, monkeypatch):
         parts = _clustered_particles(24, 600)

@@ -227,16 +227,28 @@ class TestPlan:
                 assert g.cutoff == pytest.approx(_expected_cutoff(tree, t, s), rel=1e-15,
                                                  abs=1e-15)
             read.update(group)
-        leaves, srcs, tgts = ws.cut
-        for leaf, group in zip(leaves[:, 0].tolist(), pairs(srcs, tgts)):
-            assert all(t == leaf and _expected_cutoff(tree, t, s) > 0.0 for s, t in group)
+        # the two-layer cut pairs, which also read a B-tail entry, with
+        # that entry's cutoff
+        lines = Counter()
+        for (key, _), group in zip(reads, pairs(srcs, tgts)):
+            if key.cut:
+                lines.update({(s, t, TableStore.geometry(key).cutoff): 1 for s, t in group})
+        t, s, cutoff = (a.tolist() for a in ws.line_image)
+        assert Counter(zip(s, t, cutoff)) == lines
+        leaves, bounds, cols = ws.cut
+        for leaf, lo, hi in zip(leaves.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            # a row holds the whole span of each source leaf, once
+            sources, counts = np.unique(ws.row[cols[lo:hi]], return_counts=True)
+            np.testing.assert_array_equal(counts, tree.stop[sources] - tree.start[sources])
+            group = [(s, leaf) for s in sources.tolist()]
+            assert all(_expected_cutoff(tree, t, s) > 0.0 for s, t in group)
             cut.update(group)
         assert read + cut == near_pairs
         assert not read & cut
         if media.variant == "three-layer":
-            assert cut and all(not key.cut for key, _ in reads)
+            assert cut and all(not key.cut for key, _ in reads) and not lines
         else:
-            assert not cut and any(key.cut for key, _ in reads)
+            assert not cut and lines
 
 
 class TestComputeA:

@@ -7,6 +7,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfmm import greens
 from hfmm.expansions import _signed_orders
 from hfmm.specfun import (SUPPORTED_MAX_ARG, bessel_j_sweep, bessel_y_sweep, hankel0,
                           hankel1_sweep)
@@ -45,6 +46,21 @@ class TestScalarValues:
         x = np.array([0.3, 1.0, 7.5])
         expect = sp.jv(0, x) + 1j * sp.yv(0, x)
         np.testing.assert_allclose(hankel0(x), expect, rtol=1e-13)
+
+    @pytest.mark.parametrize("x", [np.array([0.3, 1.0, 7.5, 2.404825557695773]),
+                                   np.geomspace(1e-8, 900.0, 60).reshape(6, 10),
+                                   np.array(3.25)], ids=["1-d", "2-d", "0-d"])
+    def test_hankel0_parts_are_scipy_j0_and_y0(self, x):
+        # written in place into one complex array: bit for bit the scipy values
+        h = hankel0(x)
+        assert h.shape == x.shape and h.dtype == complex
+        np.testing.assert_array_equal(h.real, sp.j0(x))
+        np.testing.assert_array_equal(h.imag, sp.y0(x))
+
+    def test_free_space_kernel_is_a_python_complex(self):
+        value = greens.free_space(2.0, (0.1, 0.5), (0.4, 0.9))
+        assert type(value) is complex
+        assert value == pytest.approx(0.25j * complex(sp.j0(1.0), sp.y0(1.0)), rel=1e-15)
 
 
 class TestSweeps:
