@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expansions as ex
-from . import layered
-from .greens import MediaConfig, scattered_batch, scattered_sum
-from .quadrature import legendre_base
+from . import greens, layered
+from .greens import MediaConfig, QuadratureConvergenceError, scattered_batch, spectral_breakpoints
+from .quadrature import cosine_panels, legendre_base
 from .specfun import bessel_j_sweep, hankel0
 from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
 
@@ -48,7 +48,9 @@ class PotentialVector:
     # end; evanescent nodes of the grids that computed them; leaves; the
     # deepest level; V pairs; ordered near (target, source) leaf pairs;
     # the most source leaves of one target leaf; unordered near leaf
-    # pairs, each of which the free-space near field evaluates once
+    # pairs, each of which the free-space near field evaluates once;
+    # spectral nodes of the three-layer cut field's grid, summed over its
+    # doubling levels (0 without cut rows)
     counts: dict = field(default_factory=dict)
 
 
@@ -135,15 +137,12 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 _SWEEP_BYTES = 1 << 18
 
 
-def _rows(start, stop, tgt, src):
-    """(targets, bounds, cols): (tgt, src) leaf pairs, sorted by target, as one row per target.
+def _rows(tgt, src):
+    """(targets, bounds, src): (tgt, src) leaf pairs, sorted by target, as one row per target.
 
-    Row i lists the particle indices of targets[i]'s source leaves in
-    their given order: cols[bounds[i]:bounds[i + 1]].
-    """
+    Row i lists the source leaves of targets[i]: src[bounds[i]:bounds[i + 1]]."""
     first = np.flatnonzero(np.diff(tgt, prepend=-1))
-    ends = np.r_[0, np.cumsum(stop[src] - start[src])]
-    return tgt[first], ends[np.r_[first, len(tgt)]], _ranges(start[src], stop[src])
+    return tgt[first], np.r_[first, len(tgt)], src
 
 
 def _groups(src, tgt, *columns):
@@ -184,7 +183,8 @@ class _Workspace:
     line_image, the two-layer cut pairs as (tgt, src, cutoff C) arrays,
     which also take the [0, C] line image; and cut, the three-layer
     pairs cut near the interface, as rows by target leaf.  near_rows
-    lays out the blocks as one row (_rows) per target leaf.
+    lays out the blocks as one row (_rows) of source leaf ids per target
+    leaf.  cut_nodes counts the nodes of the cut field's grid.
     """
 
     def __init__(self, particles, config):
@@ -210,14 +210,12 @@ class _Workspace:
         self.store, self.far, self.near_reads = None, {}, ([], [], [])
         none = np.zeros(0, dtype=np.int64)
         self.line_image = (none, none, np.zeros(0))
-        self.cut = _rows(self.start, self.stop, none, none)
+        self.cut, self.cut_nodes = _rows(none, none), 0
         if self.media.variant != "free":
             self._plan_tables()
         # blocks are sorted by (tgt, src) and each leaf pairs with itself,
-        # so a row starts with its own leaf.  Built last, its index array
-        # (one entry per near particle pair) is not held through the peak
-        # memory of the table plan.
-        self.near_rows = _rows(self.start, self.stop, *self.blocks)
+        # so a row starts with its own leaf
+        self.near_rows = _rows(*self.blocks)
 
     def _plan_nodes(self):
         """Near pairs, kernel blocks and the leaf sweeps.
@@ -270,7 +268,7 @@ class _Workspace:
         cut &= ~line
         rows, srcs, tgts = _groups(src[~cut], tgt[~cut], *keys[~cut].T, flip[~cut])
         self.near_reads = (reads(rows), srcs, tgts)
-        self.cut = _rows(self.start, self.stop, tgt[cut], src[cut])
+        self.cut = _rows(tgt[cut], src[cut])
         uniq, inverse = np.unique(keys[line], axis=0, return_inverse=True)
         cutoff = [layered.TableStore.geometry(layered.TableKey(y0, *row)).cutoff
                   for row in uniq.tolist()]
@@ -374,10 +372,12 @@ def _near_free(ws, out):
     a block gives both directions: out_t += G @ q_s and, for s > t,
     out_s += G.T @ q_t.
     """
-    x, y, q, k = ws.x, ws.y, ws.q, ws.k
-    targets, bounds, cols = ws.near_rows
+    x, y, q, k, start, stop = ws.x, ws.y, ws.q, ws.k, ws.start, ws.stop
+    targets, bounds, srcs = ws.near_rows
+    cols = _ranges(start[srcs], stop[srcs])
+    bounds = np.r_[0, np.cumsum(stop[srcs] - start[srcs])][bounds]
     for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        a, b = int(ws.start[t]), int(ws.stop[t])
+        a, b = int(start[t]), int(stop[t])
         n = b - a
         width = max(1, _SWEEP_BYTES // (16 * n))
         for off in range(0, hi - lo, width):  # off: the chunk's first column in the row
@@ -403,8 +403,7 @@ def _near_free(ws, out):
 
 def _near_cut(ws, out):
     """out += the scattered near field of cut pairs the tables leave out."""
-    k, x, y, q = ws.k, ws.x, ws.y, ws.q
-    start, stop = ws.start, ws.stop
+    k, x, y, q, start, stop = ws.k, ws.x, ws.y, ws.q, ws.start, ws.stop
     # two-layer near-interface part I: the point image plus the truncated
     # line image, as one kernel sum over the stacked nodes per cut pair
     gl_x, gl_w = legendre_base(32)
@@ -427,12 +426,81 @@ def _near_cut(ws, out):
             r *= k
             g += np.tensordot(weights[i:i + step], hankel0(r), axes=1)
         out[a:b] += 0.25j * (g @ q[c:d])
-    # three-layer near-interface: one spectral sum per target leaf over its cut sources
-    targets, bounds, cols = ws.cut
-    for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        a, b = start[t], stop[t]
-        j = cols[lo:hi]
-        out[a:b] += scattered_sum(ws.media, x[a:b], y[a:b], x[j], y[j], q[j])
+    # three-layer near-interface: every cut row on one spectral grid
+    if len(ws.cut[0]):
+        targets, u, ws.cut_nodes = _cut_field(ws)
+        out[targets] += u
+
+
+_CUT_CAP = 1024  # the most nodes per panel of the cut field's grid
+
+
+def _cut_field(ws):
+    """(targets, u, nodes): the scattered field of the three-layer cut rows, on one grid.
+
+    The grid: cosine panels over [0, pi] broken at the kinks of sigma, and
+    the table entries' geometric evanescent panels (layered._panel_edges)
+    up to the cutoff of the smallest y_t + y_s.  At a node the integrand of
+    u^s (greens.scattered_batch) is a target times a source factor, both of
+    modulus <= 1: e^{ik(y_t sin tau - x_t cos tau)} e^{ik(y_s sin tau + x_s
+    cos tau)}, and E_t conj(E_s) + conj(E_t) E_s with E = e^{-t y + i root x}.
+    A level evaluates sigma once per contour, and the rows' source sums as
+    per-leaf sums times a leaf-row membership matrix, in node chunks under
+    _SWEEP_BYTES.  Nodes per panel double from 16 until u changes by at most
+    1e-12 relative to max(|u_i|, the row's sum |q|), or past _CUT_CAP raise
+    QuadratureConvergenceError.  nodes counts the nodes of all levels.
+    """
+    leaves, bounds, srcs = ws.cut
+    start, stop, media, k = ws.start, ws.stop, ws.media, ws.k
+    # factors once per particle of a cut leaf, summed per leaf (first: each
+    # leaf's first point); member[leaf, row] = 1 where row lists leaf as a source
+    every = np.union1d(leaves, srcs)
+    sizes = stop[every] - start[every]
+    points = _ranges(start[every], stop[every])
+    first = np.r_[0, np.cumsum(sizes)[:-1]]
+    i, j = np.searchsorted(every, leaves), np.searchsorted(every, srcs)
+    tp = _ranges(first[i], first[i] + sizes[i])
+    row = np.repeat(np.arange(len(leaves)), sizes[i])
+    member = np.zeros((len(every), len(leaves)))
+    member[j, np.repeat(np.arange(len(leaves)), np.diff(bounds))] = 1.0
+    qp = ws.q[points]
+    floor = (np.add.reduceat(np.abs(qp), first) @ member)[row]
+    # phases about a nearby origin keep their arguments small
+    px, py = ws.x[points] - 0.5 * (ws.x[points].min() + ws.x[points].max()), ws.y[points]
+    low = np.minimum.reduceat(py, first)
+    dy = float(low[i].min() + low[j].min())
+    prop_edges = [0.0, *spectral_breakpoints(media, "propagating", np.pi), np.pi]
+    evan_edges = layered._panel_edges(media, 0, dy)
+    step = max(1, _SWEEP_BYTES // (16 * len(points)))
+
+    def field(tgt, src, weight):  # sum over the nodes of tgt * weight * the rows' source sums
+        sums = np.add.reduceat(src * qp, first, axis=1) @ member
+        return np.einsum("ji,ji->i", tgt, (weight[:, None] * sums)[:, row])
+
+    def level(count):
+        tau, w = cosine_panels(prop_edges, count)
+        ks, kc = k * np.sin(tau), k * np.cos(tau)
+        w = 0.25j / np.pi * w * greens.reflectance(media, -1j * ks)
+        u = sum(field(np.exp(1j * (np.outer(ks[c], py[tp]) - np.outer(kc[c], px[tp]))),
+                      np.exp(1j * (np.outer(ks[c], py) + np.outer(kc[c], px))), w[c])
+                for c in map(slice, range(0, len(tau), step), range(step, len(tau) + step, step)))
+        t, v = cosine_panels(evan_edges, count)
+        root = np.hypot(t, k)
+        v = 0.25 / np.pi * v * greens.reflectance(media, t.astype(complex)) / root
+        for c in map(slice, range(0, len(t), step), range(step, len(t) + step, step)):
+            e = np.exp(np.outer(-t[c], py) + 1j * np.outer(root[c], px))
+            u += field(e[:, tp], np.conj(e), v[c]) + field(np.conj(e[:, tp]), e, v[c])
+        return u
+
+    count, prev = 16, None
+    while True:
+        u = level(count)
+        if prev is not None and np.all(np.abs(u - prev) <= 1e-12 * np.maximum(np.abs(u), floor)):
+            return points[tp], u, (2 * count - 16) * (len(prop_edges) + len(evan_edges) - 2)
+        if 2 * count > _CUT_CAP:
+            raise QuadratureConvergenceError(f"three-layer cut field did not converge at {count} "
+                                             f"nodes per panel (smallest y_t + y_s {dy:.3g})")
+        prev, count = u, 2 * count
 
 
 def _near_local(ws):
@@ -493,5 +561,6 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
               "v_pairs": len(ws.tree.v_src),
               "near_pairs": len(ws.near[0]),
               "max_near": int(np.bincount(ws.near[0]).max()),
-              "near_blocks": len(ws.blocks[0])}
+              "near_blocks": len(ws.blocks[0]),
+              "cut_nodes": ws.cut_nodes}
     return PotentialVector(values=values, timings=timings, counts=counts)

@@ -4,7 +4,8 @@ Everything here is direct (non-hierarchical) evaluation: the free-space
 kernel, the spectral (Sommerfeld) representations, interface reflectance
 coefficients in closed form, and the adaptive-quadrature oracle for the
 scattered field: one panel-doubling loop over quadrature.cosine_panels.
-The fast summation path is validated against these routines.
+The fast path, its three-layer cut field (driver._cut_field) included,
+is validated against these routines, which share no grid with it.
 
 Conventions
 -----------
@@ -36,7 +37,6 @@ __all__ = [
     "free_space_spectral",
     "scattered_direct",
     "scattered_batch",
-    "scattered_sum",
     "domain_green",
 ]
 
@@ -247,7 +247,7 @@ def free_space_spectral(k: float, x, x0) -> complex:
         return np.sum(w * np.exp(-t * dy) * 2.0 * np.cos(root * dx) / root)
 
     T = max(2.0 * k, 45.0 / dy)
-    val_e = _panel_doubling(evan_value, T, [k] if k < T else [], 1e-13, 1.0)
+    val_e = _panel_doubling(evan_value, T, [k] if k < T else [], 1e-13)
     return complex(0.25j / np.pi * val_p + 0.25 / np.pi * val_e)
 
 
@@ -298,14 +298,14 @@ def scattered_direct(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:
     return complex(scattered_batch(media, [x1 - x2], [y1 + y2], tol)[0])
 
 
-def _panel_doubling(fn, b, interior, tol, floor):
+def _panel_doubling(fn, b, interior, tol):
     """Integral over [0, b] by cosine-mapped panels doubled per segment.
 
     The range is split at the interior breakpoints.  fn(x, w) returns
     the node sums (one entry per output) of a rule.  Each segment
     doubles its 16-node panels (quadrature.cosine_panels) until two
     successive levels agree to tol / segments relative to
-    max(floor, |value|), and gives up past 4096 panels.
+    max(1, |value|), and gives up past 4096 panels.
     """
     edges = np.array([0.0, *interior, b])
     seg_tol = tol / (len(edges) - 1)
@@ -315,7 +315,7 @@ def _panel_doubling(fn, b, interior, tol, floor):
         while True:
             val = fn(*cosine_panels(seg, 16, panels))
             if prev is not None:
-                err = np.max(np.abs(val - prev) / np.maximum(floor, np.abs(val)))
+                err = np.max(np.abs(val - prev) / np.maximum(1.0, np.abs(val)))
                 if err <= seg_tol:
                     break
             if panels > 4096:
@@ -327,22 +327,7 @@ def _panel_doubling(fn, b, interior, tol, floor):
     return total
 
 
-def _spectral_doubling(media, dy, tol, prop_value, evan_value, floor):
-    """Propagating plus evanescent spectral integral, each half panel-doubled.
-
-    prop_value(tau, w) and evan_value(t, w) return the node sums (one
-    entry per output) over [0, pi] and [0, T], with e^{-T dy} below tol
-    for the smallest decay height dy; the halves break at the kinks of
-    the reflectance (spectral_breakpoints).
-    """
-    T = max(2.0 * media.k1, (-np.log(max(tol, 1e-16)) + 8.0) / dy)
-    return (0.25j / np.pi * _panel_doubling(
-                prop_value, np.pi, spectral_breakpoints(media, "propagating", np.pi), tol, floor)
-            + 0.25 / np.pi * _panel_doubling(
-                evan_value, T, spectral_breakpoints(media, "evanescent", T), tol, floor))
-
-
-# Largest (points x nodes) complex block scattered_batch and scattered_sum form at once.
+# Largest (pairs x nodes) complex block scattered_batch forms at once.
 _BLOCK_BYTES = 1 << 23
 
 
@@ -382,68 +367,13 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
                     * 2.0 * np.cos(np.outer(dx, root[c]))) @ base[c]
         return val
 
-    return _spectral_doubling(media, float(dy.min()), tol, prop_value, evan_value, 1.0)
-
-
-def scattered_sum(media: MediaConfig, tx, ty, sx, sy, q, tol: float = 1e-12) -> np.ndarray:
-    """Scattered potentials sum_j q_j u^s(t_i; s_j) at every target t_i.
-
-    At each spectral node the integrand splits into a target factor times
-    a source factor: e^{ik(y_t sin tau - x_t cos tau)} e^{ik(y_s sin tau
-    + x_s cos tau)} on the propagating contour, and e^{-t y_t}
-    e^{+-i root x_t} e^{-t y_s} e^{-+i root x_s} on the evanescent one.
-    Every factor has modulus <= 1 for y > 0.  The source sum at the nodes
-    then costs one (nodes x sources) product and the potentials one
-    (targets x nodes) product, where scattered_batch forms a (pairs x
-    nodes) block; the node axis is chunked so that no block exceeds
-    _BLOCK_BYTES.  A target may coincide with a source: u^s stays finite.
-
-    The evanescent cutoff comes from the smallest y_t + y_s; panels double
-    until the summed potentials of each segment change by at most
-    tol / segments relative to max(|u_i|, sum_j |q_j|).
-    """
-    tx, ty, sx, sy = (np.asarray(v, dtype=float) for v in (tx, ty, sx, sy))
-    q = np.asarray(q, dtype=complex)
-    if min(ty.min(), sy.min()) <= 0.0:
-        raise ValueError("scattered_sum requires every point above the interface (y > 0)")
-    qsum = float(np.abs(q).sum())
-    if media.variant == "free" or qsum == 0.0:
-        return np.zeros(tx.shape, dtype=complex)
-    # phases taken about a nearby origin keep their arguments small
-    x0 = 0.5 * (tx.min() + tx.max())
-    tx, sx = tx - x0, sx - x0
-    k = media.k1
-    step = max(1, _BLOCK_BYTES // (16 * max(tx.size, sx.size)))
-    q2 = np.stack([np.conj(q), q], axis=1)
-
-    def prop_value(tau, w):
-        sigma = reflectance(media, -1j * k * np.sin(tau))
-        ks, kc = k * np.sin(tau), k * np.cos(tau)
-        val = np.zeros(tx.shape, dtype=complex)
-        for a in range(0, tau.size, step):
-            c = slice(a, a + step)
-            src = np.exp(1j * (np.outer(ks[c], sy) + np.outer(kc[c], sx))) @ q
-            tgt = np.exp(1j * (np.outer(ty, ks[c]) - np.outer(tx, kc[c])))
-            val += tgt @ (w[c] * sigma[c] * src)
-        return val
-
-    def evan_value(t, w):
-        root = np.sqrt(t * t + k * k)
-        base = w * reflectance(media, t.astype(complex)) / root
-        val = np.zeros(tx.shape, dtype=complex)
-        for a in range(0, t.size, step):
-            c = slice(a, a + step)
-            # 2 cos(root (x_t - x_s)) = E_t conj(E_s) + conj(E_t) E_s with
-            # E = e^{-t y} e^{i root x}; both terms come from one product each way
-            src = np.exp(np.outer(t[c], -sy) + 1j * np.outer(root[c], sx)) @ q2
-            tgt = np.exp(np.outer(-ty, t[c]) + 1j * np.outer(tx, root[c]))
-            both = tgt @ np.stack([base[c] * np.conj(src[:, 0]),
-                                   np.conj(base[c] * src[:, 1])], axis=1)
-            val += both[:, 0] + np.conj(both[:, 1])
-        return val
-
-    return _spectral_doubling(media, float(ty.min() + sy.min()), tol, prop_value, evan_value,
-                              qsum)
+    # e^{-T dy} is below tol at the smallest decay height; both halves
+    # break at the kinks of the reflectance (spectral_breakpoints)
+    T = max(2.0 * k, (-np.log(max(tol, 1e-16)) + 8.0) / dy.min())
+    return (0.25j / np.pi * _panel_doubling(
+                prop_value, np.pi, spectral_breakpoints(media, "propagating", np.pi), tol)
+            + 0.25 / np.pi * _panel_doubling(
+                evan_value, T, spectral_breakpoints(media, "evanescent", T), tol))
 
 
 def domain_green(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:

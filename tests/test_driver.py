@@ -465,10 +465,11 @@ class TestNearField:
         assert len(set(ws.level[ws.leaves])) > 1
         if budget is not None:
             monkeypatch.setattr(driver, "_SWEEP_BYTES", budget)
-            targets, bounds, _ = ws.near_rows
+            targets, bounds, srcs = ws.near_rows
             sizes = ws.stop[targets] - ws.start[targets]
+            widths = np.add.reduceat(ws.stop[srcs] - ws.start[srcs], bounds[:-1])
             # some row is wider than its chunks
-            assert np.any(np.diff(bounds) > budget // (16 * sizes))
+            assert np.any(widths > budget // (16 * sizes))
         got = np.zeros(len(ws.q), dtype=complex)
         driver._near_free(ws, got)
         want = np.zeros_like(got)
@@ -488,13 +489,15 @@ class TestNearField:
         ws = driver._Workspace(_clustered_particles(23, 1500),
                                RunConfig(media=MediaConfig.free(1.0), order=8,
                                          leaf_capacity=20))
-        targets, bounds, cols = ws.near_rows
+        targets, bounds, srcs = ws.near_rows
         tgt, src = ws.blocks
         assert targets.tolist() == sorted(set(tgt.tolist()))
+        # one source leaf id per block: the persistent layout holds no
+        # per-particle index
+        assert len(srcs) == len(src) and len(bounds) == len(targets) + 1
         for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            want = [np.arange(ws.start[s], ws.stop[s]) for s in sorted(src[tgt == t])]
-            assert sorted(src[tgt == t])[0] == t
-            np.testing.assert_array_equal(cols[lo:hi], np.concatenate(want))
+            assert srcs[lo:hi].tolist() == sorted(src[tgt == t].tolist())
+            assert srcs[lo] == t
 
     @pytest.mark.parametrize("budget", [None, SMALL], ids=["whole-nodes", "chunked"])
     def test_stacked_line_image_matches_per_node_loop(self, monkeypatch, budget):
@@ -571,6 +574,125 @@ class TestNearField:
         with pytest.raises(ValueError, match="not symmetric"):
             driver._Workspace(parts, RunConfig(media=MediaConfig.free(1.0), order=8,
                                                leaf_capacity=20))
+
+
+def _cut_workspace(media, ylo, n=200, leaf=20, pin=None, seed=31):
+    """Workspace of a three-layer tree with cut rows; pin puts particle 0 at y = pin."""
+    parts = _random_particles(seed, n, ylo=ylo, yhi=1.0)
+    if pin is not None:
+        parts[0] = Particle(Point2(parts[0].position.x, pin), parts[0].strength)
+    ws = driver._Workspace(parts, RunConfig(media=media, order=8, leaf_capacity=leaf))
+    assert len(ws.cut[0]) > 0
+    return ws
+
+
+def _pairwise_cut(ws):
+    """The cut field of ws summed pair by pair with the scattered_batch oracle."""
+    x, y, q, start, stop = ws.x, ws.y, ws.q, ws.start, ws.stop
+    want = np.zeros(len(q), dtype=complex)
+    leaves, bounds, srcs = ws.cut
+    for t, lo, hi in zip(leaves.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        a, b = start[t], stop[t]
+        j = np.concatenate([np.arange(start[s], stop[s]) for s in srcs[lo:hi]])
+        us = greens.scattered_batch(ws.media, (x[a:b, None] - x[j]).ravel(),
+                                    (y[a:b, None] + y[j]).ravel())
+        want[a:b] += us.reshape(b - a, len(j)) @ q[j]
+    return want
+
+
+class TestCutField:
+    """The three-layer cut field: every cut row on one spectral grid (driver._cut_field)."""
+
+    def test_matches_pairwise_batch_down_to_1e_3(self):
+        # particle 0 sits at y = 5e-4, so its own pair has y_t + y_s = 1e-3,
+        # and its leaf is a cut row that lists itself as a source
+        ws = _cut_workspace(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 1e-3, pin=5e-4)
+        i = int(np.flatnonzero(ws.tree.perm == 0)[0])
+        assert 2 * ws.y[i] * ws.tree.side == pytest.approx(1e-3)
+        leaves, bounds, srcs = ws.cut
+        r = int(np.flatnonzero(leaves == ws.row[i])[0])
+        assert ws.row[i] in srcs[bounds[r]:bounds[r + 1]]
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._near_cut(ws, got)
+        want = _pairwise_cut(ws)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_matches_pairwise_batch_with_branch_point_on_evanescent_contour(self):
+        # k3 > k1 puts a kink of sigma on the evanescent contour, which
+        # the grid must break at
+        media = MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7)
+        ws = _cut_workspace(media, 1e-3)
+        assert greens.spectral_breakpoints(ws.media, "evanescent", np.inf)
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._near_cut(ws, got)
+        want = _pairwise_cut(ws)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_node_chunks_match_one_block(self, monkeypatch):
+        ws = _cut_workspace(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 0.01)
+        runs = []
+        # the whole level in one block, then about three nodes per block
+        for budget in (1 << 40, 16 * len(ws.q) * 3):
+            monkeypatch.setattr(driver, "_SWEEP_BYTES", budget)
+            runs.append(np.zeros(len(ws.q), dtype=complex))
+            driver._near_cut(ws, runs[-1])
+        whole, chunked = runs
+        assert np.any(whole != 0)
+        assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
+
+    def test_zero_charges_give_zeros(self):
+        ws = _cut_workspace(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 0.01)
+        ws.q[:] = 0.0
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._near_cut(ws, got)
+        np.testing.assert_array_equal(got, 0.0)
+        assert ws.cut_nodes > 0
+
+    def test_low_cap_raises_and_leaves_the_field_unchanged(self, monkeypatch):
+        # y down to 1e-5 needs 128 nodes per panel: a cap of 64 must raise
+        ws = _cut_workspace(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 1e-5, n=300,
+                            leaf=30)
+        got = np.zeros(len(ws.q), dtype=complex)
+        monkeypatch.setattr(driver, "_CUT_CAP", 64)
+        with pytest.raises(greens.QuadratureConvergenceError):
+            driver._near_cut(ws, got)
+        np.testing.assert_array_equal(got, 0.0)
+        monkeypatch.undo()
+        driver._near_cut(ws, got)
+        assert np.all(np.isfinite(got)) and np.any(got != 0)
+
+    def test_sigma_once_per_node_through_the_greens_module(self, monkeypatch):
+        # the benchmark tracer wraps greens.reflectance by module attribute
+        ws = _cut_workspace(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 0.01)
+        sizes = []
+
+        def counted(media, kappa1):
+            sizes.append(np.size(kappa1))
+            return reflectance(media, kappa1)
+
+        reflectance = greens.reflectance
+        monkeypatch.setattr(greens, "reflectance", counted)
+        driver._near_cut(ws, np.zeros(len(ws.q), dtype=complex))
+        # one call per contour and level, at least two levels, and each
+        # node's sigma evaluated once
+        assert len(sizes) % 2 == 0 and len(sizes) >= 4 and sum(sizes) == ws.cut_nodes
+
+    def test_cut_nodes_count(self):
+        media = MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)
+        parts = _random_particles(17, 300, ylo=0.01, yhi=1.0)
+        out = fmm_apply(parts, RunConfig(media=media, order=8, leaf_capacity=30))
+        assert out.counts["cut_nodes"] > 0
+        for other in (MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0)):
+            assert fmm_apply(parts, RunConfig(media=other, order=8,
+                                              leaf_capacity=30)).counts["cut_nodes"] == 0
+        # the benchmark's three-layer geometry (process 0): two levels of
+        # one grid, where one panel-doubling sum per row took 19,968 nodes
+        pos = np.random.default_rng([0])
+        xs, ys = pos.uniform(-0.5, 0.5, 1200), pos.uniform(0.05, 1.05, 1200)
+        ws = driver._Workspace([Particle(Point2(x, y), 1.0) for x, y in zip(xs, ys)],
+                               RunConfig(media=media, order=16, leaf_capacity=60))
+        driver._near_cut(ws, np.zeros(1200, dtype=complex))
+        assert 0 < ws.cut_nodes <= 1000
 
 
 def _pinned_particles(seed, n, ylo):
@@ -650,16 +772,16 @@ class TestTableCache:
         assert shape["max_near"] > 1
         grid = cold.counts["grid_nodes"]
         assert cold.counts == {"entries_computed": held, "entries_held": held,
-                               "grid_nodes": grid, **shape}
+                               "grid_nodes": grid, "cut_nodes": 0, **shape}
         assert held > 0
         # an A batch and a B-tail batch, each on panels of at least 96 nodes
         assert grid >= 2 * 96 and grid % 96 == 0
         assert warm.counts == {"entries_computed": 0, "entries_held": held,
-                               "grid_nodes": 0, **shape}
+                               "grid_nodes": 0, "cut_nodes": 0, **shape}
         assert "entries_held" not in cold.timings
         free = fmm_apply(parts, RunConfig(media=MediaConfig.free(1.0), order=10))
         assert free.counts == {"entries_computed": 0, "entries_held": 0, "grid_nodes": 0,
-                               **shape}
+                               "cut_nodes": 0, **shape}
 
     def test_file_refuses_other_rule_counts(self, tmp_path):
         # root side 1, so the run's rescaled medium is media itself and

@@ -7,7 +7,7 @@ import pytest
 
 from hfmm import greens
 from hfmm.greens import (MediaConfig, domain_green, free_space, free_space_spectral,
-                         reflectance, scattered_batch, scattered_direct, scattered_sum,
+                         reflectance, scattered_batch, scattered_direct,
                          three_layer_sigma)
 
 # Frozen regression constant: scattered_direct(two-layer k=1 alpha=1,
@@ -295,54 +295,6 @@ class TestScatteredOracle:
         dy = rng.uniform(0.2, 3.0, 8)
         np.testing.assert_allclose(scattered_batch(media, dx, dy, 1e-13), 0.0,
                                    atol=1e-12)
-
-
-def _sum_case(seed):
-    # a target leaf that is also one of its own source leaves, next to a
-    # second source leaf; the lowest pair has y_t + y_s = 1e-3
-    rng = np.random.default_rng(seed)
-    tx, ty = rng.uniform(0.0, 0.125, 20), rng.uniform(5e-4, 0.125, 20)
-    ty[0] = 5e-4
-    sx = np.concatenate([tx, rng.uniform(0.125, 0.25, 25)])
-    sy = np.concatenate([ty, rng.uniform(5e-4, 0.125, 25)])
-    q = rng.normal(size=45) + 1j * rng.normal(size=45)
-    return tx, ty, sx, sy, q
-
-
-class TestScatteredSum:
-    @pytest.mark.parametrize("media", [MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
-                                       MediaConfig.two_layer(1.0, 1.0)],
-                             ids=lambda m: m.variant)
-    def test_matches_pairwise_batch(self, media):
-        tx, ty, sx, sy, q = _sum_case(3)
-        assert (ty[:, None] + sy[None, :]).min() == pytest.approx(1e-3)
-        pairs = scattered_batch(media, (tx[:, None] - sx[None, :]).ravel(),
-                                (ty[:, None] + sy[None, :]).ravel())
-        ref = pairs.reshape(tx.size, sx.size) @ q
-        got = scattered_sum(media, tx, ty, sx, sy, q)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_node_chunks_match_one_block(self, monkeypatch):
-        media = MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)
-        tx, ty, sx, sy, q = _sum_case(4)
-        whole = scattered_sum(media, tx, ty, sx, sy, q)
-        # about 11 nodes per block, so every panel level is split
-        monkeypatch.setattr(greens, "_BLOCK_BYTES", 16 * sx.size * 11)
-        chunked = scattered_sum(media, tx, ty, sx, sy, q)
-        assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
-
-    def test_free_medium_and_zero_charges(self):
-        tx, ty, sx, sy, q = _sum_case(5)
-        np.testing.assert_array_equal(
-            scattered_sum(MediaConfig.free(1.0), tx, ty, sx, sy, q), 0.0)
-        np.testing.assert_array_equal(
-            scattered_sum(MediaConfig.two_layer(1.0, 1.0), tx, ty, sx, sy, 0.0 * q), 0.0)
-
-    def test_point_on_interface_rejected(self):
-        tx, ty, sx, sy, q = _sum_case(6)
-        sy[3] = 0.0
-        with pytest.raises(ValueError):
-            scattered_sum(MediaConfig.two_layer(1.0, 1.0), tx, ty, sx, sy, q)
 
 
 class TestDomainGreen:

@@ -235,11 +235,11 @@ class TestPlan:
                 lines.update({(s, t, TableStore.geometry(key).cutoff): 1 for s, t in group})
         t, s, cutoff = (a.tolist() for a in ws.line_image)
         assert Counter(zip(s, t, cutoff)) == lines
-        leaves, bounds, cols = ws.cut
+        leaves, bounds, srcs = ws.cut
         for leaf, lo, hi in zip(leaves.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            # a row holds the whole span of each source leaf, once
-            sources, counts = np.unique(ws.row[cols[lo:hi]], return_counts=True)
-            np.testing.assert_array_equal(counts, tree.stop[sources] - tree.start[sources])
+            # a row lists each source leaf once
+            sources = srcs[lo:hi]
+            assert len(np.unique(sources)) == len(sources)
             group = [(s, leaf) for s in sources.tolist()]
             assert all(_expected_cutoff(tree, t, s) > 0.0 for s, t in group)
             cut.update(group)
