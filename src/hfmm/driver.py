@@ -22,7 +22,8 @@ from . import expansions as ex
 from . import greens, layered
 from .greens import MediaConfig, QuadratureConvergenceError, scattered_batch, spectral_breakpoints
 from .quadrature import cosine_panels, legendre_base
-from .specfun import bessel_j_sweep, hankel0
+# bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
+from .specfun import bessel_j_sweep, hankel0  # noqa: F401
 from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
 
 __all__ = ["RunConfig", "PotentialVector", "fmm_apply", "direct_apply", "error_metric"]
@@ -133,8 +134,19 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 
 # Particles per sweep of P2M or local evaluation: a chunk's (2P+1) x n
 # complex block of Bessel terms stays near this many bytes.  The near
-# field holds each of its complex kernel blocks under the same budget.
+# field holds each of its complex kernel blocks, and the particle-column
+# index of each run of rows, under the same budget.
 _SWEEP_BYTES = 1 << 18
+
+
+def _runs(edges, budget):
+    """[0, ..., len(edges) - 1]: cuts of the items between increasing edges into
+    runs of consecutive items that span at most budget, or one wider item alone."""
+    cuts = [0]
+    while cuts[-1] < len(edges) - 1:
+        i = cuts[-1]
+        cuts.append(max(i + 1, int(np.searchsorted(edges, edges[i] + budget, "right")) - 1))
+    return cuts
 
 
 def _rows(tgt, src):
@@ -238,13 +250,7 @@ class _Workspace:
         self.row = np.repeat(self.leaves, sizes)
         self.cx = np.repeat(self.tree.cx[self.leaves], sizes)
         self.cy = np.repeat(self.tree.cy[self.leaves], sizes)
-        # a chunk takes the leaves that end within the budget of its first
-        # particle; a leaf larger than the budget is a chunk alone
-        budget = max(1, _SWEEP_BYTES // (16 * (2 * self.P + 1)))
-        bounds = [0]
-        while bounds[-1] < len(starts):
-            i = bounds[-1]
-            bounds.append(max(i + 1, int(np.searchsorted(ends, starts[i] + budget, "right"))))
+        bounds = _runs(np.r_[starts, ends[-1:]], _SWEEP_BYTES // (16 * (2 * self.P + 1)))
         # (particle slice, leaf node ids, leaf starts within the slice)
         self.chunks = [(slice(starts[i], ends[j - 1]), self.leaves[i:j], starts[i:j] - starts[i])
                        for i, j in zip(bounds, bounds[1:])]
@@ -343,13 +349,8 @@ def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
     for every target or one per target.
     """
     P = (np.shape(coeffs)[-1] - 1) // 2
-    dx = np.asarray(xs, dtype=float) - cx
-    dy = np.asarray(ys, dtype=float) - cy
-    js = ex._signed_orders(bessel_j_sweep(P, k * np.hypot(dx, dy)), P)
-    # built in place, so that a sweep over many leaves holds one complex block
-    terms = np.outer(1j * np.arange(-P, P + 1), np.arctan2(dy, dx))
-    np.exp(terms, out=terms)
-    terms *= js
+    terms = ex.signed_harmonics(P, k, np.asarray(xs, dtype=float) - cx,
+                                np.asarray(ys, dtype=float) - cy)
     terms *= np.reshape(np.transpose(coeffs), (2 * P + 1, -1))
     return 0.25j * terms.sum(axis=0)
 
@@ -374,31 +375,36 @@ def _near_free(ws, out):
     """
     x, y, q, k, start, stop = ws.x, ws.y, ws.q, ws.k, ws.start, ws.stop
     targets, bounds, srcs = ws.near_rows
-    cols = _ranges(start[srcs], stop[srcs])
-    bounds = np.r_[0, np.cumsum(stop[srcs] - start[srcs])][bounds]
-    for t, lo, hi in zip(targets.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        a, b = int(start[t]), int(stop[t])
-        n = b - a
-        width = max(1, _SWEEP_BYTES // (16 * n))
-        for off in range(0, hi - lo, width):  # off: the chunk's first column in the row
-            j = cols[lo + off:min(lo + off + width, hi)]
-            dx = x[a:b, None] - x[j]
-            dy = y[a:b, None] - y[j]
-            dx *= dx
-            dy *= dy
-            r = np.add(dx, dy, out=dx)
-            np.sqrt(r, out=r)
-            r *= k
-            # the own leaf's diagonal in this chunk: masked below, omits
-            # the singular self term
-            own = np.arange(off, min(n, off + len(j)))
-            r[own, own - off] = 1.0
-            g = hankel0(r)
-            g[own, own - off] = 0.0
-            out[a:b] += 0.25j * (g @ q[j])
-            past = max(n - off, 0)  # the chunk's first column of a source s > t
-            if past < len(j):
-                out[j[past:]] += 0.25j * (q[a:b] @ g[:, past:])
+    # each row's first column; the particle columns are built per run of rows
+    edges = np.r_[0, np.cumsum(stop[srcs] - start[srcs])][bounds]
+    cuts = _runs(edges, _SWEEP_BYTES // 8)  # 8 bytes per int64 column id
+    for first, last in zip(cuts, cuts[1:]):  # rows first..last - 1
+        run = srcs[bounds[first]:bounds[last]]
+        cols = _ranges(start[run], stop[run])
+        row_edges = (edges[first:last + 1] - edges[first]).tolist()
+        for t, lo, hi in zip(targets[first:last].tolist(), row_edges[:-1], row_edges[1:]):
+            a, b = int(start[t]), int(stop[t])
+            n = b - a
+            width = max(1, _SWEEP_BYTES // (16 * n))
+            for off in range(0, hi - lo, width):  # off: the chunk's first column in the row
+                j = cols[lo + off:min(lo + off + width, hi)]
+                dx = x[a:b, None] - x[j]
+                dy = y[a:b, None] - y[j]
+                dx *= dx
+                dy *= dy
+                r = np.add(dx, dy, out=dx)
+                np.sqrt(r, out=r)
+                r *= k
+                # the own leaf's diagonal in this chunk: masked below, omits
+                # the singular self term
+                own = np.arange(off, min(n, off + len(j)))
+                r[own, own - off] = 1.0
+                g = hankel0(r)
+                g[own, own - off] = 0.0
+                out[a:b] += 0.25j * (g @ q[j])
+                past = max(n - off, 0)  # the chunk's first column of a source s > t
+                if past < len(j):
+                    out[j[past:]] += 0.25j * (q[a:b] @ g[:, past:])
 
 
 def _near_cut(ws, out):

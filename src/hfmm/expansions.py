@@ -2,8 +2,13 @@
 
 Cylindrical-harmonic expansions about box centers, held as plain
 arrays of 2P+1 coefficients (p = -P..P, index p + P), or as stacks of
-such rows.  The operators the driver applies:
+such rows.  P2M, local evaluation and the F vectors take the regular
+harmonics J_p e^{i p theta} of specfun.regular_harmonics (ascending
+series below its argument bound, Miller above), extended to p < 0 by
+J_{-p} e^{-i p theta} = (-1)^p conj(J_p e^{i p theta}).  The operators
+the driver applies:
 
+    signed_harmonics      J_p e^{i p theta}, p = -P..P (P2M, F, local evaluation)
     p2m_arrays            sources -> multipole coefficients about a center,
                           or about each segment's own center
     translation_vector_j  F_nu = J_nu e^{i nu theta} (M2M and L2L)
@@ -30,9 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .specfun import bessel_j_sweep, hankel1_sweep
+# bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
+from .specfun import bessel_j_sweep, hankel1_sweep, regular_harmonics  # noqa: F401
 
 __all__ = [
+    "signed_harmonics",
     "p2m_arrays",
     "image_coefficients",
     "translation_vector_j",
@@ -52,6 +59,20 @@ def _signed_orders(sweep, P):
     return np.concatenate([neg, sweep], axis=0)
 
 
+def signed_harmonics(P: int, k: float, dx, dy) -> np.ndarray:
+    """J_p(k rho) e^{i p theta} for p = -P..P, shape (2P+1,) + shape(dx), indexed by p + P.
+
+    The orders p < 0 are (-1)^p times the conjugates of p > 0, so the
+    block takes one regular_harmonics call.
+    """
+    reg = regular_harmonics(P, k, dx, dy)
+    out = np.empty((2 * P + 1,) + reg.shape[1:], dtype=complex)
+    out[P:] = reg
+    np.conj(reg[:0:-1], out=out[:P])
+    out[:P][::-2] *= -1.0  # odd p < 0
+    return out
+
+
 def p2m_arrays(xs, ys, qs, cx, cy, P: int, k: float, starts=None) -> np.ndarray:
     """Multipole coefficients alpha_p (p = -P..P) for sources given as arrays.
 
@@ -60,32 +81,19 @@ def p2m_arrays(xs, ys, qs, cx, cy, P: int, k: float, starts=None) -> np.ndarray:
     (increasing), the sources split into the segments [starts[i],
     starts[i+1]), each summed about its own center: shape (len(starts), 2P+1).
     """
-    dx = np.asarray(xs, dtype=float) - cx
-    dy = np.asarray(ys, dtype=float) - cy
     qs = np.asarray(qs, dtype=complex)
-    rho = np.hypot(dx, dy)
-    theta = np.arctan2(dy, dx)
-    js = _signed_orders(bessel_j_sweep(P, k * rho), P)      # (2P+1, N)
-    # built in place, so that a sweep over many leaves holds one complex block
-    terms = np.outer(-1j * np.arange(-P, P + 1), theta)
-    np.exp(terms, out=terms)
-    terms *= js
+    # J_p(k rho) e^{-i p theta}: the harmonics of the offset with dy -> -dy
+    terms = signed_harmonics(P, k, np.asarray(xs, dtype=float) - cx,
+                             cy - np.asarray(ys, dtype=float))    # (2P+1, N)
     if starts is None:
         return terms @ qs
     terms *= qs
     return np.add.reduceat(terms, starts, axis=1).T
 
 
-def _offset_vector(sweep, dx, dy, P):
-    """C_nu(k rho) e^{i nu theta}, nu = -2P..2P, from an order sweep over k rho."""
-    nu = np.arange(-2 * P, 2 * P + 1).reshape((-1,) + (1,) * np.ndim(dx))
-    vec = _signed_orders(sweep, 2 * P) * np.exp(1j * nu * np.arctan2(dy, dx))
-    return np.moveaxis(vec, 0, -1)
-
-
 def translation_vector_j(k: float, dx, dy, P: int) -> np.ndarray:
     """F_nu = J_nu(k rho) e^{i nu theta}, nu = -2P..2P: (4P+1,), or (n, 4P+1) for n offsets."""
-    return _offset_vector(bessel_j_sweep(2 * P, k * np.hypot(dx, dy)), dx, dy, P)
+    return np.moveaxis(signed_harmonics(2 * P, k, dx, dy), 0, -1)
 
 
 def translation_vector_h(k: float, dx, dy, P: int) -> np.ndarray:
@@ -93,7 +101,9 @@ def translation_vector_h(k: float, dx, dy, P: int) -> np.ndarray:
     rho = np.hypot(dx, dy)
     if np.any(rho == 0.0):
         raise ValueError("M2L requires separated centers")
-    return _offset_vector(hankel1_sweep(2 * P, k * rho), dx, dy, P)
+    nu = np.arange(-2 * P, 2 * P + 1).reshape((-1,) + (1,) * np.ndim(dx))
+    vec = _signed_orders(hankel1_sweep(2 * P, k * rho), 2 * P)
+    return np.moveaxis(vec * np.exp(1j * nu * np.arctan2(dy, dx)), 0, -1)
 
 
 def translation_matrix(vec_nu: np.ndarray, P: int, index: str) -> np.ndarray:

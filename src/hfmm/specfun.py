@@ -1,17 +1,23 @@
 """Integer-order Bessel and Hankel functions of real positive argument.
 
 These are the kernel primitives behind every expansion and translation
-operator: J_n for multipole coefficients and local evaluation, H_n^(1)
-for outgoing expansions and multipole-to-local translations.
+operator: the regular harmonics J_n(k rho) e^{i n theta} for multipole
+coefficients, local evaluation and M2M/L2L, H_n^(1) for outgoing
+expansions and multipole-to-local translations.
 
 Every function is an order sweep (all orders 0..nmax at once).
-J_n uses Miller's downward recurrence, anchored on the order-0/1 values,
-which is stable for the full order range needed here (up to 2P+2 with P
-as large as 39).  Y_n uses the three-term recurrence run upward from
-Y_0, Y_1, which is stable because |Y_n| grows with n.
+regular_harmonics takes the ascending series below an argument bound
+and Miller above it.  J_n uses Miller's downward recurrence, anchored on
+the order-0/1 values, which is stable for the full order range needed
+here (up to 2P+2 with P as large as 39).  Y_n uses the three-term
+recurrence run upward from Y_0, Y_1, which is stable because |Y_n|
+grows with n.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 from scipy.special import j0 as _j0, j1 as _j1, y0 as _y0, y1 as _y1
@@ -20,6 +26,7 @@ __all__ = [
     "SUPPORTED_MAX_ARG",
     "bessel_j_sweep",
     "bessel_y_sweep",
+    "regular_harmonics",
     "hankel1_sweep",
     "hankel0",
 ]
@@ -31,6 +38,12 @@ SUPPORTED_MAX_ARG = 1.0e4
 # grow toward low orders and can overflow for small arguments.
 _MILLER_BIG = 1.0e250
 _MILLER_SMALL = 1.0e-250
+
+# regular_harmonics sums the ascending series while every k rho of a block
+# is at most this.  Below the first zero of J_0 (2.405) no J_n has a zero,
+# and the series' cancellation costs at most a factor I_n/J_n <= 11 of
+# rounding; above it the block takes Miller's recurrence.
+_SERIES_MAX_ARG = 2.0
 
 
 def _check_arg(x, allow_zero):
@@ -83,14 +96,20 @@ def bessel_j_sweep(nmax: int, x) -> np.ndarray:
     fp = np.zeros_like(xs)          # unnormalized J_{n+1}
     fc = np.full_like(xs, 1e-30)    # unnormalized J_n
     vals = np.zeros((nmax + 1, xs.size))
+    # bound >= max |fc|, |fp|: a step grows them by at most 2(n+1)/x_min + 1,
+    # so the overflow check runs only where the bound passes _MILLER_BIG
+    bound, x_min = 1e-30, float(xs.min())
     for n in range(m_start, -1, -1):
         fm = (2.0 * (n + 1) / xs) * fc - fp
         fp, fc = fc, fm
-        big = np.abs(fc) > _MILLER_BIG
-        if np.any(big):
-            fc[big] *= _MILLER_SMALL
-            fp[big] *= _MILLER_SMALL
-            vals[:, big] *= _MILLER_SMALL
+        bound *= 2.0 * (n + 1) / x_min + 1.0
+        if bound > _MILLER_BIG:
+            big = np.abs(fc) > _MILLER_BIG
+            if np.any(big):
+                fc[big] *= _MILLER_SMALL
+                fp[big] *= _MILLER_SMALL
+                vals[:, big] *= _MILLER_SMALL
+            bound = max(np.abs(fc).max(), np.abs(fp).max())
         if n <= nmax:
             vals[n] = fc
 
@@ -105,6 +124,56 @@ def bessel_j_sweep(nmax: int, x) -> np.ndarray:
 
     out[:, ~zero] = vals
     return out.reshape(nmax + 1) if scalar else out
+
+
+@lru_cache(maxsize=None)
+def _series_table(terms: int, nmax: int) -> np.ndarray:
+    """c[m, n] = (-1)^m / (m! (n+m)!), m = 0..terms, n = 0..nmax (read-only)."""
+    # exact integers, so each entry is rounded once and high orders underflow to 0
+    c = np.array([[(-1) ** m / (factorial(m) * factorial(n + m)) for n in range(nmax + 1)]
+                  for m in range(terms + 1)])
+    c.flags.writeable = False
+    return c
+
+
+def regular_harmonics(nmax: int, k: float, dx, dy) -> np.ndarray:
+    """J_n(k rho) e^{i n theta} for n = 0..nmax, with (rho, theta) the polar form of (dx, dy).
+
+    Returns shape (nmax+1,) + the broadcast shape of dx and dy.  While
+    every k rho is at most _SERIES_MAX_ARG, the ascending series
+    J_n(k rho) e^{i n theta} = w^n sum_m (-|w|^2)^m / (m! (n+m)!) with
+    w = k (dx + i dy) / 2 (Abramowitz & Stegun 9.1.10): powers of w by a
+    running product from w^0 = 1, so rho = 0 gives exactly 1, 0, 0, ...,
+    and the sum by one Horner pass over m = 0..M, with M the smallest count
+    for which the next term of the n = 0 sum, s^{M+1} / ((M+1)!)^2 at the
+    largest |w|^2 = s, is <= 1e-17.
+    Above the bound, bessel_j_sweep times e^{i n theta}.
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    w = np.asarray((0.5 * k) * (np.asarray(dx, dtype=float) + 1j * np.asarray(dy, dtype=float)))
+    s = w.real * w.real + w.imag * w.imag
+    s_max = float(s.max()) if s.size else 0.0
+    if not s_max <= (0.5 * _SERIES_MAX_ARG) ** 2:
+        theta = np.arctan2(w.imag, w.real)
+        phase = np.exp(1j * np.multiply.outer(np.arange(nmax + 1), theta))
+        return bessel_j_sweep(nmax, 2.0 * np.abs(w)) * phase
+    terms, tail = 0, s_max
+    while tail > 1e-17:  # tail: the first left-out term of the n = 0 sum
+        terms += 1
+        tail *= s_max / (terms + 1) ** 2
+    c = _series_table(terms, nmax).reshape((terms + 1, nmax + 1) + (1,) * w.ndim)
+    poly = np.empty((nmax + 1,) + w.shape)
+    poly[...] = c[terms]
+    for m in range(terms - 1, -1, -1):
+        poly *= s
+        poly += c[m]
+    out = np.empty((nmax + 1,) + w.shape, dtype=complex)
+    out[0] = 1.0
+    for n in range(1, nmax + 1):
+        np.multiply(out[n - 1], w, out=out[n, ...])  # a view also when w is 0-d
+    out *= poly
+    return out
 
 
 def bessel_y_sweep(nmax: int, x) -> np.ndarray:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
+from hfmm import driver, expansions, specfun
 from hfmm.driver import local_values
-from hfmm.expansions import (image_coefficients, p2m_arrays, translation_matrix,
-                             translation_vector_h, translation_vector_j)
+from hfmm.expansions import (_signed_orders, image_coefficients, p2m_arrays,
+                             translation_matrix, translation_vector_h, translation_vector_j)
 from hfmm.greens import free_space
+from hfmm.specfun import bessel_j_sweep
 
 K = 1.0
 
@@ -91,6 +93,66 @@ class TestP2M:
                       for i in range(len(xs)))
         np.testing.assert_allclose(p2m_arrays(xs, ys, qs, c[0], c[1], 9, K), singles,
                                    rtol=1e-13, atol=1e-14)
+
+
+class TestLeafChunk:
+    """P2M and local evaluation over one chunk of leaves, each particle about its leaf center."""
+
+    P = 16
+
+    def _chunk(self, big):
+        # leaf 0: radius 0.04 and one particle exactly at its center;
+        # leaf 1: radius 0.04, or 10 (k rho up to 10, past the series bound)
+        rng = np.random.default_rng(19)
+        centers = [(0.1, 1.2), (-0.3, 0.9)]
+        xs, ys, cx, cy = [], [], [], []
+        for (c, r, n) in zip(centers, (0.04, 10.0 if big else 0.04), (7, 9)):
+            ang, rad = rng.uniform(0, 2 * np.pi, n), r * np.sqrt(rng.uniform(0, 1, n))
+            xs += list(c[0] + rad * np.cos(ang))
+            ys += list(c[1] + rad * np.sin(ang))
+            cx += [c[0]] * n
+            cy += [c[1]] * n
+        xs[3], ys[3] = centers[0]
+        qs = rng.normal(size=len(xs)) + 1j * rng.normal(size=len(xs))
+        return np.array(xs), np.array(ys), qs, np.array(cx), np.array(cy), np.array([0, 7])
+
+    @pytest.fixture
+    def miller_calls(self, monkeypatch):
+        """Miller sweeps made through any module's binding of bessel_j_sweep."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bessel_j_sweep(*args)
+
+        for module in (specfun, expansions, driver):
+            monkeypatch.setattr(module, "bessel_j_sweep", counted)
+        return calls
+
+    def _miller(self, xs, ys, cx, cy):
+        """J_p(k rho) e^{i p theta}, p = -P..P: Miller's sweep times the phase exps."""
+        dx, dy = xs - cx, ys - cy
+        p = np.arange(-self.P, self.P + 1)[:, None]
+        js = _signed_orders(bessel_j_sweep(self.P, K * np.hypot(dx, dy)), self.P)
+        return js * np.exp(1j * p * np.arctan2(dy, dx))
+
+    @pytest.mark.parametrize("big", [False, True], ids=["small-leaves", "large-leaf"])
+    def test_p2m_matches_miller_and_exp(self, big, miller_calls):
+        xs, ys, qs, cx, cy, starts = self._chunk(big)
+        got = p2m_arrays(xs, ys, qs, cx, cy, self.P, K, starts=starts)
+        assert len(miller_calls) == big  # the series below the bound, Miller above
+        want = np.add.reduceat(np.conj(self._miller(xs, ys, cx, cy)) * qs, starts, axis=1).T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("big", [False, True], ids=["small-leaves", "large-leaf"])
+    def test_local_values_match_miller_and_exp(self, big, miller_calls):
+        xs, ys, _, cx, cy, _ = self._chunk(big)
+        rng = np.random.default_rng(20)
+        coeffs = rng.normal(size=(len(xs), 2 * self.P + 1)) * (1 + 1j)
+        got = local_values(coeffs, xs, ys, cx, cy, K)
+        assert len(miller_calls) == big
+        want = 0.25j * np.sum(self._miller(xs, ys, cx, cy) * coeffs.T, axis=0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 class TestEval:

@@ -7,10 +7,10 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfmm import greens
+from hfmm import greens, specfun
 from hfmm.expansions import _signed_orders
 from hfmm.specfun import (SUPPORTED_MAX_ARG, bessel_j_sweep, bessel_y_sweep, hankel0,
-                          hankel1_sweep)
+                          hankel1_sweep, regular_harmonics)
 
 
 class TestScalarValues:
@@ -101,6 +101,61 @@ class TestSweeps:
         vals = bessel_j_sweep(3, xs)
         assert vals[0, 0] == 1.0 and vals[1, 0] == 0.0
         assert vals[1, 1] == pytest.approx(sp.jv(1, 2.0), rel=1e-13)
+
+
+class TestRegularHarmonics:
+    ANGLES = np.array([0.0, 0.4, -1.3, 2.2, np.pi, -2.9])
+
+    @staticmethod
+    def _mpmath(nmax, kr, theta):
+        return np.array([[complex(mpmath.besselj(n, kr) * mpmath.expj(n * t)) for t in theta]
+                         for n in range(nmax + 1)])
+
+    @pytest.fixture
+    def miller_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bessel_j_sweep(*args)
+
+        monkeypatch.setattr(specfun, "bessel_j_sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("kr", [1e-12, 1e-3, 0.044, 0.5, 1.99])
+    def test_series_matches_mpmath_per_order(self, kr, miller_calls):
+        # one block at one k rho, orders up to 2P + 2 at P = 16; k = 2 checks
+        # that k scales the offsets
+        nmax, k = 34, 2.0
+        dx, dy = 0.5 * kr * np.cos(self.ANGLES), 0.5 * kr * np.sin(self.ANGLES)
+        got = regular_harmonics(nmax, k, dx, dy)
+        want = self._mpmath(nmax, kr, self.ANGLES)
+        assert got.shape == want.shape and not miller_calls
+        tiny = np.abs(want) < 1e-290  # below double range: the series underflows too
+        assert np.all(np.abs(got[tiny]) < 1e-290)
+        rel = np.abs(got[~tiny] - want[~tiny]) / np.abs(want[~tiny])
+        assert rel.max() <= 1e-14
+
+    def test_zero_offset_is_exactly_one_then_zeros(self, miller_calls):
+        got = regular_harmonics(12, 3.0, np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(got, np.r_[1.0, np.zeros(12)][:, None] * np.ones(3))
+        assert regular_harmonics(0, 1.0, 0.0, 0.0) == 1.0 and not miller_calls
+
+    @pytest.mark.parametrize("kr_max", [5.0, 30.0])
+    def test_block_above_the_bound_takes_miller(self, kr_max, miller_calls):
+        # the whole block, small arguments and the origin included, takes
+        # Miller's recurrence; near a zero of J_n at 30 it is off by 1.4e-13
+        kr = np.array([0.0, 1e-3, 0.3, 1.5, kr_max, 0.7 * kr_max])
+        theta = np.resize(self.ANGLES, len(kr))
+        got = regular_harmonics(20, 1.0, kr * np.cos(theta), kr * np.sin(theta))
+        assert len(miller_calls) == 1
+        want = np.stack([self._mpmath(20, r, [t])[:, 0] for r, t in zip(kr, theta)], axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_shapes_follow_the_offsets(self):
+        assert regular_harmonics(5, 1.0, 0.2, 0.1).shape == (6,)
+        assert regular_harmonics(5, 1.0, np.ones((3, 2)), 0.1).shape == (6, 3, 2)
+        assert regular_harmonics(5, 1.0, np.ones((3, 2)) * 9.0, 0.1).shape == (6, 3, 2)
 
 
 class TestWronskian:
