@@ -158,24 +158,25 @@ def _rows(tgt, src):
 
 
 def _groups(src, tgt, *columns):
-    """(rows, srcs, tgts): the distinct rows of the integer columns, sorted, and
-    the source and target ids of each row's pairs, in their given order."""
-    cols = np.stack(columns)
-    if not cols.shape[1]:
-        return cols.T, [], []
-    order = np.lexsort(cols[::-1])
-    cols = cols[:, order]
-    cuts = np.flatnonzero(np.any(cols[:, 1:] != cols[:, :-1], axis=0)) + 1
-    members = np.split(order, cuts)
-    return cols[:, np.r_[0, cuts]].T, [src[m] for m in members], [tgt[m] for m in members]
+    """(rows, src, tgt, bounds): the distinct rows of the integer columns, sorted,
+    and the pairs in group order, from one lexsort; group i holds the pairs
+    bounds[i]:bounds[i + 1], in their given order."""
+    order = np.lexsort(columns[::-1])
+    cols = np.stack([column[order] for column in columns])
+    new = np.ones(cols.shape[1], dtype=bool)
+    new[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+    first = np.flatnonzero(new)
+    return cols[:, first].T, src[order], tgt[order], np.r_[first, cols.shape[1]]
 
 
 def _per_level(level, src, tgt, *columns):
-    """{level: (rows, srcs, tgts)}: the groups of each level's pairs."""
-    rows, srcs, tgts = _groups(src, tgt, level, *columns)
-    sel = {lev: np.flatnonzero(rows[:, 0] == lev) for lev in np.unique(rows[:, 0]).tolist()}
-    return {lev: (rows[i, 1:], [srcs[j] for j in i], [tgts[j] for j in i])
-            for lev, i in sel.items()}
+    """{level: (rows, src, tgt, bounds)}: one group-by, sliced by level."""
+    rows, src, tgt, bounds = _groups(src, tgt, level, *columns)
+    levels, first = np.unique(rows[:, 0], return_index=True)
+    cuts = np.r_[first, len(rows)].tolist()
+    return {lev: (rows[a:b, 1:], src[bounds[a]:bounds[b]], tgt[bounds[a]:bounds[b]],
+                  bounds[a:b + 1] - bounds[a])
+            for lev, a, b in zip(levels.tolist(), cuts[:-1], cuts[1:])}
 
 
 class _Workspace:
@@ -188,15 +189,15 @@ class _Workspace:
     near leaf pairs as (tgt, src) id arrays; blocks, each near pair
     once; row, cx, cy: each particle's leaf id and leaf center; chunks:
     runs of leaves, each one P2M and one local evaluation sweep.
-    One group-by (_groups) makes every grouping, a GEMM per group:
-    quadrants[level] (M2M, L2L), offsets[level] (free M2L), and in a
-    layered run the table plan from one pair_key call for the V pairs
-    and one for the near pairs: far[level] and near_reads by (key, flip);
+    One group-by (_groups), sliced by target level, makes every grouping,
+    a GEMM per group: quadrants[level] (M2M, L2L), offsets[level] (free
+    M2L), and in a layered run far[level], every pair that reads a table
+    entry (V pairs and near pairs, from one pair_key call) by (key, flip);
     line_image, the two-layer cut pairs as (tgt, src, cutoff C) arrays,
-    which also take the [0, C] line image; and cut, the three-layer
-    pairs cut near the interface, as rows by target leaf.  near_rows
-    lays out the blocks as one row (_rows) of source leaf ids per target
-    leaf.  cut_nodes counts the nodes of the cut field's grid.
+    which also read a B-tail entry and take the [0, C] line image; and
+    cut, the three-layer pairs cut near the interface, as rows by target
+    leaf.  near_rows lays out the blocks as one row (_rows) of source leaf
+    ids per target leaf.  cut_nodes counts the nodes of the cut field's grid.
     """
 
     def __init__(self, particles, config):
@@ -219,7 +220,7 @@ class _Workspace:
                                     2 * (ix[child] & 1) - 1, 2 * (iy[child] & 1) - 1)
         src, tgt = tree.v_src, tree.v_tgt
         self.offsets = _per_level(level[tgt], src, tgt, ix[tgt] - ix[src], iy[tgt] - iy[src])
-        self.store, self.far, self.near_reads = None, {}, ([], [], [])
+        self.store, self.far = None, {}
         none = np.zeros(0, dtype=np.int64)
         self.line_image = (none, none, np.zeros(0))
         self.cut, self.cut_nodes = _rows(none, none), 0
@@ -256,29 +257,25 @@ class _Workspace:
                        for i, j in zip(bounds, bounds[1:])]
 
     def _plan_tables(self):
-        """Fill far, near_reads, line_image and cut: one pair_key call for the V pairs, one for the near pairs."""
-        y0 = self.tree.root_xy[1]
-
-        def reads(rows):  # (key, flip) of each (shift, ax, sy, cut, flip) row
-            return [(layered.TableKey(y0, *row[:4]), bool(row[4])) for row in rows.tolist()]
-
+        """Fill far, line_image and cut from one pair_key call over the V pairs and the near pairs."""
+        tree = self.tree
+        y0 = tree.root_xy[1]
         cells = np.stack((self.level, self.ix, self.iy))
-        src, tgt = self.tree.v_src, self.tree.v_tgt
-        keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src])
-        self.far = {level: (reads(rows), srcs, tgts) for level, (rows, srcs, tgts)
-                    in _per_level(self.level[tgt], src, tgt, *keys.T, flip).items()}
-        tgt, src = self.near
-        keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src], near=True)
+        src, tgt = np.r_[tree.v_src, self.near[1]], np.r_[tree.v_tgt, self.near[0]]
+        keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src],
+                                      near=np.arange(len(src)) >= len(tree.v_src))
         cut = keys[:, 3] > 0
         line = cut & (self.media.variant == "two-layer")
         cut &= ~line
-        rows, srcs, tgts = _groups(src[~cut], tgt[~cut], *keys[~cut].T, flip[~cut])
-        self.near_reads = (reads(rows), srcs, tgts)
+        read = ~cut
+        groups = _per_level(self.level[tgt[read]], src[read], tgt[read], *keys[read].T, flip[read])
+        # (key, flip) of each (shift, ax, sy, cut, flip) row
+        self.far = {level: ([(layered.TableKey(y0, *row[:4]), bool(row[4]))
+                             for row in rows.tolist()], *pairs)
+                    for level, (rows, *pairs) in groups.items()}
         self.cut = _rows(tgt[cut], src[cut])
-        uniq, inverse = np.unique(keys[line], axis=0, return_inverse=True)
-        cutoff = [layered.TableStore.geometry(layered.TableKey(y0, *row)).cutoff
-                  for row in uniq.tolist()]
-        self.line_image = (tgt[line], src[line], np.array(cutoff)[inverse.reshape(-1)])
+        shift, cutoff = keys[line, 0], keys[line, 3]
+        self.line_image = (tgt[line], src[line], np.ldexp(cutoff, -shift) - 2.0 * y0)
 
     def build_tables(self):
         """Load the table cache (or start a store) and fill it with every planned key."""
@@ -289,23 +286,22 @@ class _Workspace:
             self.store = layered.load_tables(cache, self.media, self.P)
         else:
             self.store = layered.TableStore(self.media, self.P)
-        keys = {key for reads, _, _ in self.far.values() for key, _ in reads}
-        keys.update(key for key, _ in self.near_reads[0])
-        self.store.fill(keys)
+        self.store.fill({key for reads, *_ in self.far.values() for key, _ in reads})
 
 
 def _translate(out, coeffs, groups, vectors, index):
-    """out[targets] += T(vector) @ coeffs[sources]: one gather, GEMM and scatter per group.
+    """out[tgt] += T(vector) @ coeffs[src]: one Toeplitz matrix, gather, GEMM and scatter per group.
 
-    groups is (rows, srcs, tgts) or None, vectors(rows) all its vectors
-    at once; a grouping fixes each target's source, so no group repeats a target.
+    groups is (rows, src, tgt, bounds) (_groups) or None, vectors(rows)
+    all its vectors at once.  A group's pairs share one translation, which
+    fixes each target's source, so no group repeats a target.
     """
     if groups is None:
         return
-    rows, srcs, tgts = groups
+    rows, src, tgt, bounds = groups
     P = (out.shape[1] - 1) // 2
-    for vec, src, tgt in zip(vectors(rows), srcs, tgts):
-        out[tgt] += coeffs[src] @ ex.translation_matrix(vec, P, index).T
+    for vec, a, b in zip(vectors(rows), bounds[:-1].tolist(), bounds[1:].tolist()):
+        out[tgt[a:b]] += coeffs[src[a:b]] @ ex.translation_matrix(vec, P, index).T
 
 
 def _upward(ws):
@@ -317,13 +313,17 @@ def _upward(ws):
                                           ws.cx[span], ws.cy[span], P, k, starts=starts)
     for level in sorted(ws.quadrants, reverse=True):
         hw = 0.5 ** (level + 1)  # half width of the children
-        quadrants, parents, children = ws.quadrants[level]
-        _translate(ws.multipole, ws.multipole, (quadrants, children, parents),
+        quadrants, parents, children, bounds = ws.quadrants[level]
+        _translate(ws.multipole, ws.multipole, (quadrants, children, parents, bounds),
                    lambda q: np.conj(ex.translation_vector_j(k, *(hw * q.T), P)), "p-m")
 
 
 def _downward(ws):
-    """L2L from parents plus free and heterogeneous M2L, level by level."""
+    """L2L from parents, free M2L and every table read, level by level.
+
+    A leaf's local expansion is final once its level is done, so the near
+    pairs that read a table entry join the M2L of their target leaf's level.
+    """
     P, k = ws.P, ws.k
     ws.local = np.zeros_like(ws.multipole)
     if ws.store is not None:
@@ -335,7 +335,7 @@ def _downward(ws):
         _translate(ws.local, ws.multipole, ws.offsets.get(level),
                    lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P), "m-p")
         # the scattered part: image coefficients through one table entry
-        # per (key, flip), so the pairs of one geometry share a GEMM
+        # per (key, flip), so the V and near pairs of one geometry share a GEMM
         _translate(ws.local, ws.image, ws.far.get(level),
                    lambda reads: [ws.store.get(*read) for read in reads], "m-p")
 
@@ -509,17 +509,6 @@ def _cut_field(ws):
         prev, count = u, 2 * count
 
 
-def _near_local(ws):
-    """Every leaf's local expansion at its own particles, in tree order.
-
-    The near pairs that read a table entry go into the leaf local
-    expansions first, one GEMM per (key, flip) as in the downward pass.
-    """
-    _translate(ws.local, ws.image, ws.near_reads,
-               lambda reads: [ws.store.get(*read) for read in reads], "m-p")
-    return _local_potentials(ws)
-
-
 def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     """Hierarchical evaluation of the pairwise potential sums."""
     timings = {}
@@ -542,7 +531,7 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     # the leaf potentials in tree order: local expansions, then the near
     # field; near is the sum of its three sub-phases
     t1 = time.perf_counter()
-    out = _near_local(ws)
+    out = _local_potentials(ws)
     timings["near_local"] = time.perf_counter() - t1
     for phase, near in (("near_free", _near_free), ("near_cut", _near_cut)):
         t1 = time.perf_counter()

@@ -226,8 +226,9 @@ def free_space_spectral(k: float, x, x0) -> complex:
     """Free-space kernel through the propagating/evanescent split.
 
     Validation-only path; requires a nonzero vertical separation.  The
-    propagating part takes the fixed 64-node Gauss-Legendre rule of the
-    table entries.
+    propagating part takes a fixed 64-node Gauss-Legendre rule, enough
+    for the moderate k |x - x0| of the checks that call it (the table
+    entries double theirs to convergence).
     """
     x1, y1 = _xy(x)
     x2, y2 = _xy(x0)

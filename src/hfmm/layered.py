@@ -9,11 +9,12 @@ Near the interface the line-image tail is translated separately
 (operator B with cutoff C).
 
 Entries are computed in batches with one quadrature, which this module
-alone fixes (_RULE): a 64-node Gauss-Legendre rule on the propagating
-contour (cosine-mapped per segment where a three-layer sigma_1 kinks),
-and on the evanescent contour one grid per batch, geometric panels of
-cosine-mapped Gauss-Legendre nodes (quadrature.cosine_panels) whose
-count doubles until two grids agree for every entry of the batch.  The
+alone fixes (_RULE): on the propagating contour a Gauss-Legendre rule
+(cosine-mapped per segment where a three-layer sigma_1 kinks), and on the
+evanescent contour geometric panels of cosine-mapped Gauss-Legendre
+nodes (quadrature.cosine_panels); each rule is shared by the batch, and
+its count doubles from 64 nodes per segment, or 48 per panel, until two
+rules agree for every entry of the batch.  The
 spectral factor depends only on the spectral variable, so each half is
 a product of a (keys x nodes) matrix with a (nodes x 4P+1) matrix,
 taken in blocks.
@@ -22,7 +23,7 @@ Entries are cached in one table store keyed by the geometry (|dx|, dy,
 C) as exact integers (TableKey): the kernel is invariant under
 horizontal translation, so every box pair with one geometry shares an
 entry, and a pair with dx < 0 reads the entry of -dx reversed.  A table
-file (save_tables) is the magic HFMMTB4, a header (medium fingerprint,
+file (save_tables) is the magic HFMMTB5, a header (medium fingerprint,
 P and the quadrature rule constants, all checked on load) and the
 entries, each as its key fields and its 4P+1 complex values.
 """
@@ -92,11 +93,11 @@ def propagating_rule(media: MediaConfig, count: int):
 
 
 # The table quadrature (_spectral_entries), written to and checked in the
-# table file header: Gauss-Legendre nodes per propagating segment;
-# evanescent nodes per panel, from the start count doubled up to the cap;
-# and the three tolerances of the doubling check.
-_RULE = _PROP_NODES, _GRID_START, _GRID_CAP, _TOL_REL, _TOL_MASS, _TOL_CAP = \
-    64, 48, 384, 1e-12, 5e-12, 1e-10
+# table file header: Gauss-Legendre nodes per propagating segment, and
+# evanescent nodes per panel, each from its start count doubled up to its
+# cap; and the three tolerances of the doubling checks.
+_RULE = _PROP_NODES, _PROP_CAP, _GRID_START, _GRID_CAP, _TOL_REL, _TOL_MASS, _TOL_CAP = \
+    64, 1024, 48, 384, 1e-12, 5e-12, 1e-10
 
 # Largest complex block, (keys x nodes) or (nodes x 4P+1), that the entry
 # products form at once; each product holds several such blocks.
@@ -183,9 +184,9 @@ def _spectral_entries(media, geoms, P, r_prop, r_evan, shift=0.0):
 
     r_prop(tau) and r_evan(t) supply the spectral factor (reflectance for
     A, tail factor for B); shift adds a decay e^{-t shift} per key on both
-    contours.  The evanescent grid is shared by the batch; its nodes per
-    panel double until two successive grids agree for every entry, or
-    QuadratureConvergenceError is raised at the cap.
+    contours.  Each contour's rule is shared by the batch; its nodes per
+    segment or panel double until two successive rules agree for every
+    entry, or QuadratureConvergenceError is raised at the cap.
     """
     k = media.k1
     dx = np.array([g.dx for g in geoms])
@@ -193,13 +194,28 @@ def _spectral_entries(media, geoms, P, r_prop, r_evan, shift=0.0):
     nu = np.arange(-2 * P, 2 * P + 1)
     i_nu = _I_POWERS[nu % 4]
 
-    tau, w_tau = propagating_rule(media, _PROP_NODES)
-    base_p = w_tau * r_prop(tau)
-    waves = np.exp(-1j * np.outer(tau, nu))
-    prop = np.empty((len(dx), len(nu)), dtype=complex)
-    for c in _chunks(len(dx), len(tau)):
-        prop[c] = (np.exp(1j * k * (np.outer(dy[c], np.sin(tau))
-                                    - np.outer(dx[c], np.cos(tau)))) * base_p) @ waves
+    def propagating(count):
+        tau, w_tau = propagating_rule(media, count)
+        base_p = w_tau * r_prop(tau)
+        waves = np.exp(-1j * np.outer(tau, nu))
+        prop = np.empty((len(dx), len(nu)), dtype=complex)
+        for c in _chunks(len(dx), len(tau)):
+            prop[c] = (np.exp(1j * k * (np.outer(dy[c], np.sin(tau))
+                                        - np.outer(dx[c], np.cos(tau)))) * base_p) @ waves
+        return prop
+
+    # an electrically thick three-layer medium needs far more than 64 nodes
+    # per segment: its sigma oscillates along the contour
+    count, prop = _PROP_NODES, propagating(_PROP_NODES)
+    while True:
+        count *= 2
+        prev, prop = prop, propagating(count)
+        if np.all(np.abs(prop - prev) <= _TOL_REL * np.maximum(np.abs(prop), 1.0)):
+            break
+        if 2 * count > _PROP_CAP:
+            raise QuadratureConvergenceError(
+                f"propagating table rule did not converge at {count} nodes per segment "
+                f"(P={P}, smallest dy {dy.min():.3g}, largest |dx| {np.abs(dx).max():.3g})")
 
     edges = _panel_edges(media, P, float(dy.min()))
     count, evan = _GRID_START, None
@@ -289,15 +305,16 @@ class TableKey(NamedTuple):
     cut: int
 
 
-def pair_key(root_y0: float, tgt, src, near: bool = False):
+def pair_key(root_y0: float, tgt, src, near=False):
     """Table keys of the scattered translations from tree boxes src to tree boxes tgt.
 
     tgt and src are (level, ix, iy) integer arrays, one entry per pair.
     Returns (keys, flip): rows of TableKey fields (shift, ax, sy, cut),
     and whether dx < 0, when the entries are the key's reversed, since
-    A_{-dx}(nu) = A_{dx}(-nu).  A near pair (near=True) whose source box
-    sits less than its own width above the interface has its line image
-    cut at C > 0, if C comes out positive.
+    A_{-dx}(nu) = A_{dx}(-nu).  near marks the near pairs, one bool for
+    all pairs or one per pair: a near pair whose source box sits less than
+    its own width above the interface has its line image cut at C > 0, if
+    C comes out positive.
     """
     lt, ixt, iyt = (np.asarray(a, dtype=np.int64) for a in tgt)
     ls, ixs, iys = (np.asarray(a, dtype=np.int64) for a in src)
@@ -305,13 +322,11 @@ def pair_key(root_y0: float, tgt, src, near: bool = False):
     shift = fine + 1  # lengths in half-widths of the finer box
     ax = ((2 * ixt + 1) << (fine - lt)) - ((2 * ixs + 1) << (fine - ls))
     sy = ((2 * iyt + 1) << (fine - lt)) + ((2 * iys + 1) << (fine - ls))
-    cut = np.zeros_like(sy)
-    if near:
-        # C = coarser width + both half widths - dy; with root_y0 > 0 only
-        # the bottom row (iys == 0) can sit that low
-        c = (3 << (fine - np.minimum(lt, ls))) + 1 - sy
-        low = (iys == 0) & (root_y0 < np.ldexp(1.0, -ls))
-        cut = np.where(low & (c * np.ldexp(1.0, -shift) - 2.0 * root_y0 > 0.0), c, 0)
+    # C = coarser width + both half widths - dy; with root_y0 > 0 only
+    # the bottom row (iys == 0) can sit that low
+    c = (3 << (fine - np.minimum(lt, ls))) + 1 - sy
+    low = near & (iys == 0) & (root_y0 < np.ldexp(1.0, -ls))
+    cut = np.where(low & (c * np.ldexp(1.0, -shift) - 2.0 * root_y0 > 0.0), c, 0)
     flip, ax = ax < 0, np.abs(ax)
     # divide out the common power of two: v & -v is the lowest set bit of
     # v > 0 (sy > 0), and frexp reads its exponent exactly
@@ -362,11 +377,12 @@ class TableStore:
         return found[::-1] if flip else found
 
 
-_MAGIC = b"HFMMTB4\x00"
-# older formats: keyed by the root height (1), by the box pair (2), or
-# built with the Laguerre and per-entry adaptive rules (3)
-_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00", b"HFMMTB3\x00")
-_HEADER = struct.Struct("<IIIIddd")  # P, then _RULE
+_MAGIC = b"HFMMTB5\x00"
+# older formats: keyed by the root height (1), by the box pair (2), built
+# with the Laguerre and per-entry adaptive rules (3), or with a fixed
+# propagating rule (4)
+_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00", b"HFMMTB3\x00", b"HFMMTB4\x00")
+_HEADER = struct.Struct("<IIIIIddd")  # P, then _RULE
 _ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
 
 
@@ -421,8 +437,8 @@ def load_tables(path, media: MediaConfig, P: int) -> TableStore:
             raise ValueError(f"table cache was built for P={p_stored}, not P={P}")
         if tuple(rule) != _RULE:
             raise ValueError(
-                "table cache was built with the quadrature rule (propagating nodes, grid "
-                f"start, grid cap, tolerances) {tuple(rule)}, not {_RULE}")
+                "table cache was built with the quadrature rule (propagating start and cap, "
+                f"grid start and cap, tolerances) {tuple(rule)}, not {_RULE}")
         store = TableStore(media, P)
         (count,) = struct.unpack("<Q", _read(f, 8))
         for _ in range(count):

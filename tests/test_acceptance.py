@@ -79,9 +79,11 @@ def test_criterion_2_scaling(capsys):
     for n in ns:
         xs, ys = random_particles(42, n)
         qs = np.random.default_rng(42).normal(size=n)
-        out = fmm_apply(_particles(xs, ys, qs),
-                        RunConfig(media=media, order=16, leaf_capacity=60))
-        totals.append(out.timings["total"])
+        parts = _particles(xs, ys, qs)
+        cfg = RunConfig(media=media, order=16, leaf_capacity=60)
+        # the faster of two calls: on a shared machine one call can read
+        # several times slower than the next
+        totals.append(min(fmm_apply(parts, cfg).timings["total"] for _ in range(2)))
     beta = float(np.polyfit(np.log(ns), np.log(totals), 1)[0])
     elapsed = time.perf_counter() - t_start
     ok = 0.9 <= beta <= 1.2 and elapsed <= 300.0

@@ -91,8 +91,8 @@ class TestRunConfig:
 
     def test_evan_count_resolution(self, tmp_path):
         # the table file header holds P and the quadrature rule: propagating
-        # nodes, grid start and cap nodes per panel and the three
-        # tolerances, the same for every medium
+        # start and cap nodes per segment, grid start and cap nodes per
+        # panel and the three tolerances, the same for every medium
         parts = _random_particles(9, 60)
         headers = {}
         for media in (MediaConfig.two_layer(1.0, 1.0),
@@ -102,8 +102,8 @@ class TestRunConfig:
                                        table_cache=str(path)))
             raw = path.read_bytes()
             (fplen,) = struct.unpack_from("<I", raw, 8)
-            headers[media.variant] = struct.unpack_from("<IIIIddd", raw, 12 + fplen)
-        rule = (5, 64, 48, 384, 1e-12, 5e-12, 1e-10)
+            headers[media.variant] = struct.unpack_from("<IIIIIddd", raw, 12 + fplen)
+        rule = (5, 64, 1024, 48, 384, 1e-12, 5e-12, 1e-10)
         assert headers == {"two-layer": rule, "three-layer": rule}
 
 
@@ -271,17 +271,20 @@ class TestStructure:
         MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
         MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)], ids=lambda m: m.variant)
     def test_one_pair_key_call_for_v_pairs_and_one_for_near_pairs(self, monkeypatch, media):
+        # one call in all: its near mask is False for the V pairs, then
+        # True for the near pairs
         parts = _random_particles(26, 600, ylo=0.01, yhi=1.0)
         calls = []
         real = layered.pair_key
 
         def counted(*args, near=False):
-            calls.append(near)
+            calls.append(np.asarray(near).tolist())
             return real(*args, near=near)
 
         monkeypatch.setattr(layered, "pair_key", counted)
-        fmm_apply(parts, RunConfig(media=media, order=6, leaf_capacity=20))
-        assert calls == ([] if media.variant == "free" else [False, True])
+        out = fmm_apply(parts, RunConfig(media=media, order=6, leaf_capacity=20))
+        v, near = out.counts["v_pairs"], out.counts["near_pairs"]
+        assert calls == ([] if media.variant == "free" else [[False] * v + [True] * near])
 
     @pytest.mark.parametrize("media", [
         MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
@@ -518,23 +521,19 @@ class TestNearField:
         want = np.zeros_like(got)
         k, x, y, q, start, stop = ws.k, ws.x, ws.y, ws.q, ws.start, ws.stop
         gl_x, gl_w = quadrature.legendre_base(32)
-        for (key, _), srcs, tgts in zip(*ws.near_reads):
-            if not key.cut:
-                continue
-            C = layered.TableStore.geometry(key).cutoff
+        for t, s, C in zip(*(a.tolist() for a in ws.line_image)):
             s_nodes = 0.5 * C * (gl_x + 1.0)
             s_w = 0.5 * C * gl_w
             mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
-            for t, s in zip(tgts.tolist(), srcs.tolist()):
-                a, b, c, d = start[t], stop[t], start[s], stop[s]
-                tx, ty = x[a:b], y[a:b]
-                sx, sy, sq = x[c:d], y[c:d], q[c:d]
-                r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
-                want[a:b] += (0.25j * hankel0(k * r_img)) @ sq
-                for idx in range(len(s_nodes)):
-                    r_line = np.hypot(tx[:, None] - sx[None, :],
-                                      ty[:, None] + sy[None, :] + s_nodes[idx])
-                    want[a:b] += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
+            a, b, c, d = start[t], stop[t], start[s], stop[s]
+            tx, ty = x[a:b], y[a:b]
+            sx, sy, sq = x[c:d], y[c:d], q[c:d]
+            r_img = np.hypot(tx[:, None] - sx[None, :], ty[:, None] + sy[None, :])
+            want[a:b] += (0.25j * hankel0(k * r_img)) @ sq
+            for idx in range(len(s_nodes)):
+                r_line = np.hypot(tx[:, None] - sx[None, :],
+                                  ty[:, None] + sy[None, :] + s_nodes[idx])
+                want[a:b] += (s_w[idx] * mu[idx]) * ((0.25j * hankel0(k * r_line)) @ sq)
         assert np.any(want != 0)
         assert _close(got, want, 1e-14)
 
@@ -786,14 +785,16 @@ class TestTableCache:
     def test_file_refuses_other_rule_counts(self, tmp_path):
         # root side 1, so the run's rescaled medium is media itself and
         # only the quadrature rule differs from the file's (runs use 64,
-        # 48, 384, 1e-12, 5e-12, 1e-10)
+        # 1024, 48, 384, 1e-12, 5e-12, 1e-10)
         parts = _pinned_particles(17, 200, 0.1)
         media = MediaConfig.two_layer(1.0, 1.0)
         fp = media.fingerprint().encode()
         cache = tmp_path / "tables.bin"
-        for rule in ((64, 96, 384, 1e-12, 5e-12, 1e-10), (64, 48, 768, 1e-12, 5e-12, 1e-10),
-                     (64, 48, 384, 1e-12, 1e-11, 1e-10)):
-            cache.write_bytes(b"HFMMTB4\x00" + struct.pack("<I", len(fp)) + fp
-                              + struct.pack("<IIIIdddQ", 10, *rule, 0))
+        for rule in ((64, 2048, 48, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 96, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 48, 768, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 48, 384, 1e-12, 1e-11, 1e-10)):
+            cache.write_bytes(b"HFMMTB5\x00" + struct.pack("<I", len(fp)) + fp
+                              + struct.pack("<IIIIIdddQ", 10, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 fmm_apply(parts, RunConfig(media=media, order=10, table_cache=str(cache)))

@@ -168,48 +168,61 @@ class TestGeometry:
         assert TableStore.geometry(key).dx == tree.cx[coarse] - tree.cx[left]
 
 
+def _mixed_workspace(media):
+    """The workspace of 500 particles down to 5e-3 above the interface: leaves at several levels."""
+    xs, ys = _random_positions(33, 500, 0.5, 5e-3, 1.0)
+    parts = [Particle(Point2(float(x), float(y)), 1.0) for x, y in zip(xs, ys)]
+    return _Workspace(parts, RunConfig(media=media, order=4, leaf_capacity=12))
+
+
+@pytest.mark.parametrize("media", [
+    MediaConfig.two_layer(1.0, 1.0), MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+], ids=lambda m: m.variant)
 class TestPlan:
-    @pytest.mark.parametrize("media", [
-        MediaConfig.two_layer(1.0, 1.0), MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
-    ], ids=lambda m: m.variant)
     def test_every_pair_in_one_group(self, media):
         # each V pair and each ordered near pair lands in exactly one group
         # (or, three-layer, one cut list), and each group's key, offset or
         # quadrant reproduces the geometry of every box pair in it
-        xs, ys = _random_positions(33, 500, 0.5, 5e-3, 1.0)
-        parts = [Particle(Point2(float(x), float(y)), 1.0) for x, y in zip(xs, ys)]
-        ws = _Workspace(parts, RunConfig(media=media, order=4, leaf_capacity=12))
+        ws = _mixed_workspace(media)
         tree = ws.tree
         level, ix, iy, cx, cy = tree.level, tree.ix, tree.iy, tree.cx, tree.cy
         assert len(set(level[tree.leaves])) > 1
 
-        def pairs(srcs, tgts):
-            return [list(zip(s.tolist(), t.tolist())) for s, t in zip(srcs, tgts)]
+        def pairs(src, tgt, bounds):
+            return [list(zip(src[a:b].tolist(), tgt[a:b].tolist()))
+                    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
         v_pairs = Counter(zip(tree.v_src.tolist(), tree.v_tgt.tolist()))
         tgt, src = near_source_leaves(tree)
         near_pairs = Counter(zip(src.tolist(), tgt.tolist()))
 
-        far, offsets = Counter(), Counter()
-        for lev, (reads, srcs, tgts) in ws.far.items():
-            for (key, flip), group in zip(reads, pairs(srcs, tgts)):
+        # far: every pair that reads a table entry, at its target's level
+        far, lines = Counter(), Counter()
+        for lev, (reads, *groups) in ws.far.items():
+            for (key, flip), group in zip(reads, pairs(*groups)):
                 g = TableStore.geometry(key)
-                assert g.cutoff == 0.0
                 for s, t in group:
-                    assert level[t] == level[s] == lev
+                    assert level[t] == lev
                     assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
                     assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
+                    want = _expected_cutoff(tree, t, s) if (s, t) in near_pairs else 0.0
+                    assert g.cutoff == pytest.approx(want, rel=1e-15, abs=1e-15)
                 far.update(group)
-        for lev, (rows, srcs, tgts) in ws.offsets.items():
-            for row, group in zip(rows.tolist(), pairs(srcs, tgts)):
+                # the two-layer cut pairs, which also take the line image
+                # with their B-tail entry's cutoff
+                if key.cut:
+                    lines.update({(s, t, g.cutoff): 1 for s, t in group})
+        offsets = Counter()
+        for lev, (rows, *groups) in ws.offsets.items():
+            for row, group in zip(rows.tolist(), pairs(*groups)):
                 assert all(level[t] == lev and row == [ix[t] - ix[s], iy[t] - iy[s]]
                            for s, t in group)
                 offsets.update(group)
-        assert far == offsets == v_pairs
+        assert offsets == v_pairs
 
         quadrants = Counter()
-        for lev, (rows, parents, children) in ws.quadrants.items():
-            for row, group in zip(rows.tolist(), pairs(parents, children)):
+        for lev, (rows, *groups) in ws.quadrants.items():
+            for row, group in zip(rows.tolist(), pairs(*groups)):
                 for parent, child in group:
                     assert tree.parent[child] == parent and level[child] == lev
                     assert row == [np.sign(cx[child] - cx[parent]),
@@ -217,24 +230,9 @@ class TestPlan:
                 quadrants.update(child for _, child in group)
         assert quadrants == Counter(range(1, len(level)))
 
-        read, cut = Counter(), Counter()
-        reads, srcs, tgts = ws.near_reads
-        for (key, flip), group in zip(reads, pairs(srcs, tgts)):
-            g = TableStore.geometry(key)
-            for s, t in group:
-                assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
-                assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
-                assert g.cutoff == pytest.approx(_expected_cutoff(tree, t, s), rel=1e-15,
-                                                 abs=1e-15)
-            read.update(group)
-        # the two-layer cut pairs, which also read a B-tail entry, with
-        # that entry's cutoff
-        lines = Counter()
-        for (key, _), group in zip(reads, pairs(srcs, tgts)):
-            if key.cut:
-                lines.update({(s, t, TableStore.geometry(key).cutoff): 1 for s, t in group})
         t, s, cutoff = (a.tolist() for a in ws.line_image)
         assert Counter(zip(s, t, cutoff)) == lines
+        cut = Counter()
         leaves, bounds, srcs = ws.cut
         for leaf, lo, hi in zip(leaves.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
             # a row lists each source leaf once
@@ -243,12 +241,23 @@ class TestPlan:
             group = [(s, leaf) for s in sources.tolist()]
             assert all(_expected_cutoff(tree, t, s) > 0.0 for s, t in group)
             cut.update(group)
-        assert read + cut == near_pairs
-        assert not read & cut
+        assert far + cut == v_pairs + near_pairs
+        assert not far & cut
         if media.variant == "three-layer":
-            assert cut and all(not key.cut for key, _ in reads) and not lines
+            assert cut and not lines
         else:
             assert not cut and lines
+
+    def test_no_group_repeats_a_target(self, media):
+        # _translate scatters a group with out[tgt] += ..., which keeps only
+        # one add of a repeated target
+        ws = _mixed_workspace(media)
+        plans = [ws.quadrants, ws.offsets, ws.far]
+        assert all(plans)
+        for plan in plans:
+            for _, _, tgt, bounds in plan.values():
+                for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                    assert len(np.unique(tgt[a:b])) == b - a
 
 
 class TestComputeA:
@@ -306,6 +315,9 @@ class TestComputeA:
         pytest.param(MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 1.0, id="media1"),
         # dy * min(k, alpha) = 0.6: the decay scale reaches the reflectance pole
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 0.3, id="two-layer-near-interface"),
+        # k1 d = 16: sigma oscillates along the propagating contour, which
+        # 64 nodes per segment do not resolve
+        pytest.param(MediaConfig.three_layer(20.0, 16.0, 12.0, 0.8), 1.0, id="three-layer-thick"),
     ])
     def test_m2l_vs_scattered_oracle(self, media, center_y):
         src_c, tgt_c = Point2(0.0, center_y), Point2(1.5, center_y)
@@ -457,26 +469,33 @@ class TestTableStore:
             load_tables(path, MediaConfig.two_layer(1.0, 1.0), 9)
 
     def test_load_rejects_other_rule_counts(self, tmp_path):
-        # header: P, propagating nodes, grid start and cap nodes per panel
-        # and the three tolerances; runs use (64, 48, 384, 1e-12, 5e-12, 1e-10)
+        # header: P, propagating start and cap nodes per segment, grid start
+        # and cap nodes per panel and the three tolerances; runs use
+        # (64, 1024, 48, 384, 1e-12, 5e-12, 1e-10)
         media = MediaConfig.two_layer(1.0, 1.0)
         fp = media.fingerprint().encode()
         path = tmp_path / "tables.bin"
-        for rule in ((32, 48, 384, 1e-12, 5e-12, 1e-10), (64, 24, 384, 1e-12, 5e-12, 1e-10),
-                     (64, 48, 192, 1e-12, 5e-12, 1e-10), (64, 48, 384, 1e-11, 5e-12, 1e-10),
-                     (64, 48, 384, 1e-12, 5e-12, 1e-9)):
-            path.write_bytes(b"HFMMTB4\x00" + struct.pack("<I", len(fp)) + fp
-                             + struct.pack("<IIIIdddQ", 8, *rule, 0))
+        for rule in ((32, 1024, 48, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 512, 48, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 24, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 48, 192, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 48, 384, 1e-11, 5e-12, 1e-10),
+                     (64, 1024, 48, 384, 1e-12, 5e-12, 1e-9)):
+            path.write_bytes(b"HFMMTB5\x00" + struct.pack("<I", len(fp)) + fp
+                             + struct.pack("<IIIIIdddQ", 8, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 load_tables(path, media, 8)
 
     def test_load_rejects_old_format(self, tmp_path):
         # first format: magic, fingerprint, P, max level, root height,
-        # entries; third: P, propagating and Laguerre counts, Laguerre a
+        # entries; third: P, propagating and Laguerre counts, Laguerre a;
+        # fourth: P, a fixed propagating count, the grid and the tolerances
         fp = MediaConfig.two_layer(1.0, 1.0).fingerprint().encode()
         path = tmp_path / "tables.bin"
         for magic, header in ((b"HFMMTB1\x00", struct.pack("<IIdQ", 8, 2, 0.05, 0)),
-                              (b"HFMMTB3\x00", struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0))):
+                              (b"HFMMTB3\x00", struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0)),
+                              (b"HFMMTB4\x00", struct.pack("<IIIIdddQ", 8, 64, 48, 384, 1e-12,
+                                                           5e-12, 1e-10, 0))):
             path.write_bytes(magic + struct.pack("<I", len(fp)) + fp + header)
             with pytest.raises(ValueError, match="old format"):
                 load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)
