@@ -12,6 +12,7 @@ oracle; error_metric is the relative l2 error over the first M targets.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from . import greens, layered
 from .greens import MediaConfig, QuadratureConvergenceError, scattered_batch, spectral_breakpoints
 from .quadrature import cosine_panels, legendre_base
 # bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
-from .specfun import bessel_j_sweep, hankel0  # noqa: F401
+from .specfun import _SERIES_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq  # noqa: F401
 from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
 
 __all__ = ["RunConfig", "PotentialVector", "fmm_apply", "direct_apply", "error_metric"]
@@ -159,14 +160,32 @@ def _rows(tgt, src):
 
 def _groups(src, tgt, *columns):
     """(rows, src, tgt, bounds): the distinct rows of the integer columns, sorted,
-    and the pairs in group order, from one lexsort; group i holds the pairs
-    bounds[i]:bounds[i + 1], in their given order."""
-    order = np.lexsort(columns[::-1])
-    cols = np.stack([column[order] for column in columns])
-    new = np.ones(cols.shape[1], dtype=bool)
-    new[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+    and the pairs in group order; group i holds the pairs bounds[i]:bounds[i + 1],
+    in their given order.
+
+    The rows sort by one mixed-radix int64 key (each column minus its
+    minimum, times the product of the later columns' spans) and a stable
+    argsort; lexsort takes over when that product passes 2^63.
+    """
+    lows = [int(column.min()) if len(column) else 0 for column in columns]
+    spans = [int(column.max()) - low + 1 if len(column) else 1
+             for column, low in zip(columns, lows)]
+    new = np.ones(len(src), dtype=bool)
+    if math.prod(spans) <= 2 ** 63:
+        key = np.zeros(len(src), dtype=np.int64)
+        for column, low, span in zip(columns, lows, spans):
+            key *= span
+            key += column - low
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new[1:] = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(columns[::-1])
+        cols = np.stack([column[order] for column in columns])
+        new[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
     first = np.flatnonzero(new)
-    return cols[:, first].T, src[order], tgt[order], np.r_[first, cols.shape[1]]
+    rows = np.stack([column[order[first]] for column in columns], axis=1)
+    return rows, src[order], tgt[order], np.r_[first, len(src)]
 
 
 def _per_level(level, src, tgt, *columns):
@@ -364,6 +383,14 @@ def _local_potentials(ws):
     return out
 
 
+def _kernel_sq(x2):
+    """H_0^(1)(sqrt(x2)) of a near-field block, overwriting x2: hankel0_sq while
+    every x2 is within the series bound, else hankel0 of the square roots."""
+    if x2.max() <= _SERIES_MAX_ARG ** 2:
+        return hankel0_sq(x2)
+    return hankel0(np.sqrt(x2, out=x2))
+
+
 def _near_free(ws, out):
     """out += the free-space near field: one row of kernel blocks per target leaf.
 
@@ -392,14 +419,14 @@ def _near_free(ws, out):
                 dy = y[a:b, None] - y[j]
                 dx *= dx
                 dy *= dy
-                r = np.add(dx, dy, out=dx)
-                np.sqrt(r, out=r)
-                r *= k
+                r2 = np.add(dx, dy, out=dx)
+                r2 *= k * k
                 # the own leaf's diagonal in this chunk: masked below, omits
-                # the singular self term
+                # the singular self term; a tiny placeholder, since the
+                # block's largest value sets the series' term count
                 own = np.arange(off, min(n, off + len(j)))
-                r[own, own - off] = 1.0
-                g = hankel0(r)
+                r2[own, own - off] = 1e-300
+                g = _kernel_sq(r2)
                 g[own, own - off] = 0.0
                 out[a:b] += 0.25j * (g @ q[j])
                 past = max(n - off, 0)  # the chunk's first column of a source s > t
@@ -425,12 +452,11 @@ def _near_cut(ws, out):
         step = max(1, _SWEEP_BYTES // (16 * dx2.size))
         g = np.zeros(dx2.shape, dtype=complex)
         for i in range(0, len(shifts), step):
-            r = height + shifts[i:i + step, None, None]
-            r *= r
-            r += dx2
-            np.sqrt(r, out=r)
-            r *= k
-            g += np.tensordot(weights[i:i + step], hankel0(r), axes=1)
+            r2 = height + shifts[i:i + step, None, None]
+            r2 *= r2
+            r2 += dx2
+            r2 *= k * k
+            g += np.tensordot(weights[i:i + step], _kernel_sq(r2), axes=1)
         out[a:b] += 0.25j * (g @ q[c:d])
     # three-layer near-interface: every cut row on one spectral grid
     if len(ws.cut[0]):

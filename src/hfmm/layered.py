@@ -30,13 +30,13 @@ entries, each as its key fields and its 4P+1 complex values.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .greens import (MediaConfig, QuadratureConvergenceError,
                      reflectance, spectral_breakpoints)
@@ -123,19 +123,24 @@ def _panel_edges(media, P, dy):
     Panels double in width from the singularity scale up to where the
     envelope z^{-2P} e^{-t dy} is 45 e-folds below its peak (keys with a
     larger dy decay sooner), and break at the kinks of a three-layer sigma_1.
+    Past its peak at tstar the log envelope decreases, so bisection finds
+    that cutoff, to within 2e-12 + 4 eps t (the tolerance of scipy's brentq).
     """
     k = media.k1
     n2 = 2 * P
 
     def log_env(t):
-        return n2 * np.log((t + np.hypot(t, k)) / k) - t * dy
+        return n2 * math.log((t + math.hypot(t, k)) / k) - t * dy
 
     tstar = max(n2 / dy, k)
     target = log_env(tstar) - 45.0
-    hi = 2.0 * tstar + (45.0 + n2) / dy
+    lo, hi = tstar, 2.0 * tstar + (45.0 + n2) / dy
     while log_env(hi) > target:
-        hi *= 2.0
-    cutoff = brentq(lambda t: log_env(t) - target, tstar, hi)
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 2e-12 + 4.0 * math.ulp(1.0) * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_env(mid) > target else (lo, mid)
+    cutoff = 0.5 * (lo + hi)
     s0 = min(max(_singularity_scale(media), 1e-3), cutoff / 2.0)
     edges = [0.0, s0]
     while edges[-1] < cutoff:

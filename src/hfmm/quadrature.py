@@ -1,18 +1,20 @@
 """Gauss-Legendre and generalized Gauss-Laguerre rules, each a (nodes, weights) pair.
 
 Every spectral integral of the package maps Gauss-Legendre rules
-(legendre_base) onto its own intervals, affinely (gauss_legendre) or
-cosine-mapped (cosine_panels, shared by the table entries and the
-Sommerfeld oracle).  gauss_laguerre_generalized has no caller in the
-package; the benchmark tracer (perfbench/tracing.py) wraps it by name.
+(legendre_base, computed here by Newton's method) onto its own
+intervals, affinely (gauss_legendre) or cosine-mapped (cosine_panels,
+shared by the table entries and the Sommerfeld oracle).
+gauss_laguerre_generalized takes scipy's rule, imported when it is
+called; it has no caller in the package, and the benchmark tracer
+(perfbench/tracing.py) wraps it by name.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre, roots_genlaguerre
 
 __all__ = ["legendre_base", "gauss_legendre", "cosine_panels", "gauss_laguerre_generalized"]
 
@@ -23,16 +25,59 @@ def legendre_base(count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built once per count and shared by every caller, so the arrays are
     read-only; callers map them onto their own intervals.  This is the
-    only place in the package that computes Gauss-Legendre nodes.  The
+    only place in the package that computes Gauss-Legendre nodes, by
+    Newton's method over half of them (_legendre_roots), mirrored.  The
     cache is keyed by the count alone and the package uses a handful of
     counts, so it stays small.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    x, w = roots_legendre(count)
+    theta, slope = _legendre_roots(count)
+    x = -np.cos(theta)  # the nodes in [-1, 0], ascending
+    if count % 2:
+        x[-1] = 0.0  # the middle node, theta = pi/2
+    w = 2.0 / slope ** 2
+    inner = len(x) - count % 2  # the nodes below 0, mirrored above it
+    x, w = np.r_[x, -x[:inner][::-1]], np.r_[w, w[:inner][::-1]]
+    # the recurrence's rounding leaves each weight some sqrt(count) eps
+    # off; scaling them to their exact sum 2, as scipy does, removes the
+    # part they share
+    w *= 2.0 / math.fsum(w)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _legendre_roots(n):
+    """(theta, dP_n/dtheta) at the roots x = cos(theta) of P_n in [0, 1], theta ascending.
+
+    Newton's method in theta, from Tricomi's x = (1 - 1/(8n^2) +
+    1/(8n^3)) cos(phi), phi = (4i - 1) pi / (4n + 2).  A pass runs the
+    three-term recurrence to P_{n-1}, P_n at x = cos(theta); then
+    dP_n/dtheta = -n (P_{n-1} - x P_n) / sin(theta) has no 1 - x^2 to
+    cancel.  A step below 1e-10 of its theta leaves an error the next
+    step squares away, and one that moves x by at most 1e-15 is rounding;
+    once every step is either, one more pass gives the slope: four passes
+    for every count from 2 to 1024.
+    """
+    phi = (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) * np.pi / (4 * n + 2)
+    theta = phi + (1.0 - 1.0 / n) / (8.0 * n * n) / np.tan(phi)
+    converged = False
+    for _ in range(20):
+        x = np.cos(theta)
+        prev, cur = np.ones_like(x), x  # P_{j-1}, P_j
+        for j in range(1, n):
+            xp = x * cur
+            prev, cur = cur, xp + (j / (j + 1.0)) * (xp - prev)
+        sine = np.sin(theta)
+        slope = (-n) * (prev - x * cur) / sine
+        step = cur / slope
+        theta -= step
+        if converged:
+            return theta, slope
+        step = np.abs(step)
+        converged = bool(np.all((step <= 1e-10 * theta) | (step * sine <= 1e-15)))
+    raise RuntimeError(f"Gauss-Legendre nodes for count {n} did not converge")
 
 
 def gauss_legendre(count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +122,8 @@ def gauss_laguerre_generalized(count: int, a_param: float = 0.0) -> tuple[np.nda
         raise ValueError("count must be >= 1")
     if a_param < 0:
         raise ValueError("a_param must be >= 0")
+    from scipy.special import roots_genlaguerre
+
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         x, w = roots_genlaguerre(count, a_param)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):

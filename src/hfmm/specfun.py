@@ -5,22 +5,25 @@ operator: the regular harmonics J_n(k rho) e^{i n theta} for multipole
 coefficients, local evaluation and M2M/L2L, H_n^(1) for outgoing
 expansions and multipole-to-local translations.
 
-Every function is an order sweep (all orders 0..nmax at once).
-regular_harmonics takes the ascending series below an argument bound
-and Miller above it.  J_n uses Miller's downward recurrence, anchored on
-the order-0/1 values, which is stable for the full order range needed
-here (up to 2P+2 with P as large as 39).  Y_n uses the three-term
-recurrence run upward from Y_0, Y_1, which is stable because |Y_n|
-grows with n.
+Every sweep gives all orders 0..nmax at once.  regular_harmonics takes
+the ascending series below an argument bound and Miller above it.  J_n
+uses Miller's downward recurrence, normalized by J_0 or J_1, which is
+stable for the full order range needed here (up to 2P+2 with P as large
+as 39).  Y_n uses the three-term recurrence run upward from Y_0, Y_1,
+which is stable because |Y_n| grows with n.  The order-0/1 values come
+from the ascending series up to the same bound (_order01) and from
+scipy.special above it, imported at the first call that needs it;
+hankel0_sq is the near-field kernel H_0^(1) from x^2 by the series, and
+hankel0 the scipy reference for any x.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, pi
 
 import numpy as np
-from scipy.special import j0 as _j0, j1 as _j1, y0 as _y0, y1 as _y1
 
 __all__ = [
     "SUPPORTED_MAX_ARG",
@@ -29,6 +32,7 @@ __all__ = [
     "regular_harmonics",
     "hankel1_sweep",
     "hankel0",
+    "hankel0_sq",
 ]
 
 # Beyond this the low-frequency expansion regime targeted here does not apply.
@@ -40,10 +44,13 @@ _MILLER_BIG = 1.0e250
 _MILLER_SMALL = 1.0e-250
 
 # regular_harmonics sums the ascending series while every k rho of a block
-# is at most this.  Below the first zero of J_0 (2.405) no J_n has a zero,
-# and the series' cancellation costs at most a factor I_n/J_n <= 11 of
-# rounding; above it the block takes Miller's recurrence.
+# is at most this, and _order01 and hankel0_sq sum it up to this argument.
+# Below the first zero of J_0 (2.405) no J_n has a zero, and the series'
+# cancellation costs at most a factor I_n/J_n <= 11 of rounding; above it
+# the block takes Miller's recurrence and the order-0/1 values scipy's.
 _SERIES_MAX_ARG = 2.0
+
+_EULER_GAMMA = 0.5772156649015329
 
 
 def _check_arg(x, allow_zero):
@@ -115,7 +122,7 @@ def bessel_j_sweep(nmax: int, x) -> np.ndarray:
 
     # Anchor on whichever of J_0, J_1 is larger to avoid dividing near a zero.
     # After the loop fc, fp hold the unnormalized order-0 and order-1 values.
-    a0, a1 = _j0(xs), _j1(xs)
+    a0, a1 = _order01(xs)[:2]
     use0 = np.abs(a0) >= np.abs(a1)
     unnorm1 = vals[1] if nmax >= 1 else fp
     denom = np.where(use0, vals[0], unnorm1)
@@ -134,6 +141,82 @@ def _series_table(terms: int, nmax: int) -> np.ndarray:
                   for m in range(terms + 1)])
     c.flags.writeable = False
     return c
+
+
+def _series_terms(s_max: float) -> int:
+    """The smallest M for which the first left-out term of the J_0 series in
+    s = x^2/4, s^{M+1} / ((M+1)!)^2 at s = s_max, is <= 1e-17."""
+    terms, tail = 0, s_max
+    while tail > 1e-17:
+        terms += 1
+        tail *= s_max / (terms + 1) ** 2
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _order01_table(terms: int) -> np.ndarray:
+    """Rows j0, j1, q0, q1 (read-only), m = 0..terms, of the order-0/1 series in s = x^2/4.
+
+    With H_m the harmonic numbers (Abramowitz & Stegun 9.1.10-11):
+    J_0 = sum j0_m s^m, j0_m = (-1)^m / (m!)^2; J_1 = (x/2) sum j1_m s^m,
+    j1_m = (-1)^m / (m! (m+1)!); Y_0 = ln(s) J_0 / pi + sum q0_m s^m,
+    q0_m = 2 (gamma - H_m) j0_m / pi; and Y_1 = ln(s) J_1 / pi - 2 / (pi x)
+    + (x/2) sum q1_m s^m, q1_m = (2 gamma - H_m - H_{m+1}) j1_m / pi.
+    The sums are exact rationals, rounded once before the division by pi.
+    """
+    harmonic = [Fraction(0)]
+    for m in range(1, terms + 2):
+        harmonic.append(harmonic[-1] + Fraction(1, m))
+    gamma = Fraction(_EULER_GAMMA)
+    j0 = [Fraction((-1) ** m, factorial(m) ** 2) for m in range(terms + 1)]
+    j1 = [Fraction((-1) ** m, factorial(m) * factorial(m + 1)) for m in range(terms + 1)]
+    q0 = [2 * (gamma - harmonic[m]) * a for m, a in enumerate(j0)]
+    q1 = [(2 * gamma - harmonic[m] - harmonic[m + 1]) * b for m, b in enumerate(j1)]
+    c = np.array([list(map(float, j0)), list(map(float, j1)),
+                  [float(v) / pi for v in q0], [float(v) / pi for v in q1]])
+    c.flags.writeable = False
+    return c
+
+
+def _horner(c, s):
+    """sum_m c[i, m] s^m for each row i of c, in one Horner pass: shape (len(c),) + s.shape."""
+    c = c.reshape(c.shape + (1,) * s.ndim)
+    out = np.empty((len(c),) + s.shape)
+    out[...] = c[:, -1]
+    for m in range(c.shape[1] - 2, -1, -1):
+        out *= s
+        out += c[:, m]
+    return out
+
+
+def _series01(x) -> np.ndarray:
+    """J_0, J_1, Y_0, Y_1 at 0 < x <= _SERIES_MAX_ARG by the ascending series,
+    with as many terms as the largest x needs (_order01_table); shape (4,) + x.shape."""
+    half = 0.5 * x
+    s = half * half
+    out = _horner(_order01_table(_series_terms(float(s.max()))), s)
+    out[1] *= half
+    out[3] *= half
+    out[3] -= (2.0 / pi) / x
+    logs = np.log(s) * out[:2]
+    logs *= 1.0 / pi
+    out[2:] += logs
+    return out
+
+
+def _order01(x) -> np.ndarray:
+    """J_0, J_1, Y_0, Y_1 at x > 0, shape (4,) + x.shape: the series up to
+    _SERIES_MAX_ARG, scipy.special above it (imported only then)."""
+    out = np.empty((4,) + x.shape)
+    small = x <= _SERIES_MAX_ARG
+    if small.any():
+        out[:, small] = _series01(x[small])
+    if not small.all():
+        from scipy.special import j0, j1, y0, y1
+
+        big = x[~small]
+        out[:, ~small] = j0(big), j1(big), y0(big), y1(big)
+    return out
 
 
 def regular_harmonics(nmax: int, k: float, dx, dy) -> np.ndarray:
@@ -158,16 +241,7 @@ def regular_harmonics(nmax: int, k: float, dx, dy) -> np.ndarray:
         theta = np.arctan2(w.imag, w.real)
         phase = np.exp(1j * np.multiply.outer(np.arange(nmax + 1), theta))
         return bessel_j_sweep(nmax, 2.0 * np.abs(w)) * phase
-    terms, tail = 0, s_max
-    while tail > 1e-17:  # tail: the first left-out term of the n = 0 sum
-        terms += 1
-        tail *= s_max / (terms + 1) ** 2
-    c = _series_table(terms, nmax).reshape((terms + 1, nmax + 1) + (1,) * w.ndim)
-    poly = np.empty((nmax + 1,) + w.shape)
-    poly[...] = c[terms]
-    for m in range(terms - 1, -1, -1):
-        poly *= s
-        poly += c[m]
+    poly = _horner(_series_table(_series_terms(s_max), nmax).T, s)
     out = np.empty((nmax + 1,) + w.shape, dtype=complex)
     out[0] = 1.0
     for n in range(1, nmax + 1):
@@ -184,9 +258,10 @@ def bessel_y_sweep(nmax: int, x) -> np.ndarray:
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     vals = np.empty((nmax + 1,) + x.shape)
-    vals[0] = _y0(x)
+    start = _order01(x)
+    vals[0] = start[2]
     if nmax >= 1:
-        vals[1] = _y1(x)
+        vals[1] = start[3]
     for n in range(1, nmax):
         vals[n + 1] = (2.0 * n / x) * vals[n] - vals[n - 1]
     return vals.reshape(nmax + 1) if scalar else vals
@@ -198,13 +273,40 @@ def hankel1_sweep(nmax: int, x) -> np.ndarray:
 
 
 def hankel0(x) -> np.ndarray:
-    """H_0^(1)(x), vectorized fast path for the near-field kernel.
+    """H_0^(1)(x) for any x > 0: scipy's j0 and y0, bit for bit.
 
-    J_0 and Y_0 are written straight into the real and imaginary parts
-    of one complex array, so a kernel block makes no temporaries.
+    The reference kernel of the oracle paths (driver.direct_apply,
+    greens.free_space) and the near field's kernel above the series
+    bound.  J_0 and Y_0 are written straight into the real and imaginary
+    parts of one complex array, so a kernel block makes no temporaries.
     """
+    from scipy.special import j0, y0
+
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=complex)
-    _j0(x, out=out.real)
-    _y0(x, out=out.imag)
+    j0(x, out=out.real)
+    y0(x, out=out.imag)
+    return out
+
+
+def hankel0_sq(x2) -> np.ndarray:
+    """H_0^(1)(x) from x2 = x^2, 0 < x2 <= _SERIES_MAX_ARG^2: the near-field kernel.
+
+    J_0 = sum j0_m s^m and Y_0 = ln(s) J_0 / pi + sum q0_m s^m in
+    s = x2/4 (_order01_table): one log and two Horner passes, no sqrt,
+    with as many terms as the block's largest s needs.
+    """
+    s = np.array(x2, dtype=float)
+    s *= 0.25
+    s_max = float(s.max()) if s.size else 0.0
+    if not s_max <= (0.5 * _SERIES_MAX_ARG) ** 2:
+        raise ValueError(f"hankel0_sq needs x2 <= {_SERIES_MAX_ARG ** 2:g}")
+    j0, y0 = _horner(_order01_table(_series_terms(s_max))[::2], s)  # J_0 and sum q0_m s^m
+    np.log(s, out=s)
+    s *= j0
+    s *= 1.0 / pi
+    y0 += s
+    out = np.empty(s.shape, dtype=complex)
+    out.real = j0
+    out.imag = y0
     return out

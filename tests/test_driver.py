@@ -1,6 +1,7 @@
 """Tests for the FMM driver and the direct reference."""
 
 import importlib.util
+import os
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hfmm.driver import (PotentialVector, RunConfig, direct_apply, error_metric,
                          fmm_apply)
 from hfmm.greens import MediaConfig, Point2
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
-from hfmm.specfun import hankel0
+from hfmm.specfun import hankel0, hankel0_sq
 
 
 def _random_particles(seed, n, ylo=0.5, yhi=1.5, complex_q=True):
@@ -539,7 +540,8 @@ class TestNearField:
 
     def test_no_kernel_value_evaluated_twice(self, monkeypatch):
         # one value per unordered near particle pair, and 33 (the point
-        # image and 32 line-image nodes) per particle pair of a cut leaf pair
+        # image and 32 line-image nodes) per particle pair of a cut leaf pair,
+        # summed over both kernels: the series from r^2 and scipy's hankel0
         parts = _random_particles(27, 400, ylo=5e-3, yhi=1.0)
         cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=8, leaf_capacity=20)
         ws = driver._Workspace(parts, cfg)
@@ -550,11 +552,14 @@ class TestNearField:
         want = int(np.sum(sizes[tgt] * sizes[src]) + 33 * np.sum(sizes[t] * sizes[s]))
         values = []
 
-        def counted(x):
-            values.append(np.size(x))
-            return hankel0(x)
+        def counted(kernel):
+            def wrapped(x):
+                values.append(np.size(x))
+                return kernel(x)
+            return wrapped
 
-        monkeypatch.setattr(driver, "hankel0", counted)
+        monkeypatch.setattr(driver, "hankel0", counted(hankel0))
+        monkeypatch.setattr(driver, "hankel0_sq", counted(hankel0_sq))
         fmm_apply(parts, cfg)
         assert sum(values) == want
 
@@ -798,3 +803,84 @@ class TestTableCache:
                               + struct.pack("<IIIIIdddQ", 10, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 fmm_apply(parts, RunConfig(media=media, order=10, table_cache=str(cache)))
+
+
+def _lexsort_groups(src, tgt, *columns):
+    """_groups by one lexsort: the reference order of the mixed-radix key."""
+    order = np.lexsort(columns[::-1])
+    cols = np.stack([column[order] for column in columns])
+    new = np.ones(cols.shape[1], dtype=bool)
+    new[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+    first = np.flatnonzero(new)
+    return cols[:, first].T, src[order], tgt[order], np.r_[first, cols.shape[1]]
+
+
+class TestGroups:
+    @staticmethod
+    def _same(columns):
+        src = np.arange(len(columns[0]))
+        tgt = src[::-1].copy()
+        got = driver._groups(src, tgt, *columns)
+        want = _lexsort_groups(src, tgt, *columns)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_key_order_is_lexsort_order(self, seed):
+        # negative and positive values, repeats, and a boolean last column
+        # as in the table plan's flip
+        rng = np.random.default_rng(seed)
+        n = 3000
+        columns = (rng.integers(0, 5, n), rng.integers(-7, 8, n), rng.integers(-3, 40, n),
+                   rng.integers(0, 2, n).astype(bool))
+        rows, _, _, bounds = self._same(columns)
+        assert 1 < len(rows) < n and np.all(np.diff(bounds) > 0)
+
+    def test_overflowing_key_takes_lexsort(self):
+        # the spans' product passes 2^63, so the key could not hold the rows
+        rng = np.random.default_rng(9)
+        big = np.int64(2) ** 40
+        columns = (rng.integers(-big, big, 500), rng.integers(-big, big, 500) // 3 * 3,
+                   rng.integers(0, 3, 500))
+        assert np.prod([float(c.max() - c.min() + 1) for c in columns]) > 2.0 ** 63
+        self._same(columns)
+
+    def test_no_pairs(self):
+        none = np.zeros(0, dtype=np.int64)
+        rows, src, tgt, bounds = self._same((none, none))
+        assert rows.shape == (0, 2) and bounds.tolist() == [0]
+
+
+class TestColdStart:
+    def test_cold_calls_never_load_scipy(self, tmp_path):
+        # importing the driver and the command line, then one cold call per
+        # layered medium, as the benchmark workloads run them: scipy stays
+        # unloaded, since every Bessel argument is within the series bound
+        root = Path(__file__).resolve().parents[1]
+        script = """
+import sys
+import numpy as np
+import hfmm.cli, hfmm.driver
+from hfmm.driver import RunConfig, fmm_apply
+from hfmm.greens import MediaConfig, Point2
+from hfmm.tree import Particle
+
+def particles(seed, y_low, n=600):
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.uniform(-0.5, 0.5, n), rng.uniform(y_low, y_low + 1.0, n)
+    return [Particle(Point2(x, y), q) for x, y, q in zip(xs, ys, rng.normal(size=n))]
+
+fmm_apply(particles(1, 0.005), RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=16,
+                                         leaf_capacity=60))
+fmm_apply(particles(2, 0.05), RunConfig(media=MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+                                        order=16, leaf_capacity=60, table_cache=sys.argv[1]))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "tables.bin")],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr[-3000:]
+        assert (tmp_path / "tables.bin").exists()
+        assert done.stdout.split("\n")[-2] == "[]"

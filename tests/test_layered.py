@@ -260,6 +260,32 @@ class TestPlan:
                     assert len(np.unique(tgt[a:b])) == b - a
 
 
+class TestPanelEdges:
+    @pytest.mark.parametrize("media", [MediaConfig.two_layer(1.0, 1.0),
+                                       MediaConfig.three_layer(1.0, 0.8, 1.6, 0.8)],
+                             ids=["two-layer", "three-layer"])
+    def test_bisection_cutoff_matches_brentq(self, media):
+        # the last edge is where the envelope z^{-2P} e^{-t dy} is 45 e-folds
+        # below its peak; scipy's brentq on the same function is the reference
+        from scipy.optimize import brentq
+
+        k = media.k1
+        for P in (0, 1, 4, 8, 16, 24, 39):
+            for dy in np.geomspace(1e-3, 30.0, 13):
+                def log_env(t):
+                    return 2 * P * np.log((t + np.hypot(t, k)) / k) - t * dy
+
+                tstar = max(2 * P / dy, k)
+                target = log_env(tstar) - 45.0
+                hi = 2.0 * tstar + (45.0 + 2 * P) / dy
+                while log_env(hi) > target:
+                    hi *= 2.0
+                want = brentq(lambda t: log_env(t) - target, tstar, hi)
+                edges = layered._panel_edges(media, P, dy)
+                assert edges[-1] == pytest.approx(want, rel=1e-11, abs=0)
+                assert np.all(np.diff(edges) > 0) and edges[0] == 0.0
+
+
 class TestComputeA:
     def test_alpha_zero_point_image_collapse(self):
         # sigma = 1 collapses A(nu) to H_nu(k rho) e^{i nu theta} of the

@@ -1,8 +1,10 @@
 """Tests for the fixed quadrature rules."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import gamma, gammainc
+from scipy.special import gamma, gammainc, roots_legendre
 
 from hfmm.quadrature import (cosine_panels, gauss_laguerre_generalized, gauss_legendre,
                              legendre_base)
@@ -65,6 +67,33 @@ class TestGaussLegendre:
         again = gauss_legendre(8, -1.0, 1.0)
         np.testing.assert_array_equal(again[0], x)
         np.testing.assert_array_equal(again[1], w)
+
+
+class TestLegendreBase:
+    # every count up to 40, then a spread up to the package's cap of 1024
+    COUNTS = [*range(1, 41), 48, 64, 96, 127, 128, 192, 255, 256, 384, 512, 745, 768,
+              1000, 1023, 1024]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_nodes_match_scipy(self, count):
+        x, w = legendre_base(count)
+        assert np.abs(x - roots_legendre(count)[0]).max() <= 4e-16
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_even_moments_are_exact(self, count):
+        # sum w x^{2j} = 2/(2j+1) for j < count; scipy's weights are not the
+        # reference, being off by up to 2e-9 at the ends of its 1024-point rule
+        x, w = legendre_base(count)
+        j = np.arange(count)
+        terms = w * x ** (2 * j[:, None])
+        got = np.array([math.fsum(row) for row in terms])
+        assert np.abs(got - 2.0 / (2 * j + 1)).max() <= 2e-15
+
+    def test_middle_node_is_zero(self):
+        assert [a.tolist() for a in legendre_base(1)] == [[0.0], [2.0]]
+        assert legendre_base(7)[0][3] == 0.0
 
 
 class TestCosinePanels:

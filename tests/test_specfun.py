@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hfmm import greens, specfun
 from hfmm.expansions import _signed_orders
 from hfmm.specfun import (SUPPORTED_MAX_ARG, bessel_j_sweep, bessel_y_sweep, hankel0,
-                          hankel1_sweep, regular_harmonics)
+                          hankel0_sq, hankel1_sweep, regular_harmonics)
 
 
 class TestScalarValues:
@@ -156,6 +156,56 @@ class TestRegularHarmonics:
         assert regular_harmonics(5, 1.0, 0.2, 0.1).shape == (6,)
         assert regular_harmonics(5, 1.0, np.ones((3, 2)), 0.1).shape == (6, 3, 2)
         assert regular_harmonics(5, 1.0, np.ones((3, 2)) * 9.0, 0.1).shape == (6, 3, 2)
+
+
+class TestSmallArgumentSeries:
+    # log-spaced over the series' whole range, the bound included
+    X = np.geomspace(1e-12, 2.0, 100_001)
+    Y0_ZERO = 0.8935769662791675
+
+    @staticmethod
+    def _close(got, want):
+        # relative 2e-15, or absolute 1e-14 where the value is below 0.1
+        err = np.abs(got - want)
+        ok = (err <= 2e-15 * np.abs(want)) | ((np.abs(want) < 0.1) & (err <= 1e-14))
+        assert ok.all(), (err / np.abs(want))[~ok].max()
+
+    def test_order01_series_matches_scipy(self):
+        j0, j1, y0, y1 = specfun._series01(self.X)
+        for got, ref in ((j0, sp.j0), (j1, sp.j1), (y0, sp.y0), (y1, sp.y1)):
+            self._close(got, ref(self.X))
+
+    def test_hankel0_sq_matches_scipy(self):
+        h = hankel0_sq(self.X * self.X)
+        assert h.shape == self.X.shape and h.dtype == complex
+        self._close(h.real, sp.j0(self.X))
+        self._close(h.imag, sp.y0(self.X))
+
+    def test_y0_near_its_zero_against_mpmath(self):
+        x = self.Y0_ZERO + np.linspace(-0.02, 0.02, 201)
+        want = np.array([float(mpmath.bessely(0, float(t))) for t in x])
+        assert np.abs(specfun._series01(x)[2] - want).max() <= 5e-16
+        assert np.abs(hankel0_sq(x * x).imag - want).max() <= 5e-16
+
+    def test_hankel0_sq_shapes_and_bound(self):
+        assert hankel0_sq(np.full((3, 4), 0.25)).shape == (3, 4)
+        assert hankel0_sq(0.25) == pytest.approx(complex(sp.j0(0.5), sp.y0(0.5)), rel=1e-15)
+        assert hankel0_sq(np.zeros((0, 2))).shape == (0, 2)
+        with pytest.raises(ValueError, match="x2 <= 4"):
+            hankel0_sq(np.array([1.0, 4.0001]))
+
+    def test_sweeps_straddling_the_bound(self):
+        # order 0/1 from the series up to 2 and from scipy above it, in one array
+        x = np.array([1e-9, 0.3, 1.2, 1.999, 2.0, 2.001, 2.9, 17.0, 400.0])
+        orders = np.arange(21)
+        np.testing.assert_allclose(bessel_j_sweep(20, x), sp.jv(orders[:, None], x),
+                                   rtol=1e-12, atol=1e-300)
+        y = bessel_y_sweep(20, x)
+        np.testing.assert_allclose(y, sp.yv(orders[:, None], x), rtol=1e-12)
+        above = x > 2.0
+        np.testing.assert_array_equal(y[0, above], sp.y0(x[above]))
+        np.testing.assert_array_equal(y[1, above], sp.y1(x[above]))
+        np.testing.assert_array_equal(y[:2, ~above], specfun._series01(x[~above])[2:])
 
 
 class TestWronskian:
