@@ -27,7 +27,7 @@ from . import expansions as ex
 from .driver import RunConfig, direct_apply, error_metric, fmm_apply
 from .greens import (MediaConfig, Point2, QuadratureConvergenceError, free_space,
                      free_space_spectral, scattered_batch, scattered_direct)
-from .layered import TranslationGeometry, compute_A
+from .layered import compute_A
 from .tree import Particle
 
 CSV_VERSION = "# hfmm-csv v1"
@@ -215,8 +215,8 @@ def check_alpha_zero_mirror(seed=14, alpha=0.0):
 def check_toeplitz(alpha=1.0):
     media = MediaConfig.two_layer(1.0, alpha)
     P = 12
-    entries = compute_A([TranslationGeometry(dx=0.25, dy=2.5)], media, P)[0][0]
-    mat = ex.translation_matrix(entries, P, "m-p")
+    entries = compute_A([0.25], [2.5], media, P)[0][0]
+    mat = ex.translation_matrix(entries, P)
     worst = 0.0
     for d in range(-2 * P, 2 * P + 1):
         diag = np.diagonal(mat, offset=d)

@@ -211,7 +211,8 @@ class _Workspace:
     One group-by (_groups), sliced by target level, makes every grouping,
     a GEMM per group: quadrants[level] (M2M, L2L), offsets[level] (free
     M2L), and in a layered run far[level], every pair that reads a table
-    entry (V pairs and near pairs, from one pair_key call) by (key, flip);
+    entry (V pairs and near pairs, from one pair_key call) by the key rows
+    (shift, ax, sy, cut, flip) of root height y0 that TableStore.get reads;
     line_image, the two-layer cut pairs as (tgt, src, cutoff C) arrays,
     which also read a B-tail entry and take the [0, C] line image; and
     cut, the three-layer pairs cut near the interface, as rows by target
@@ -239,7 +240,7 @@ class _Workspace:
                                     2 * (ix[child] & 1) - 1, 2 * (iy[child] & 1) - 1)
         src, tgt = tree.v_src, tree.v_tgt
         self.offsets = _per_level(level[tgt], src, tgt, ix[tgt] - ix[src], iy[tgt] - iy[src])
-        self.store, self.far = None, {}
+        self.store, self.far, self.y0 = None, {}, tree.root_xy[1]
         none = np.zeros(0, dtype=np.int64)
         self.line_image = (none, none, np.zeros(0))
         self.cut, self.cut_nodes = _rows(none, none), 0
@@ -278,23 +279,17 @@ class _Workspace:
     def _plan_tables(self):
         """Fill far, line_image and cut from one pair_key call over the V pairs and the near pairs."""
         tree = self.tree
-        y0 = tree.root_xy[1]
         cells = np.stack((self.level, self.ix, self.iy))
         src, tgt = np.r_[tree.v_src, self.near[1]], np.r_[tree.v_tgt, self.near[0]]
-        keys, flip = layered.pair_key(y0, cells[:, tgt], cells[:, src],
+        keys, flip = layered.pair_key(self.y0, cells[:, tgt], cells[:, src],
                                       near=np.arange(len(src)) >= len(tree.v_src))
         cut = keys[:, 3] > 0
         line = cut & (self.media.variant == "two-layer")
         cut &= ~line
         read = ~cut
-        groups = _per_level(self.level[tgt[read]], src[read], tgt[read], *keys[read].T, flip[read])
-        # (key, flip) of each (shift, ax, sy, cut, flip) row
-        self.far = {level: ([(layered.TableKey(y0, *row[:4]), bool(row[4]))
-                             for row in rows.tolist()], *pairs)
-                    for level, (rows, *pairs) in groups.items()}
+        self.far = _per_level(self.level[tgt[read]], src[read], tgt[read], *keys[read].T, flip[read])
         self.cut = _rows(tgt[cut], src[cut])
-        shift, cutoff = keys[line, 0], keys[line, 3]
-        self.line_image = (tgt[line], src[line], np.ldexp(cutoff, -shift) - 2.0 * y0)
+        self.line_image = (tgt[line], src[line], layered.key_geometry(self.y0, *keys[line].T)[2])
 
     def build_tables(self):
         """Load the table cache (or start a store) and fill it with every planned key."""
@@ -305,22 +300,24 @@ class _Workspace:
             self.store = layered.load_tables(cache, self.media, self.P)
         else:
             self.store = layered.TableStore(self.media, self.P)
-        self.store.fill({key for reads, *_ in self.far.values() for key, _ in reads})
+        reads = [rows for rows, *_ in self.far.values()]
+        self.store.fill(self.y0, np.concatenate(reads) if reads else [])
 
 
-def _translate(out, coeffs, groups, vectors, index):
+def _translate(out, coeffs, groups, vectors):
     """out[tgt] += T(vector) @ coeffs[src]: one Toeplitz matrix, gather, GEMM and scatter per group.
 
     groups is (rows, src, tgt, bounds) (_groups) or None, vectors(rows)
-    all its vectors at once.  A group's pairs share one translation, which
-    fixes each target's source, so no group repeats a target.
+    all its vectors at once, one row each; T[p, m] = vector[m - p].  A
+    group's pairs share one translation, which fixes each target's source,
+    so no group repeats a target.
     """
     if groups is None:
         return
     rows, src, tgt, bounds = groups
     P = (out.shape[1] - 1) // 2
     for vec, a, b in zip(vectors(rows), bounds[:-1].tolist(), bounds[1:].tolist()):
-        out[tgt[a:b]] += coeffs[src[a:b]] @ ex.translation_matrix(vec, P, index).T
+        out[tgt[a:b]] += coeffs[src[a:b]] @ ex.translation_matrix(vec, P).T
 
 
 def _upward(ws):
@@ -333,8 +330,9 @@ def _upward(ws):
     for level in sorted(ws.quadrants, reverse=True):
         hw = 0.5 ** (level + 1)  # half width of the children
         quadrants, parents, children, bounds = ws.quadrants[level]
+        # the quadrant is the child center minus the parent's, in half widths
         _translate(ws.multipole, ws.multipole, (quadrants, children, parents, bounds),
-                   lambda q: np.conj(ex.translation_vector_j(k, *(hw * q.T), P)), "p-m")
+                   lambda q: ex.translation_vector_j(k, *(-hw * q.T), P))
 
 
 def _downward(ws):
@@ -350,13 +348,12 @@ def _downward(ws):
     for level in range(int(ws.level[-1]) + 1):
         hw = 0.5 ** (level + 1)  # half width of the boxes at this level
         _translate(ws.local, ws.local, ws.quadrants.get(level),
-                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P), "m-p")
+                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P))
         _translate(ws.local, ws.multipole, ws.offsets.get(level),
-                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P), "m-p")
+                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P))
         # the scattered part: image coefficients through one table entry
         # per (key, flip), so the V and near pairs of one geometry share a GEMM
-        _translate(ws.local, ws.image, ws.far.get(level),
-                   lambda reads: [ws.store.get(*read) for read in reads], "m-p")
+        _translate(ws.local, ws.image, ws.far.get(level), lambda rows: ws.store.get(ws.y0, rows))
 
 
 def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
@@ -443,12 +440,19 @@ def _near_cut(ws, out):
     alpha = ws.media.alpha
     for t, s, C in zip(*(a.tolist() for a in ws.line_image)):
         a, b, c, d = int(start[t]), int(stop[t]), int(start[s]), int(stop[s])
-        s_nodes = 0.5 * C * (gl_x + 1.0)
+        height = np.add.outer(y[a:b], y[c:d])
+        # the integrand's log singularity sits at s = -height: 32-node panels
+        # halve toward s = 0 until the first is at most 24 smallest heights long
+        edges = [0.0, C]
+        while edges[1] > 24.0 * height.min():
+            edges.insert(1, 0.5 * edges[1])
+        lo, half = np.array(edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
+        s_nodes = (lo + half * (gl_x + 1.0)).ravel()
+        s_w = (half * gl_w).ravel()
         shifts = np.r_[0.0, s_nodes]
-        weights = np.r_[1.0, 0.5 * C * gl_w * (2j * alpha * np.exp(1j * alpha * s_nodes))]
+        weights = np.r_[1.0, s_w * (2j * alpha * np.exp(1j * alpha * s_nodes))]
         dx2 = np.subtract.outer(x[a:b], x[c:d])
         dx2 *= dx2
-        height = np.add.outer(y[a:b], y[c:d])
         step = max(1, _SWEEP_BYTES // (16 * dx2.size))
         g = np.zeros(dx2.shape, dtype=complex)
         for i in range(0, len(shifts), step):

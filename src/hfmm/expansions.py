@@ -24,11 +24,12 @@ any correct convention must pass):
 
 with (rho_j, theta_j) the polar offset of source j about the expansion
 center and (r, theta) that of the target.  Local expansions use the
-same layout with J_p in place of H_p.  With these, M2M is
-translation_matrix(conj(F(c_child - c_parent)), P, "p-m"), L2L is
-translation_matrix(F(c_child - c_parent), P, "m-p") and M2L is
-translation_matrix(G(c_target - c_source), P, "m-p"), each applied to
-the coefficient vector.
+same layout with J_p in place of H_p.  Every translation is
+translation_matrix(vec, P) applied to the coefficient vector, with
+T[p, m] = vec[m - p] and vec the F or G vector of the new center minus
+the old: M2M is F(c_parent - c_child), L2L is F(c_child - c_parent) and
+M2L is G(c_target - c_source).  (F(-d) is conj(F(d)) reversed, so M2M
+is also the matrix T[p, m] = conj(F(c_child - c_parent))[p - m].)
 """
 
 from __future__ import annotations
@@ -106,22 +107,12 @@ def translation_vector_h(k: float, dx, dy, P: int) -> np.ndarray:
     return np.moveaxis(vec * np.exp(1j * nu * np.arctan2(dy, dx)), 0, -1)
 
 
-def translation_matrix(vec_nu: np.ndarray, P: int, index: str) -> np.ndarray:
-    """Toeplitz matrix T with out = T @ coeffs, from a vector indexed by nu + 2P.
-
-    index selects the diagonal convention: "m-p" gives T[p, m] =
-    vec[m - p] (M2L and L2L), "p-m" gives T[p, m] = vec[p - m] (M2M).
-    """
+def translation_matrix(vec_nu: np.ndarray, P: int) -> np.ndarray:
+    """Toeplitz matrix T[p, m] = vec[m - p], out = T @ coeffs, from a vector indexed by nu + 2P."""
     if len(vec_nu) != 4 * P + 1:
         raise ValueError(f"translation vector must have length 4P+1 = {4 * P + 1}")
     p = np.arange(-P, P + 1)
-    if index == "m-p":
-        idx = p[None, :] - p[:, None]
-    elif index == "p-m":
-        idx = p[:, None] - p[None, :]
-    else:
-        raise ValueError("index must be 'm-p' or 'p-m'")
-    return vec_nu[idx + 2 * P]
+    return vec_nu[p[None, :] - p[:, None] + 2 * P]
 
 
 def image_coefficients(coeffs: np.ndarray) -> np.ndarray:

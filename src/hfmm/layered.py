@@ -22,7 +22,9 @@ taken in blocks.
 Entries are cached in one table store keyed by the geometry (|dx|, dy,
 C) as exact integers (TableKey): the kernel is invariant under
 horizontal translation, so every box pair with one geometry shares an
-entry, and a pair with dx < 0 reads the entry of -dx reversed.  A table
+entry, and a pair with dx < 0 reads the entry of -dx reversed.  Keys
+travel as integer rows (pair_key) that the store fills and reads in
+batches; key_geometry decodes them into dx, dy and C arrays.  A table
 file (save_tables) is the magic HFMMTB5, a header (medium fingerprint,
 P and the quadrature rule constants, all checked on load) and the
 entries, each as its key fields and its 4P+1 complex values.
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +44,10 @@ from .greens import (MediaConfig, QuadratureConvergenceError,
 from .quadrature import cosine_panels, gauss_legendre
 
 __all__ = [
-    "TranslationGeometry",
     "TableKey",
     "TableStore",
     "pair_key",
+    "key_geometry",
     "propagating_rule",
     "compute_A",
     "compute_B_tail",
@@ -55,27 +56,6 @@ __all__ = [
 ]
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-
-
-@dataclass(frozen=True)
-class TranslationGeometry:
-    """Geometry of one heterogeneous translation.
-
-    dx is the target-center x minus the source-image-center x; dy is
-    y_target_center + y_source_center (both measured from the
-    interface).  cutoff is the arclength C where the line image of a
-    near-interface pair is cut: [0, C] is integrated pairwise, [C, inf)
-    is translated by the tail entries B.  cutoff == 0 selects the full
-    operator A.
-    """
-
-    dx: float
-    dy: float
-    cutoff: float = 0.0
-
-    def __post_init__(self):
-        if self.dy <= 0:
-            raise ValueError("heterogeneous translation requires dy > 0")
 
 
 def propagating_rule(media: MediaConfig, count: int):
@@ -184,18 +164,22 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     return plus + sign * minus[:, ::-1], mass + mass[:, ::-1]
 
 
-def _spectral_entries(media, geoms, P, r_prop, r_evan, shift=0.0):
+def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
     """Plane-wave split entries of a batch (rows of 4P+1) and the evanescent nodes used.
 
-    r_prop(tau) and r_evan(t) supply the spectral factor (reflectance for
-    A, tail factor for B); shift adds a decay e^{-t shift} per key on both
-    contours.  Each contour's rule is shared by the batch; its nodes per
-    segment or panel double until two successive rules agree for every
-    entry, or QuadratureConvergenceError is raised at the cap.
+    dx and dy hold one offset per key; r_prop(tau) and r_evan(t) supply
+    the spectral factor (reflectance for A, tail factor for B); shift adds
+    a decay e^{-t shift} per key on both contours.  Each contour's rule is
+    shared by the batch; its nodes per segment or panel double until two
+    successive rules agree for every entry, or QuadratureConvergenceError
+    is raised at the cap.
     """
     k = media.k1
-    dx = np.array([g.dx for g in geoms])
-    dy = np.array([g.dy for g in geoms]) + shift
+    dx = np.asarray(dx, dtype=float)
+    dy = np.asarray(dy, dtype=float)
+    if not np.all(dy > 0):
+        raise ValueError("heterogeneous translation requires dy > 0")
+    dy = dy + shift
     nu = np.arange(-2 * P, 2 * P + 1)
     i_nu = _I_POWERS[nu % 4]
 
@@ -244,11 +228,13 @@ def _spectral_entries(media, geoms, P, r_prop, r_evan, shift=0.0):
     return rows, count * (len(edges) - 1)
 
 
-def compute_A(geoms, media: MediaConfig, P: int):
+def compute_A(dx, dy, media: MediaConfig, P: int):
     """Heterogeneous M2L entries A(nu), nu = -2P..2P, of a batch of translations.
 
-    Returns (rows, grid_nodes): row j holds the entries of geoms[j], and
-    grid_nodes counts the evanescent nodes of the accepted grid.  The
+    dx is the target-center x minus the source-image-center x and dy > 0
+    the sum of the two center heights, one array entry per translation.
+    Returns (rows, grid_nodes): row j holds the entries of translation j,
+    and grid_nodes counts the evanescent nodes of the accepted grid.  The
     assembled operator A_{p,m} = A(m - p) maps the image coefficients
     (expansions.image_coefficients) of a source box to the
     scattered-field local expansion at a well-separated target box.
@@ -262,13 +248,14 @@ def compute_A(geoms, media: MediaConfig, P: int):
     def r_evan(t):
         return reflectance(media, t.astype(complex))
 
-    return _spectral_entries(media, geoms, P, r_prop, r_evan)
+    return _spectral_entries(media, dx, dy, P, r_prop, r_evan)
 
 
-def compute_B_tail(geoms, media: MediaConfig, P: int):
-    """Tail translation entries B(nu) for line images cut at C = geom.cutoff, per geometry.
+def compute_B_tail(dx, dy, cutoff, media: MediaConfig, P: int):
+    """Tail translation entries B(nu) for line images cut at C = cutoff, per translation.
 
-    Returns (rows, grid_nodes) like compute_A.  The line-image spectral
+    dx and dy are as for compute_A.  Returns (rows, grid_nodes) like
+    compute_A.  The line-image spectral
     factor 2i*alpha/(kappa - i*alpha) is replaced by its analytically
     integrated tail 2i*alpha*exp((i*alpha - kappa)C)/(kappa - i*alpha);
     the point-image term is excluded (it moves to near-field part I when
@@ -277,7 +264,7 @@ def compute_B_tail(geoms, media: MediaConfig, P: int):
     """
     if media.variant != "two-layer":
         raise ValueError("tail translation is defined for two-layer media only")
-    C = np.array([g.cutoff for g in geoms])
+    C = np.asarray(cutoff, dtype=float)
     if not np.all(C > 0):
         raise ValueError("tail cutoff must be positive (use compute_A when C = 0)")
     k, alpha = media.k1, media.alpha
@@ -289,7 +276,7 @@ def compute_B_tail(geoms, media: MediaConfig, P: int):
     def r_evan(t):
         return 2.0j * alpha / (t - 1j * alpha)
 
-    rows, nodes = _spectral_entries(media, geoms, P, r_prop, r_evan, shift=C)
+    rows, nodes = _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=C)
     return np.exp(1j * alpha * C)[:, None] * rows, nodes
 
 
@@ -298,9 +285,9 @@ class TableKey(NamedTuple):
 
     With h = 2**-shift, the entry translates by dx = ax * h >= 0 and
     dy = 2 * root_y0 + sy * h; cut > 0 marks a B-tail entry with line-image
-    cutoff C = cut * h - 2 * root_y0, cut == 0 an A entry.  pair_key
-    reduces the integers (ax, sy and cut not all even), so every box pair
-    with one geometry, at any level, maps to one key.
+    cutoff C = cut * h - 2 * root_y0, cut == 0 an A entry (key_geometry).
+    pair_key reduces the integers (ax, sy and cut not all even), so every
+    box pair with one geometry, at any level, maps to one key.
     """
 
     root_y0: float
@@ -340,14 +327,22 @@ def pair_key(root_y0: float, tgt, src, near=False):
     return np.stack([shift - tz, ax >> tz, sy >> tz, cut >> tz], axis=-1), flip
 
 
+def key_geometry(root_y0: float, shift, ax, sy, cut):
+    """(dx, dy, cutoff) arrays from key field arrays of one root height, as TableKey
+    defines them (cutoff 0 where cut is 0); every reduced form gives the same floats."""
+    h = np.ldexp(1.0, -shift)
+    return ax * h, 2.0 * root_y0 + sy * h, np.where(cut > 0, cut * h - 2.0 * root_y0, 0.0)
+
+
 class TableStore:
     """The one cache of heterogeneous translation entries, keyed by TableKey.
 
-    geometry() maps a key to its translation; fill() computes the keys
-    not held, one batch per kind, and is the only compute path; get() is
-    the only read path.  misses counts the keys computed and grid_nodes
-    the evanescent nodes of the grids that computed them.  Entries of
-    several root heights can share one store.
+    Both paths take integer key rows of one root height, (shift, ax, sy,
+    cut) as pair_key makes them: fill() computes the keys not held, one
+    batch per kind, and is the only compute path; get() is the only read
+    path.  misses counts the keys computed and grid_nodes the evanescent
+    nodes of the grids that computed them.  Entries of several root
+    heights can share one store.
     """
 
     def __init__(self, media: MediaConfig, P: int):
@@ -358,28 +353,28 @@ class TableStore:
         self.misses = 0
         self.grid_nodes = 0
 
-    @staticmethod
-    def geometry(key: TableKey) -> TranslationGeometry:
-        h = 0.5 ** key.shift
-        cutoff = key.cut * h - 2.0 * key.root_y0 if key.cut else 0.0
-        return TranslationGeometry(dx=key.ax * h, dy=2.0 * key.root_y0 + key.sy * h,
-                                   cutoff=cutoff)
-
-    def fill(self, keys):
-        """Compute the keys not held: one compute_A batch and one compute_B_tail batch."""
-        missing = sorted(set(keys) - self.entries.keys())
-        for compute, batch in ((compute_A, [key for key in missing if not key.cut]),
-                               (compute_B_tail, [key for key in missing if key.cut])):
+    def fill(self, root_y0: float, key_rows):
+        """Compute the keys of the rows not held (columns past the key fields are
+        ignored): one compute_A batch and one compute_B_tail batch."""
+        keys = {TableKey(root_y0, *row[:4]) for row in np.asarray(key_rows).tolist()}
+        missing = sorted(keys - self.entries.keys())
+        for tail in (False, True):
+            batch = [key for key in missing if (key.cut > 0) == tail]
             if batch:
-                rows, nodes = compute([self.geometry(key) for key in batch], self.media, self.P)
+                dx, dy, cutoff = key_geometry(root_y0, *np.array([key[1:] for key in batch]).T)
+                rows, nodes = (compute_B_tail(dx, dy, cutoff, self.media, self.P) if tail
+                               else compute_A(dx, dy, self.media, self.P))
                 self.entries.update(zip(batch, rows))
                 self.misses += len(batch)
                 self.grid_nodes += nodes
 
-    def get(self, key: TableKey, flip: bool = False) -> np.ndarray:
-        """Entries of key, reversed (the dx < 0 translation) when flip is set; KeyError if not held."""
-        found = self.entries[key]
-        return found[::-1] if flip else found
+    def get(self, root_y0: float, rows) -> np.ndarray:
+        """Entries of the rows (shift, ax, sy, cut, flip), stacked, each reversed (the dx < 0
+        translation) where flip is set; KeyError if a key is not held."""
+        out = np.stack([self.entries[(root_y0, *key)] for key in rows[:, :4].tolist()])
+        flip = rows[:, 4] != 0
+        out[flip] = out[flip, ::-1]
+        return out
 
 
 _MAGIC = b"HFMMTB5\x00"

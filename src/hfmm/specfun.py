@@ -9,12 +9,14 @@ Every sweep gives all orders 0..nmax at once.  regular_harmonics takes
 the ascending series below an argument bound and Miller above it.  J_n
 uses Miller's downward recurrence, normalized by J_0 or J_1, which is
 stable for the full order range needed here (up to 2P+2 with P as large
-as 39).  Y_n uses the three-term recurrence run upward from Y_0, Y_1,
-which is stable because |Y_n| grows with n.  The order-0/1 values come
-from the ascending series up to the same bound (_order01) and from
-scipy.special above it, imported at the first call that needs it;
-hankel0_sq is the near-field kernel H_0^(1) from x^2 by the series, and
-hankel0 the scipy reference for any x.
+as 39).  H_n^(1) uses the three-term recurrence run upward from H_0,
+H_1 on complex values: its imaginary part is the upward Y_n recurrence,
+stable because |Y_n| grows with n, and |H_n| >= |Y_n|, so the real
+part's drift off J_n stays within rounding of |H_n|.  The order-0/1
+values come from the ascending series up to the same bound (_order01)
+and from scipy.special above it, imported at the first call that needs
+it; hankel0_sq is the near-field kernel H_0^(1) from x^2 by the series,
+and hankel0 the scipy reference for any x.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 __all__ = [
     "SUPPORTED_MAX_ARG",
     "bessel_j_sweep",
-    "bessel_y_sweep",
     "regular_harmonics",
     "hankel1_sweep",
     "hankel0",
@@ -250,26 +251,27 @@ def regular_harmonics(nmax: int, k: float, dx, dy) -> np.ndarray:
     return out
 
 
-def bessel_y_sweep(nmax: int, x) -> np.ndarray:
-    """Y_n(x) for all orders n = 0..nmax (x > 0), by upward recurrence."""
+def hankel1_sweep(nmax: int, x) -> np.ndarray:
+    """H_n^(1)(x) = J_n(x) + i Y_n(x) for n = 0..nmax (x > 0), by upward recurrence.
+
+    H_{n+1} = (2n/x) H_n - H_{n-1} from H_0, H_1 (_order01).  A real
+    factor times a complex value scales each part alone, so the
+    imaginary part is the upward Y_n recurrence.  The real part loses
+    J_n's own relative accuracy once n passes x, but not that of H_n.
+    """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     x = _check_arg(x, allow_zero=False)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    vals = np.empty((nmax + 1,) + x.shape)
-    start = _order01(x)
-    vals[0] = start[2]
+    vals = np.empty((nmax + 1,) + x.shape, dtype=complex)
+    j0, j1, y0, y1 = _order01(x)
+    vals[0].real, vals[0].imag = j0, y0
     if nmax >= 1:
-        vals[1] = start[3]
+        vals[1].real, vals[1].imag = j1, y1
     for n in range(1, nmax):
         vals[n + 1] = (2.0 * n / x) * vals[n] - vals[n - 1]
     return vals.reshape(nmax + 1) if scalar else vals
-
-
-def hankel1_sweep(nmax: int, x) -> np.ndarray:
-    """H_n^(1)(x) = J_n(x) + i Y_n(x) for n = 0..nmax (x > 0)."""
-    return bessel_j_sweep(nmax, x) + 1j * bessel_y_sweep(nmax, x)
 
 
 def hankel0(x) -> np.ndarray:

@@ -205,7 +205,7 @@ def test_criterion_9_property_suites(capsys):
     sq = np.array([p.strength for p in src])
 
     def chain(P):
-        m2l = translation_matrix(translation_vector_h(1.0, t.x - c.x, t.y - c.y, P), P, "m-p")
+        m2l = translation_matrix(translation_vector_h(1.0, t.x - c.x, t.y - c.y, P), P)
         local = m2l @ p2m_arrays(sx, sy, sq, c.x, c.y, P, 1.0)
         return local_values(local, [x[0]], [x[1]], t.x, t.y, 1.0)[0]
 

@@ -538,6 +538,49 @@ class TestNearField:
         assert np.any(want != 0)
         assert _close(got, want, 1e-14)
 
+    def test_line_image_near_the_interface_matches_quad(self):
+        # part I of a cut pair whose particles sit about 1e-4 above the
+        # interface: the line image's log singularity at s = -(y_t + y_s)
+        # is 600 times closer to its [0, C] than C is long, which one
+        # 32-node panel over [0, C] misses by up to 3e-7 relative
+        from scipy.integrate import quad
+        from scipy.special import hankel1
+
+        rng = np.random.default_rng(5)
+        xs = np.r_[rng.uniform(0.0, 1.0, 60), 0.30, 0.31, 0.46, 0.47]
+        ys = np.r_[rng.uniform(0.05, 1.0, 60), 1e-4, 1.3e-4, 1e-4, 1.1e-4]
+        parts = [Particle(Point2(float(x), float(y)), float(q))
+                 for x, y, q in zip(xs, ys, rng.normal(size=len(xs)))]
+        ws = driver._Workspace(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0),
+                                                order=8, leaf_capacity=4))
+        start, stop, x, y = ws.start, ws.stop, ws.x, ws.y
+        t, s, C = ws.line_image
+        low = np.array([y[start[a]:stop[a]].min() + y[start[b]:stop[b]].min()
+                        for a, b in zip(t, s)])
+        i = int(np.argmax(C / low))
+        assert low[i] < 3e-4 and C[i] > 500 * low[i]
+        ws.line_image = (t[i:i + 1], s[i:i + 1], C[i:i + 1])
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._near_cut(ws, got)
+
+        k, alpha = ws.k, ws.media.alpha
+        a, b = start[t[i]], stop[t[i]]
+        want = np.zeros(b - a, dtype=complex)
+        for ti in range(a, b):
+            for sj in range(start[s[i]], stop[s[i]]):
+                dx, height = x[ti] - x[sj], y[ti] + y[sj]
+
+                def line(u, part):
+                    value = (2j * alpha * np.exp(1j * alpha * u)
+                             * hankel1(0, k * np.hypot(dx, height + u)))
+                    return value.real if part == 0 else value.imag
+
+                re, im = (quad(line, 0.0, C[i], args=(part,), epsabs=0.0, epsrel=1e-13,
+                               limit=200)[0] for part in (0, 1))
+                image = hankel1(0, k * np.hypot(dx, height))
+                want[ti - a] += ws.q[sj] * 0.25j * (image + re + 1j * im)
+        assert np.all(np.abs(got[a:b] - want) <= 1e-13 * np.abs(want))
+
     def test_no_kernel_value_evaluated_twice(self, monkeypatch):
         # one value per unordered near particle pair, and 33 (the point
         # image and 32 line-image nodes) per particle pair of a cut leaf pair,

@@ -45,20 +45,20 @@ def _eval_local(coeffs, c, x, k=K):
 
 def _m2m(coeffs, old, new, k=K):
     P = (len(coeffs) - 1) // 2
-    vec = np.conj(translation_vector_j(k, old[0] - new[0], old[1] - new[1], P))
-    return translation_matrix(vec, P, "p-m") @ coeffs
+    vec = translation_vector_j(k, new[0] - old[0], new[1] - old[1], P)
+    return translation_matrix(vec, P) @ coeffs
 
 
 def _m2l(coeffs, src, tgt, k=K):
     P = (len(coeffs) - 1) // 2
     vec = translation_vector_h(k, tgt[0] - src[0], tgt[1] - src[1], P)
-    return translation_matrix(vec, P, "m-p") @ coeffs
+    return translation_matrix(vec, P) @ coeffs
 
 
 def _l2l(coeffs, old, new, k=K):
     P = (len(coeffs) - 1) // 2
     vec = translation_vector_j(k, new[0] - old[0], new[1] - old[1], P)
-    return translation_matrix(vec, P, "m-p") @ coeffs
+    return translation_matrix(vec, P) @ coeffs
 
 
 class TestP2M:
@@ -275,7 +275,7 @@ class TestTranslations:
 class TestToeplitz:
     def test_assembled_operator_is_toeplitz(self):
         P = 6
-        mat = translation_matrix(translation_vector_h(K, 2.0, 0.5, P), P, "m-p")
+        mat = translation_matrix(translation_vector_h(K, 2.0, 0.5, P), P)
         for d in range(-2 * P, 2 * P + 1):
             diag = np.diagonal(mat, offset=d)
             assert np.max(np.abs(diag - diag[0])) <= 1e-14 * max(1.0, abs(diag[0]))
@@ -288,9 +288,21 @@ class TestToeplitz:
         signs = np.where(nu % 2 == 0, 1.0, -1.0)
         np.testing.assert_allclose(vec[::-1], signs * np.conj(vec), atol=1e-13)
 
-    def test_bad_index_convention(self):
-        with pytest.raises(ValueError):
-            translation_matrix(np.zeros(9, complex), 2, "pm")
+    @pytest.mark.parametrize("k_rho", [0.3, 2.0, 2.5, 9.0])
+    def test_m2m_equals_the_conjugate_matrix(self, k_rho):
+        # M2M under T[p, m] = F(c_parent - c_child)[m - p] against the
+        # matrix T[p, m] = conj(F(c_child - c_parent))[p - m], built here:
+        # the same numbers on the series path (k rho <= 2), to rounding on
+        # Miller's
+        P = 8
+        dx, dy = 0.6 * k_rho, -0.8 * k_rho
+        p = np.arange(-P, P + 1)
+        conj = np.conj(translation_vector_j(K, dx, dy, P))[p[:, None] - p[None, :] + 2 * P]
+        got = translation_matrix(translation_vector_j(K, -dx, -dy, P), P)
+        if k_rho <= 2.0:
+            np.testing.assert_array_equal(got, conj)
+        else:
+            assert np.abs(got - conj).max() <= 1e-15
 
 
 class TestImageCoefficients:

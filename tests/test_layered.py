@@ -14,18 +14,18 @@ from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
     scattered_direct
 from hfmm import layered
-from hfmm.layered import (TableKey, TableStore, TranslationGeometry, compute_A,
-                          compute_B_tail, load_tables, pair_key, save_tables)
+from hfmm.layered import (TableKey, TableStore, compute_A, compute_B_tail, key_geometry,
+                          load_tables, pair_key, save_tables)
 from hfmm.quadrature import gauss_legendre
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
 
 
-def _entries_A(geom, media, P):
-    return compute_A([geom], media, P)[0][0]
+def _entries_A(dx, dy, media, P):
+    return compute_A([dx], [dy], media, P)[0][0]
 
 
-def _entries_B(geom, media, P):
-    return compute_B_tail([geom], media, P)[0][0]
+def _entries_B(dx, dy, cutoff, media, P):
+    return compute_B_tail([dx], [dy], [cutoff], media, P)[0][0]
 
 
 def _real_sources(seed, n, center, radius):
@@ -43,7 +43,7 @@ def _scattered_local(parts, src_c, entries, P, k):
     ys = np.array([p.position.y for p in parts])
     qs = np.array([p.strength for p in parts])
     image = image_coefficients(p2m_arrays(xs, ys, qs, src_c.x, src_c.y, P, k))
-    return translation_matrix(entries, P, "m-p") @ image
+    return translation_matrix(entries, P) @ image
 
 
 def _eval_local(coeffs, c, x, k):
@@ -78,12 +78,24 @@ def _planned(level, media, P):
     return ws
 
 
+def _pair_rows(tree, tgt, src, near=False):
+    """The (shift, ax, sy, cut, flip) rows of (target, source) pairs of tree node ids,
+    from one pair_key call."""
+    cells = np.stack((tree.level, tree.ix, tree.iy))
+    keys, flip = pair_key(tree.root_xy[1], cells[:, tgt], cells[:, src], near)
+    return np.c_[keys, flip]
+
+
 def _pair_keys(tree, tgt, src, near=False):
     """(TableKey, flip) of each (target, source) pair of tree node ids, from one pair_key call."""
     y0 = tree.root_xy[1]
-    cells = np.stack((tree.level, tree.ix, tree.iy))
-    keys, flip = pair_key(y0, cells[:, tgt], cells[:, src], near)
-    return [(TableKey(y0, *row), bool(f)) for row, f in zip(keys.tolist(), flip)]
+    return [(TableKey(y0, *row[:4]), bool(row[4]))
+            for row in _pair_rows(tree, tgt, src, near).tolist()]
+
+
+def _geometry(key):
+    """(dx, dy, cutoff) of one TableKey, from key_geometry."""
+    return tuple(float(v) for v in key_geometry(key.root_y0, *key[1:]))
 
 
 def _expected_cutoff(tree, tgt, src):
@@ -102,21 +114,26 @@ def _scattered_sum(media, parts, x, tol=1e-13):
 
 class TestGeometry:
     def test_dy_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TranslationGeometry(dx=1.0, dy=0.0)
+        media = MediaConfig.two_layer(1.0, 1.0)
+        with pytest.raises(ValueError, match="dy > 0"):
+            compute_A([1.0, 1.0], [0.5, 0.0], media, 4)
+        with pytest.raises(ValueError, match="dy > 0"):
+            compute_B_tail([1.0], [0.0], [0.5], media, 4)
 
     def test_store_key_reconstruction(self):
         # level 2, target iy 0, source iy 1, x offset 3 boxes: in half-widths
-        # (h = 1/8) dx = 6 and the summed center heights are 1 + 3 = 4
-        g = TableStore.geometry(TableKey(0.25, 3, 6, 4, 0))
+        # (h = 1/8) dx = 6 and the summed center heights are 1 + 3 = 4; the
+        # same key reduced (h = 1/4); and a tail key
+        dx, dy, cutoff = key_geometry(0.25, *np.array([[3, 6, 4, 0], [2, 3, 2, 0],
+                                                       [3, 6, 4, 5]]).T)
         w = 0.25
-        assert g.dx == 3 * w
-        assert g.dy == 2 * 0.25 + (0 + 1 + 1) * w
-        assert g.cutoff == 0.0
-        # the reduced key (h = 1/4) is the same geometry bit for bit
-        assert TableStore.geometry(TableKey(0.25, 2, 3, 2, 0)) == g
+        assert dx[0] == 3 * w
+        assert dy[0] == 2 * 0.25 + (0 + 1 + 1) * w
+        assert cutoff[0] == 0.0
+        # the reduced key is the same geometry bit for bit
+        assert (dx[1], dy[1], cutoff[1]) == (dx[0], dy[0], cutoff[0])
         # a tail key: C = cut * h - 2 * root_y0
-        assert TableStore.geometry(TableKey(0.25, 3, 6, 4, 5)).cutoff == 5 / 8 - 0.5
+        assert cutoff[2] == 5 / 8 - 0.5
 
     def test_key_geometry_matches_tree_boxes(self):
         # a box on the interface, a flat strip, a tree down to 5e-3 and the
@@ -136,21 +153,21 @@ class TestGeometry:
         close = abs(level[tgt] - level[src]) <= 1
         tgt, src = tgt[close], src[close]
         for t, s, (key, flip) in zip(tgt, src, _pair_keys(tree, tgt, src)):
-            g = TableStore.geometry(key)
-            assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
+            dx, dy, cutoff = _geometry(key)
+            assert (-dx if flip else dx) == cx[t] - cx[s]
             if level[t] == level[s]:
                 # the lattice closed form, one rounding
-                assert g.dy == 2.0 * y0 + (iy[t] + iy[s] + 1) * 0.5 ** level[t]
-            assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
-            assert g.cutoff == 0.0
+                assert dy == 2.0 * y0 + (iy[t] + iy[s] + 1) * 0.5 ** level[t]
+            assert dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
+            assert cutoff == 0.0
         # near pairs: the line-image cutoff from the boxes' own floats
         tgt, src = near_source_leaves(tree)
         cut = 0
         for t, s, (key, _) in zip(tgt, src, _pair_keys(tree, tgt, src, near=True)):
             expect = _expected_cutoff(tree, t, s)
-            g = TableStore.geometry(key)
-            assert g.cutoff == pytest.approx(expect, rel=1e-15, abs=1e-15)
-            assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
+            _, dy, cutoff = _geometry(key)
+            assert cutoff == pytest.approx(expect, rel=1e-15, abs=1e-15)
+            assert dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
             cut += expect > 0.0
         assert cut > 0
 
@@ -165,7 +182,7 @@ class TestGeometry:
         assert not flip
         assert swapped == (key, False)
         assert mirrored == (key, True)
-        assert TableStore.geometry(key).dx == tree.cx[coarse] - tree.cx[left]
+        assert _geometry(key)[0] == tree.cx[coarse] - tree.cx[left]
 
 
 def _mixed_workspace(media):
@@ -198,20 +215,20 @@ class TestPlan:
 
         # far: every pair that reads a table entry, at its target's level
         far, lines = Counter(), Counter()
-        for lev, (reads, *groups) in ws.far.items():
-            for (key, flip), group in zip(reads, pairs(*groups)):
-                g = TableStore.geometry(key)
+        for lev, (rows, *groups) in ws.far.items():
+            geometry = zip(*key_geometry(ws.y0, *rows[:, :4].T))
+            for row, (dx, dy, cutoff), group in zip(rows.tolist(), geometry, pairs(*groups)):
                 for s, t in group:
                     assert level[t] == lev
-                    assert (-g.dx if flip else g.dx) == cx[t] - cx[s]
-                    assert g.dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
+                    assert (-dx if row[4] else dx) == cx[t] - cx[s]
+                    assert dy == pytest.approx(cy[t] + cy[s], rel=1e-15)
                     want = _expected_cutoff(tree, t, s) if (s, t) in near_pairs else 0.0
-                    assert g.cutoff == pytest.approx(want, rel=1e-15, abs=1e-15)
+                    assert cutoff == pytest.approx(want, rel=1e-15, abs=1e-15)
                 far.update(group)
                 # the two-layer cut pairs, which also take the line image
                 # with their B-tail entry's cutoff
-                if key.cut:
-                    lines.update({(s, t, g.cutoff): 1 for s, t in group})
+                if row[3]:
+                    lines.update({(s, t, float(cutoff)): 1 for s, t in group})
         offsets = Counter()
         for lev, (rows, *groups) in ws.offsets.items():
             for row, group in zip(rows.tolist(), pairs(*groups)):
@@ -291,36 +308,36 @@ class TestComputeA:
         # sigma = 1 collapses A(nu) to H_nu(k rho) e^{i nu theta} of the
         # target-about-image offset
         media = MediaConfig.two_layer(1.0, 0.0)
-        geom = TranslationGeometry(dx=1.5, dy=2.2)
-        entries = _entries_A(geom, media, 8)
-        rho = np.hypot(geom.dx, geom.dy)
-        theta = np.arctan2(geom.dy, geom.dx)
+        dx, dy = 1.5, 2.2
+        entries = _entries_A(dx, dy, media, 8)
+        rho = np.hypot(dx, dy)
+        theta = np.arctan2(dy, dx)
         nu = np.arange(-16, 17)
         expect = hankel1(nu, media.k1 * rho) * np.exp(1j * nu * theta)
         np.testing.assert_allclose(entries, expect, atol=1e-11)
 
     def test_toeplitz_assembly(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        entries = _entries_A(TranslationGeometry(dx=1.0, dy=2.5), media, 5)
-        mat = translation_matrix(entries, 5, "m-p")
+        entries = _entries_A(1.0, 2.5, media, 5)
+        mat = translation_matrix(entries, 5)
         for d in range(-10, 11):
             diag = np.diagonal(mat, offset=d)
             assert np.max(np.abs(diag - diag[0])) <= 1e-14 * max(1.0, abs(diag[0]))
 
     def test_free_media_rejected(self):
         with pytest.raises(ValueError):
-            _entries_A(TranslationGeometry(dx=1.0, dy=2.0), MediaConfig.free(1.0), 5)
+            _entries_A(1.0, 2.0, MediaConfig.free(1.0), 5)
 
     def test_node_doubling_stable(self, monkeypatch):
         # every batch checks its grid by doubling; with the cap at the
         # start count there is no second grid to compare, so it raises
         media = MediaConfig.two_layer(1.0, 1.0)
-        geoms = [TranslationGeometry(dx=1.5, dy=2.5), TranslationGeometry(dx=0.75, dy=0.26)]
-        rows, nodes = compute_A(geoms, media, 10)
+        dx, dy = np.array([1.5, 0.75]), np.array([2.5, 0.26])
+        rows, nodes = compute_A(dx, dy, media, 10)
         assert rows.shape == (2, 41) and np.all(np.isfinite(rows)) and nodes > 0
         monkeypatch.setattr(layered, "_GRID_CAP", layered._GRID_START)
         with pytest.raises(QuadratureConvergenceError, match="did not converge"):
-            compute_A(geoms[1:], media, 10)
+            compute_A(dx[1:], dy[1:], media, 10)
 
     def test_doubling_check_fails_on_nan(self, monkeypatch):
         # a NaN reflectance at one evanescent node never converges
@@ -334,7 +351,7 @@ class TestComputeA:
 
         monkeypatch.setattr(layered, "reflectance", poisoned)
         with pytest.raises(QuadratureConvergenceError):
-            compute_A([TranslationGeometry(dx=1.5, dy=2.5)], MediaConfig.two_layer(1.0, 1.0), 8)
+            compute_A([1.5], [2.5], MediaConfig.two_layer(1.0, 1.0), 8)
 
     @pytest.mark.parametrize("media,center_y", [
         pytest.param(MediaConfig.two_layer(1.0, 1.0), 1.0, id="media0"),
@@ -349,8 +366,8 @@ class TestComputeA:
         src_c, tgt_c = Point2(0.0, center_y), Point2(1.5, center_y)
         parts = _real_sources(21, 15, src_c, 0.2)
         P = 25
-        geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y)
-        loc = _scattered_local(parts, src_c, _entries_A(geom, media, P), P, media.k1)
+        entries = _entries_A(tgt_c.x - src_c.x, tgt_c.y + src_c.y, media, P)
+        loc = _scattered_local(parts, src_c, entries, P, media.k1)
         rng = np.random.default_rng(22)
         for _ in range(6):
             x = (tgt_c.x + rng.uniform(-0.2, 0.2), tgt_c.y + rng.uniform(-0.2, 0.2))
@@ -364,8 +381,7 @@ class TestComputeA:
         src_c = Point2(shift + 0.0, 0.8)
         tgt_c = Point2(shift + 1.25, 0.8)
         parts = _real_sources(23, 10, src_c, 0.15)
-        geom = TranslationGeometry(dx=1.25, dy=1.6)
-        loc = _scattered_local(parts, src_c, _entries_A(geom, media, 15), 15, 1.0)
+        loc = _scattered_local(parts, src_c, _entries_A(1.25, 1.6, media, 15), 15, 1.0)
         x = (tgt_c.x + 0.1, tgt_c.y - 0.05)
         assert _eval_local(loc, tgt_c, x, 1.0) == pytest.approx(
             _scattered_sum(media, parts, x), abs=1e-9)
@@ -374,34 +390,32 @@ class TestComputeA:
 class TestM2LHeterogeneous:
     def test_order_mismatch(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        entries = _entries_A(TranslationGeometry(dx=1.5, dy=2.0), media, 8)
+        entries = _entries_A(1.5, 2.0, media, 8)
         with pytest.raises(ValueError):
-            translation_matrix(entries, 7, "m-p")
+            translation_matrix(entries, 7)
 
 
 class TestComputeBTail:
     def test_alpha_zero_is_zero_vector(self):
         media = MediaConfig.two_layer(1.0, 0.0)
-        entries = _entries_B(TranslationGeometry(dx=1.5, dy=0.8, cutoff=0.4), media, 6)
+        entries = _entries_B(1.5, 0.8, 0.4, media, 6)
         np.testing.assert_array_equal(entries, 0.0)
 
     def test_c_to_zero_collapse(self):
         # B(C -> 0+) equals the line-image-only part of A, which is
         # A(alpha) minus the point-image entries A(alpha = 0)
         media = MediaConfig.two_layer(1.0, 1.0)
-        geom = TranslationGeometry(dx=1.5, dy=1.1)
-        full = _entries_A(geom, media, 8)
-        point = _entries_A(geom, MediaConfig.two_layer(1.0, 0.0), 8)
-        tail = _entries_B(TranslationGeometry(dx=1.5, dy=1.1, cutoff=1e-9), media, 8)
+        full = _entries_A(1.5, 1.1, media, 8)
+        point = _entries_A(1.5, 1.1, MediaConfig.two_layer(1.0, 0.0), 8)
+        tail = _entries_B(1.5, 1.1, 1e-9, media, 8)
         np.testing.assert_allclose(tail, full - point, atol=1e-10)
 
     def test_invalid_cutoff(self):
         media = MediaConfig.two_layer(1.0, 1.0)
         with pytest.raises(ValueError):
-            _entries_B(TranslationGeometry(dx=1.0, dy=1.0), media, 5)
+            _entries_B(1.0, 1.0, 0.0, media, 5)
         with pytest.raises(ValueError):
-            _entries_B(TranslationGeometry(dx=1.0, dy=1.0, cutoff=0.5),
-                       MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 5)
+            _entries_B(1.0, 1.0, 0.5, MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7), 5)
 
     def test_tail_matches_split_oracle(self):
         # potential II = scattered - point image - integral over [0, C]
@@ -410,8 +424,7 @@ class TestComputeBTail:
         src_c, tgt_c, C = Point2(0.0, 0.3), Point2(1.5, 0.3), 0.5
         parts = _real_sources(25, 8, src_c, 0.15)
         P = 25
-        geom = TranslationGeometry(dx=tgt_c.x - src_c.x, dy=tgt_c.y + src_c.y, cutoff=C)
-        entries = _entries_B(geom, media, P)
+        entries = _entries_B(tgt_c.x - src_c.x, tgt_c.y + src_c.y, C, media, P)
         loc = _scattered_local(parts, src_c, entries, P, k)
         nodes, weights = gauss_legendre(48, 0.0, C)
         for x in [(1.4, 0.25), (1.6, 0.4)]:
@@ -436,15 +449,35 @@ class TestTableStore:
         media = MediaConfig.two_layer(1.0, 1.0)
         store = TableStore(media, 5)
         key = TableKey(0.0, 2, 3, 3, 0)
-        with pytest.raises(KeyError, match=re.escape(str(key))):
-            store.get(key)  # get only reads: fill is the one compute path
-        store.fill([key, key])
-        store.fill([key])
+        row = np.array([[*key[1:], 0]])
+        with pytest.raises(KeyError, match=re.escape(str(tuple(key)))):
+            store.get(0.0, row)  # get only reads: fill is the one compute path
+        store.fill(0.0, np.r_[row, row])
+        store.fill(0.0, row[:, :4])
         assert store.misses == 1
-        a = store.get(key)
-        assert store.get(key) is a
-        np.testing.assert_array_equal(store.get(key, True), a[::-1])
+        a = store.get(0.0, row)
+        assert a.shape == (1, 21)
+        np.testing.assert_array_equal(a[0], store.entries[key])
+        np.testing.assert_array_equal(store.get(0.0, row ^ [0, 0, 0, 0, 1])[0], a[0][::-1])
         assert store.misses == 1
+
+    def test_get_with_mixed_flips(self):
+        # a batch of rows reads each entry as stored or, where flip is
+        # set, reversed, in the rows' order
+        store = _planned(2, MediaConfig.two_layer(1.0, 1.0), 5).store
+        keys = sorted(store.entries)
+        y0 = keys[0].root_y0
+        assert len(keys) > 3 and len({key.root_y0 for key in keys}) == 1
+        rng = np.random.default_rng(3)
+        flips = rng.integers(0, 2, 3 * len(keys))
+        picks = rng.integers(0, len(keys), len(flips))
+        assert 0 < flips.sum() < len(flips)
+        rows = np.array([[*keys[i][1:], f] for i, f in zip(picks, flips)])
+        got = store.get(y0, rows)
+        assert got.shape == (len(rows), 21)
+        for i, f, entry in zip(picks, flips, got):
+            stored = store.entries[keys[i]]
+            np.testing.assert_array_equal(entry, stored[::-1] if f else stored)
 
     def test_near_tail_keys(self):
         # the bottom row of a two-layer tree cuts its line images
@@ -458,7 +491,7 @@ class TestTableStore:
         assert all(tree.iy[t] == tree.iy[s] == 0 for t, s, _ in cut)
         assert {key for _, _, key in cut} == {key for key in store.entries if key.cut}
         [(key, _)] = _pair_keys(tree, [_node(tree, 2, 1, 0)], [_node(tree, 2, 2, 0)], near=True)
-        assert TableStore.geometry(key).cutoff == pytest.approx(0.25 - 2 * y0)
+        assert _geometry(key)[2] == pytest.approx(0.25 - 2 * y0)
 
     def test_store_size_bound_uniform_l3(self):
         media = MediaConfig.two_layer(1.0, 1.0)
@@ -610,14 +643,14 @@ class TestOneEntryPerGeometry:
     def test_negative_dx_is_reversed(self, media, dy):
         # A_{-dx}(nu) = A_{dx}(-nu)
         for dx in (0.375, 1.5):
-            plus = _entries_A(TranslationGeometry(dx=dx, dy=dy), media, 8)
-            minus = _entries_A(TranslationGeometry(dx=-dx, dy=dy), media, 8)
+            plus = _entries_A(dx, dy, media, 8)
+            minus = _entries_A(-dx, dy, media, 8)
             assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
 
     def test_negative_dx_tail_is_reversed(self):
         media = MediaConfig.two_layer(1.0, 1.0)
-        plus = _entries_B(TranslationGeometry(dx=0.375, dy=0.15, cutoff=0.2), media, 8)
-        minus = _entries_B(TranslationGeometry(dx=-0.375, dy=0.15, cutoff=0.2), media, 8)
+        plus = _entries_B(0.375, 0.15, 0.2, media, 8)
+        minus = _entries_B(-0.375, 0.15, 0.2, media, 8)
         assert np.abs(minus - plus[::-1]).max() <= 1e-14 * np.abs(plus).max()
 
     def test_mirror_pairs_share_one_entry(self):
@@ -629,14 +662,13 @@ class TestOneEntryPerGeometry:
                  (box(5, 2), box(2, 4))]   # its x mirror
         assert set(pairs) <= set(zip(tree.v_tgt.tolist(), tree.v_src.tolist()))
         store = TableStore(media, 6)
-        reads = _pair_keys(tree, *zip(*pairs))
-        store.fill(key for key, _ in reads)
-        entries = [store.get(*read) for read in reads]
+        rows = _pair_rows(tree, *(np.array(side) for side in zip(*pairs)))
+        y0 = tree.root_xy[1]
+        store.fill(y0, rows)
+        entries = store.get(y0, rows)
         assert len(store.entries) == 1 and store.misses == 1
         for (tgt, src), got in zip(pairs, entries):
-            geom = TranslationGeometry(dx=tree.cx[tgt] - tree.cx[src],
-                                       dy=tree.cy[tgt] + tree.cy[src])
-            direct = _entries_A(geom, media, 6)
+            direct = _entries_A(tree.cx[tgt] - tree.cx[src], tree.cy[tgt] + tree.cy[src], media, 6)
             assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
     def test_one_computation_per_geometry(self, monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hfmm import greens, specfun
 from hfmm.expansions import _signed_orders
-from hfmm.specfun import (SUPPORTED_MAX_ARG, bessel_j_sweep, bessel_y_sweep, hankel0,
-                          hankel0_sq, hankel1_sweep, regular_harmonics)
+from hfmm.specfun import (SUPPORTED_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq,
+                          hankel1_sweep, regular_harmonics)
 
 
 class TestScalarValues:
@@ -22,7 +22,7 @@ class TestScalarValues:
     @pytest.mark.parametrize("n,x", [(0, 1.0), (1, 0.5), (7, 3.0), (25, 10.0),
                                      (60, 45.0)])
     def test_bessel_y_matches_scipy(self, n, x):
-        assert bessel_y_sweep(n, x)[n] == pytest.approx(sp.yv(n, x), rel=1e-12)
+        assert hankel1_sweep(n, x)[n].imag == pytest.approx(sp.yv(n, x), rel=1e-12)
 
     def test_hankel_combines_j_and_y(self):
         h = hankel1_sweep(3, 2.0)[3]
@@ -35,8 +35,8 @@ class TestScalarValues:
         x, m = 1.7, -n
         assert _signed_orders(bessel_j_sweep(m, x), m)[0] == pytest.approx(sp.jv(n, x),
                                                                             rel=1e-12)
-        assert _signed_orders(bessel_y_sweep(m, x), m)[0] == pytest.approx(sp.yv(n, x),
-                                                                            rel=1e-12)
+        assert _signed_orders(hankel1_sweep(m, x).imag, m)[0] == pytest.approx(sp.yv(n, x),
+                                                                                rel=1e-12)
 
     def test_j_at_zero_argument(self):
         vals = bessel_j_sweep(4, 0.0)
@@ -73,8 +73,16 @@ class TestSweeps:
     @pytest.mark.parametrize("nmax,x", [(10, 0.7), (30, 3.0), (80, 25.0)])
     def test_y_sweep_matches_scipy(self, nmax, x):
         orders = np.arange(nmax + 1)
-        np.testing.assert_allclose(bessel_y_sweep(nmax, x), sp.yv(orders, x),
+        np.testing.assert_allclose(hankel1_sweep(nmax, x).imag, sp.yv(orders, x),
                                    rtol=1e-11)
+
+    def test_hankel_sweep_matches_scipy_on_a_log_grid(self):
+        # the upward recurrence keeps H_n's relative accuracy: |H_n| >= |Y_n|
+        # grows with n, though the real part drifts off J_n past n = x
+        x = np.geomspace(1e-3, 1e3, 2001)
+        want = sp.hankel1(np.arange(65)[:, None], x)
+        got = hankel1_sweep(64, x)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-13
 
     def test_sweep_tiny_argument_no_overflow(self):
         vals = bessel_j_sweep(80, 1e-3)
@@ -200,7 +208,7 @@ class TestSmallArgumentSeries:
         orders = np.arange(21)
         np.testing.assert_allclose(bessel_j_sweep(20, x), sp.jv(orders[:, None], x),
                                    rtol=1e-12, atol=1e-300)
-        y = bessel_y_sweep(20, x)
+        y = hankel1_sweep(20, x).imag
         np.testing.assert_allclose(y, sp.yv(orders[:, None], x), rtol=1e-12)
         above = x > 2.0
         np.testing.assert_array_equal(y[0, above], sp.y0(x[above]))
@@ -217,7 +225,7 @@ class TestWronskian:
         nmax = 81
         j = bessel_j_sweep(nmax, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            y = bessel_y_sweep(nmax, x)
+            y = hankel1_sweep(nmax, x).imag
             w = j[1:] * y[:-1] - j[:-1] * y[1:]
         ok = np.isfinite(y[:-1]) & np.isfinite(y[1:]) & (np.abs(y[1:]) < 1e280)
         assert np.count_nonzero(ok) >= 40
@@ -231,7 +239,7 @@ class TestErrors:
 
     def test_y_rejects_zero(self):
         with pytest.raises(ValueError):
-            bessel_y_sweep(0, 0.0)
+            hankel1_sweep(0, 0.0)
 
     def test_argument_ceiling(self):
         with pytest.raises(ValueError):
