@@ -12,12 +12,13 @@ Entries are computed in batches with one quadrature, which this module
 alone fixes (_RULE): on the propagating contour a Gauss-Legendre rule
 (cosine-mapped per segment where a three-layer sigma_1 kinks), and on the
 evanescent contour geometric panels of cosine-mapped Gauss-Legendre
-nodes (quadrature.cosine_panels); each rule is shared by the batch, and
-its count doubles from 64 nodes per segment, or 48 per panel, until two
-rules agree for every entry of the batch.  The
-spectral factor depends only on the spectral variable, so each half is
-a product of a (keys x nodes) matrix with a (nodes x 4P+1) matrix,
-taken in blocks.
+nodes (quadrature.cosine_panels), placed for the batch.  Each entry is
+refined on its own: its count doubles from 64 nodes per segment, or 48
+per panel, until its own last two rules agree, and only the entries not
+yet converged take the next rule.  The spectral factor depends only on
+the spectral variable, so each half is a product of a (keys x nodes)
+matrix with a (nodes x 4P+1) matrix, taken in blocks; the exponentials
+of the key side are taken once per distinct dx and dy.
 
 Entries are cached in one table store keyed by the geometry (|dx|, dy,
 C) as exact integers (TableKey): the kernel is invariant under
@@ -134,34 +135,55 @@ def _chunks(rows, width):
     return [slice(a, a + step) for a in range(0, rows, step)]
 
 
-def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
-    """Evanescent integrals of every key on count nodes per panel, and a bound on their L1 mass.
+def _key_blocks(dx, dy, width):
+    """Key slices for (keys x width) blocks (_chunks), each with its distinct dx and dy
+    and the indices that gather them back per key (np.unique)."""
+    return [(c, *np.unique(dx[c], return_inverse=True), *np.unique(dy[c], return_inverse=True))
+            for c in _chunks(len(dx), width)]
 
-    Row j holds, for nu = -2P..2P, the integral of r(t)/root * (e^{i root
-    dx} z^nu + (-1)^nu e^{-i root dx} z^{-nu}) e^{-t dy}, without the
-    (-i)^nu/(i pi) prefactor.  The key side E+- = w r/root e^{+-i root dx
-    - t dy} z^{-2P} meets Z = z^{2P+nu} <= 1 in one product, so nothing
-    overflows unless the integrand does; the z^{-nu} half is E- @ Z reversed.
+
+def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
+    """Evanescent integrals of the keys on count nodes per panel, and a bound on their L1 mass.
+
+    _spectral_entries passes the keys not yet converged.  Row j holds, for
+    nu = -2P..2P, the integral of r(t)/root * (e^{i root dx} z^nu + (-1)^nu
+    e^{-i root dx} z^{-nu}) e^{-t dy}, without the (-i)^nu/(i pi) prefactor.
+    With e^{+-i root dx} = cos +- i sin, both halves come from the sums of
+    env cos(root dx) Z and env sin(root dx) Z, each one real product: the
+    key side env = e^{-t dy} z^{-2P} meets Z = w r/root z^{2P+nu}, |z| <= 1,
+    so nothing overflows unless the integrand does, and the z^{-nu} half
+    is reversed.  The key side's exponentials are taken once per distinct
+    dx and dy of a block of keys, and the mass once per distinct dy.
     """
-    k = media.k1
+    k, m = media.k1, 4 * P + 1
     t, w = cosine_panels(edges, count)
-    plus = np.zeros((len(dx), 4 * P + 1), dtype=complex)
-    minus = np.zeros_like(plus)
-    mass = np.zeros(plus.shape)
-    for n in _chunks(len(t), 4 * P + 1):
-        root = np.hypot(t[n], k)
-        lnz = np.log(k) - np.log(root + t[n])  # z = (root - t)/k without cancellation
-        base = w[n] * r_evan(t[n]) / root
-        zpow = np.exp(np.outer(lnz, np.arange(4 * P + 1)))
-        for c in _chunks(len(dx), len(root)):
-            env = np.exp(-np.outer(dy[c], t[n]) - 2 * P * lnz)
-            side = base * env
-            psi = np.exp(1j * np.outer(dx[c], root))
-            plus[c] += (side * psi) @ zpow
-            minus[c] += (side * np.conj(psi)) @ zpow
-            mass[c] += (np.abs(base) * env) @ zpow
+    nodes = _chunks(len(t), m)
+    # the cos and sin sides of a block of keys are together one (keys x nodes) complex block
+    blocks = _key_blocks(dx, dy, len(t[nodes[0]]))
+    cos_z = np.zeros((len(dx), m), dtype=complex)
+    sin_z = np.zeros_like(cos_z)
+    mass = np.zeros((len(dx), m))
+    root = np.hypot(t, k)
+    lnz = np.log(k) - np.log(root + t)  # z = (root - t)/k without cancellation
+    base = w * r_evan(t) / root
+    for n in nodes:
+        zpow = np.exp(np.outer(lnz[n], np.arange(m)))
+        z_re = (base[n, None] * zpow).view(float)  # Z as (nodes x 2m) reals
+        z_abs = np.abs(base[n, None]) * zpow
+        for c, ux, ix, uy, iy in blocks:
+            env = np.exp(-uy[:, None] * t[n] - 2 * P * lnz[n])
+            mass[c] += (env @ z_abs)[iy]
+            phase = ux[:, None] * root[n]
+            side = np.stack((np.cos(phase), np.sin(phase))).take(ix, axis=1)
+            side *= env.take(iy, axis=0)
+            for half, out in zip(side, (cos_z, sin_z)):
+                out[c] += (half @ z_re).view(complex)
+    # plus + (-1)^nu (minus reversed), where plus and minus are cos_z +- i sin_z
     sign = np.where(np.arange(-2 * P, 2 * P + 1) % 2 == 0, 1.0, -1.0)
-    return plus + sign * minus[:, ::-1], mass + mass[:, ::-1]
+    cos_z += sign * cos_z[:, ::-1]
+    sin_z -= sign * sin_z[:, ::-1]
+    cos_z += 1j * sin_z
+    return cos_z, mass + mass[:, ::-1]
 
 
 def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
@@ -169,10 +191,13 @@ def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
 
     dx and dy hold one offset per key; r_prop(tau) and r_evan(t) supply
     the spectral factor (reflectance for A, tail factor for B); shift adds
-    a decay e^{-t shift} per key on both contours.  Each contour's rule is
-    shared by the batch; its nodes per segment or panel double until two
-    successive rules agree for every entry, or QuadratureConvergenceError
-    is raised at the cap.
+    a decay e^{-t shift} per key on both contours.  Each contour refines
+    every entry on its own: the rule's nodes per segment or panel double,
+    and the next rule is evaluated only for the entries whose last two
+    rules still differ, until each entry's two agree (it keeps the finer
+    value), or QuadratureConvergenceError is raised at the cap.  The
+    evanescent panels are the batch's (_panel_edges of its smallest dy),
+    and the nodes returned are those of the finest grid any entry took.
     """
     k = media.k1
     dx = np.asarray(dx, dtype=float)
@@ -183,47 +208,46 @@ def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
     nu = np.arange(-2 * P, 2 * P + 1)
     i_nu = _I_POWERS[nu % 4]
 
-    def propagating(count):
+    def refine(grid, start, cap, rule, unit):
+        # grid(keys, count) -> (values, mass) of the keys (indices) on count nodes per unit
+        keys, count = np.arange(len(dx)), start
+        rows, _ = grid(keys, count)  # each entry's value on its finest rule so far
+        while True:
+            if 2 * count > cap:
+                raise QuadratureConvergenceError(
+                    f"{rule} did not converge at {count} nodes per {unit} for {keys.size} of "
+                    f"{len(dx)} entries (P={P}, smallest dy {dy[keys].min():.3g}, "
+                    f"largest |dx| {np.abs(dx[keys]).max():.3g})")
+            count *= 2
+            vals, mass = grid(keys, count)
+            diff = np.abs(vals - rows[keys])
+            done = np.all(diff <= _TOL_REL * np.maximum(np.abs(vals), 1.0) + _TOL_MASS * mass,
+                          axis=1)
+            if 2 * count > cap:
+                # discretization error decays exponentially under doubling, so a
+                # persistent change this far below the integrand mass is noise
+                done |= np.all(diff <= _TOL_CAP * mass, axis=1)
+            rows[keys] = vals
+            keys = keys[~done]
+            if not keys.size:
+                return rows, count
+
+    def propagating(keys, count):
         tau, w_tau = propagating_rule(media, count)
-        base_p = w_tau * r_prop(tau)
-        waves = np.exp(-1j * np.outer(tau, nu))
-        prop = np.empty((len(dx), len(nu)), dtype=complex)
-        for c in _chunks(len(dx), len(tau)):
-            prop[c] = (np.exp(1j * k * (np.outer(dy[c], np.sin(tau))
-                                        - np.outer(dx[c], np.cos(tau)))) * base_p) @ waves
-        return prop
+        waves = (w_tau * r_prop(tau))[:, None] * np.exp(-1j * np.outer(tau, nu))
+        prop = np.empty((len(keys), len(nu)), dtype=complex)
+        for c, ux, ix, uy, iy in _key_blocks(dx[keys], dy[keys], len(tau)):
+            prop[c] = (np.exp(1j * k * np.outer(uy, np.sin(tau)))[iy]
+                       * np.exp(-1j * k * np.outer(ux, np.cos(tau)))[ix]) @ waves
+        return prop, 0.0  # checked relative to the entries alone
 
     # an electrically thick three-layer medium needs far more than 64 nodes
     # per segment: its sigma oscillates along the contour
-    count, prop = _PROP_NODES, propagating(_PROP_NODES)
-    while True:
-        count *= 2
-        prev, prop = prop, propagating(count)
-        if np.all(np.abs(prop - prev) <= _TOL_REL * np.maximum(np.abs(prop), 1.0)):
-            break
-        if 2 * count > _PROP_CAP:
-            raise QuadratureConvergenceError(
-                f"propagating table rule did not converge at {count} nodes per segment "
-                f"(P={P}, smallest dy {dy.min():.3g}, largest |dx| {np.abs(dx).max():.3g})")
-
+    prop, _ = refine(propagating, _PROP_NODES, _PROP_CAP, "propagating table rule", "segment")
     edges = _panel_edges(media, P, float(dy.min()))
-    count, evan = _GRID_START, None
-    while True:
-        prev = evan
-        evan, mass = _evanescent_grid(media, P, dx, dy, r_evan, edges, count)
-        if prev is not None:
-            diff = np.abs(evan - prev)
-            if np.all(diff <= _TOL_REL * np.maximum(np.abs(evan), 1.0) + _TOL_MASS * mass):
-                break
-        if 2 * count > _GRID_CAP:
-            # discretization error decays exponentially under doubling, so a
-            # persistent change this far below the integrand mass is noise
-            if prev is not None and np.all(diff <= _TOL_CAP * mass):
-                break
-            raise QuadratureConvergenceError(
-                f"evanescent table grid did not converge at {count} nodes per panel "
-                f"(P={P}, smallest dy {dy.min():.3g}, largest |dx| {np.abs(dx).max():.3g})")
-        count *= 2
+    evan, count = refine(
+        lambda keys, count: _evanescent_grid(media, P, dx[keys], dy[keys], r_evan, edges, count),
+        _GRID_START, _GRID_CAP, "evanescent table grid", "panel")
     rows = (i_nu / np.pi) * prop + (np.conj(i_nu) / (1j * np.pi)) * evan
     return rows, count * (len(edges) - 1)
 
@@ -234,9 +258,9 @@ def compute_A(dx, dy, media: MediaConfig, P: int):
     dx is the target-center x minus the source-image-center x and dy > 0
     the sum of the two center heights, one array entry per translation.
     Returns (rows, grid_nodes): row j holds the entries of translation j,
-    and grid_nodes counts the evanescent nodes of the accepted grid.  The
-    assembled operator A_{p,m} = A(m - p) maps the image coefficients
-    (expansions.image_coefficients) of a source box to the
+    and grid_nodes counts the evanescent nodes of the finest grid any
+    entry took.  The assembled operator A_{p,m} = A(m - p) maps the image
+    coefficients (expansions.image_coefficients) of a source box to the
     scattered-field local expansion at a well-separated target box.
     """
     if media.variant == "free":
@@ -340,9 +364,9 @@ class TableStore:
     Both paths take integer key rows of one root height, (shift, ax, sy,
     cut) as pair_key makes them: fill() computes the keys not held, one
     batch per kind, and is the only compute path; get() is the only read
-    path.  misses counts the keys computed and grid_nodes the evanescent
-    nodes of the grids that computed them.  Entries of several root
-    heights can share one store.
+    path.  misses counts the keys computed and grid_nodes, per batch, the
+    evanescent nodes of the finest grid any of its entries took.  Entries
+    of several root heights can share one store.
     """
 
     def __init__(self, media: MediaConfig, P: int):

@@ -12,11 +12,11 @@ from scipy.special import hankel1
 from hfmm.driver import RunConfig, _Workspace, fmm_apply, local_values
 from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
-    scattered_direct
+    reflectance, scattered_direct
 from hfmm import layered
 from hfmm.layered import (TableKey, TableStore, compute_A, compute_B_tail, key_geometry,
                           load_tables, pair_key, save_tables)
-from hfmm.quadrature import gauss_legendre
+from hfmm.quadrature import cosine_panels, gauss_legendre
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
 
 
@@ -439,6 +439,153 @@ class TestComputeBTail:
                                          for s in nodes]))
                 expect += p.strength * (total - point - seg)
             assert _eval_local(loc, tgt_c, x, k) == pytest.approx(expect, abs=1e-8)
+
+
+def _interface_batch():
+    """dx and dy of an A batch at the near-interface root height 0.0052272: dy from
+    0.1355 to 1.8855, dx in eighths.  Some keys of the two smallest dy need 192
+    nodes per panel; the rest agree at 96."""
+    dx, dy = np.meshgrid([0.0, 0.25, 0.375, 0.5], 2 * 0.0052272 + np.array([1, 2, 4, 8, 15]) / 8)
+    return dx.ravel(), dy.ravel()
+
+
+def _r_evan(media):
+    """The evanescent spectral factor of compute_A: the reflectance at kappa = t."""
+    return lambda t: reflectance(media, t.astype(complex))
+
+
+class TestPerEntryRefinement:
+    media = MediaConfig.two_layer(1.0, 1.0)
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The (dx, dy) keys that each _evanescent_grid call sees, by nodes per panel."""
+        seen, grid = {}, layered._evanescent_grid
+
+        def recorded(media, P, dx, dy, r_evan, edges, count):
+            seen.setdefault(count, []).append(set(zip(dx.tolist(), dy.tolist())))
+            return grid(media, P, dx, dy, r_evan, edges, count)
+
+        monkeypatch.setattr(layered, "_evanescent_grid", recorded)
+        return seen
+
+    def test_only_unconverged_entries_take_the_next_grid(self, monkeypatch):
+        P = 16
+        dx, dy = _interface_batch()
+        grid = layered._evanescent_grid
+        seen = self._recorded(monkeypatch)
+        rows, nodes = compute_A(dx, dy, self.media, P)
+        # the doubling check by hand, on the batch's panels
+        edges = layered._panel_edges(self.media, P, dy.min())
+        coarse, _ = grid(self.media, P, dx, dy, _r_evan(self.media), edges, 48)
+        fine, mass = grid(self.media, P, dx, dy, _r_evan(self.media), edges, 96)
+        easy = np.all(np.abs(fine - coarse) <= layered._TOL_REL * np.maximum(np.abs(fine), 1.0)
+                      + layered._TOL_MASS * mass, axis=1)
+        keys = set(zip(dx.tolist(), dy.tolist()))
+        hard = set(zip(dx[~easy].tolist(), dy[~easy].tolist()))
+        assert 0 < len(hard) < len(keys)
+        assert seen == {48: [keys], 96: [keys], 192: [hard]}
+        assert nodes == 192 * (len(edges) - 1)
+        # an easy entry is the same with or without the hard ones in its batch
+        alone, _ = compute_A(dx[easy], dy[easy], self.media, P)
+        scale = np.maximum(np.abs(rows[easy]), mass[easy])
+        assert np.all(np.abs(alone - rows[easy]) <= 1e-15 * scale)
+
+    def test_a_converged_entry_keeps_its_finer_value(self, monkeypatch):
+        # a mark of count * 1e-14 of the mass, far inside the check's 5e-12 of
+        # the mass, shows which grid each row came from
+        P = 8
+        dx, dy = np.array([1.5, -0.75, 0.0]), np.array([2.5, 0.9, 1.2])
+        clean, nodes = compute_A(dx, dy, self.media, P)
+        edges = layered._panel_edges(self.media, P, dy.min())
+        count = nodes // (len(edges) - 1)
+        grid = layered._evanescent_grid
+
+        def marked(media, P, dx, dy, r_evan, edges, count):
+            evan, mass = grid(media, P, dx, dy, r_evan, edges, count)
+            return evan + 1e-14 * count * mass, mass
+
+        monkeypatch.setattr(layered, "_evanescent_grid", marked)
+        rows, _ = compute_A(dx, dy, self.media, P)
+        _, mass = grid(self.media, P, dx, dy, _r_evan(self.media), edges, count)
+        want = 1e-14 * count * mass * (-1j) ** np.arange(-2 * P, 2 * P + 1) / (1j * np.pi)
+        assert count == 96
+        assert np.all(np.abs(rows - clean - want) <= 1e-3 * np.abs(want))
+
+    @pytest.mark.parametrize("contour", ["propagating", "evanescent"])
+    def test_one_unconverging_entry_fails_the_batch(self, monkeypatch, contour):
+        P = 8
+        dx, dy = np.array([1.5, 0.75]), np.array([2.5, 2.5])
+        panels = layered._panel_edges(self.media, P, 2.5).size - 1
+        assert compute_A(dx[:1], dy[:1], self.media, P)[1] == 96 * panels
+        if contour == "propagating":
+            dx[1] = np.nan  # NaN on both contours: the propagating one raises first
+        else:
+            grid = layered._evanescent_grid
+
+            def poisoned(media, P, dx, dy, r_evan, edges, count):
+                evan, mass = grid(media, P, dx, dy, r_evan, edges, count)
+                evan[dx == 0.75] *= 1.0 + 1e-9 * count  # never agrees with the last grid
+                return evan, mass
+
+            monkeypatch.setattr(layered, "_evanescent_grid", poisoned)
+        seen = self._recorded(monkeypatch)
+        with pytest.raises(QuadratureConvergenceError, match=f"{contour} .* for 1 of 2 entries"):
+            compute_A(dx, dy, self.media, P)
+        if contour == "evanescent":
+            # the converged entry stopped at 96 nodes per panel
+            keys, bad = set(zip(dx.tolist(), dy.tolist())), {(0.75, 2.5)}
+            assert seen == {48: [keys], 96: [keys], 192: [bad], 384: [bad]}
+
+    @pytest.mark.parametrize("case", ["two-layer-A", "two-layer-B", "three-layer-A"])
+    def test_grid_matches_the_direct_sum(self, case):
+        # the factorized kernel against its docstring integrand, summed per key and node
+        media = (MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8) if case == "three-layer-A"
+                 else MediaConfig.two_layer(1.0, 1.0))
+        if case == "two-layer-B":
+            shift, alpha = 0.4, media.alpha
+            r_evan = lambda t: 2.0j * alpha / (t - 1j * alpha)  # noqa: E731
+        else:
+            shift, r_evan = 0.0, _r_evan(media)
+        P, count, k = 6, 48, media.k1
+        # repeated dx and dy, and a negative dx
+        dx = np.array([0.5, 0.5, -0.25, 0.0, 0.5, 1.25])
+        dy = np.array([0.3, 0.7, 0.3, 0.7, 0.3, 1.1]) + shift
+        edges = layered._panel_edges(media, P, dy.min())
+        evan, mass = layered._evanescent_grid(media, P, dx, dy, r_evan, edges, count)
+        t, w = cosine_panels(edges, count)
+        root = np.hypot(t, k)
+        z = k / (root + t)
+        f = w * r_evan(t) / root
+        want = np.empty_like(evan)
+        want_mass = np.empty_like(mass)
+        for j in range(len(dx)):
+            decay = np.exp(-t * dy[j])
+            for col, nu in enumerate(range(-2 * P, 2 * P + 1)):
+                want[j, col] = np.sum(f * (np.exp(1j * root * dx[j]) * z ** nu + (-1.0) ** nu
+                                           * np.exp(-1j * root * dx[j]) * z ** -nu) * decay)
+                want_mass[j, col] = np.sum(np.abs(f) * (z ** nu + z ** -nu) * decay)
+        assert np.all(np.abs(evan - want) <= 1e-14 * want_mass)
+        assert np.all(np.abs(mass - want_mass) <= 1e-14 * want_mass)
+
+    @pytest.mark.parametrize("media", [MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),
+                                       MediaConfig.two_layer(1.0, 1.0)],
+                             ids=lambda m: m.variant)
+    def test_key_and_node_blocks_match_one_block(self, monkeypatch, media):
+        P = 16
+        dx = np.array([0.5, 0.5, -0.25, 0.0, 0.5, 1.25, -0.25])
+        dy = np.array([0.3, 0.7, 0.3, 0.7, 0.3, 1.1, 0.14])
+        whole, nodes = compute_A(dx, dy, media, P)
+        # 7 nodes and 3 keys per block, so every panel and the batch are split
+        monkeypatch.setattr(layered, "_BLOCK_BYTES", 16 * 7 * (4 * P + 1))
+        chunked, chunked_nodes = compute_A(dx, dy, media, P)
+        assert chunked_nodes == nodes
+        # the scale of the doubling check: the entry, at least 1, plus its evanescent mass
+        edges = layered._panel_edges(media, P, dy.min())
+        _, mass = layered._evanescent_grid(media, P, dx, dy, _r_evan(media), edges,
+                                           nodes // (len(edges) - 1))
+        scale = np.maximum(np.abs(whole), 1.0) + mass
+        assert np.all(np.abs(chunked - whole) <= 1e-15 * scale)
 
 
 class TestTableStore:
