@@ -7,7 +7,8 @@ is kept, so that an alpha = 0 two-layer run equals a free-space run on
 sources plus mirror images.
 
 direct_apply is the O(N^2) reference built on the Sommerfeld-quadrature
-oracle; error_metric is the relative l2 error over the first M targets.
+oracle (greens.scattered_batch), one block of target rows at a time;
+error_metric is the relative l2 error over the first M targets.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import expansions as ex
 from . import greens, layered
-from .greens import MediaConfig, QuadratureConvergenceError, scattered_batch, spectral_breakpoints
+from .greens import MediaConfig, QuadratureConvergenceError, scattered_batch
 from .quadrature import cosine_panels, legendre_base
 # bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
 from .specfun import _SERIES_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq  # noqa: F401
@@ -101,31 +102,35 @@ def _particle_arrays(particles, media):
 
 def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
                  max_n: int = 20000) -> PotentialVector:
-    """O(N^2) reference potentials via the quadrature oracle."""
+    """O(N^2) reference potentials, one block of target rows at a time.
+
+    A block's free-space rows come from hankel0 with the singular self
+    terms masked, and in layered media its scattered rows from the
+    quadrature oracle (greens.scattered_batch, to tol); one matrix-vector
+    product per block, so memory is O(block), not O(N^2).
+    """
     n = len(particles)
     if n > max_n:
         raise ValueError(f"direct_apply guard: N={n} > {max_n} (raise max_n to override)")
     xs, ys, qs = _particle_arrays(particles, media)
 
     t0 = time.perf_counter()
-    dx = xs[:, None] - xs[None, :]
-    dyf = ys[:, None] - ys[None, :]
-    r = np.hypot(dx, dyf)
-    np.fill_diagonal(r, 1.0)  # masked below; avoids the singular self term
-    g = 0.25j * hankel0(media.k1 * r)
-    np.fill_diagonal(g, 0.0)
-    out = g @ qs
-
-    if media.variant != "free":
-        # chunk the quadrature: near-interface pairs can need thousands of
-        # nodes per pair, so the full N^2 batch would exhaust memory
-        dys = ys[:, None] + ys[None, :]
-        block = max(1, 16384 // n)
-        for a in range(0, n, block):
-            b = min(a + block, n)
-            us = scattered_batch(media, dx[a:b].ravel(), dys[a:b].ravel(),
+    out = np.empty(n, dtype=complex)
+    # about 16384 pairs per block: a near-interface pair can need thousands
+    # of quadrature nodes
+    block = max(1, 16384 // max(1, n))
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        own = (np.arange(b - a), np.arange(a, b))  # the block's diagonal
+        dx = xs[a:b, None] - xs
+        r = np.hypot(dx, ys[a:b, None] - ys)
+        r[own] = 1.0  # masked below; avoids the singular self term
+        g = 0.25j * hankel0(media.k1 * r)
+        g[own] = 0.0
+        if media.variant != "free":
+            g += scattered_batch(media, dx.ravel(), (ys[a:b, None] + ys).ravel(),
                                  tol).reshape(b - a, n)
-            out[a:b] += us @ qs
+        out[a:b] = g @ qs
     return PotentialVector(values=out, timings={"total": time.perf_counter() - t0})
 
 
@@ -474,17 +479,19 @@ _CUT_CAP = 1024  # the most nodes per panel of the cut field's grid
 def _cut_field(ws):
     """(targets, u, nodes): the scattered field of the three-layer cut rows, on one grid.
 
-    The grid: cosine panels over [0, pi] broken at the kinks of sigma, and
-    the table entries' geometric evanescent panels (layered._panel_edges)
-    up to the cutoff of the smallest y_t + y_s.  At a node the integrand of
-    u^s (greens.scattered_batch) is a target times a source factor, both of
+    The grid: the table entries' propagating rule over [0, pi], broken at
+    the kinks of sigma (layered.propagating_rule), and their geometric
+    evanescent panels (layered._panel_edges) up to the cutoff of the
+    smallest y_t + y_s.  At a node the integrand of u^s
+    (greens.scattered_batch) is a target times a source factor, both of
     modulus <= 1: e^{ik(y_t sin tau - x_t cos tau)} e^{ik(y_s sin tau + x_s
     cos tau)}, and E_t conj(E_s) + conj(E_t) E_s with E = e^{-t y + i root x}.
-    A level evaluates sigma once per contour, and the rows' source sums as
-    per-leaf sums times a leaf-row membership matrix, in node chunks under
-    _SWEEP_BYTES.  Nodes per panel double from 16 until u changes by at most
-    1e-12 relative to max(|u_i|, the row's sum |q|), or past _CUT_CAP raise
-    QuadratureConvergenceError.  nodes counts the nodes of all levels.
+    A level evaluates sigma once, and the rows' source sums as per-leaf sums
+    times a leaf-row membership matrix, in node chunks under _SWEEP_BYTES.
+    Each contour doubles its nodes per panel from 16 on its own, until its
+    part of u changes by at most 1e-12 relative to max(that part's |u_i|,
+    the row's sum |q|), or past _CUT_CAP raises QuadratureConvergenceError.
+    nodes counts the nodes of all levels of both contours.
     """
     leaves, bounds, srcs = ws.cut
     start, stop, media, k = ws.start, ws.stop, ws.media, ws.k
@@ -505,38 +512,50 @@ def _cut_field(ws):
     px, py = ws.x[points] - 0.5 * (ws.x[points].min() + ws.x[points].max()), ws.y[points]
     low = np.minimum.reduceat(py, first)
     dy = float(low[i].min() + low[j].min())
-    prop_edges = [0.0, *spectral_breakpoints(media, "propagating", np.pi), np.pi]
     evan_edges = layered._panel_edges(media, 0, dy)
     step = max(1, _SWEEP_BYTES // (16 * len(points)))
+
+    def chunks(nodes):
+        return map(slice, range(0, nodes, step), range(step, nodes + step, step))
 
     def field(tgt, src, weight):  # sum over the nodes of tgt * weight * the rows' source sums
         sums = np.add.reduceat(src * qp, first, axis=1) @ member
         return np.einsum("ji,ji->i", tgt, (weight[:, None] * sums)[:, row])
 
-    def level(count):
-        tau, w = cosine_panels(prop_edges, count)
+    def propagating(count):
+        tau, w = layered.propagating_rule(media, count)
         ks, kc = k * np.sin(tau), k * np.cos(tau)
         w = 0.25j / np.pi * w * greens.reflectance(media, -1j * ks)
-        u = sum(field(np.exp(1j * (np.outer(ks[c], py[tp]) - np.outer(kc[c], px[tp]))),
-                      np.exp(1j * (np.outer(ks[c], py) + np.outer(kc[c], px))), w[c])
-                for c in map(slice, range(0, len(tau), step), range(step, len(tau) + step, step)))
+        return sum(field(np.exp(1j * (np.outer(ks[c], py[tp]) - np.outer(kc[c], px[tp]))),
+                         np.exp(1j * (np.outer(ks[c], py) + np.outer(kc[c], px))), w[c])
+                   for c in chunks(len(tau))), len(tau)
+
+    def evanescent(count):
         t, v = cosine_panels(evan_edges, count)
         root = np.hypot(t, k)
         v = 0.25 / np.pi * v * greens.reflectance(media, t.astype(complex)) / root
-        for c in map(slice, range(0, len(t), step), range(step, len(t) + step, step)):
+        u = 0.0
+        for c in chunks(len(t)):
             e = np.exp(np.outer(-t[c], py) + 1j * np.outer(root[c], px))
             u += field(e[:, tp], np.conj(e), v[c]) + field(np.conj(e[:, tp]), e, v[c])
-        return u
+        return u, len(t)
 
-    count, prev = 16, None
-    while True:
-        u = level(count)
-        if prev is not None and np.all(np.abs(u - prev) <= 1e-12 * np.maximum(np.abs(u), floor)):
-            return points[tp], u, (2 * count - 16) * (len(prop_edges) + len(evan_edges) - 2)
-        if 2 * count > _CUT_CAP:
-            raise QuadratureConvergenceError(f"three-layer cut field did not converge at {count} "
-                                             f"nodes per panel (smallest y_t + y_s {dy:.3g})")
-        prev, count = u, 2 * count
+    def converged(contour, name):
+        count, prev, nodes = 16, None, 0
+        while True:
+            u, used = contour(count)
+            nodes += used
+            if prev is not None and np.all(np.abs(u - prev) <= 1e-12 * np.maximum(np.abs(u), floor)):
+                return u, nodes
+            if 2 * count > _CUT_CAP:
+                raise QuadratureConvergenceError(
+                    f"three-layer cut field's {name} contour did not converge at {count} "
+                    f"nodes per panel (smallest y_t + y_s {dy:.3g})")
+            prev, count = u, 2 * count
+
+    u_prop, n_prop = converged(propagating, "propagating")
+    u_evan, n_evan = converged(evanescent, "evanescent")
+    return points[tp], u_prop + u_evan, n_prop + n_evan
 
 
 def fmm_apply(particles, config: RunConfig) -> PotentialVector:

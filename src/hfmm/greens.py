@@ -1,11 +1,13 @@
 """Free-space and layered-media Green's functions for the 2-D Helmholtz equation.
 
 Everything here is direct (non-hierarchical) evaluation: the free-space
-kernel, the spectral (Sommerfeld) representations, interface reflectance
-coefficients in closed form, and the adaptive-quadrature oracle for the
-scattered field: one panel-doubling loop over quadrature.cosine_panels.
-The fast path, its three-layer cut field (driver._cut_field) included,
-is validated against these routines, which share no grid with it.
+kernel, interface reflectance coefficients in closed form, and the
+adaptive-quadrature oracle for the scattered field, scattered_batch: one
+panel-doubling loop over quadrature.cosine_panels.  It is also the one
+quadrature of the free-space spectral split, since the alpha = 0
+two-layer reflectance is 1.  The fast path, its three-layer cut field
+(driver._cut_field) included, is validated against these routines, which
+share no grid with it.
 
 Conventions
 -----------
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import cosine_panels, gauss_legendre
+from .quadrature import cosine_panels
 from .specfun import hankel0
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "reflectance",
     "three_layer_sigma",
     "free_space",
-    "free_space_spectral",
     "scattered_direct",
     "scattered_batch",
     "domain_green",
@@ -222,36 +223,6 @@ def free_space(k: float, x, x0) -> complex:
     return complex(0.25j * hankel0(k * r))
 
 
-def free_space_spectral(k: float, x, x0) -> complex:
-    """Free-space kernel through the propagating/evanescent split.
-
-    Validation-only path; requires a nonzero vertical separation.  The
-    propagating part takes a fixed 64-node Gauss-Legendre rule, enough
-    for the moderate k |x - x0| of the checks that call it (the table
-    entries double theirs to convergence).
-    """
-    x1, y1 = _xy(x)
-    x2, y2 = _xy(x0)
-    dx = x1 - x2
-    dy = abs(y1 - y2)
-    if dy == 0.0:
-        raise ValueError("split spectral form requires |y - y0| > 0")
-    tau, w = gauss_legendre(64, 0.0, np.pi)
-    val_p = np.sum(w * np.exp(1j * k * (dy * np.sin(tau) - dx * np.cos(tau))))
-
-    # The evanescent integrand peaks at the scale t ~ k (through the
-    # 1/sqrt(t^2 + k^2) factor) and decays at the scale 1/dy; a single
-    # fixed rule cannot serve both when k*dy is small, so this part is
-    # panel-doubled to convergence with a breakpoint at t = k.
-    def evan_value(t, w):
-        root = np.sqrt(t * t + k * k)
-        return np.sum(w * np.exp(-t * dy) * 2.0 * np.cos(root * dx) / root)
-
-    T = max(2.0 * k, 45.0 / dy)
-    val_e = _panel_doubling(evan_value, T, [k] if k < T else [], 1e-13)
-    return complex(0.25j / np.pi * val_p + 0.25 / np.pi * val_e)
-
-
 def spectral_breakpoints(media: MediaConfig, path: str, upper: float):
     """Integration-variable values where the reflectance has a kink.
 
@@ -288,11 +259,8 @@ def _check_layered_geometry(media, y, y0):
 def scattered_direct(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:
     """Scattered field u^s(x; x0) of one pair by adaptive Sommerfeld quadrature.
 
-    The one-pair case of scattered_batch, after checking tol and the
-    geometry.
+    The one-pair case of scattered_batch, after checking the geometry.
     """
-    if not 1e-14 <= tol <= 1e-6:
-        raise ValueError("tol must lie in [1e-14, 1e-6]")
     x1, y1 = _xy(x)
     x2, y2 = _xy(x0)
     _check_layered_geometry(media, y1, y2)
@@ -336,10 +304,15 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
     """Scattered field for many (dx, dy) offsets at once.
 
     dx = x - x0 and dy = y + y0 as arrays; panel counts are doubled
-    until the whole batch is converged.  Used by the O(N^2) reference
-    driver, where per-pair adaptivity would be too slow.  The node axis
-    is chunked so that no (pairs x nodes) block exceeds _BLOCK_BYTES.
+    until the whole batch is converged to tol, which must lie in
+    [1e-14, 1e-6].  Used by the O(N^2) reference driver, where per-pair
+    adaptivity would be too slow.  The node axis is chunked so that no
+    (pairs x nodes) block exceeds _BLOCK_BYTES.  With alpha = 0 the
+    two-layer reflectance is 1, so the batch at dy = |y - y0| is the
+    free-space kernel through the spectral split.
     """
+    if not 1e-14 <= tol <= 1e-6:
+        raise ValueError(f"tol must lie in [1e-14, 1e-6], not {tol!r}")
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     if media.variant == "free":
@@ -370,7 +343,7 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
 
     # e^{-T dy} is below tol at the smallest decay height; both halves
     # break at the kinks of the reflectance (spectral_breakpoints)
-    T = max(2.0 * k, (-np.log(max(tol, 1e-16)) + 8.0) / dy.min())
+    T = max(2.0 * k, (8.0 - np.log(tol)) / dy.min())
     return (0.25j / np.pi * _panel_doubling(
                 prop_value, np.pi, spectral_breakpoints(media, "propagating", np.pi), tol)
             + 0.25 / np.pi * _panel_doubling(

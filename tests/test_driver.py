@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,30 @@ class TestDirectApply:
         parts = [Particle(Point2(0.0, -0.1), 1.0)]
         with pytest.raises(ValueError):
             direct_apply(parts, MediaConfig.two_layer(1.0, 1.0))
+
+    @pytest.mark.parametrize("media", [
+        MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
+        MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)], ids=lambda m: m.variant)
+    def test_no_particles(self, media):
+        assert direct_apply([], media).values.shape == (0,)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_tol_outside_the_oracle_range_refused(self, tol):
+        # refused before any quadrature, as scattered_direct refuses it
+        parts = [Particle(Point2(0.1, 1.0), 1.0), Particle(Point2(0.5, 1.3), 1.0)]
+        with pytest.raises(ValueError, match="tol"):
+            direct_apply(parts, MediaConfig.two_layer(1.0, 1.0), tol=tol)
+
+    def test_memory_is_one_block_of_rows(self):
+        # one N x N complex kernel alone would be 64 MB at N = 2000
+        parts = _random_particles(8, 2000)
+        tracemalloc.start()
+        try:
+            direct_apply(parts, MediaConfig.free(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestRunConfig:
@@ -714,15 +739,17 @@ class TestCutField:
         sizes = []
 
         def counted(media, kappa1):
-            sizes.append(np.size(kappa1))
+            # kappa1 = -i k sin(tau) on the propagating contour, t >= 0 on the other
+            sizes.append((bool(np.any(np.imag(kappa1) < 0)), np.size(kappa1)))
             return reflectance(media, kappa1)
 
         reflectance = greens.reflectance
         monkeypatch.setattr(greens, "reflectance", counted)
         driver._near_cut(ws, np.zeros(len(ws.q), dtype=complex))
-        # one call per contour and level, at least two levels, and each
-        # node's sigma evaluated once
-        assert len(sizes) % 2 == 0 and len(sizes) >= 4 and sum(sizes) == ws.cut_nodes
+        # one call per level of each contour, which doubles on its own and
+        # takes at least two levels, and each node's sigma evaluated once
+        levels = [sum(prop == contour for prop, _ in sizes) for contour in (True, False)]
+        assert min(levels) >= 2 and sum(n for _, n in sizes) == ws.cut_nodes
 
     def test_cut_nodes_count(self):
         media = MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)

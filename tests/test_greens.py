@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from hfmm import greens
-from hfmm.greens import (MediaConfig, domain_green, free_space, free_space_spectral,
-                         reflectance, scattered_batch, scattered_direct,
-                         three_layer_sigma)
+from hfmm.greens import (MediaConfig, domain_green, free_space, reflectance,
+                         scattered_batch, scattered_direct, three_layer_sigma)
 
 # Frozen regression constant: scattered_direct(two-layer k=1 alpha=1,
 # x=(0.5,1.5), x0=(0,1)) at tol=1e-13, recorded once from the adaptive
@@ -71,24 +70,28 @@ class TestFreeSpace:
         with pytest.raises(ValueError):
             free_space(1.0, (0.0, 1.0), (0.0, 1.0))
 
+    # the spectral split of the free-space kernel: the alpha = 0 two-layer
+    # scattered field (reflectance 1) at dy = |y - y0|
+
     @pytest.mark.parametrize("k", [0.1, 1.0])
     def test_spectral_split_matches(self, k):
         rng = np.random.default_rng(3)
         for _ in range(10):
             dx, dy = rng.uniform(-2, 2), rng.uniform(0.2, 3.0)
-            x, x0 = (dx, 1.0 + dy), (0.0, 1.0)
-            direct = free_space(k, x, x0)
-            split = free_space_spectral(k, x, x0)
+            direct = free_space(k, (dx, 1.0 + dy), (0.0, 1.0))
+            split = scattered_batch(MediaConfig.two_layer(k, 0.0), [dx], [dy])[0]
             assert abs(split - direct) <= 1e-10 * abs(direct)
 
     def test_spectral_reflection_invariance(self):
-        v1 = free_space_spectral(1.0, (0.4, 1.9), (-0.1, 1.0))
-        v2 = free_space_spectral(1.0, (-0.4, 1.9), (0.1, 1.0))
+        media = MediaConfig.two_layer(1.0, 0.0)
+        v1 = scattered_batch(media, [0.5], [0.9])[0]
+        v2 = scattered_batch(media, [-0.5], [0.9])[0]
         assert v1 == pytest.approx(v2, abs=1e-14)
 
     def test_spectral_requires_vertical_separation(self):
-        with pytest.raises(ValueError):
-            free_space_spectral(1.0, (1.0, 1.0), (0.0, 1.0))
+        for dy in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                scattered_batch(MediaConfig.two_layer(1.0, 0.0), [1.0], [dy])
 
 
 class TestReflectance:
