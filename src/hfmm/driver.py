@@ -22,8 +22,8 @@ import numpy as np
 
 from . import expansions as ex
 from . import greens, layered
-from .greens import MediaConfig, QuadratureConvergenceError, scattered_batch
-from .quadrature import cosine_panels, legendre_base
+from .greens import MediaConfig, scattered_batch
+from .quadrature import legendre_base, panel_rule, refine
 # bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
 from .specfun import _SERIES_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq  # noqa: F401
 from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
@@ -107,11 +107,13 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
     A block's free-space rows come from hankel0 with the singular self
     terms masked, and in layered media its scattered rows from the
     quadrature oracle (greens.scattered_batch, to tol); one matrix-vector
-    product per block, so memory is O(block), not O(N^2).
+    product per block, so memory is O(block), not O(N^2).  tol must lie in
+    [1e-14, 1e-6] in every medium, free space included.
     """
     n = len(particles)
     if n > max_n:
         raise ValueError(f"direct_apply guard: N={n} > {max_n} (raise max_n to override)")
+    greens.check_tol(tol)
     xs, ys, qs = _particle_arrays(particles, media)
 
     t0 = time.perf_counter()
@@ -440,10 +442,18 @@ def _near_cut(ws, out):
     """out += the scattered near field of cut pairs the tables leave out."""
     k, x, y, q, start, stop = ws.k, ws.x, ws.y, ws.q, ws.start, ws.stop
     # two-layer near-interface part I: the point image plus the truncated
-    # line image, as one kernel sum over the stacked nodes per cut pair
+    # line image, as one kernel sum over the stacked nodes per cut pair.
+    # The kernel depends on dx^2 and y_t + y_s alone, and (t, s) and (s, t)
+    # share one table key, so one C: where both are cut pairs, one block g
+    # serves both, g @ q_s at t and g.T @ q_t at s
     gl_x, gl_w = legendre_base(32)
     alpha = ws.media.alpha
-    for t, s, C in zip(*(a.tolist() for a in ws.line_image)):
+    tgt, src, cutoff = ws.line_image
+    n = len(ws.level)
+    both = np.isin(src * n + tgt, tgt * n + src)
+    once = ~both | (tgt <= src)
+    for t, s, C, mirror in zip(tgt[once].tolist(), src[once].tolist(), cutoff[once].tolist(),
+                               (both & (tgt != src))[once].tolist()):
         a, b, c, d = int(start[t]), int(stop[t]), int(start[s]), int(stop[s])
         height = np.add.outer(y[a:b], y[c:d])
         # the integrand's log singularity sits at s = -height: 32-node panels
@@ -467,6 +477,8 @@ def _near_cut(ws, out):
             r2 *= k * k
             g += np.tensordot(weights[i:i + step], _kernel_sq(r2), axes=1)
         out[a:b] += 0.25j * (g @ q[c:d])
+        if mirror:
+            out[c:d] += 0.25j * (q[a:b] @ g)
     # three-layer near-interface: every cut row on one spectral grid
     if len(ws.cut[0]):
         targets, u, ws.cut_nodes = _cut_field(ws)
@@ -482,13 +494,15 @@ def _cut_field(ws):
     The grid: the table entries' propagating rule over [0, pi], broken at
     the kinks of sigma (layered.propagating_rule), and their geometric
     evanescent panels (layered._panel_edges) up to the cutoff of the
-    smallest y_t + y_s.  At a node the integrand of u^s
+    smallest y_t + y_s, with affine Gauss-Legendre nodes on every panel
+    that no kink of sigma ends (quadrature.panel_rule).  At a node the integrand of u^s
     (greens.scattered_batch) is a target times a source factor, both of
     modulus <= 1: e^{ik(y_t sin tau - x_t cos tau)} e^{ik(y_s sin tau + x_s
     cos tau)}, and E_t conj(E_s) + conj(E_t) E_s with E = e^{-t y + i root x}.
     A level evaluates sigma once, and the rows' source sums as per-leaf sums
     times a leaf-row membership matrix, in node chunks under _SWEEP_BYTES.
-    Each contour doubles its nodes per panel from 16 on its own, until its
+    Each contour doubles its nodes per panel on its own (quadrature.refine),
+    the propagating one from 16 and the evanescent one from 8, until its
     part of u changes by at most 1e-12 relative to max(that part's |u_i|,
     the row's sum |q|), or past _CUT_CAP raises QuadratureConvergenceError.
     nodes counts the nodes of all levels of both contours.
@@ -513,6 +527,7 @@ def _cut_field(ws):
     low = np.minimum.reduceat(py, first)
     dy = float(low[i].min() + low[j].min())
     evan_edges = layered._panel_edges(media, 0, dy)
+    kinks = greens.spectral_breakpoints(media, "evanescent", evan_edges[-1])
     step = max(1, _SWEEP_BYTES // (16 * len(points)))
 
     def chunks(nodes):
@@ -531,7 +546,7 @@ def _cut_field(ws):
                    for c in chunks(len(tau))), len(tau)
 
     def evanescent(count):
-        t, v = cosine_panels(evan_edges, count)
+        t, v = panel_rule(evan_edges, count, kinks)
         root = np.hypot(t, k)
         v = 0.25 / np.pi * v * greens.reflectance(media, t.astype(complex)) / root
         u = 0.0
@@ -540,22 +555,24 @@ def _cut_field(ws):
             u += field(e[:, tp], np.conj(e), v[c]) + field(np.conj(e[:, tp]), e, v[c])
         return u, len(t)
 
-    def converged(contour, name):
-        count, prev, nodes = 16, None, 0
-        while True:
+    nodes = 0
+
+    def converged(contour, start, name):
+        def grid(_, count):  # the one integral: u at every target row
+            nonlocal nodes
             u, used = contour(count)
             nodes += used
-            if prev is not None and np.all(np.abs(u - prev) <= 1e-12 * np.maximum(np.abs(u), floor)):
-                return u, nodes
-            if 2 * count > _CUT_CAP:
-                raise QuadratureConvergenceError(
-                    f"three-layer cut field's {name} contour did not converge at {count} "
-                    f"nodes per panel (smallest y_t + y_s {dy:.3g})")
-            prev, count = u, 2 * count
+            return np.reshape(u, (1, -1)), None
 
-    u_prop, n_prop = converged(propagating, "propagating")
-    u_evan, n_evan = converged(evanescent, "evanescent")
-    return points[tp], u_prop + u_evan, n_prop + n_evan
+        u, _ = refine(grid, 1, start, _CUT_CAP,
+                      lambda u, prev, _, last: np.all(np.abs(u - prev) <= 1e-12 * np.maximum(
+                          np.abs(u), floor), axis=1),
+                      lambda _, count: (f"three-layer cut field's {name} contour did not converge "
+                                        f"at {count} nodes per panel (smallest y_t + y_s {dy:.3g})"))
+        return u[0]
+
+    u = converged(propagating, 16, "propagating") + converged(evanescent, 8, "evanescent")
+    return points[tp], u, nodes
 
 
 def fmm_apply(particles, config: RunConfig) -> PotentialVector:

@@ -2,10 +2,13 @@
 
 Everything here is direct (non-hierarchical) evaluation: the free-space
 kernel, interface reflectance coefficients in closed form, and the
-adaptive-quadrature oracle for the scattered field, scattered_batch: one
-panel-doubling loop over quadrature.cosine_panels.  It is also the one
-quadrature of the free-space spectral split, since the alpha = 0
-two-layer reflectance is 1.  The fast path, its three-layer cut field
+adaptive-quadrature oracle for the scattered field, scattered_batch: each
+pair's integral over each panel (propagating segments between the kinks
+of sigma, geometric evanescent panels, evanescent_edges) refined on its
+own by quadrature.refine, on quadrature.panel_rule, which maps a panel by
+the cosine only where a kink ends it.  It is also the one quadrature of
+the free-space spectral split, since the alpha = 0 two-layer reflectance
+is 1.  The fast path, its three-layer cut field
 (driver._cut_field) included, is validated against these routines, which
 share no grid with it.
 
@@ -22,11 +25,12 @@ kappa = -i k sin(tau) and never touches the branch cut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import cosine_panels
+from .quadrature import QuadratureConvergenceError, panel_rule, refine
 from .specfun import hankel0
 
 __all__ = [
@@ -40,10 +44,6 @@ __all__ = [
     "scattered_batch",
     "domain_green",
 ]
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature did not converge within the node budget."""
 
 
 @dataclass(frozen=True)
@@ -256,6 +256,12 @@ def _check_layered_geometry(media, y, y0):
         raise ValueError("layered evaluation requires y + y0 > 0")
 
 
+def check_tol(tol):
+    """Refuse an oracle tolerance outside [1e-14, 1e-6]."""
+    if not 1e-14 <= tol <= 1e-6:
+        raise ValueError(f"tol must lie in [1e-14, 1e-6], not {tol!r}")
+
+
 def scattered_direct(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:
     """Scattered field u^s(x; x0) of one pair by adaptive Sommerfeld quadrature.
 
@@ -267,87 +273,136 @@ def scattered_direct(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:
     return complex(scattered_batch(media, [x1 - x2], [y1 + y2], tol)[0])
 
 
-def _panel_doubling(fn, b, interior, tol):
-    """Integral over [0, b] by cosine-mapped panels doubled per segment.
+def evanescent_edges(media: MediaConfig, cutoff: float, whole: bool = False) -> np.ndarray:
+    """Geometric panel edges of the evanescent contour from 0 to cutoff.
 
-    The range is split at the interior breakpoints.  fn(x, w) returns
-    the node sums (one entry per output) of a rule.  Each segment
-    doubles its 16-node panels (quadrature.cosine_panels) until two
-    successive levels agree to tol / segments relative to
-    max(1, |value|), and gives up past 4096 panels.
+    The first panel is as wide as the distance from the contour to the
+    nearest spectral singularity (at least 1e-3, at most half the
+    cutoff), and each next one twice as wide; the last one ends at
+    cutoff, or, when whole, at the first doubled edge past it.  The
+    edges also break at the kinks of a three-layer sigma_1
+    (spectral_breakpoints).  Two-layer media have the reflectance pole
+    at t = i*alpha and the branch point at t = i*k; three-layer media
+    have branch points at t = i*sqrt(k1^2 - kj^2) for each slower layer.
     """
-    edges = np.array([0.0, *interior, b])
-    seg_tol = tol / (len(edges) - 1)
-    total = 0.0
-    for seg in zip(edges[:-1], edges[1:]):
-        prev, panels = None, 2
-        while True:
-            val = fn(*cosine_panels(seg, 16, panels))
-            if prev is not None:
-                err = np.max(np.abs(val - prev) / np.maximum(1.0, np.abs(val)))
-                if err <= seg_tol:
-                    break
-            if panels > 4096:
-                raise QuadratureConvergenceError(
-                    f"panel-doubling quadrature on [0, {b:g}] did not converge to {tol:g}")
-            prev = val
-            panels *= 2
-        total = total + val
-    return total
+    k1 = media.k1
+    if media.variant == "two-layer":
+        scale = min(k1, media.alpha) if media.alpha > 0.0 else k1
+    else:
+        scale = min([k1] + [math.sqrt(k1 * k1 - kj * kj) for kj in (media.k2, media.k3) if kj < k1])
+    edges = [0.0, min(max(scale, 1e-3), cutoff / 2.0)]
+    while edges[-1] < cutoff:
+        edges.append(2.0 * edges[-1] if whole else min(2.0 * edges[-1], cutoff))
+    return np.array(sorted(set(edges) | set(spectral_breakpoints(media, "evanescent", edges[-1]))))
 
 
 # Largest (pairs x nodes) complex block scattered_batch forms at once.
 _BLOCK_BYTES = 1 << 23
+# The oracle's rule: Gauss-Legendre nodes per sub-panel, and the most
+# doublings of a (pair, panel) integral's first sub-panel count.
+_NODES, _DOUBLING_CAP = 16, 1024
+
+
+def _contour(integrand, edges, kinks, live, rate, tol, name):
+    """Each pair's integral over the panels between edges, every (pair, panel) refined on its own.
+
+    integrand(rows, t, w) sums the rule (t, w) for the pairs rows.  Panel
+    p serves the first live[p] pairs; rate bounds each pair's phase and
+    decay per unit of the variable.  A (pair, panel) integral first cuts
+    the panel into the fewest power-of-two sub-panels of _NODES nodes
+    that give one node per unit of rate times the panel's half width (a
+    coarser first rule can agree with its double by chance on a wide
+    panel it does not resolve), then doubles them (quadrature.panel_rule,
+    cosine-mapped where a kink ends the panel) until its last two values
+    agree to tol / (the pair's panels) relative to max(1, |value|)
+    (quadrature.refine).  So a pair's integral does not depend on the
+    other pairs of its batch.
+    """
+    panel = np.repeat(np.arange(len(live)), live)
+    pair = np.concatenate([np.arange(n) for n in live])
+    need = rate[pair] * np.diff(edges)[panel] / (2 * _NODES)
+    first = np.exp2(np.ceil(np.log2(np.maximum(need, 1.0))))  # sub-panels of the first rule
+    share = tol / np.bincount(pair)[pair]
+
+    def grid(keys, level):
+        out = np.empty(len(keys), dtype=complex)
+        cuts = np.searchsorted(panel[keys], np.arange(len(live) + 1))
+        for p in np.flatnonzero(np.diff(cuts)).tolist():
+            group = keys[cuts[p]:cuts[p + 1]]
+            for split in np.unique(first[group]).tolist():
+                mine = first[group] == split
+                out[cuts[p]:cuts[p + 1]][mine] = integrand(
+                    pair[group[mine]], *panel_rule(edges[p:p + 2], _NODES, kinks, int(split) * level))
+        return out, share[keys]
+
+    def failure(keys, level):
+        return (f"{name} Sommerfeld quadrature did not converge to {tol:g} at {level} times "
+                f"its first rule for {keys.size} of {len(pair)} (pair, panel) integrals")
+
+    values, _ = refine(grid, len(pair), 1, _DOUBLING_CAP,
+                       lambda new, old, bound, last: np.abs(new - old) <= bound * np.maximum(
+                           1.0, np.abs(new)), failure)
+    total = np.zeros(live[0], dtype=complex)
+    for p, end in enumerate(np.cumsum(live).tolist()):
+        total[:live[p]] += values[end - live[p]:end]
+    return total
 
 
 def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarray:
     """Scattered field for many (dx, dy) offsets at once.
 
-    dx = x - x0 and dy = y + y0 as arrays; panel counts are doubled
-    until the whole batch is converged to tol, which must lie in
-    [1e-14, 1e-6].  Used by the O(N^2) reference driver, where per-pair
-    adaptivity would be too slow.  The node axis is chunked so that no
-    (pairs x nodes) block exceeds _BLOCK_BYTES.  With alpha = 0 the
-    two-layer reflectance is 1, so the batch at dy = |y - y0| is the
-    free-space kernel through the spectral split.
+    dx = x - x0 and dy = y + y0 as arrays; tol must lie in [1e-14, 1e-6].
+    The propagating contour is cut into panels at the kinks of the
+    reflectance (spectral_breakpoints), the evanescent one into whole
+    geometric panels (evanescent_edges).  Each pair takes the evanescent
+    panels that end by 2 T, where T = max(2k, (8 - ln tol) / dy), so that
+    past its last edge (beyond T) e^{-t dy} is below tol e^-8.  Each
+    (pair, panel) integral is refined on its own (_contour), so a pair
+    takes the same panels and rules in any batch.  The node axis is
+    chunked so that no (pairs x nodes) block exceeds _BLOCK_BYTES.  With
+    alpha = 0 the two-layer reflectance is 1, so the batch at
+    dy = |y - y0| is the free-space kernel through the spectral split.
     """
-    if not 1e-14 <= tol <= 1e-6:
-        raise ValueError(f"tol must lie in [1e-14, 1e-6], not {tol!r}")
+    check_tol(tol)
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
-    if media.variant == "free":
+    if media.variant == "free" or not dx.size:
         return np.zeros(dx.shape, dtype=complex)
     if np.any(dy <= 0):
         raise ValueError("layered evaluation requires y + y0 > 0")
     k = media.k1
-    step = max(1, _BLOCK_BYTES // (16 * max(1, dx.size)))
+    # pairs by dy, so that the pairs an evanescent panel serves are a prefix
+    order = np.argsort(dy, axis=None, kind="stable")
+    x, y = dx.ravel()[order], dy.ravel()[order]
 
-    def prop_value(tau, w):
+    def chunks(rows, nodes):
+        step = max(1, _BLOCK_BYTES // (16 * len(rows)))
+        return map(slice, range(0, nodes, step), range(step, nodes + step, step))
+
+    def propagating(rows, tau, w):
         base = w * reflectance(media, -1j * k * np.sin(tau))
-        val = np.zeros(dx.shape, dtype=complex)
-        for a in range(0, tau.size, step):
-            c = slice(a, a + step)
-            val += np.exp(1j * k * (np.outer(dy, np.sin(tau[c]))
-                                    - np.outer(dx, np.cos(tau[c])))) @ base[c]
-        return val
+        return sum(np.exp(1j * k * (np.outer(y[rows], np.sin(tau[c]))
+                                    - np.outer(x[rows], np.cos(tau[c])))) @ base[c]
+                   for c in chunks(rows, len(tau)))
 
-    def evan_value(t, w):
-        root = np.sqrt(t * t + k * k)
+    def evanescent(rows, t, w):
+        root = np.hypot(t, k)
         base = w * reflectance(media, t.astype(complex)) / root
-        val = np.zeros(dx.shape, dtype=complex)
-        for a in range(0, t.size, step):
-            c = slice(a, a + step)
-            val += (np.exp(-np.outer(dy, t[c]))
-                    * 2.0 * np.cos(np.outer(dx, root[c]))) @ base[c]
-        return val
+        return sum((np.exp(-np.outer(y[rows], t[c])) * 2.0 * np.cos(np.outer(x[rows], root[c])))
+                   @ base[c] for c in chunks(rows, len(t)))
 
-    # e^{-T dy} is below tol at the smallest decay height; both halves
-    # break at the kinks of the reflectance (spectral_breakpoints)
-    T = max(2.0 * k, (8.0 - np.log(tol)) / dy.min())
-    return (0.25j / np.pi * _panel_doubling(
-                prop_value, np.pi, spectral_breakpoints(media, "propagating", np.pi), tol)
-            + 0.25 / np.pi * _panel_doubling(
-                evan_value, T, spectral_breakpoints(media, "evanescent", T), tol))
+    kinks = spectral_breakpoints(media, "propagating", np.pi)
+    prop = _contour(propagating, np.array([0.0, *kinks, np.pi]), kinks,
+                    [len(x)] * (len(kinks) + 1), k * np.hypot(x, y), tol, "propagating")
+    reach = 2.0 * np.maximum(2.0 * k, (8.0 - np.log(tol)) / y)
+    edges = evanescent_edges(media, float(reach[0]), whole=True)
+    live = np.count_nonzero(reach[:, None] >= edges[None, 1:], axis=0)
+    edges = edges[:np.count_nonzero(live) + 1]
+    evan = _contour(evanescent, edges, spectral_breakpoints(media, "evanescent", edges[-1]),
+                    live[live > 0], np.abs(x) + y, tol, "evanescent")
+    out = np.empty(x.size, dtype=complex)
+    out[order] = 0.25j / np.pi * prop + 0.25 / np.pi * evan
+    return out.reshape(dx.shape)
 
 
 def domain_green(media: MediaConfig, x, x0, tol: float = 1e-12) -> complex:

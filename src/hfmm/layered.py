@@ -11,9 +11,11 @@ Near the interface the line-image tail is translated separately
 Entries are computed in batches with one quadrature, which this module
 alone fixes (_RULE): on the propagating contour a Gauss-Legendre rule
 (cosine-mapped per segment where a three-layer sigma_1 kinks), and on the
-evanescent contour geometric panels of cosine-mapped Gauss-Legendre
-nodes (quadrature.cosine_panels), placed for the batch.  Each entry is
-refined on its own: its count doubles from 64 nodes per segment, or 48
+evanescent contour geometric panels of Gauss-Legendre nodes placed for
+the batch (quadrature.panel_rule: affine, and cosine-mapped only on a
+panel that a kink of sigma_1 ends, which no panel of a two-layer medium
+or of a medium with k2, k3 < k1 is).  Each entry is refined on its own
+(quadrature.refine): its count doubles from 64 nodes per segment, or 32
 per panel, until its own last two rules agree, and only the entries not
 yet converged take the next rule.  The spectral factor depends only on
 the spectral variable, so each half is a product of a (keys x nodes)
@@ -26,7 +28,7 @@ horizontal translation, so every box pair with one geometry shares an
 entry, and a pair with dx < 0 reads the entry of -dx reversed.  Keys
 travel as integer rows (pair_key) that the store fills and reads in
 batches; key_geometry decodes them into dx, dy and C arrays.  A table
-file (save_tables) is the magic HFMMTB5, a header (medium fingerprint,
+file (save_tables) is the magic HFMMTB6, a header (medium fingerprint,
 P and the quadrature rule constants, all checked on load) and the
 entries, each as its key fields and its 4P+1 complex values.
 """
@@ -40,9 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .greens import (MediaConfig, QuadratureConvergenceError,
-                     reflectance, spectral_breakpoints)
-from .quadrature import cosine_panels, gauss_legendre
+from .greens import MediaConfig, evanescent_edges, reflectance, spectral_breakpoints
+from .quadrature import gauss_legendre, panel_rule, refine
 
 __all__ = [
     "TableKey",
@@ -70,7 +71,7 @@ def propagating_rule(media: MediaConfig, count: int):
     pts = spectral_breakpoints(media, "propagating", np.pi)
     if not pts:
         return gauss_legendre(count, 0.0, np.pi)
-    return cosine_panels([0.0, *pts, np.pi], count)
+    return panel_rule([0.0, *pts, np.pi], count, pts)
 
 
 # The table quadrature (_spectral_entries), written to and checked in the
@@ -78,24 +79,11 @@ def propagating_rule(media: MediaConfig, count: int):
 # evanescent nodes per panel, each from its start count doubled up to its
 # cap; and the three tolerances of the doubling checks.
 _RULE = _PROP_NODES, _PROP_CAP, _GRID_START, _GRID_CAP, _TOL_REL, _TOL_MASS, _TOL_CAP = \
-    64, 1024, 48, 384, 1e-12, 5e-12, 1e-10
+    64, 1024, 32, 256, 1e-12, 5e-12, 1e-10
 
 # Largest complex block, (keys x nodes) or (nodes x 4P+1), that the entry
 # products form at once; each product holds several such blocks.
 _BLOCK_BYTES = 1 << 16
-
-
-def _singularity_scale(media):
-    """Distance from the evanescent contour to the nearest spectral singularity.
-
-    Two-layer media have the reflectance pole at t = i*alpha and the
-    branch point at t = i*k; three-layer media have branch points at
-    t = i*sqrt(k1^2 - kj^2) for each slower layer.
-    """
-    k1 = media.k1
-    if media.variant == "two-layer":
-        return min(k1, media.alpha) if media.alpha > 0.0 else k1
-    return min([k1] + [float(np.sqrt(k1 * k1 - kj * kj)) for kj in (media.k2, media.k3) if kj < k1])
 
 
 def _panel_edges(media, P, dy):
@@ -103,9 +91,10 @@ def _panel_edges(media, P, dy):
 
     Panels double in width from the singularity scale up to where the
     envelope z^{-2P} e^{-t dy} is 45 e-folds below its peak (keys with a
-    larger dy decay sooner), and break at the kinks of a three-layer sigma_1.
-    Past its peak at tstar the log envelope decreases, so bisection finds
-    that cutoff, to within 2e-12 + 4 eps t (the tolerance of scipy's brentq).
+    larger dy decay sooner), and break at the kinks of a three-layer sigma_1
+    (greens.evanescent_edges).  Past its peak at tstar the log envelope
+    decreases, so bisection finds that cutoff, to within 2e-12 + 4 eps t
+    (the tolerance of scipy's brentq).
     """
     k = media.k1
     n2 = 2 * P
@@ -121,12 +110,7 @@ def _panel_edges(media, P, dy):
     while hi - lo > 2e-12 + 4.0 * math.ulp(1.0) * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if log_env(mid) > target else (lo, mid)
-    cutoff = 0.5 * (lo + hi)
-    s0 = min(max(_singularity_scale(media), 1e-3), cutoff / 2.0)
-    edges = [0.0, s0]
-    while edges[-1] < cutoff:
-        edges.append(min(2.0 * edges[-1], cutoff))
-    return np.array(sorted(set(edges) | set(spectral_breakpoints(media, "evanescent", cutoff))))
+    return evanescent_edges(media, 0.5 * (lo + hi))
 
 
 def _chunks(rows, width):
@@ -156,7 +140,7 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     dx and dy of a block of keys, and the mass once per distinct dy.
     """
     k, m = media.k1, 4 * P + 1
-    t, w = cosine_panels(edges, count)
+    t, w = panel_rule(edges, count, spectral_breakpoints(media, "evanescent", edges[-1]))
     nodes = _chunks(len(t), m)
     # the cos and sin sides of a block of keys are together one (keys x nodes) complex block
     blocks = _key_blocks(dx, dy, len(t[nodes[0]]))
@@ -208,29 +192,20 @@ def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
     nu = np.arange(-2 * P, 2 * P + 1)
     i_nu = _I_POWERS[nu % 4]
 
-    def refine(grid, start, cap, rule, unit):
-        # grid(keys, count) -> (values, mass) of the keys (indices) on count nodes per unit
-        keys, count = np.arange(len(dx)), start
-        rows, _ = grid(keys, count)  # each entry's value on its finest rule so far
-        while True:
-            if 2 * count > cap:
-                raise QuadratureConvergenceError(
-                    f"{rule} did not converge at {count} nodes per {unit} for {keys.size} of "
-                    f"{len(dx)} entries (P={P}, smallest dy {dy[keys].min():.3g}, "
-                    f"largest |dx| {np.abs(dx[keys]).max():.3g})")
-            count *= 2
-            vals, mass = grid(keys, count)
-            diff = np.abs(vals - rows[keys])
-            done = np.all(diff <= _TOL_REL * np.maximum(np.abs(vals), 1.0) + _TOL_MASS * mass,
-                          axis=1)
-            if 2 * count > cap:
-                # discretization error decays exponentially under doubling, so a
-                # persistent change this far below the integrand mass is noise
-                done |= np.all(diff <= _TOL_CAP * mass, axis=1)
-            rows[keys] = vals
-            keys = keys[~done]
-            if not keys.size:
-                return rows, count
+    def accept(vals, prev, mass, last):
+        diff = np.abs(vals - prev)
+        done = np.all(diff <= _TOL_REL * np.maximum(np.abs(vals), 1.0) + _TOL_MASS * mass, axis=1)
+        if last:
+            # discretization error decays exponentially under doubling, so a
+            # persistent change this far below the integrand mass is noise
+            done |= np.all(diff <= _TOL_CAP * mass, axis=1)
+        return done
+
+    def failure(rule, unit):
+        return lambda keys, count: (
+            f"{rule} did not converge at {count} nodes per {unit} for {keys.size} of "
+            f"{len(dx)} entries (P={P}, smallest dy {dy[keys].min():.3g}, "
+            f"largest |dx| {np.abs(dx[keys]).max():.3g})")
 
     def propagating(keys, count):
         tau, w_tau = propagating_rule(media, count)
@@ -243,11 +218,12 @@ def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
 
     # an electrically thick three-layer medium needs far more than 64 nodes
     # per segment: its sigma oscillates along the contour
-    prop, _ = refine(propagating, _PROP_NODES, _PROP_CAP, "propagating table rule", "segment")
+    prop, _ = refine(propagating, len(dx), _PROP_NODES, _PROP_CAP, accept,
+                     failure("propagating table rule", "segment"))
     edges = _panel_edges(media, P, float(dy.min()))
     evan, count = refine(
         lambda keys, count: _evanescent_grid(media, P, dx[keys], dy[keys], r_evan, edges, count),
-        _GRID_START, _GRID_CAP, "evanescent table grid", "panel")
+        len(dx), _GRID_START, _GRID_CAP, accept, failure("evanescent table grid", "panel"))
     rows = (i_nu / np.pi) * prop + (np.conj(i_nu) / (1j * np.pi)) * evan
     return rows, count * (len(edges) - 1)
 
@@ -401,11 +377,12 @@ class TableStore:
         return out
 
 
-_MAGIC = b"HFMMTB5\x00"
+_MAGIC = b"HFMMTB6\x00"
 # older formats: keyed by the root height (1), by the box pair (2), built
-# with the Laguerre and per-entry adaptive rules (3), or with a fixed
-# propagating rule (4)
-_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00", b"HFMMTB3\x00", b"HFMMTB4\x00")
+# with the Laguerre and per-entry adaptive rules (3), with a fixed
+# propagating rule (4), or with cosine-mapped evanescent panels (5)
+_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00", b"HFMMTB3\x00", b"HFMMTB4\x00",
+               b"HFMMTB5\x00")
 _HEADER = struct.Struct("<IIIIIddd")  # P, then _RULE
 _ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
 

@@ -1,12 +1,16 @@
-"""Gauss-Legendre and generalized Gauss-Laguerre rules, each a (nodes, weights) pair.
+"""Gauss-Legendre and generalized Gauss-Laguerre rules, each a (nodes, weights) pair,
+and the one doubling loop of the package's adaptive integrals.
 
 Every spectral integral of the package maps Gauss-Legendre rules
 (legendre_base, computed here by Newton's method) onto its own
-intervals, affinely (gauss_legendre) or cosine-mapped (cosine_panels,
-shared by the table entries and the Sommerfeld oracle).
-gauss_laguerre_generalized takes scipy's rule, imported when it is
-called; it has no caller in the package, and the benchmark tracer
-(perfbench/tracing.py) wraps it by name.
+intervals: gauss_legendre on one interval, and panel_rule on the panels
+between edges, shared by the table entries, the three-layer cut field
+and the Sommerfeld oracle.  panel_rule maps a panel by the cosine only
+where a kink of the integrand ends it, and affinely everywhere else.
+refine doubles the rule of each of many integrals until it converges,
+each on its own.  gauss_laguerre_generalized takes scipy's rule,
+imported when it is called; it has no caller in the package, and the
+benchmark tracer (perfbench/tracing.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["legendre_base", "gauss_legendre", "cosine_panels", "gauss_laguerre_generalized"]
+__all__ = ["legendre_base", "gauss_legendre", "panel_rule", "QuadratureConvergenceError", "refine",
+           "gauss_laguerre_generalized"]
 
 
 @lru_cache(maxsize=None)
@@ -92,21 +97,63 @@ def gauss_legendre(count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return 0.5 * (a + b) + half * x, half * w
 
 
-def cosine_panels(edges, count: int, split: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine-mapped composite Gauss-Legendre nodes and weights between edges.
+def panel_rule(edges, count: int, kinks=(), split: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights between edges, cosine-mapped only at kinks.
 
-    Each segment [a, a + h] of edges is the image of u in [0, 1] under
-    x = a + h (1 - cos(pi u)) / 2; u is cut into split equal panels of
-    count Gauss-Legendre nodes each, ordered by segment, then panel.  The
-    map clusters nodes quadratically at both segment ends, which turns an
-    endpoint square-root kink into an analytic integrand.
+    Each segment [a, a + h] of edges is the image of u in [0, 1]; u is
+    cut into split equal panels of count Gauss-Legendre nodes each,
+    ordered by segment, then panel.  A segment with an end in kinks maps
+    u by x = a + h (1 - cos(pi u)) / 2, which clusters nodes
+    quadratically at both ends and turns an endpoint square-root kink
+    into an analytic integrand.  Every other segment maps u affinely,
+    x = a + h u: there the cosine map would only shrink the region about
+    the segment where the integrand is analytic, which sets how fast a
+    Gauss rule converges.
     """
     x, wx = legendre_base(count)
     u = ((np.arange(split)[:, None] + 0.5 * (x + 1.0)) / split).ravel()
+    wu = np.tile(wx, split) / split
     edges = np.asarray(edges, dtype=float)
     a, h = edges[:-1, None], np.diff(edges)[:, None]
-    return ((a + 0.5 * h * (1.0 - np.cos(np.pi * u))).ravel(),
-            (0.25 * h * np.pi * np.sin(np.pi * u) * (np.tile(wx, split) / split)).ravel())
+    nodes, weights = a + h * u, 0.5 * h * wu
+    cosine = np.isin(edges[:-1], kinks) | np.isin(edges[1:], kinks)
+    if cosine.any():
+        a, h = a[cosine], h[cosine]
+        nodes[cosine] = a + 0.5 * h * (1.0 - np.cos(np.pi * u))
+        weights[cosine] = 0.25 * h * np.pi * np.sin(np.pi * u) * wu
+    return nodes.ravel(), weights.ravel()
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Adaptive quadrature did not converge within the node budget."""
+
+
+def refine(grid, size: int, start: int, cap: int, accept, failure):
+    """(values, count): size integrals, each refined on its own by doubling its rule.
+
+    grid(keys, count) returns (values, aux) for the integrals keys (an
+    ascending index array) on the rule of count nodes per panel, one
+    value or row of values per key; accept(new, old, aux, last) returns
+    per key whether its values on this rule (new) and on the last (old)
+    agree, where last is True on the finest rule cap allows.  Every
+    integral starts on start and takes the doubled rule until its two
+    last values agree, then keeps the finer one, so only the integrals
+    not yet converged take the next rule.  Past cap, raises
+    QuadratureConvergenceError with the message failure(keys, count).
+    count is the finest rule any integral took.
+    """
+    keys, count = np.arange(size), start
+    values, _ = grid(keys, count)
+    while True:
+        if 2 * count > cap:
+            raise QuadratureConvergenceError(failure(keys, count))
+        count *= 2
+        new, aux = grid(keys, count)
+        done = accept(new, values[keys], aux, 2 * count > cap)
+        values[keys] = new
+        keys = keys[~done]
+        if not keys.size:
+            return values, count
 
 
 @lru_cache(maxsize=None)

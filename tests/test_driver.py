@@ -93,10 +93,12 @@ class TestDirectApply:
 
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     def test_tol_outside_the_oracle_range_refused(self, tol):
-        # refused before any quadrature, as scattered_direct refuses it
+        # refused before any quadrature, as scattered_direct refuses it, and
+        # in free space too, where no quadrature runs
         parts = [Particle(Point2(0.1, 1.0), 1.0), Particle(Point2(0.5, 1.3), 1.0)]
-        with pytest.raises(ValueError, match="tol"):
-            direct_apply(parts, MediaConfig.two_layer(1.0, 1.0), tol=tol)
+        for media in (MediaConfig.two_layer(1.0, 1.0), MediaConfig.free(1.0)):
+            with pytest.raises(ValueError, match="tol"):
+                direct_apply(parts, media, tol=tol)
 
     def test_memory_is_one_block_of_rows(self):
         # one N x N complex kernel alone would be 64 MB at N = 2000
@@ -129,7 +131,7 @@ class TestRunConfig:
             raw = path.read_bytes()
             (fplen,) = struct.unpack_from("<I", raw, 8)
             headers[media.variant] = struct.unpack_from("<IIIIIddd", raw, 12 + fplen)
-        rule = (5, 64, 1024, 48, 384, 1e-12, 5e-12, 1e-10)
+        rule = (5, 64, 1024, 32, 256, 1e-12, 5e-12, 1e-10)
         assert headers == {"two-layer": rule, "three-layer": rule}
 
 
@@ -608,16 +610,18 @@ class TestNearField:
 
     def test_no_kernel_value_evaluated_twice(self, monkeypatch):
         # one value per unordered near particle pair, and 33 (the point
-        # image and 32 line-image nodes) per particle pair of a cut leaf pair,
-        # summed over both kernels: the series from r^2 and scipy's hankel0
+        # image and 32 line-image nodes) per particle pair of an unordered
+        # cut leaf pair, summed over both kernels: the series from r^2 and
+        # scipy's hankel0
         parts = _random_particles(27, 400, ylo=5e-3, yhi=1.0)
         cfg = RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=8, leaf_capacity=20)
         ws = driver._Workspace(parts, cfg)
         sizes = ws.stop - ws.start
         tgt, src = ws.blocks
         t, s, _ = ws.line_image
-        assert len(t) > 0
-        want = int(np.sum(sizes[tgt] * sizes[src]) + 33 * np.sum(sizes[t] * sizes[s]))
+        cut = {(min(a, b), max(a, b)) for a, b in zip(t.tolist(), s.tolist())}
+        assert len(cut) < len(t) and any(a != b for a, b in cut)
+        want = int(np.sum(sizes[tgt] * sizes[src]) + 33 * sum(sizes[a] * sizes[b] for a, b in cut))
         values = []
 
         def counted(kernel):
@@ -721,11 +725,11 @@ class TestCutField:
         assert ws.cut_nodes > 0
 
     def test_low_cap_raises_and_leaves_the_field_unchanged(self, monkeypatch):
-        # y down to 1e-5 needs 128 nodes per panel: a cap of 64 must raise
+        # y down to 1e-5 needs 64 nodes per panel: a cap of 32 must raise
         ws = _cut_workspace(MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8), 1e-5, n=300,
                             leaf=30)
         got = np.zeros(len(ws.q), dtype=complex)
-        monkeypatch.setattr(driver, "_CUT_CAP", 64)
+        monkeypatch.setattr(driver, "_CUT_CAP", 32)
         with pytest.raises(greens.QuadratureConvergenceError):
             driver._near_cut(ws, got)
         np.testing.assert_array_equal(got, 0.0)
@@ -767,6 +771,57 @@ class TestCutField:
                                RunConfig(media=media, order=16, leaf_capacity=60))
         driver._near_cut(ws, np.zeros(1200, dtype=complex))
         assert 0 < ws.cut_nodes <= 1000
+
+
+def _cosine_segments(edges, count, split, nodes):
+    """Per segment of a panel_rule call: True where its nodes are cosine-mapped, False
+    where they are affine."""
+    x, _ = quadrature.legendre_base(count)
+    u = ((np.arange(split)[:, None] + 0.5 * (x + 1.0)) / split).ravel()
+    maps = []
+    for a, b, got in zip(edges[:-1], edges[1:], nodes.reshape(len(edges) - 1, -1)):
+        cosine = np.allclose(got, a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * u)), rtol=1e-14, atol=0)
+        affine = np.allclose(got, a + (b - a) * u, rtol=1e-14, atol=0)
+        assert cosine != affine
+        maps.append(cosine)
+    return maps
+
+
+class TestKinkedSegments:
+    """Every spectral integral maps a segment by the cosine exactly when a kink of sigma ends it."""
+
+    @pytest.mark.parametrize("media", [
+        MediaConfig.two_layer(1.0, 1.0),
+        MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8),  # kinks on the propagating contour
+        MediaConfig.three_layer(1.0, 0.6, 1.3, 0.7),  # k3 > k1: a kink on the evanescent one
+    ], ids=["two-layer", "three-layer", "three-layer-k3-fast"])
+    def test_segments_touching_a_breakpoint_keep_cosine_nodes(self, monkeypatch, media):
+        calls = []
+
+        def recorded(edges, count, kinks=(), split=1):
+            nodes, weights = quadrature.panel_rule(edges, count, kinks, split)
+            calls.append((np.asarray(edges, dtype=float), count, split, nodes))
+            return nodes, weights
+
+        for module in (layered, greens, driver):
+            monkeypatch.setattr(module, "panel_rule", recorded)
+        layered.compute_A(np.array([0.5, -0.25]), np.array([0.3, 0.9]), media, 6)
+        greens.scattered_batch(media, [0.3, -0.6], [2e-3, 1.1])
+        scaled = [media]
+        if media.variant == "three-layer":  # the cut field, in the tree's rescaled medium
+            ws = _cut_workspace(media, 0.01)
+            driver._near_cut(ws, np.zeros(len(ws.q), dtype=complex))
+            scaled.append(ws.media)
+        kinks = {kink for m in scaled for path, upper in (("propagating", np.pi),
+                                                          ("evanescent", np.inf))
+                 for kink in greens.spectral_breakpoints(m, path, upper)}
+        seen = set()
+        for edges, count, split, nodes in calls:
+            touch = [a in kinks or b in kinks for a, b in zip(edges[:-1], edges[1:])]
+            assert _cosine_segments(edges, count, split, nodes) == touch
+            seen.update(touch)
+        # an affine segment everywhere; cosine ones wherever sigma kinks
+        assert seen == ({False} if media.variant == "two-layer" else {True, False})
 
 
 def _pinned_particles(seed, n, ylo):
@@ -848,8 +903,8 @@ class TestTableCache:
         assert cold.counts == {"entries_computed": held, "entries_held": held,
                                "grid_nodes": grid, "cut_nodes": 0, **shape}
         assert held > 0
-        # an A batch and a B-tail batch, each on panels of at least 96 nodes
-        assert grid >= 2 * 96 and grid % 96 == 0
+        # an A batch and a B-tail batch, each on panels of at least 64 nodes
+        assert grid >= 2 * 64 and grid % 64 == 0
         assert warm.counts == {"entries_computed": 0, "entries_held": held,
                                "grid_nodes": 0, "cut_nodes": 0, **shape}
         assert "entries_held" not in cold.timings
@@ -860,16 +915,16 @@ class TestTableCache:
     def test_file_refuses_other_rule_counts(self, tmp_path):
         # root side 1, so the run's rescaled medium is media itself and
         # only the quadrature rule differs from the file's (runs use 64,
-        # 1024, 48, 384, 1e-12, 5e-12, 1e-10)
+        # 1024, 32, 256, 1e-12, 5e-12, 1e-10)
         parts = _pinned_particles(17, 200, 0.1)
         media = MediaConfig.two_layer(1.0, 1.0)
         fp = media.fingerprint().encode()
         cache = tmp_path / "tables.bin"
-        for rule in ((64, 2048, 48, 384, 1e-12, 5e-12, 1e-10),
-                     (64, 1024, 96, 384, 1e-12, 5e-12, 1e-10),
-                     (64, 1024, 48, 768, 1e-12, 5e-12, 1e-10),
-                     (64, 1024, 48, 384, 1e-12, 1e-11, 1e-10)):
-            cache.write_bytes(b"HFMMTB5\x00" + struct.pack("<I", len(fp)) + fp
+        for rule in ((64, 2048, 32, 256, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 64, 256, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 32, 512, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 32, 256, 1e-12, 1e-11, 1e-10)):
+            cache.write_bytes(b"HFMMTB6\x00" + struct.pack("<I", len(fp)) + fp
                               + struct.pack("<IIIIIdddQ", 10, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 fmm_apply(parts, RunConfig(media=media, order=10, table_cache=str(cache)))

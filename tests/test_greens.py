@@ -275,9 +275,12 @@ class TestScatteredOracle:
         assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
 
     def test_batch_block_stays_under_budget(self, monkeypatch):
+        # every pair at dy = 1e-3, so that the far evanescent panels take
+        # thousands of nodes for all 40 pairs at once: a batch of mixed dy
+        # gives each pair its own rule, and its blocks stay small anyway
         media = MediaConfig.two_layer(1.0, 1.0)
         rng = np.random.default_rng(6)
-        dx, dy = rng.uniform(-0.5, 0.5, 40), rng.uniform(1e-3, 0.5, 40)
+        dx, dy = rng.uniform(-0.5, 0.5, 40), np.full(40, 1e-3)
 
         def peak_bytes():
             tracemalloc.start()
@@ -287,9 +290,40 @@ class TestScatteredOracle:
             finally:
                 tracemalloc.stop()
 
-        whole = peak_bytes()  # one (pairs x nodes) block per panel level: ~8 MiB
+        whole = peak_bytes()  # one (pairs x nodes) block per panel and level: ~4 MiB
         monkeypatch.setattr(greens, "_BLOCK_BYTES", 16 * dx.size * 7)
         assert peak_bytes() < whole / 4
+
+    def test_far_pairs_take_only_their_own_grids(self, monkeypatch):
+        # a pair 1e-3 above the interface needs a long evanescent contour
+        # and fine rules; the pairs near dy = 1.5 in its batch must not pay
+        # for it: the batch evaluates exactly the kernel values of the near
+        # pair alone plus those of the far pairs alone
+        media = MediaConfig.two_layer(1.0, 1.0)
+        dx = np.array([0.3, -0.4, 0.1, 0.7, -0.2])
+        dy = np.array([1e-3, 1.5, 2.0, 1.2, 1.8])
+
+        class Counting:  # numpy, counting the arguments of exp
+            values = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                Counting.values += np.size(x)
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(greens, "np", Counting())
+
+        def work(part):
+            Counting.values = 0
+            values = scattered_batch(media, dx[part], dy[part])
+            return Counting.values, values
+
+        (mixed, together), (near, alone), (far, apart) = map(work, (slice(None), slice(1),
+                                                                   slice(1, None)))
+        assert mixed == near + far
+        assert np.abs(together - np.r_[alone, apart]).max() <= 1e-15 * np.abs(together).max()
 
     def test_equal_wavenumber_three_layer_vanishes(self):
         media = MediaConfig.three_layer(1.0, 1.0, 1.0, 0.7)

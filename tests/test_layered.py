@@ -12,11 +12,11 @@ from scipy.special import hankel1
 from hfmm.driver import RunConfig, _Workspace, fmm_apply, local_values
 from hfmm.expansions import image_coefficients, p2m_arrays, translation_matrix
 from hfmm.greens import MediaConfig, Point2, QuadratureConvergenceError, free_space, \
-    reflectance, scattered_direct
+    reflectance, scattered_direct, spectral_breakpoints
 from hfmm import layered
 from hfmm.layered import (TableKey, TableStore, compute_A, compute_B_tail, key_geometry,
                           load_tables, pair_key, save_tables)
-from hfmm.quadrature import cosine_panels, gauss_legendre
+from hfmm.quadrature import gauss_legendre, panel_rule
 from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
 
 
@@ -443,8 +443,8 @@ class TestComputeBTail:
 
 def _interface_batch():
     """dx and dy of an A batch at the near-interface root height 0.0052272: dy from
-    0.1355 to 1.8855, dx in eighths.  Some keys of the two smallest dy need 192
-    nodes per panel; the rest agree at 96."""
+    0.1355 to 1.8855, dx in eighths.  Some keys of the two smallest dy need 128
+    nodes per panel; the rest agree at 64."""
     dx, dy = np.meshgrid([0.0, 0.25, 0.375, 0.5], 2 * 0.0052272 + np.array([1, 2, 4, 8, 15]) / 8)
     return dx.ravel(), dy.ravel()
 
@@ -477,15 +477,15 @@ class TestPerEntryRefinement:
         rows, nodes = compute_A(dx, dy, self.media, P)
         # the doubling check by hand, on the batch's panels
         edges = layered._panel_edges(self.media, P, dy.min())
-        coarse, _ = grid(self.media, P, dx, dy, _r_evan(self.media), edges, 48)
-        fine, mass = grid(self.media, P, dx, dy, _r_evan(self.media), edges, 96)
+        coarse, _ = grid(self.media, P, dx, dy, _r_evan(self.media), edges, 32)
+        fine, mass = grid(self.media, P, dx, dy, _r_evan(self.media), edges, 64)
         easy = np.all(np.abs(fine - coarse) <= layered._TOL_REL * np.maximum(np.abs(fine), 1.0)
                       + layered._TOL_MASS * mass, axis=1)
         keys = set(zip(dx.tolist(), dy.tolist()))
         hard = set(zip(dx[~easy].tolist(), dy[~easy].tolist()))
         assert 0 < len(hard) < len(keys)
-        assert seen == {48: [keys], 96: [keys], 192: [hard]}
-        assert nodes == 192 * (len(edges) - 1)
+        assert seen == {32: [keys], 64: [keys], 128: [hard]}
+        assert nodes == 128 * (len(edges) - 1)
         # an easy entry is the same with or without the hard ones in its batch
         alone, _ = compute_A(dx[easy], dy[easy], self.media, P)
         scale = np.maximum(np.abs(rows[easy]), mass[easy])
@@ -509,7 +509,7 @@ class TestPerEntryRefinement:
         rows, _ = compute_A(dx, dy, self.media, P)
         _, mass = grid(self.media, P, dx, dy, _r_evan(self.media), edges, count)
         want = 1e-14 * count * mass * (-1j) ** np.arange(-2 * P, 2 * P + 1) / (1j * np.pi)
-        assert count == 96
+        assert count == 64
         assert np.all(np.abs(rows - clean - want) <= 1e-3 * np.abs(want))
 
     @pytest.mark.parametrize("contour", ["propagating", "evanescent"])
@@ -517,7 +517,7 @@ class TestPerEntryRefinement:
         P = 8
         dx, dy = np.array([1.5, 0.75]), np.array([2.5, 2.5])
         panels = layered._panel_edges(self.media, P, 2.5).size - 1
-        assert compute_A(dx[:1], dy[:1], self.media, P)[1] == 96 * panels
+        assert compute_A(dx[:1], dy[:1], self.media, P)[1] == 64 * panels
         if contour == "propagating":
             dx[1] = np.nan  # NaN on both contours: the propagating one raises first
         else:
@@ -533,9 +533,9 @@ class TestPerEntryRefinement:
         with pytest.raises(QuadratureConvergenceError, match=f"{contour} .* for 1 of 2 entries"):
             compute_A(dx, dy, self.media, P)
         if contour == "evanescent":
-            # the converged entry stopped at 96 nodes per panel
+            # the converged entry stopped at 64 nodes per panel
             keys, bad = set(zip(dx.tolist(), dy.tolist())), {(0.75, 2.5)}
-            assert seen == {48: [keys], 96: [keys], 192: [bad], 384: [bad]}
+            assert seen == {32: [keys], 64: [keys], 128: [bad], 256: [bad]}
 
     @pytest.mark.parametrize("case", ["two-layer-A", "two-layer-B", "three-layer-A"])
     def test_grid_matches_the_direct_sum(self, case):
@@ -553,7 +553,7 @@ class TestPerEntryRefinement:
         dy = np.array([0.3, 0.7, 0.3, 0.7, 0.3, 1.1]) + shift
         edges = layered._panel_edges(media, P, dy.min())
         evan, mass = layered._evanescent_grid(media, P, dx, dy, r_evan, edges, count)
-        t, w = cosine_panels(edges, count)
+        t, w = panel_rule(edges, count, spectral_breakpoints(media, "evanescent", edges[-1]))
         root = np.hypot(t, k)
         z = k / (root + t)
         f = w * r_evan(t) / root
@@ -677,17 +677,17 @@ class TestTableStore:
     def test_load_rejects_other_rule_counts(self, tmp_path):
         # header: P, propagating start and cap nodes per segment, grid start
         # and cap nodes per panel and the three tolerances; runs use
-        # (64, 1024, 48, 384, 1e-12, 5e-12, 1e-10)
+        # (64, 1024, 32, 256, 1e-12, 5e-12, 1e-10)
         media = MediaConfig.two_layer(1.0, 1.0)
         fp = media.fingerprint().encode()
         path = tmp_path / "tables.bin"
-        for rule in ((32, 1024, 48, 384, 1e-12, 5e-12, 1e-10),
-                     (64, 512, 48, 384, 1e-12, 5e-12, 1e-10),
-                     (64, 1024, 24, 384, 1e-12, 5e-12, 1e-10),
-                     (64, 1024, 48, 192, 1e-12, 5e-12, 1e-10),
-                     (64, 1024, 48, 384, 1e-11, 5e-12, 1e-10),
-                     (64, 1024, 48, 384, 1e-12, 5e-12, 1e-9)):
-            path.write_bytes(b"HFMMTB5\x00" + struct.pack("<I", len(fp)) + fp
+        for rule in ((32, 1024, 32, 256, 1e-12, 5e-12, 1e-10),
+                     (64, 512, 32, 256, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 48, 256, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 32, 384, 1e-12, 5e-12, 1e-10),
+                     (64, 1024, 32, 256, 1e-11, 5e-12, 1e-10),
+                     (64, 1024, 32, 256, 1e-12, 5e-12, 1e-9)):
+            path.write_bytes(b"HFMMTB6\x00" + struct.pack("<I", len(fp)) + fp
                              + struct.pack("<IIIIIdddQ", 8, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 load_tables(path, media, 8)
@@ -695,13 +695,16 @@ class TestTableStore:
     def test_load_rejects_old_format(self, tmp_path):
         # first format: magic, fingerprint, P, max level, root height,
         # entries; third: P, propagating and Laguerre counts, Laguerre a;
-        # fourth: P, a fixed propagating count, the grid and the tolerances
+        # fourth: P, a fixed propagating count, the grid and the tolerances;
+        # fifth: the header of today's, with cosine-mapped evanescent panels
         fp = MediaConfig.two_layer(1.0, 1.0).fingerprint().encode()
         path = tmp_path / "tables.bin"
         for magic, header in ((b"HFMMTB1\x00", struct.pack("<IIdQ", 8, 2, 0.05, 0)),
                               (b"HFMMTB3\x00", struct.pack("<IIIdQ", 8, 64, 64, 0.0, 0)),
                               (b"HFMMTB4\x00", struct.pack("<IIIIdddQ", 8, 64, 48, 384, 1e-12,
-                                                           5e-12, 1e-10, 0))):
+                                                           5e-12, 1e-10, 0)),
+                              (b"HFMMTB5\x00", struct.pack("<IIIIIdddQ", 8, 64, 1024, 48, 384,
+                                                           1e-12, 5e-12, 1e-10, 0))):
             path.write_bytes(magic + struct.pack("<I", len(fp)) + fp + header)
             with pytest.raises(ValueError, match="old format"):
                 load_tables(path, MediaConfig.two_layer(1.0, 1.0), 8)

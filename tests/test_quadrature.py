@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc, roots_legendre
 
-from hfmm.quadrature import (cosine_panels, gauss_laguerre_generalized, gauss_legendre,
-                             legendre_base)
+from hfmm.quadrature import gauss_laguerre_generalized, gauss_legendre, legendre_base, panel_rule
 
 
 def _integrate(rule, f):
@@ -101,7 +100,7 @@ class TestCosinePanels:
 
     @pytest.mark.parametrize("split", [1, 4])
     def test_weights_sum_to_segment_lengths(self, split):
-        nodes, weights = cosine_panels(self.EDGES, 8, split)
+        nodes, weights = panel_rule(self.EDGES, 8, self.EDGES, split)
         per_segment = weights.reshape(len(self.EDGES) - 1, -1)
         np.testing.assert_allclose(per_segment.sum(axis=1), np.diff(self.EDGES), rtol=1e-14)
         assert np.all(weights > 0)
@@ -112,7 +111,7 @@ class TestCosinePanels:
         # each u-panel [j/split, (j+1)/split] carries its own Gauss-Legendre
         # rule, then x = a + h (1 - cos(pi u)) / 2 with dx = h pi sin(pi u) / 2 du
         count = 6
-        nodes, weights = cosine_panels(self.EDGES, count, split)
+        nodes, weights = panel_rule(self.EDGES, count, self.EDGES, split)
         for seg, (a, b) in enumerate(zip(self.EDGES[:-1], self.EDGES[1:])):
             h = b - a
             for j in range(split):
@@ -128,11 +127,46 @@ class TestCosinePanels:
         # kink at x = 0 into an analytic integrand in u; the plain rule stalls
         exact = gamma(1.5) * gammainc(1.5, 2.0)
         f = lambda x: np.sqrt(x) * np.exp(-x)
-        errors = [abs(_integrate(cosine_panels([0.0, 2.0], 8, split), f) - exact)
+        errors = [abs(_integrate(panel_rule([0.0, 2.0], 8, [0.0], split), f) - exact)
                   for split in (1, 2, 4)]
         assert errors[0] > 1e4 * errors[1] and errors[1] > 1e4 * errors[2]
         assert errors[-1] <= 1e-14
         assert abs(_integrate(gauss_legendre(64, 0.0, 2.0), f) - exact) > 1e-7
+
+
+class TestPanelRule:
+    EDGES = np.array([0.0, 0.3, 1.7, 2.0])
+
+    @pytest.mark.parametrize("split", [1, 3])
+    def test_unkinked_segments_are_affine_gauss_legendre(self, split):
+        nodes, weights = panel_rule(self.EDGES, 6, (), split)
+        for seg, (a, b) in enumerate(zip(self.EDGES[:-1], self.EDGES[1:])):
+            for j in range(split):
+                x, w = gauss_legendre(6, a + (b - a) * j / split, a + (b - a) * (j + 1) / split)
+                block = slice((seg * split + j) * 6, (seg * split + j + 1) * 6)
+                np.testing.assert_allclose(nodes[block], x, rtol=1e-15, atol=1e-16)
+                np.testing.assert_allclose(weights[block], w, rtol=1e-14)
+
+    def test_only_segments_a_kink_ends_are_cosine_mapped(self):
+        # [0, 0.3] and [0.3, 1.7] end at the kink 0.3, [1.7, 2] does not
+        kinked = panel_rule(self.EDGES, 8, [0.3])
+        cosine = panel_rule(self.EDGES, 8, self.EDGES)
+        affine = panel_rule(self.EDGES, 8)
+        for got, want_cosine, want_affine in zip(kinked, cosine, affine):
+            np.testing.assert_array_equal(got[:16], want_cosine[:16])
+            np.testing.assert_array_equal(got[16:], want_affine[16:])
+            assert not np.allclose(want_cosine[:16], want_affine[:16])
+
+    def test_affine_rule_converges_faster_on_a_smooth_integrand(self):
+        # 1 / (t^2 + 1) on [0, 2], the shape of the evanescent factor 1 / root:
+        # the cosine map only shrinks the ellipse about the segment in which
+        # the integrand is analytic
+        exact = math.atan(2.0)
+        f = lambda t: 1.0 / (t * t + 1.0)
+        for count in (8, 16):
+            plain = abs(_integrate(panel_rule([0.0, 2.0], count), f) - exact)
+            mapped = abs(_integrate(panel_rule([0.0, 2.0], count, [0.0]), f) - exact)
+            assert plain < 1e-3 * mapped
 
 
 class TestGaussLaguerre:
