@@ -23,7 +23,7 @@ import numpy as np
 from . import expansions as ex
 from . import greens, layered
 from .greens import MediaConfig, scattered_batch
-from .quadrature import legendre_base, panel_rule, refine
+from .quadrature import budget_slices, panel_rule, refine
 # bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
 from .specfun import _SERIES_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq  # noqa: F401
 from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
@@ -220,11 +220,13 @@ class _Workspace:
     M2L), and in a layered run far[level], every pair that reads a table
     entry (V pairs and near pairs, from one pair_key call) by the key rows
     (shift, ax, sy, cut, flip) of root height y0 that TableStore.get reads;
-    line_image, the two-layer cut pairs as (tgt, src, cutoff C) arrays,
-    which also read a B-tail entry and take the [0, C] line image; and
-    cut, the three-layer pairs cut near the interface, as rows by target
-    leaf.  near_rows lays out the blocks as one row (_rows) of source leaf
-    ids per target leaf.  cut_nodes counts the nodes of the cut field's grid.
+    line_image, the two-layer cut pairs, which also read a B-tail entry and
+    take the [0, C] line image, as (tgt, src, cutoff C, mirror) arrays:
+    each unordered pair once, like blocks, mirror where its reverse is cut
+    too (both share one key, so one C); and cut, the three-layer pairs cut
+    near the interface, as rows by target leaf.  near_rows lays out the
+    blocks as one row (_rows) of source leaf ids per target leaf.
+    cut_nodes counts the nodes of the cut field's grid.
     """
 
     def __init__(self, particles, config):
@@ -249,7 +251,7 @@ class _Workspace:
         self.offsets = _per_level(level[tgt], src, tgt, ix[tgt] - ix[src], iy[tgt] - iy[src])
         self.store, self.far, self.y0 = None, {}, tree.root_xy[1]
         none = np.zeros(0, dtype=np.int64)
-        self.line_image = (none, none, np.zeros(0))
+        self.line_image = (none, none, np.zeros(0), np.zeros(0, dtype=bool))
         self.cut, self.cut_nodes = _rows(none, none), 0
         if self.media.variant != "free":
             self._plan_tables()
@@ -296,7 +298,11 @@ class _Workspace:
         read = ~cut
         self.far = _per_level(self.level[tgt[read]], src[read], tgt[read], *keys[read].T, flip[read])
         self.cut = _rows(tgt[cut], src[cut])
-        self.line_image = (tgt[line], src[line], layered.key_geometry(self.y0, *keys[line].T)[2])
+        tgt, src, cutoff = tgt[line], src[line], layered.key_geometry(self.y0, *keys[line].T)[2]
+        n = len(self.level)
+        both = np.isin(src * n + tgt, tgt * n + src)
+        once = ~both | (tgt <= src)
+        self.line_image = (tgt[once], src[once], cutoff[once], (both & (tgt != src))[once])
 
     def build_tables(self):
         """Load the table cache (or start a store) and fill it with every planned key."""
@@ -311,19 +317,25 @@ class _Workspace:
         self.store.fill(self.y0, np.concatenate(reads) if reads else [])
 
 
-def _translate(out, coeffs, groups, vectors):
+def _translate(out, coeffs, groups, vectors, name, level, k):
     """out[tgt] += T(vector) @ coeffs[src]: one Toeplitz matrix, gather, GEMM and scatter per group.
 
     groups is (rows, src, tgt, bounds) (_groups) or None, vectors(rows)
     all its vectors at once, one row each; T[p, m] = vector[m - p].  A
     group's pairs share one translation, which fixes each target's source,
-    so no group repeats a target.
+    so no group repeats a target.  A non-finite vector (H_{2P} overflows at
+    high P and small k*w) raises ValueError naming name, level and k*w.
     """
     if groups is None:
         return
     rows, src, tgt, bounds = groups
     P = (out.shape[1] - 1) // 2
-    for vec, a, b in zip(vectors(rows), bounds[:-1].tolist(), bounds[1:].tolist()):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        vecs = vectors(rows)
+    if not np.isfinite(vecs).all():
+        raise ValueError(f"{name} vectors at level {level} are not finite "
+                         f"(k*w = {k * 0.5 ** level:.3g}, P = {P})")
+    for vec, a, b in zip(vecs, bounds[:-1].tolist(), bounds[1:].tolist()):
         out[tgt[a:b]] += coeffs[src[a:b]] @ ex.translation_matrix(vec, P).T
 
 
@@ -339,7 +351,7 @@ def _upward(ws):
         quadrants, parents, children, bounds = ws.quadrants[level]
         # the quadrant is the child center minus the parent's, in half widths
         _translate(ws.multipole, ws.multipole, (quadrants, children, parents, bounds),
-                   lambda q: ex.translation_vector_j(k, *(-hw * q.T), P))
+                   lambda q: ex.translation_vector_j(k, *(-hw * q.T), P), "M2M", level, k)
 
 
 def _downward(ws):
@@ -355,12 +367,13 @@ def _downward(ws):
     for level in range(int(ws.level[-1]) + 1):
         hw = 0.5 ** (level + 1)  # half width of the boxes at this level
         _translate(ws.local, ws.local, ws.quadrants.get(level),
-                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P))
+                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P), "L2L", level, k)
         _translate(ws.local, ws.multipole, ws.offsets.get(level),
-                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P))
+                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P), "M2L", level, k)
         # the scattered part: image coefficients through one table entry
         # per (key, flip), so the V and near pairs of one geometry share a GEMM
-        _translate(ws.local, ws.image, ws.far.get(level), lambda rows: ws.store.get(ws.y0, rows))
+        _translate(ws.local, ws.image, ws.far.get(level), lambda rows: ws.store.get(ws.y0, rows),
+                   "table", level, k)
 
 
 def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
@@ -416,9 +429,8 @@ def _near_free(ws, out):
         for t, lo, hi in zip(targets[first:last].tolist(), row_edges[:-1], row_edges[1:]):
             a, b = int(start[t]), int(stop[t])
             n = b - a
-            width = max(1, _SWEEP_BYTES // (16 * n))
-            for off in range(0, hi - lo, width):  # off: the chunk's first column in the row
-                j = cols[lo + off:min(lo + off + width, hi)]
+            for chunk in budget_slices(hi - lo, n, _SWEEP_BYTES):
+                off, j = chunk.start, cols[lo:hi][chunk]  # off: the chunk's first column
                 dx = x[a:b, None] - x[j]
                 dy = y[a:b, None] - y[j]
                 dx *= dx
@@ -443,17 +455,10 @@ def _near_cut(ws, out):
     k, x, y, q, start, stop = ws.k, ws.x, ws.y, ws.q, ws.start, ws.stop
     # two-layer near-interface part I: the point image plus the truncated
     # line image, as one kernel sum over the stacked nodes per cut pair.
-    # The kernel depends on dx^2 and y_t + y_s alone, and (t, s) and (s, t)
-    # share one table key, so one C: where both are cut pairs, one block g
-    # serves both, g @ q_s at t and g.T @ q_t at s
-    gl_x, gl_w = legendre_base(32)
+    # The kernel depends on dx^2 and y_t + y_s alone, so where a pair is
+    # mirrored one block g serves both, g @ q_s at t and g.T @ q_t at s
     alpha = ws.media.alpha
-    tgt, src, cutoff = ws.line_image
-    n = len(ws.level)
-    both = np.isin(src * n + tgt, tgt * n + src)
-    once = ~both | (tgt <= src)
-    for t, s, C, mirror in zip(tgt[once].tolist(), src[once].tolist(), cutoff[once].tolist(),
-                               (both & (tgt != src))[once].tolist()):
+    for t, s, C, mirror in zip(*(a.tolist() for a in ws.line_image)):
         a, b, c, d = int(start[t]), int(stop[t]), int(start[s]), int(stop[s])
         height = np.add.outer(y[a:b], y[c:d])
         # the integrand's log singularity sits at s = -height: 32-node panels
@@ -461,21 +466,18 @@ def _near_cut(ws, out):
         edges = [0.0, C]
         while edges[1] > 24.0 * height.min():
             edges.insert(1, 0.5 * edges[1])
-        lo, half = np.array(edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
-        s_nodes = (lo + half * (gl_x + 1.0)).ravel()
-        s_w = (half * gl_w).ravel()
+        s_nodes, s_w = panel_rule(edges, 32)
         shifts = np.r_[0.0, s_nodes]
         weights = np.r_[1.0, s_w * (2j * alpha * np.exp(1j * alpha * s_nodes))]
         dx2 = np.subtract.outer(x[a:b], x[c:d])
         dx2 *= dx2
-        step = max(1, _SWEEP_BYTES // (16 * dx2.size))
         g = np.zeros(dx2.shape, dtype=complex)
-        for i in range(0, len(shifts), step):
-            r2 = height + shifts[i:i + step, None, None]
+        for part in budget_slices(len(shifts), dx2.size, _SWEEP_BYTES):
+            r2 = height + shifts[part, None, None]
             r2 *= r2
             r2 += dx2
             r2 *= k * k
-            g += np.tensordot(weights[i:i + step], _kernel_sq(r2), axes=1)
+            g += np.tensordot(weights[part], _kernel_sq(r2), axes=1)
         out[a:b] += 0.25j * (g @ q[c:d])
         if mirror:
             out[c:d] += 0.25j * (q[a:b] @ g)
@@ -528,10 +530,6 @@ def _cut_field(ws):
     dy = float(low[i].min() + low[j].min())
     evan_edges = layered._panel_edges(media, 0, dy)
     kinks = greens.spectral_breakpoints(media, "evanescent", evan_edges[-1])
-    step = max(1, _SWEEP_BYTES // (16 * len(points)))
-
-    def chunks(nodes):
-        return map(slice, range(0, nodes, step), range(step, nodes + step, step))
 
     def field(tgt, src, weight):  # sum over the nodes of tgt * weight * the rows' source sums
         sums = np.add.reduceat(src * qp, first, axis=1) @ member
@@ -543,14 +541,14 @@ def _cut_field(ws):
         w = 0.25j / np.pi * w * greens.reflectance(media, -1j * ks)
         return sum(field(np.exp(1j * (np.outer(ks[c], py[tp]) - np.outer(kc[c], px[tp]))),
                          np.exp(1j * (np.outer(ks[c], py) + np.outer(kc[c], px))), w[c])
-                   for c in chunks(len(tau))), len(tau)
+                   for c in budget_slices(len(tau), len(points), _SWEEP_BYTES)), len(tau)
 
     def evanescent(count):
         t, v = panel_rule(evan_edges, count, kinks)
         root = np.hypot(t, k)
         v = 0.25 / np.pi * v * greens.reflectance(media, t.astype(complex)) / root
         u = 0.0
-        for c in chunks(len(t)):
+        for c in budget_slices(len(t), len(points), _SWEEP_BYTES):
             e = np.exp(np.outer(-t[c], py) + 1j * np.outer(root[c], px))
             u += field(e[:, tp], np.conj(e), v[c]) + field(np.conj(e[:, tp]), e, v[c])
         return u, len(t)
@@ -606,6 +604,8 @@ def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     timings["near"] = timings["near_local"] + timings["near_free"] + timings["near_cut"]
     values = np.empty(len(particles), dtype=complex)
     values[ws.tree.perm] = out
+    if not np.isfinite(values).all():
+        raise ValueError(f"potentials are not finite (P = {ws.P}, depth {ws.tree.max_depth})")
 
     # one write per call, and only when this call computed an entry
     if config.table_cache and ws.store is not None and ws.store.misses:

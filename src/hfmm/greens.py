@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureConvergenceError, panel_rule, refine
+from .quadrature import QuadratureConvergenceError, budget_slices, panel_rule, refine
 from .specfun import hankel0
 
 __all__ = [
@@ -375,21 +375,17 @@ def scattered_batch(media: MediaConfig, dx, dy, tol: float = 1e-12) -> np.ndarra
     order = np.argsort(dy, axis=None, kind="stable")
     x, y = dx.ravel()[order], dy.ravel()[order]
 
-    def chunks(rows, nodes):
-        step = max(1, _BLOCK_BYTES // (16 * len(rows)))
-        return map(slice, range(0, nodes, step), range(step, nodes + step, step))
-
     def propagating(rows, tau, w):
         base = w * reflectance(media, -1j * k * np.sin(tau))
         return sum(np.exp(1j * k * (np.outer(y[rows], np.sin(tau[c]))
                                     - np.outer(x[rows], np.cos(tau[c])))) @ base[c]
-                   for c in chunks(rows, len(tau)))
+                   for c in budget_slices(len(tau), len(rows), _BLOCK_BYTES))
 
     def evanescent(rows, t, w):
         root = np.hypot(t, k)
         base = w * reflectance(media, t.astype(complex)) / root
         return sum((np.exp(-np.outer(y[rows], t[c])) * 2.0 * np.cos(np.outer(x[rows], root[c])))
-                   @ base[c] for c in chunks(rows, len(t)))
+                   @ base[c] for c in budget_slices(len(t), len(rows), _BLOCK_BYTES))
 
     kinks = spectral_breakpoints(media, "propagating", np.pi)
     prop = _contour(propagating, np.array([0.0, *kinks, np.pi]), kinks,

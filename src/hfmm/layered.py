@@ -28,9 +28,9 @@ horizontal translation, so every box pair with one geometry shares an
 entry, and a pair with dx < 0 reads the entry of -dx reversed.  Keys
 travel as integer rows (pair_key) that the store fills and reads in
 batches; key_geometry decodes them into dx, dy and C arrays.  A table
-file (save_tables) is the magic HFMMTB6, a header (medium fingerprint,
-P and the quadrature rule constants, all checked on load) and the
-entries, each as its key fields and its 4P+1 complex values.
+file (save_tables) is the magic HFMMTB7, a header (medium fingerprint,
+P and the quadrature rule constants, all checked on load, and the entry
+count) and three array blocks, each read whole (load_tables).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .greens import MediaConfig, evanescent_edges, reflectance, spectral_breakpoints
-from .quadrature import gauss_legendre, panel_rule, refine
+from .quadrature import budget_slices, gauss_legendre, panel_rule, refine
 
 __all__ = [
     "TableKey",
@@ -93,8 +93,7 @@ def _panel_edges(media, P, dy):
     envelope z^{-2P} e^{-t dy} is 45 e-folds below its peak (keys with a
     larger dy decay sooner), and break at the kinks of a three-layer sigma_1
     (greens.evanescent_edges).  Past its peak at tstar the log envelope
-    decreases, so bisection finds that cutoff, to within 2e-12 + 4 eps t
-    (the tolerance of scipy's brentq).
+    decreases, so bisection finds that cutoff, to within 2e-12 + 4 eps t.
     """
     k = media.k1
     n2 = 2 * P
@@ -113,17 +112,11 @@ def _panel_edges(media, P, dy):
     return evanescent_edges(media, 0.5 * (lo + hi))
 
 
-def _chunks(rows, width):
-    """Row slices of a (rows x width) complex array, each block at most _BLOCK_BYTES."""
-    step = max(1, _BLOCK_BYTES // (16 * width))
-    return [slice(a, a + step) for a in range(0, rows, step)]
-
-
 def _key_blocks(dx, dy, width):
-    """Key slices for (keys x width) blocks (_chunks), each with its distinct dx and dy
-    and the indices that gather them back per key (np.unique)."""
+    """Key slices for (keys x width) blocks under _BLOCK_BYTES, each with its distinct dx
+    and dy and the indices that gather them back per key (np.unique)."""
     return [(c, *np.unique(dx[c], return_inverse=True), *np.unique(dy[c], return_inverse=True))
-            for c in _chunks(len(dx), width)]
+            for c in budget_slices(len(dx), width, _BLOCK_BYTES)]
 
 
 def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
@@ -141,7 +134,7 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     """
     k, m = media.k1, 4 * P + 1
     t, w = panel_rule(edges, count, spectral_breakpoints(media, "evanescent", edges[-1]))
-    nodes = _chunks(len(t), m)
+    nodes = budget_slices(len(t), m, _BLOCK_BYTES)
     # the cos and sin sides of a block of keys are together one (keys x nodes) complex block
     blocks = _key_blocks(dx, dy, len(t[nodes[0]]))
     cos_z = np.zeros((len(dx), m), dtype=complex)
@@ -377,24 +370,21 @@ class TableStore:
         return out
 
 
-_MAGIC = b"HFMMTB6\x00"
-# older formats: keyed by the root height (1), by the box pair (2), built
-# with the Laguerre and per-entry adaptive rules (3), with a fixed
-# propagating rule (4), or with cosine-mapped evanescent panels (5)
-_OLD_MAGICS = (b"HFMMTB1\x00", b"HFMMTB2\x00", b"HFMMTB3\x00", b"HFMMTB4\x00",
-               b"HFMMTB5\x00")
+_MAGIC = b"HFMMTB7\x00"
 _HEADER = struct.Struct("<IIIIIddd")  # P, then _RULE
-_ENTRY = struct.Struct("<diqqqI")  # TableKey fields, then the value count
 
 
 def save_tables(store: TableStore, path):
     """Serialize a table store (little-endian, complex as re/im f64 pairs).
 
-    The file is written beside path and renamed over it, so a reader
-    never sees a partial file; a failed write removes its temporary file
-    and leaves path as it was.
+    After the header and the entry count come three blocks, one row per
+    entry in key order: the root heights, the key fields (shift, ax, sy,
+    cut) and the 4P+1 values.  The file is written beside path and renamed
+    over it, so a reader never sees a partial file; a failed write removes
+    its temporary file and leaves path as it was.
     """
     fp = store.fingerprint.encode()
+    keys = sorted(store.entries)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -402,10 +392,10 @@ def save_tables(store: TableStore, path):
             f.write(struct.pack("<I", len(fp)))
             f.write(fp)
             f.write(_HEADER.pack(store.P, *_RULE))
-            f.write(struct.pack("<Q", len(store.entries)))
-            for key, vals in sorted(store.entries.items()):
-                f.write(_ENTRY.pack(*key, len(vals)))
-                f.write(np.ascontiguousarray(vals, dtype="<c16").tobytes())
+            f.write(struct.pack("<Q", len(keys)))
+            f.write(np.array([key.root_y0 for key in keys], dtype="<f8").tobytes())
+            f.write(np.array([key[1:] for key in keys], dtype="<i8").tobytes())
+            f.write(np.array([store.entries[key] for key in keys], dtype="<c16").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -421,13 +411,13 @@ def _read(f, size):
 
 
 def load_tables(path, media: MediaConfig, P: int) -> TableStore:
-    """Load a table store; media fingerprint, P and quadrature rule must match, entries be sound."""
+    """Load a table store; media fingerprint, P and quadrature rule must match, the file
+    size must be the one its entry count implies, and every value must be finite."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
-        if magic in _OLD_MAGICS:
-            raise ValueError("table cache has an old format; delete it to rebuild")
         if magic != _MAGIC:
-            raise ValueError("not a translation table file")
+            raise ValueError("table cache has an old format; delete it to rebuild"
+                             if magic.startswith(b"HFMMTB") else "not a translation table file")
         (fplen,) = struct.unpack("<I", _read(f, 4))
         fp = _read(f, fplen).decode()
         p_stored, *rule = _HEADER.unpack(_read(f, _HEADER.size))
@@ -440,13 +430,18 @@ def load_tables(path, media: MediaConfig, P: int) -> TableStore:
             raise ValueError(
                 "table cache was built with the quadrature rule (propagating start and cap, "
                 f"grid start and cap, tolerances) {tuple(rule)}, not {_RULE}")
-        store = TableStore(media, P)
         (count,) = struct.unpack("<Q", _read(f, 8))
-        for _ in range(count):
-            *key, nvals = _ENTRY.unpack(_read(f, _ENTRY.size))
-            vals = np.frombuffer(_read(f, 16 * nvals), dtype="<c16")
-            if nvals != 4 * P + 1 or not np.all(np.isfinite(vals)):
-                raise ValueError(f"table cache entry {TableKey(*key)} is corrupt: want "
-                                 f"4P+1 = {4 * P + 1} finite values, found {nvals} values")
-            store.entries[TableKey(*key)] = vals.copy()
+        m = 4 * P + 1
+        size, want = os.fstat(f.fileno()).st_size, f.tell() + count * (8 + 32 + 16 * m)
+        if size != want:
+            raise ValueError(f"table cache file is truncated or corrupt: {size} bytes, not {want}")
+        roots = np.frombuffer(_read(f, 8 * count), dtype="<f8").tolist()
+        fields = np.frombuffer(_read(f, 32 * count), dtype="<i8").reshape(count, 4)
+        vals = np.frombuffer(_read(f, 16 * m * count), dtype="<c16").reshape(count, m).copy()
+    keys = list(map(TableKey._make, zip(roots, *fields.T.tolist())))
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if len(bad):
+        raise ValueError(f"table cache entry {keys[bad[0]]} is corrupt: not all values finite")
+    store = TableStore(media, P)
+    store.entries = dict(zip(keys, vals))
     return store

@@ -8,9 +8,10 @@ between edges, shared by the table entries, the three-layer cut field
 and the Sommerfeld oracle.  panel_rule maps a panel by the cosine only
 where a kink of the integrand ends it, and affinely everywhere else.
 refine doubles the rule of each of many integrals until it converges,
-each on its own.  gauss_laguerre_generalized takes scipy's rule,
-imported when it is called; it has no caller in the package, and the
-benchmark tracer (perfbench/tracing.py) wraps it by name.
+each on its own, and budget_slices cuts rows into blocks under a byte
+budget.  gauss_laguerre_generalized takes scipy's rule, imported when
+it is called; it has no caller in the package, and the benchmark tracer
+(perfbench/tracing.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["legendre_base", "gauss_legendre", "panel_rule", "QuadratureConvergenceError", "refine",
-           "gauss_laguerre_generalized"]
+           "budget_slices", "gauss_laguerre_generalized"]
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +117,8 @@ def panel_rule(edges, count: int, kinks=(), split: int = 1) -> tuple[np.ndarray,
     edges = np.asarray(edges, dtype=float)
     a, h = edges[:-1, None], np.diff(edges)[:, None]
     nodes, weights = a + h * u, 0.5 * h * wu
-    cosine = np.isin(edges[:-1], kinks) | np.isin(edges[1:], kinks)
-    if cosine.any():
+    if len(kinks):  # most callers pass none: skip the two isin calls
+        cosine = np.isin(edges[:-1], kinks) | np.isin(edges[1:], kinks)
         a, h = a[cosine], h[cosine]
         nodes[cosine] = a + 0.5 * h * (1.0 - np.cos(np.pi * u))
         weights[cosine] = 0.25 * h * np.pi * np.sin(np.pi * u) * wu
@@ -154,6 +155,13 @@ def refine(grid, size: int, start: int, cap: int, accept, failure):
         keys = keys[~done]
         if not keys.size:
             return values, count
+
+
+def budget_slices(count: int, width: int, budget: int) -> list[slice]:
+    """Slices of range(count), each as many complex rows of width values as fit in budget
+    bytes, and at least one row."""
+    step = max(1, budget // (16 * width))
+    return [slice(a, a + step) for a in range(0, count, step)]
 
 
 @lru_cache(maxsize=None)

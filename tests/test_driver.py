@@ -6,12 +6,13 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hfmm import driver, expansions, greens, layered, quadrature
+from hfmm import cli, driver, expansions, greens, layered, quadrature
 from hfmm.driver import (PotentialVector, RunConfig, direct_apply, error_metric,
                          fmm_apply)
 from hfmm.greens import MediaConfig, Point2
@@ -29,6 +30,12 @@ def _random_particles(seed, n, ylo=0.5, yhi=1.5, complex_q=True):
         qs = rng.normal(size=n)
     return [Particle(Point2(float(x), float(y)), complex(q))
             for x, y, q in zip(xs, ys, qs)]
+
+
+def _line_pairs(ws):
+    """The two-layer cut pairs of ws.line_image as (tgt, src, C), a mirrored pair both ways."""
+    return [pair for t, s, C, mirror in zip(*(a.tolist() for a in ws.line_image))
+            for pair in [(t, s, C)] + [(s, t, C)] * mirror]
 
 
 class TestErrorMetric:
@@ -133,6 +140,31 @@ class TestRunConfig:
             headers[media.variant] = struct.unpack_from("<IIIIIddd", raw, 12 + fplen)
         rule = (5, 64, 1024, 32, 256, 1e-12, 5e-12, 1e-10)
         assert headers == {"two-layer": rule, "three-layer": rule}
+
+
+class TestNonFinite:
+    # H_{2P}(k 2w) passes the largest double at the deepest M2L level, so
+    # the vectors, and without the check every potential, are not finite
+    @pytest.mark.parametrize("warn", ["error", "ignore"])
+    @pytest.mark.parametrize("media, leaf, P, level", [
+        pytest.param(MediaConfig.free(0.01), 20, 40, 2, id="free-k0.01"),
+        pytest.param(MediaConfig.two_layer(0.01, 1.0), 20, 40, 2, id="two-layer-k0.01"),
+        pytest.param(MediaConfig.free(1.0), 3, 48, 6, id="free-k1-leaf3"),
+    ])
+    def test_overflowing_m2l_raises(self, media, leaf, P, level, warn):
+        xs, ys = cli.random_particles(42, 3000)
+        parts = [Particle(Point2(x, y), q)
+                 for x, y, q in zip(xs, ys, np.random.default_rng(7).normal(size=3000))]
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn)
+            with pytest.raises(ValueError, match=f"M2L vectors at level {level} are not finite "
+                                                 rf"\(k\*w = .*, P = {P}\)"):
+                fmm_apply(parts, RunConfig(media=media, order=P, leaf_capacity=leaf))
+
+    def test_non_finite_potentials_raise(self, monkeypatch):
+        monkeypatch.setattr(driver, "_local_potentials", lambda ws: np.full(len(ws.q), np.nan + 0j))
+        with pytest.raises(ValueError, match="potentials are not finite"):
+            fmm_apply(_random_particles(9, 60), RunConfig(media=MediaConfig.free(1.0), order=5))
 
 
 class TestFmmAgainstDirect:
@@ -541,7 +573,7 @@ class TestNearField:
         if budget is not None:
             monkeypatch.setattr(driver, "_SWEEP_BYTES", budget)
             sizes = ws.stop - ws.start
-            t, s, _ = ws.line_image
+            t, s, _, _ = ws.line_image
             # some pair's 33 nodes take more than one batch
             assert np.any(budget // (16 * sizes[t] * sizes[s]) < 33)
         got = np.zeros(len(ws.q), dtype=complex)
@@ -549,7 +581,7 @@ class TestNearField:
         want = np.zeros_like(got)
         k, x, y, q, start, stop = ws.k, ws.x, ws.y, ws.q, ws.start, ws.stop
         gl_x, gl_w = quadrature.legendre_base(32)
-        for t, s, C in zip(*(a.tolist() for a in ws.line_image)):
+        for t, s, C in _line_pairs(ws):
             s_nodes = 0.5 * C * (gl_x + 1.0)
             s_w = 0.5 * C * gl_w
             mu = 2j * ws.media.alpha * np.exp(1j * ws.media.alpha * s_nodes)
@@ -581,12 +613,12 @@ class TestNearField:
         ws = driver._Workspace(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0),
                                                 order=8, leaf_capacity=4))
         start, stop, x, y = ws.start, ws.stop, ws.x, ws.y
-        t, s, C = ws.line_image
+        t, s, C, mirror = ws.line_image
         low = np.array([y[start[a]:stop[a]].min() + y[start[b]:stop[b]].min()
                         for a, b in zip(t, s)])
         i = int(np.argmax(C / low))
         assert low[i] < 3e-4 and C[i] > 500 * low[i]
-        ws.line_image = (t[i:i + 1], s[i:i + 1], C[i:i + 1])
+        ws.line_image = (t[i:i + 1], s[i:i + 1], C[i:i + 1], mirror[i:i + 1])
         got = np.zeros(len(ws.q), dtype=complex)
         driver._near_cut(ws, got)
 
@@ -618,9 +650,9 @@ class TestNearField:
         ws = driver._Workspace(parts, cfg)
         sizes = ws.stop - ws.start
         tgt, src = ws.blocks
-        t, s, _ = ws.line_image
-        cut = {(min(a, b), max(a, b)) for a, b in zip(t.tolist(), s.tolist())}
-        assert len(cut) < len(t) and any(a != b for a, b in cut)
+        pairs = _line_pairs(ws)
+        cut = {(min(a, b), max(a, b)) for a, b, _ in pairs}
+        assert len(cut) == len(ws.line_image[0]) < len(pairs) and any(a != b for a, b in cut)
         want = int(np.sum(sizes[tgt] * sizes[src]) + 33 * sum(sizes[a] * sizes[b] for a, b in cut))
         values = []
 
@@ -924,7 +956,7 @@ class TestTableCache:
                      (64, 1024, 64, 256, 1e-12, 5e-12, 1e-10),
                      (64, 1024, 32, 512, 1e-12, 5e-12, 1e-10),
                      (64, 1024, 32, 256, 1e-12, 1e-11, 1e-10)):
-            cache.write_bytes(b"HFMMTB6\x00" + struct.pack("<I", len(fp)) + fp
+            cache.write_bytes(b"HFMMTB7\x00" + struct.pack("<I", len(fp)) + fp
                               + struct.pack("<IIIIIdddQ", 10, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 fmm_apply(parts, RunConfig(media=media, order=10, table_cache=str(cache)))

@@ -247,8 +247,10 @@ class TestPlan:
                 quadrants.update(child for _, child in group)
         assert quadrants == Counter(range(1, len(level)))
 
-        t, s, cutoff = (a.tolist() for a in ws.line_image)
-        assert Counter(zip(s, t, cutoff)) == lines
+        # each unordered pair once; a mirrored one stands for both directions
+        pairs = [(tgt, src, c) for t, s, c, m in zip(*(a.tolist() for a in ws.line_image))
+                 for tgt, src in [(t, s)] + [(s, t)] * m]
+        assert Counter((src, tgt, c) for tgt, src, c in pairs) == lines
         cut = Counter()
         leaves, bounds, srcs = ws.cut
         for leaf, lo, hi in zip(leaves.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -661,9 +663,53 @@ class TestTableStore:
         path = tmp_path / "tables.bin"
         save_tables(store, path)
         loaded = load_tables(path, media, 8)
-        assert loaded.entries.keys() == store.entries.keys()
-        for key in store.entries:
-            np.testing.assert_array_equal(loaded.entries[key], store.entries[key])
+        assert list(loaded.entries) == sorted(store.entries)
+        for key, vals in loaded.entries.items():
+            assert [type(field) for field in key] == [float, int, int, int, int]
+            assert vals.dtype == complex and vals.tobytes() == store.entries[key].tobytes()
+        again = tmp_path / "again.bin"
+        save_tables(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_load_reads_do_not_grow_with_entries(self, tmp_path, monkeypatch):
+        # a file of 1 and one of 88 made-up entries: the header, then one
+        # read per block
+        media = MediaConfig.two_layer(1.0, 1.0)
+        rng = np.random.default_rng(3)
+        paths = []
+        for count in (1, 88):
+            store = TableStore(media, 8)
+            for i in range(count):
+                vals = rng.normal(size=(33, 2)) @ [1.0, 1.0j]
+                store.entries[TableKey(0.0625, 4, i, 2 * i + 1, i % 3)] = vals
+            paths.append(tmp_path / f"tables{count}.bin")
+            save_tables(store, paths[-1])
+        reads = []
+
+        class Counted:
+            def __init__(self, f):
+                self.f = f
+
+            def read(self, size):
+                reads.append(size)
+                return self.f.read(size)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.f.__exit__(*exc)
+
+        monkeypatch.setattr(layered, "open", lambda *a: Counted(open(*a)), raising=False)
+        counts = []
+        for path, entries in zip(paths, (1, 88)):
+            reads.clear()
+            assert len(load_tables(path, media, 8).entries) == entries
+            counts.append(len(reads))
+        assert counts[0] == counts[1]
 
     def test_load_rejects_other_media(self, tmp_path):
         store = _planned(2, MediaConfig.two_layer(1.0, 1.0), 8).store
@@ -687,7 +733,7 @@ class TestTableStore:
                      (64, 1024, 32, 384, 1e-12, 5e-12, 1e-10),
                      (64, 1024, 32, 256, 1e-11, 5e-12, 1e-10),
                      (64, 1024, 32, 256, 1e-12, 5e-12, 1e-9)):
-            path.write_bytes(b"HFMMTB6\x00" + struct.pack("<I", len(fp)) + fp
+            path.write_bytes(b"HFMMTB7\x00" + struct.pack("<I", len(fp)) + fp
                              + struct.pack("<IIIIIdddQ", 8, *rule, 0))
             with pytest.raises(ValueError, match="quadrature rule"):
                 load_tables(path, media, 8)
@@ -696,7 +742,9 @@ class TestTableStore:
         # first format: magic, fingerprint, P, max level, root height,
         # entries; third: P, propagating and Laguerre counts, Laguerre a;
         # fourth: P, a fixed propagating count, the grid and the tolerances;
-        # fifth: the header of today's, with cosine-mapped evanescent panels
+        # fifth: the header of today's, with cosine-mapped evanescent panels;
+        # sixth: today's header, then per entry its key fields, its value
+        # count and its values
         fp = MediaConfig.two_layer(1.0, 1.0).fingerprint().encode()
         path = tmp_path / "tables.bin"
         for magic, header in ((b"HFMMTB1\x00", struct.pack("<IIdQ", 8, 2, 0.05, 0)),
@@ -704,6 +752,8 @@ class TestTableStore:
                               (b"HFMMTB4\x00", struct.pack("<IIIIdddQ", 8, 64, 48, 384, 1e-12,
                                                            5e-12, 1e-10, 0)),
                               (b"HFMMTB5\x00", struct.pack("<IIIIIdddQ", 8, 64, 1024, 48, 384,
+                                                           1e-12, 5e-12, 1e-10, 0)),
+                              (b"HFMMTB6\x00", struct.pack("<IIIIIdddQ", 8, 64, 1024, 32, 256,
                                                            1e-12, 5e-12, 1e-10, 0))):
             path.write_bytes(magic + struct.pack("<I", len(fp)) + fp + header)
             with pytest.raises(ValueError, match="old format"):
@@ -731,20 +781,37 @@ class TestTableStore:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["tables.bin"]
 
-    @pytest.mark.parametrize("corrupt", ["non-finite", "short"])
+    # short: the header counts one entry more than the file holds; long:
+    # one less; cut-*: the file ends inside that block; trailing: bytes
+    # follow the values
+    @pytest.mark.parametrize("corrupt", ["non-finite", "short", "long", "cut-roots", "cut-keys",
+                                         "cut-values", "trailing"])
     def test_load_rejects_corrupt_entry(self, tmp_path, corrupt):
         media = MediaConfig.two_layer(1.0, 1.0)
         store = _planned(2, media, 8).store
         key = sorted(store.entries)[0]
-        vals = store.entries[key].copy()
-        if corrupt == "short":
-            vals = vals[:-1]
-        else:
-            vals[3] = complex(np.nan, 0.0)
-        store.entries[key] = vals
         path = tmp_path / "tables.bin"
+        if corrupt == "non-finite":
+            store.entries[key] = store.entries[key].copy()
+            store.entries[key][3] = complex(np.nan, 0.0)
+            save_tables(store, path)
+            with pytest.raises(ValueError, match=re.escape(str(key))):
+                load_tables(path, media, 8)
+            return
         save_tables(store, path)
-        with pytest.raises(ValueError, match=re.escape(str(key))):
+        raw = path.read_bytes()
+        n = len(store.entries)
+        roots = len(raw) - n * (8 + 32 + 16 * 33)  # the first block, after the count
+        blocks = {"cut-roots": roots, "cut-keys": roots + 8 * n, "cut-values": roots + 40 * n}
+        if corrupt in ("short", "long"):
+            count = n + 1 if corrupt == "short" else n - 1
+            raw = raw[:roots - 8] + struct.pack("<Q", count) + raw[roots:]
+        elif corrupt == "trailing":
+            raw += bytes(16)
+        else:
+            raw = raw[:blocks[corrupt] + 4 * n]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="truncated or corrupt"):
             load_tables(path, media, 8)
 
     def test_load_rejects_truncated_file(self, tmp_path):

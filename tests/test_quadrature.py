@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc, roots_legendre
 
-from hfmm.quadrature import gauss_laguerre_generalized, gauss_legendre, legendre_base, panel_rule
+from hfmm.quadrature import (budget_slices, gauss_laguerre_generalized, gauss_legendre,
+                             legendre_base, panel_rule)
 
 
 def _integrate(rule, f):
@@ -230,3 +231,16 @@ class TestConvergence:
         v128 = _integrate(gauss_laguerre_generalized(128, 0.0), f)
         assert abs(v128 - v64) <= 1e-12 * abs(v64)
 
+
+
+class TestBudgetSlices:
+    @pytest.mark.parametrize("count, width, budget", [
+        (10, 3, 16 * 3 * 4), (10, 3, 16 * 3 * 4 + 47), (7, 5, 1 << 20), (5, 100, 16), (0, 4, 64)])
+    def test_slices_tile_the_rows_under_the_budget(self, count, width, budget):
+        slices = budget_slices(count, width, budget)
+        rows = [list(range(count))[c] for c in slices]
+        assert [i for r in rows for i in r] == list(range(count))
+        # each block fits the budget, or is one row wider than it
+        assert all(16 * width * len(r) <= budget or len(r) == 1 for r in rows)
+        assert all(len(r) == len(rows[0]) for r in rows[:-1])
+        assert len(rows) <= 1 or 16 * width * (len(rows[0]) + 1) > budget
