@@ -74,6 +74,10 @@ def _run_config(args, media, order, n):
                      table_cache=cache)
 
 
+def _note(args, text):  # a line for people: on stderr when the rows take stdout
+    print(text, file=sys.stdout if args.out else sys.stderr)
+
+
 def _row(args, media, P, N, metric, value, seconds):
     """One output row; media is a MediaConfig or, with k and alpha blank, a variant name."""
     fixed = isinstance(media, MediaConfig)
@@ -127,11 +131,9 @@ def cmd_bench(args):
         parts = _particles(xs, ys, qs)
         out = fmm_apply(parts, _run_config(args, media, P, N))
         hide = args.timings == "none"  # timing values are nondeterministic
-        for phase in ("build", "tables", "upward", "downward", "near", "near_local",
-                      "near_free", "near_cut", "total"):
+        for phase, seconds in out.timings.items():
             rows.append(_row(args, media, P, N, f"time_{phase}",
-                             0.0 if hide else round(out.timings[phase], 6),
-                             out.timings[phase]))
+                             0.0 if hide else round(seconds, 6), seconds))
         if not hide:  # --timings none keeps only the zeroed timing rows
             for name, count in out.counts.items():
                 rows.append(_row(args, media, P, N, name, count, 0.0))
@@ -141,7 +143,7 @@ def cmd_bench(args):
         rows.append(_row(args, media, P, 0, "beta",
                          0.0 if args.timings == "none" else round(beta, 4),
                          sum(totals)))
-        print(f"fitted scaling exponent beta = {beta:.4f}")
+        _note(args, f"fitted scaling exponent beta = {beta:.4f}")
     return rows, 0
 
 
@@ -271,7 +273,7 @@ def cmd_validate(args):
             value, ok, note = float("nan"), False, f": {exc}"
         dt = time.perf_counter() - t0
         failed = failed or not ok
-        print(f"{name} ({media}): {'pass' if ok else 'FAIL'} (measure {value:.3e}{note})")
+        _note(args, f"{name} ({media}): {'pass' if ok else 'FAIL'} (measure {value:.3e}{note})")
         rows.append(_row(args, media, 0, 0, name, value, dt))
     return rows, (1 if failed else 0)
 

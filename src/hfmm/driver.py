@@ -226,7 +226,8 @@ class _Workspace:
     too (both share one key, so one C); and cut, the three-layer pairs cut
     near the interface, as rows by target leaf.  near_rows lays out the
     blocks as one row (_rows) of source leaf ids per target leaf.
-    cut_nodes counts the nodes of the cut field's grid.
+    cut_nodes counts the nodes of the cut field's grid; timings, the
+    call's wall times (fmm_apply).
     """
 
     def __init__(self, particles, config):
@@ -242,6 +243,7 @@ class _Workspace:
         self.x, self.y = tree.x, tree.y
         self.P = config.order
         self.multipole = self.local = self.image = None
+        self.timings = dict.fromkeys(_OPERATORS, 0.0)
         self._plan_nodes()
         level, ix, iy = self.level, self.ix, self.iy
         child = np.arange(1, len(level))
@@ -304,42 +306,47 @@ class _Workspace:
         once = ~both | (tgt <= src)
         self.line_image = (tgt[once], src[once], cutoff[once], (both & (tgt != src))[once])
 
-    def build_tables(self):
-        """Load the table cache (or start a store) and fill it with every planned key."""
-        if self.media.variant == "free":
-            return
-        cache = self.config.table_cache
-        if cache and os.path.exists(cache):
-            self.store = layered.load_tables(cache, self.media, self.P)
-        else:
-            self.store = layered.TableStore(self.media, self.P)
-        reads = [rows for rows, *_ in self.far.values()]
-        self.store.fill(self.y0, np.concatenate(reads) if reads else [])
+
+# the timings key of each translation operator, and its name in errors
+_OPERATORS = {"m2m": "M2M", "l2l": "L2L", "m2l_free": "M2L", "m2l_table": "table"}
 
 
-def _translate(out, coeffs, groups, vectors, name, level, k):
+def _translate(ws, out, coeffs, groups, vectors, phase, level):
     """out[tgt] += T(vector) @ coeffs[src]: one Toeplitz matrix, gather, GEMM and scatter per group.
 
     groups is (rows, src, tgt, bounds) (_groups) or None, vectors(rows)
     all its vectors at once, one row each; T[p, m] = vector[m - p].  A
     group's pairs share one translation, which fixes each target's source,
-    so no group repeats a target.  A non-finite vector (H_{2P} overflows at
-    high P and small k*w) raises ValueError naming name, level and k*w.
+    so no group repeats a target.  Its wall time adds to ws.timings[phase].
+    A non-finite vector (H_{2P} overflows at high P and small k*w) raises
+    ValueError naming the operator, level and k*w.
     """
     if groups is None:
         return
+    t0 = time.perf_counter()
     rows, src, tgt, bounds = groups
-    P = (out.shape[1] - 1) // 2
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         vecs = vectors(rows)
     if not np.isfinite(vecs).all():
-        raise ValueError(f"{name} vectors at level {level} are not finite "
-                         f"(k*w = {k * 0.5 ** level:.3g}, P = {P})")
+        raise ValueError(f"{_OPERATORS[phase]} vectors at level {level} are not finite "
+                         f"(k*w = {ws.k * 0.5 ** level:.3g}, P = {ws.P})")
     for vec, a, b in zip(vecs, bounds[:-1].tolist(), bounds[1:].tolist()):
-        out[tgt[a:b]] += coeffs[src[a:b]] @ ex.translation_matrix(vec, P).T
+        out[tgt[a:b]] += coeffs[src[a:b]] @ ex.translation_matrix(vec, ws.P).T
+    ws.timings[phase] += time.perf_counter() - t0
 
 
-def _upward(ws):
+def _tables(ws, out):
+    """Load the table cache (or start a store) and fill it with every planned key."""
+    if ws.media.variant == "free":
+        return
+    cache = ws.config.table_cache
+    ws.store = (layered.load_tables(cache, ws.media, ws.P) if cache and os.path.exists(cache)
+                else layered.TableStore(ws.media, ws.P))
+    reads = [rows for rows, *_ in ws.far.values()]
+    ws.store.fill(ws.y0, np.concatenate(reads) if reads else [])
+
+
+def _upward(ws, out):
     """P2M at the leaves, one sweep per chunk, then M2M toward the root, one GEMM per child quadrant."""
     P, k = ws.P, ws.k
     ws.multipole = np.zeros((len(ws.level), 2 * P + 1), dtype=complex)
@@ -350,11 +357,11 @@ def _upward(ws):
         hw = 0.5 ** (level + 1)  # half width of the children
         quadrants, parents, children, bounds = ws.quadrants[level]
         # the quadrant is the child center minus the parent's, in half widths
-        _translate(ws.multipole, ws.multipole, (quadrants, children, parents, bounds),
-                   lambda q: ex.translation_vector_j(k, *(-hw * q.T), P), "M2M", level, k)
+        _translate(ws, ws.multipole, ws.multipole, (quadrants, children, parents, bounds),
+                   lambda q: ex.translation_vector_j(k, *(-hw * q.T), P), "m2m", level)
 
 
-def _downward(ws):
+def _downward(ws, out):
     """L2L from parents, free M2L and every table read, level by level.
 
     A leaf's local expansion is final once its level is done, so the near
@@ -366,14 +373,14 @@ def _downward(ws):
         ws.image = ex.image_coefficients(ws.multipole)
     for level in range(int(ws.level[-1]) + 1):
         hw = 0.5 ** (level + 1)  # half width of the boxes at this level
-        _translate(ws.local, ws.local, ws.quadrants.get(level),
-                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P), "L2L", level, k)
-        _translate(ws.local, ws.multipole, ws.offsets.get(level),
-                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P), "M2L", level, k)
+        _translate(ws, ws.local, ws.local, ws.quadrants.get(level),
+                   lambda q: ex.translation_vector_j(k, *(hw * q.T), P), "l2l", level)
+        _translate(ws, ws.local, ws.multipole, ws.offsets.get(level),
+                   lambda o: ex.translation_vector_h(k, *(2 * hw * o.T), P), "m2l_free", level)
         # the scattered part: image coefficients through one table entry
         # per (key, flip), so the V and near pairs of one geometry share a GEMM
-        _translate(ws.local, ws.image, ws.far.get(level), lambda rows: ws.store.get(ws.y0, rows),
-                   "table", level, k)
+        _translate(ws, ws.local, ws.image, ws.far.get(level),
+                   lambda rows: ws.store.get(ws.y0, rows), "m2l_table", level)
 
 
 def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
@@ -391,13 +398,11 @@ def local_values(coeffs, xs, ys, cx, cy, k: float) -> np.ndarray:
     return 0.25j * terms.sum(axis=0)
 
 
-def _local_potentials(ws):
-    """Every leaf's local expansion at its own particles, in tree order: one sweep per chunk."""
-    out = np.empty(len(ws.q), dtype=complex)
+def _local_potentials(ws, out):
+    """out += every leaf's local expansion at its own particles: one sweep per chunk."""
     for span, _, _ in ws.chunks:
-        out[span] = local_values(ws.local[ws.row[span]], ws.x[span], ws.y[span],
-                                 ws.cx[span], ws.cy[span], ws.k)
-    return out
+        out[span] += local_values(ws.local[ws.row[span]], ws.x[span], ws.y[span],
+                                  ws.cx[span], ws.cy[span], ws.k)
 
 
 def _kernel_sq(x2):
@@ -575,31 +580,18 @@ def _cut_field(ws):
 
 def fmm_apply(particles, config: RunConfig) -> PotentialVector:
     """Hierarchical evaluation of the pairwise potential sums."""
-    timings = {}
     t0 = time.perf_counter()
     ws = _Workspace(particles, config)
+    timings = ws.timings  # _translate adds each operator's share of upward and downward
     timings["build"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    ws.build_tables()
-    timings["tables"] = time.perf_counter() - t1
-
-    t1 = time.perf_counter()
-    _upward(ws)
-    timings["upward"] = time.perf_counter() - t1
-
-    t1 = time.perf_counter()
-    _downward(ws)
-    timings["downward"] = time.perf_counter() - t1
-
-    # the leaf potentials in tree order: local expansions, then the near
-    # field; near is the sum of its three sub-phases
-    t1 = time.perf_counter()
-    out = _local_potentials(ws)
-    timings["near_local"] = time.perf_counter() - t1
-    for phase, near in (("near_free", _near_free), ("near_cut", _near_cut)):
+    out = np.zeros(len(ws.q), dtype=complex)  # the leaf potentials in tree order
+    # every pass is run(ws, out), and only the near passes add to out;
+    # tables finishes before upward's first P2M
+    for phase, run in (("tables", _tables), ("upward", _upward), ("downward", _downward),
+                       ("near_local", _local_potentials), ("near_free", _near_free),
+                       ("near_cut", _near_cut)):
         t1 = time.perf_counter()
-        near(ws, out)
+        run(ws, out)
         timings[phase] = time.perf_counter() - t1
     timings["near"] = timings["near_local"] + timings["near_free"] + timings["near_cut"]
     values = np.empty(len(particles), dtype=complex)

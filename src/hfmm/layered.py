@@ -128,9 +128,9 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     With e^{+-i root dx} = cos +- i sin, both halves come from the sums of
     env cos(root dx) Z and env sin(root dx) Z, each one real product: the
     key side env = e^{-t dy} z^{-2P} meets Z = w r/root z^{2P+nu}, |z| <= 1,
-    so nothing overflows unless the integrand does, and the z^{-nu} half
-    is reversed.  The key side's exponentials are taken once per distinct
-    dx and dy of a block of keys, and the mass once per distinct dy.
+    and the z^{-nu} half is reversed.  The key side's exponentials are
+    taken once per distinct dx and dy of a block of keys, and the mass once
+    per distinct dy.  An overflow (of env at high P and small dy) raises ValueError.
     """
     k, m = media.k1, 4 * P + 1
     t, w = panel_rule(edges, count, spectral_breakpoints(media, "evanescent", edges[-1]))
@@ -143,18 +143,23 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     root = np.hypot(t, k)
     lnz = np.log(k) - np.log(root + t)  # z = (root - t)/k without cancellation
     base = w * r_evan(t) / root
-    for n in nodes:
-        zpow = np.exp(np.outer(lnz[n], np.arange(m)))
-        z_re = (base[n, None] * zpow).view(float)  # Z as (nodes x 2m) reals
-        z_abs = np.abs(base[n, None]) * zpow
-        for c, ux, ix, uy, iy in blocks:
-            env = np.exp(-uy[:, None] * t[n] - 2 * P * lnz[n])
-            mass[c] += (env @ z_abs)[iy]
-            phase = ux[:, None] * root[n]
-            side = np.stack((np.cos(phase), np.sin(phase))).take(ix, axis=1)
-            side *= env.take(iy, axis=0)
-            for half, out in zip(side, (cos_z, sin_z)):
-                out[c] += (half @ z_re).view(complex)
+    try:
+        with np.errstate(over="raise"):
+            for n in nodes:
+                zpow = np.exp(np.outer(lnz[n], np.arange(m)))
+                z_re = (base[n, None] * zpow).view(float)  # Z as (nodes x 2m) reals
+                z_abs = np.abs(base[n, None]) * zpow
+                for c, ux, ix, uy, iy in blocks:
+                    env = np.exp(-uy[:, None] * t[n] - 2 * P * lnz[n])
+                    mass[c] += (env @ z_abs)[iy]
+                    phase = ux[:, None] * root[n]
+                    side = np.stack((np.cos(phase), np.sin(phase))).take(ix, axis=1)
+                    side *= env.take(iy, axis=0)
+                    for half, out in zip(side, (cos_z, sin_z)):
+                        out[c] += (half @ z_re).view(complex)
+    except FloatingPointError:
+        raise ValueError(f"evanescent table grid overflows at P={P} (smallest dy {dy.min():.3g}): "
+                         "e^(-t dy) z^(-2P) passes the largest double") from None
     # plus + (-1)^nu (minus reversed), where plus and minus are cos_z +- i sin_z
     sign = np.where(np.arange(-2 * P, 2 * P + 1) % 2 == 0, 1.0, -1.0)
     cos_z += sign * cos_z[:, ::-1]
@@ -163,25 +168,23 @@ def _evanescent_grid(media, P, dx, dy, r_evan, edges, count):
     return cos_z, mass + mass[:, ::-1]
 
 
-def _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=0.0):
+def _spectral_entries(media, dx, dy, P, r_prop, r_evan):
     """Plane-wave split entries of a batch (rows of 4P+1) and the evanescent nodes used.
 
     dx and dy hold one offset per key; r_prop(tau) and r_evan(t) supply
-    the spectral factor (reflectance for A, tail factor for B); shift adds
-    a decay e^{-t shift} per key on both contours.  Each contour refines
-    every entry on its own: the rule's nodes per segment or panel double,
-    and the next rule is evaluated only for the entries whose last two
-    rules still differ, until each entry's two agree (it keeps the finer
-    value), or QuadratureConvergenceError is raised at the cap.  The
-    evanescent panels are the batch's (_panel_edges of its smallest dy),
-    and the nodes returned are those of the finest grid any entry took.
+    the spectral factor (reflectance for A, tail factor for B).  Each
+    contour refines every entry on its own: the rule's nodes per segment
+    or panel double, and the next rule is evaluated only for the entries
+    whose last two rules still differ, until each entry's two agree (it
+    keeps the finer value), or QuadratureConvergenceError is raised at
+    the cap.  The evanescent panels are the batch's (_panel_edges of its
+    smallest dy), and the nodes are those of the finest grid any entry took.
     """
     k = media.k1
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     if not np.all(dy > 0):
         raise ValueError("heterogeneous translation requires dy > 0")
-    dy = dy + shift
     nu = np.arange(-2 * P, 2 * P + 1)
     i_nu = _I_POWERS[nu % 4]
 
@@ -252,7 +255,7 @@ def compute_B_tail(dx, dy, cutoff, media: MediaConfig, P: int):
     factor 2i*alpha/(kappa - i*alpha) is replaced by its analytically
     integrated tail 2i*alpha*exp((i*alpha - kappa)C)/(kappa - i*alpha);
     the point-image term is excluded (it moves to near-field part I when
-    C > 0).  The e^{-kappa C} factor is a decay shift by C on both
+    C > 0).  The e^{-kappa C} factor is a decay over dy + C on both
     contours, and e^{i alpha C} scales each row.
     """
     if media.variant != "two-layer":
@@ -260,16 +263,18 @@ def compute_B_tail(dx, dy, cutoff, media: MediaConfig, P: int):
     C = np.asarray(cutoff, dtype=float)
     if not np.all(C > 0):
         raise ValueError("tail cutoff must be positive (use compute_A when C = 0)")
+    if not np.all(np.greater(dy, 0)):
+        raise ValueError("heterogeneous translation requires dy > 0")
     k, alpha = media.k1, media.alpha
 
     def r_prop(tau):
-        # kappa = -i k sin(tau); e^{-kappa C} = e^{i k C sin(tau)} is in the shift
+        # kappa = -i k sin(tau); e^{-kappa C} = e^{i k C sin(tau)} is in dy + C
         return -2.0 * alpha / (k * np.sin(tau) + alpha)
 
     def r_evan(t):
         return 2.0j * alpha / (t - 1j * alpha)
 
-    rows, nodes = _spectral_entries(media, dx, dy, P, r_prop, r_evan, shift=C)
+    rows, nodes = _spectral_entries(media, dx, dy + C, P, r_prop, r_evan)
     return np.exp(1j * alpha * C)[:, None] * rows, nodes
 
 

@@ -119,6 +119,26 @@ class TestBench:
                 if r["metric"] == "time_total" and r["N"] == "100"][0]
         assert t100 < 1.0
 
+    def test_one_row_per_timings_key(self, tmp_path, monkeypatch):
+        # the rows follow the keys fmm_apply reports, whatever they are
+        seen, apply = [], cli.fmm_apply
+
+        def recorded(*args):
+            out = apply(*args)
+            out.timings["made_up"] = 0.5
+            seen.append(list(out.timings))
+            return out
+
+        monkeypatch.setattr(cli, "fmm_apply", recorded)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--n-list", "100,200", "--p", "6", "--leaf-size", "30",
+                     "--out", str(out)]) == 0
+        rows = _read_rows(out)
+        assert len(seen) == 2
+        for n, keys in zip(("100", "200"), seen):
+            assert [r["metric"] for r in rows if r["N"] == n and r["metric"].startswith("time_")
+                    ] == [f"time_{key}" for key in keys]
+
     def test_entry_count_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--n-list", "150", "--p", "6", "--leaf-size", "30",
@@ -145,6 +165,33 @@ class TestBench:
         for r in _read_rows(a):
             assert float(r["seconds"]) == 0.0
             assert float(r["value"]) == 0.0
+
+
+class TestStdout:
+    """Without --out the rows take stdout and the lines for people go to stderr."""
+
+    def test_bench_json_parses(self, capsys):
+        assert main(["bench", "--n-list", "100,200", "--p", "6", "--leaf-size", "30",
+                     "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert any(r["metric"] == "beta" for r in json.loads(captured.out)["rows"])
+        assert "fitted scaling exponent beta" in captured.err
+
+    def test_validate_json_parses(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "VALIDATION_CHECKS", [("toeplitz", "two-layer", check_toeplitz)])
+        assert main(["validate", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert [r["metric"] for r in json.loads(captured.out)["rows"]] == ["toeplitz"]
+        assert "toeplitz (two-layer): pass" in captured.err
+
+    def test_timings_none_is_byte_identical(self, capsys):
+        argv = ["bench", "--n-list", "100,200", "--p", "6", "--leaf-size", "30",
+                "--timings", "none"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert first.splitlines()[0] == CSV_VERSION
 
 
 class TestSubcommandFlags:

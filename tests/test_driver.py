@@ -162,9 +162,26 @@ class TestNonFinite:
                 fmm_apply(parts, RunConfig(media=media, order=P, leaf_capacity=leaf))
 
     def test_non_finite_potentials_raise(self, monkeypatch):
-        monkeypatch.setattr(driver, "_local_potentials", lambda ws: np.full(len(ws.q), np.nan + 0j))
+        monkeypatch.setattr(driver, "_local_potentials", lambda ws, out: out.fill(np.nan))
         with pytest.raises(ValueError, match="potentials are not finite"):
             fmm_apply(_random_particles(9, 60), RunConfig(media=MediaConfig.free(1.0), order=5))
+
+    @pytest.mark.parametrize("warn", ["error", "ignore"])
+    def test_overflowing_table_grid_raises(self, warn):
+        # the width-3 strip of test_flat_strip_near_interface: at P = 60 the
+        # grid's e^(-t dy) z^(-2P) passes the largest double, at P = 50 it does not
+        rng = np.random.default_rng(41)
+        xs, ys = rng.uniform(-1.5, 1.5, 400), rng.uniform(0.01, 0.11, 400)
+        parts = [Particle(Point2(float(x), float(y)), float(q))
+                 for x, y, q in zip(xs, ys, rng.normal(size=400))]
+        media = MediaConfig.two_layer(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn)
+            with pytest.raises(ValueError, match=r"evanescent table grid overflows at P=60 "
+                                                 r"\(smallest dy 0\.0382\)"):
+                fmm_apply(parts, RunConfig(media=media, order=60, leaf_capacity=20))
+            got = fmm_apply(parts, RunConfig(media=media, order=50, leaf_capacity=20)).values
+        assert np.isfinite(got).all()
 
 
 class TestFmmAgainstDirect:
@@ -262,15 +279,20 @@ class TestStructure:
 
     def test_timings_reported(self):
         parts = _random_particles(12, 150)
-        out = fmm_apply(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0),
-                                         order=8))
-        for key in ("build", "tables", "upward", "downward", "near", "near_local",
-                    "near_free", "near_cut", "total"):
-            assert key in out.timings
-            assert out.timings[key] >= 0.0
-        # the near sub-phases partition the near phase
-        assert out.timings["near"] == pytest.approx(
-            out.timings["near_local"] + out.timings["near_free"] + out.timings["near_cut"])
+        passes = ("tables", "upward", "downward", "near_local", "near_free", "near_cut")
+        for media in (MediaConfig.free(1.0), MediaConfig.two_layer(1.0, 1.0),
+                      MediaConfig.three_layer(1.0, 0.8, 0.6, 0.8)):
+            t = fmm_apply(parts, RunConfig(media=media, order=8)).timings
+            # every key is a pass, a translation operator within one, or an aggregate
+            assert set(t) == {"build", *passes, "m2m", "l2l", "m2l_free", "m2l_table",
+                              "near", "total"}
+            assert all(seconds >= 0.0 for seconds in t.values())
+            assert t["upward"] >= t["m2m"] > 0.0
+            assert t["downward"] >= t["l2l"] + t["m2l_free"] + t["m2l_table"]
+            assert (t["m2l_table"] > 0.0) == (media.variant != "free")
+            # the near sub-phases partition the near phase
+            assert t["near"] == pytest.approx(t["near_local"] + t["near_free"] + t["near_cut"])
+            assert t["total"] >= t["build"] + sum(t[phase] for phase in passes)
 
     def test_table_cache_round_trip(self, tmp_path):
         parts = _random_particles(14, 200, ylo=0.1, yhi=1.2)
@@ -494,7 +516,7 @@ class TestLeafSweeps:
     def test_chunked_p2m_matches_per_leaf(self):
         ws = self._workspace()
         tree = ws.tree
-        driver._upward(ws)
+        driver._upward(ws, None)  # upward adds nothing to the potentials
         for i in ws.leaves:
             a, b = tree.start[i], tree.stop[i]
             want = expansions.p2m_arrays(ws.x[a:b], ws.y[a:b], ws.q[a:b],
@@ -507,7 +529,8 @@ class TestLeafSweeps:
         rng = np.random.default_rng(22)
         shape = (len(ws.level), 2 * ws.P + 1)
         ws.local = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        got = driver._local_potentials(ws)
+        got = np.zeros(len(ws.q), dtype=complex)
+        driver._local_potentials(ws, got)
         for i in ws.leaves:
             a, b = tree.start[i], tree.stop[i]
             want = driver.local_values(ws.local[i], ws.x[a:b], ws.y[a:b],
