@@ -8,9 +8,11 @@ bench      Wall-time scaling over a particle-count sweep with a fitted
 validate   Runs the cross-module invariant checks; nonzero exit on any
            failure.
 
-Configuration comes from an INI file (section [hfmm]) plus flag
-overrides.  Output is CSV (versioned header) or JSON with the same
-fields.  Exit codes: 0 pass, 1 validation failure, 2 usage error.
+Each quantity has one setting: --k is k1 in every medium, and a media
+flag the medium does not read is refused.  Configuration comes from an
+INI file (section [hfmm]) plus flag overrides, under the same checks.
+Output is CSV (versioned header) or JSON with the same fields.  Exit
+codes: 0 pass, 1 validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,21 +27,35 @@ import numpy as np
 
 from . import expansions as ex
 from .driver import RunConfig, direct_apply, error_metric, fmm_apply
-from .greens import (MediaConfig, Point2, QuadratureConvergenceError, free_space,
-                     scattered_batch, scattered_direct)
+from .greens import MediaConfig, Point2, QuadratureConvergenceError, scattered_batch
 from .layered import compute_A
+from .specfun import hankel0
 from .tree import Particle
 
 CSV_VERSION = "# hfmm-csv v1"
 CSV_HEADER = "scenario,media,k,alpha,P,N,metric,value,seconds"
 
 
+# each medium's constructor and the media flags past --k that it reads,
+# with their defaults; every other media flag is refused for it
+_MEDIA = {"free": (MediaConfig.free, {}),
+          "two-layer": (MediaConfig.two_layer, {"alpha": 1.0}),
+          "three-layer": (MediaConfig.three_layer, {"k2": 0.8, "k3": 0.6, "d": 0.8})}
+_MEDIA_FLAGS = [flag for _, reads in _MEDIA.values() for flag in reads]
+
+
 def build_media(args) -> MediaConfig:
-    if args.media == "free":
-        return MediaConfig.free(args.k)
-    if args.media == "two-layer":
-        return MediaConfig.two_layer(args.k, args.alpha)
-    return MediaConfig.three_layer(args.k1, args.k2, args.k3, args.d)
+    """The --media medium: --k is its top-layer wavenumber k1, then the flags it reads.
+
+    A media flag the medium does not read, given on the command line or
+    in the INI file, is a usage error.
+    """
+    make, reads = _MEDIA[args.media]
+    for name in _MEDIA_FLAGS:
+        if name not in reads and getattr(args, name) is not None:
+            raise UsageError(f"--media {args.media} does not read --{name}")
+    return make(args.k, *(default if getattr(args, name) is None else getattr(args, name)
+                          for name, default in reads.items()))
 
 
 def grid_particles(nx: int, ny: int, center=(0.0, 1.5), side=1.0):
@@ -61,13 +77,13 @@ def _particles(xs, ys, qs):
 
 
 def _run_config(args, media, order, n):
-    """RunConfig of one sweep run; cache=PATH gives each run PATH.P<order>.N<n>."""
+    """RunConfig of one sweep run; cache=PATH gives each run PATH.P<order>.N<n>.S<seed>."""
     if args.tables == "precompute":
         cache = ""
     elif args.tables.startswith("cache=") and args.tables != "cache=":
         # a table file holds one P and one rescaled medium (set by the
-        # particles' root box), so each run of a sweep gets its own
-        cache = f"{args.tables[len('cache='):]}.P{order}.N{n}"
+        # particles' root box, so by N and the seed), so each run gets its own
+        cache = f"{args.tables[len('cache='):]}.P{order}.N{n}.S{args.seed}"
     else:
         raise UsageError(f"--tables takes precompute or cache=PATH, not {args.tables!r}")
     return RunConfig(media=media, order=order, leaf_capacity=args.leaf_size,
@@ -101,9 +117,7 @@ def cmd_accuracy(args):
         xs, ys = grid_particles(nx, nx)
     else:
         xs, ys = random_particles(args.seed, args.n)
-    rng = np.random.default_rng(args.seed)
-    qs = rng.normal(size=len(xs))
-    parts = _particles(xs, ys, qs)
+    parts = _particles(xs, ys, np.random.default_rng(args.seed).normal(size=len(xs)))
 
     t0 = time.perf_counter()
     ref = fmm_apply(parts, _run_config(args, media, args.p_ref, args.n))
@@ -122,26 +136,22 @@ def cmd_bench(args):
     if not args.n_list:
         raise UsageError("bench requires a nonempty --n-list sweep")
     media = build_media(args)
-    P = args.p[0] if args.p else 16
+    hide = args.timings == "none"  # timing values are nondeterministic
     rows, totals = [], []
     for N in args.n_list:
         xs, ys = random_particles(args.seed, N)
-        rng = np.random.default_rng(args.seed)
-        qs = rng.normal(size=N)
-        parts = _particles(xs, ys, qs)
-        out = fmm_apply(parts, _run_config(args, media, P, N))
-        hide = args.timings == "none"  # timing values are nondeterministic
+        parts = _particles(xs, ys, np.random.default_rng(args.seed).normal(size=N))
+        out = fmm_apply(parts, _run_config(args, media, args.p, N))
         for phase, seconds in out.timings.items():
-            rows.append(_row(args, media, P, N, f"time_{phase}",
+            rows.append(_row(args, media, args.p, N, f"time_{phase}",
                              0.0 if hide else round(seconds, 6), seconds))
         if not hide:  # --timings none keeps only the zeroed timing rows
             for name, count in out.counts.items():
-                rows.append(_row(args, media, P, N, name, count, 0.0))
+                rows.append(_row(args, media, args.p, N, name, count, 0.0))
         totals.append(out.timings["total"])
     if len(args.n_list) >= 2:
         beta = float(np.polyfit(np.log(args.n_list), np.log(totals), 1)[0])
-        rows.append(_row(args, media, P, 0, "beta",
-                         0.0 if args.timings == "none" else round(beta, 4),
+        rows.append(_row(args, media, args.p, 0, "beta", 0.0 if hide else round(beta, 4),
                          sum(totals)))
         _note(args, f"fitted scaling exponent beta = {beta:.4f}")
     return rows, 0
@@ -153,48 +163,45 @@ def cmd_bench(args):
 
 def check_sommerfeld_identity(seed=11):
     """Free-space kernel against its spectral split: the alpha = 0 two-layer
-    scattered field (reflectance 1) at dy = |y - y0| in place of y + y0."""
+    scattered field (reflectance 1) at dy = |y - y0| in place of y + y0.
+
+    With reflectance 1 the split depends on k only through k dx and k dy,
+    so the pairs of both wavenumbers (0.1 and 1) make one k = 1 batch at
+    their offsets times k.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    dx, dy = [], []
     for k in (0.1, 1.0):
-        pairs = []
         for _ in range(25):
             x0 = Point2(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
             x = Point2(x0.x + rng.uniform(0.5, 3.0) * rng.choice([-1, 1]),
                        x0.y + rng.uniform(0.5, 3.0))
-            pairs.append((x, x0))
-        split = scattered_batch(MediaConfig.two_layer(k, 0.0), [x.x - x0.x for x, x0 in pairs],
-                                [abs(x.y - x0.y) for x, x0 in pairs])
-        direct = [free_space(k, x, x0) for x, x0 in pairs]
-        worst = max(worst, float(np.abs(split - direct).max()))
+            dx.append(k * (x.x - x0.x))
+            dy.append(k * abs(x.y - x0.y))
+    split = scattered_batch(MediaConfig.two_layer(1.0, 0.0), dx, dy)
+    worst = float(np.abs(split - 0.25j * hankel0(np.hypot(dx, dy))).max())
     return worst, worst <= 1e-10
 
 
 def check_boundary_residual(alpha=1.0):
-    """Impedance condition du/dn - i*alpha*u = 0 on y = 0 (n = -y)."""
-    from .greens import domain_green
+    """Impedance condition du/dn - i*alpha*u = 0 on y = 0 (n = -y), one batch of 60 pairs."""
     media = MediaConfig.two_layer(1.0, 1.0)
-    x0 = Point2(0.0, 1.0)
     h = 1e-5
-    worst = 0.0
-    for xx in np.linspace(-2.0, 2.0, 20):
-        up = domain_green(media, Point2(xx, h), x0)
-        dn = domain_green(media, Point2(xx, -h), x0)
-        u0 = domain_green(media, Point2(xx, 0.0), x0)
-        dudn = -(up - dn) / (2 * h)
-        worst = max(worst, abs(dudn - 1j * alpha * u0) / abs(u0))
+    dx, y = np.meshgrid(np.linspace(-2.0, 2.0, 20), [h, -h, 0.0])
+    up, dn, u0 = 0.25j * hankel0(np.hypot(dx, y - 1.0)) + scattered_batch(media, dx, y + 1.0)
+    dudn = -(up - dn) / (2 * h)
+    worst = float(np.max(np.abs(dudn - 1j * alpha * u0) / np.abs(u0)))
     return worst, worst <= 1e-6
 
 
 def check_reciprocity(seed=12, alpha=1.0):
+    """u^s(a; b) = u^s(b; a) for 10 pairs, both directions in one batch."""
     rng = np.random.default_rng(seed)
     media = MediaConfig.two_layer(1.0, alpha)
-    worst = 0.0
-    for _ in range(10):
-        a = Point2(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-        b = Point2(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-        worst = max(worst, abs(scattered_direct(media, a, b)
-                               - scattered_direct(media, b, a)))
+    points = np.array([(rng.uniform(-1, 1), rng.uniform(0.2, 2.0)) for _ in range(20)])
+    a, b = points[0::2].T, points[1::2].T
+    ab, ba = scattered_batch(media, [a[0] - b[0], b[0] - a[0]], [a[1] + b[1], b[1] + a[1]])
+    worst = float(np.abs(ab - ba).max())
     return worst, worst <= 1e-12
 
 
@@ -208,15 +215,14 @@ def check_equal_wavenumber(seed=13):
 
 
 def check_alpha_zero_mirror(seed=14, alpha=0.0):
+    """With alpha = 0 the scattered field of x0 is the free field of its mirror image."""
     media = MediaConfig.two_layer(1.0, alpha)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        x0 = Point2(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-        x = Point2(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-        image = Point2(x0.x, -x0.y)
-        worst = max(worst, abs(scattered_direct(media, x, x0)
-                               - free_space(media.k1, x, image)))
+    points = np.array([(rng.uniform(-1, 1), rng.uniform(0.2, 2.0)) for _ in range(20)])
+    x0, x = points[0::2].T, points[1::2].T
+    dx, dy = x[0] - x0[0], x[1] + x0[1]
+    image = 0.25j * hankel0(media.k1 * np.hypot(dx, dy))
+    worst = float(np.abs(scattered_batch(media, dx, dy) - image).max())
     return worst, worst <= 1e-12
 
 
@@ -316,7 +322,8 @@ def build_parser():
     """The hfmm parser: each subcommand registers only the flags its handler reads.
 
     validate takes only --config, --out, --format, --timings and --list;
-    accuracy takes --n and --p-ref, bench takes --n-list.
+    accuracy takes --n, --p-ref and a list --p, bench takes --n-list and
+    one order --p.
     """
     parser = argparse.ArgumentParser(prog="hfmm",
                                      description="heterogeneous FMM harness")
@@ -333,27 +340,24 @@ def build_parser():
         else:
             p.add_argument("--media", choices=["free", "two-layer", "three-layer"],
                            default="two-layer")
-            p.add_argument("--k", type=float, default=1.0)
-            p.add_argument("--alpha", type=float, default=1.0)
-            p.add_argument("--k1", type=float, default=1.0)
-            p.add_argument("--k2", type=float, default=0.8)
-            p.add_argument("--k3", type=float, default=0.6)
-            p.add_argument("--d", type=float, default=0.8)
-            p.add_argument("--p", type=_int_list,
-                           default=[5, 10, 20, 30] if name == "accuracy" else None,
-                           help="comma-separated expansion orders (bench uses the "
-                                "first, default 16)")
+            p.add_argument("--k", type=float, default=1.0,
+                           help="wavenumber of the top layer (k1) in every medium")
+            for flag in _MEDIA_FLAGS:  # build_media sets the defaults
+                p.add_argument(f"--{flag}", type=float, default=None)
             if name == "accuracy":
+                p.add_argument("--p", type=_int_list, default=[5, 10, 20, 30],
+                               help="comma-separated expansion orders")
                 p.add_argument("--p-ref", type=int, default=39, dest="p_ref")
                 p.add_argument("--n", type=int, default=10000)
             else:
+                p.add_argument("--p", type=int, default=16, help="expansion order")
                 p.add_argument("--n-list", type=_int_list, default=[10000, 90000, 360000],
                                help="comma-separated N sweep")
             p.add_argument("--leaf-size", type=int, default=60, dest="leaf_size")
             p.add_argument("--seed", type=int, default=2026)
             p.add_argument("--tables", default="precompute",
                            help="precompute | cache=PATH (each run of a sweep "
-                                "reads and writes PATH.P<p>.N<n>)")
+                                "reads and writes PATH.P<p>.N<n>.S<seed>)")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv",
                        dest="fmt")
@@ -388,7 +392,10 @@ def _config_defaults(path, parser):
     out = {}
     for name, raw in sec.items():
         action = flags[name.replace("-", "_")]
-        value = (action.type or str)(raw)
+        try:
+            value = (action.type or str)(raw)
+        except ValueError:
+            raise UsageError(f"config key {name}: cannot read {raw!r}") from None
         if action.choices and value not in action.choices:
             raise UsageError(f"config key {name}: {raw!r} is not one of "
                              f"{', '.join(action.choices)}")
@@ -412,10 +419,7 @@ def main(argv=None) -> int:
         if rows:
             write_rows(rows, args.out, args.fmt)
         return code
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

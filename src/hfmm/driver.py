@@ -26,7 +26,7 @@ from .greens import MediaConfig, scattered_batch
 from .quadrature import budget_slices, panel_rule, refine
 # bessel_j_sweep has no caller here; the benchmark tracer wraps this binding
 from .specfun import _SERIES_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq  # noqa: F401
-from .tree import TreeConfig, _ranges, build_lists, build_tree, near_source_leaves
+from .tree import _ranges, build_lists, build_tree, near_source_leaves
 
 __all__ = ["RunConfig", "PotentialVector", "fmm_apply", "direct_apply", "error_metric"]
 
@@ -233,7 +233,7 @@ class _Workspace:
     def __init__(self, particles, config):
         self.config = config
         xs, ys, qs = _particle_arrays(particles, config.media)
-        tree = self.tree = build_tree(xs, ys, TreeConfig(leaf_capacity=config.leaf_capacity))
+        tree = self.tree = build_tree(xs, ys, config.leaf_capacity)
         build_lists(tree)
         self.level, self.ix, self.iy = tree.level, tree.ix, tree.iy
         self.start, self.stop, self.leaves = tree.start, tree.stop, tree.leaves

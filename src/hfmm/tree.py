@@ -4,7 +4,8 @@ The root box is the smallest bounding square of the particles.
 Coordinates are normalized by its side length only (no vertical shift),
 so the interface y = 0 stays at y = 0 and the wavenumber rescales as
 k * side.  Boxes split while they hold more than leaf_capacity
-particles; empty children are pruned; a 2:1 level-balance refinement
+particles (the driver passes RunConfig.leaf_capacity), down to
+max_level; empty children are pruned; a 2:1 level-balance refinement
 runs afterwards so that near (U) and interaction (V) lists suffice and
 no W/X lists are needed.
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .greens import Point2
 
-__all__ = ["Particle", "TreeConfig", "Tree", "NearPairs",
+__all__ = ["Particle", "Tree", "NearPairs",
            "build_tree", "build_lists", "near_source_leaves"]
 
 
@@ -33,18 +34,6 @@ __all__ = ["Particle", "TreeConfig", "Tree", "NearPairs",
 class Particle:
     position: Point2
     strength: complex
-
-
-@dataclass
-class TreeConfig:
-    leaf_capacity: int = 40
-    max_level: int = 30
-
-    def __post_init__(self):
-        if self.leaf_capacity < 1:
-            raise ValueError("leaf_capacity must be >= 1")
-        if self.max_level < 1:
-            raise ValueError("max_level must be >= 1")
 
 
 def _cell_codes(level, ix, iy):
@@ -177,8 +166,15 @@ def _neighbours(level, ix, iy):
     return which[inside], lev[inside], jx[inside], jy[inside]
 
 
-def build_tree(xs, ys, config: TreeConfig) -> Tree:
-    """Build the adaptive, pruned, 2:1-balanced quadtree over positions (xs, ys)."""
+def build_tree(xs, ys, leaf_capacity: int, max_level: int = 30) -> Tree:
+    """Build the adaptive, pruned, 2:1-balanced quadtree over positions (xs, ys).
+
+    leaf_capacity and max_level, each at least 1, stop the splits.
+    """
+    if leaf_capacity < 1:
+        raise ValueError("leaf_capacity must be >= 1")
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     n = len(xs)
     if n == 0:
         raise ValueError("cannot build a tree over zero particles")
@@ -202,8 +198,7 @@ def build_tree(xs, ys, config: TreeConfig) -> Tree:
         nodes = _in_cell_order(nodes)
         level, ix, iy, start, stop, parent = nodes[:6]
         is_leaf = _is_leaf(parent)
-        ids = np.flatnonzero(is_leaf & (stop - start > config.leaf_capacity)
-                             & (level < config.max_level))
+        ids = np.flatnonzero(is_leaf & (stop - start > leaf_capacity) & (level < max_level))
         if not ids.size:
             # refine until adjacent leaves differ by at most one level; the
             # children of a split leaf hold no more than leaf_capacity

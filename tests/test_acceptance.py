@@ -16,7 +16,7 @@ from hfmm.driver import RunConfig, direct_apply, error_metric, fmm_apply, local_
 from hfmm.expansions import p2m_arrays, translation_matrix, translation_vector_h
 from hfmm.greens import MediaConfig, Point2, free_space, scattered_batch, \
     three_layer_sigma
-from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, \
+from hfmm.tree import Particle, build_lists, build_tree, \
     near_source_leaves
 
 
@@ -238,7 +238,7 @@ def test_criterion_9_property_suites(capsys):
     tparts = _particles(rng.uniform(-0.5, 0.5, 250), rng.uniform(0.05, 1.5, 250),
                         np.ones(250))
     tree = build_lists(build_tree([p.position.x for p in tparts], [p.position.y for p in tparts],
-                                  TreeConfig(leaf_capacity=6, max_level=4)))
+                                  6, max_level=4))
     near = set(zip(*near_source_leaves(tree)))
     v_pairs = set(zip(tree.v_tgt, tree.v_src))
 

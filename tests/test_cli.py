@@ -1,13 +1,15 @@
 """Tests for the command-line harness."""
 
+import collections
 import json
 
 import numpy as np
 import pytest
 
-from hfmm import cli
-from hfmm.cli import (CSV_HEADER, CSV_VERSION, check_boundary_residual,
-                      check_equal_wavenumber, check_toeplitz, grid_particles, main,
+from hfmm import cli, greens
+from hfmm.cli import (CSV_HEADER, CSV_VERSION, check_alpha_zero_mirror,
+                      check_boundary_residual, check_equal_wavenumber, check_reciprocity,
+                      check_sommerfeld_identity, check_toeplitz, grid_particles, main,
                       random_particles)
 
 
@@ -82,6 +84,15 @@ class TestAccuracy:
                      "--tables", value]) == 2
         assert "--tables takes precompute or cache=PATH" in capsys.readouterr().err
 
+    def test_cache_files_of_two_seeds_kept_apart(self, tmp_path):
+        # a table file serves one root box, which the seed moves
+        for seed in ("1", "2"):
+            assert main(["accuracy", "--n", "500", "--p", "8", "--p-ref", "12", "--seed", seed,
+                         "--tables", f"cache={tmp_path / 'tables'}",
+                         "--out", str(tmp_path / "acc.csv")]) == 0
+        assert sorted(f.name for f in tmp_path.glob("tables.*")) == [
+            "tables.P12.N500.S1", "tables.P12.N500.S2", "tables.P8.N500.S1", "tables.P8.N500.S2"]
+
     def test_cache_sweep_gives_each_run_its_file(self, tmp_path):
         out = tmp_path / "acc.csv"
         argv = ["accuracy", "--n", "100", "--p", "5,8", "--p-ref", "12",
@@ -89,7 +100,7 @@ class TestAccuracy:
                 "--tables", f"cache={tmp_path / 'tables'}", "--out", str(out)]
         assert main(argv) == 0
         assert sorted(f.name for f in tmp_path.glob("tables.*")) == [
-            "tables.P12.N100", "tables.P5.N100", "tables.P8.N100"]
+            "tables.P12.N100.S2026", "tables.P5.N100.S2026", "tables.P8.N100.S2026"]
         cold = out.read_bytes()
         assert main(argv) == 0  # every run now reads its own file
         assert out.read_bytes() == cold
@@ -102,7 +113,18 @@ class TestBench:
         assert main(argv) == 0
         assert main(argv) == 0
         assert sorted(f.name for f in tmp_path.glob("tables.*")) == [
-            "tables.P6.N100", "tables.P6.N200"]
+            "tables.P6.N100.S2026", "tables.P6.N200.S2026"]
+
+    def test_one_order(self, tmp_path, capsys):
+        # bench runs one order; a list is refused, not cut to its first entry
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n-list", "100", "--p", "8,16"])
+        assert exc.value.code == 2 and "--p" in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[hfmm]\np = 8,16\n")
+        assert main(["bench", "--n-list", "100", "--config", str(cfg)]) == 2
+        assert "config key p" in capsys.readouterr().err
+
     def test_small_bench(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--n-list", "100,200", "--p", "8",
@@ -213,6 +235,45 @@ class TestSubcommandFlags:
         assert "unknown config key(s): n" in capsys.readouterr().err
 
 
+class TestMediaFlags:
+    """--k is k1 in every medium, and each medium refuses the media flags it does not read."""
+
+    def test_k_is_three_layer_k1(self, tmp_path, monkeypatch):
+        seen, apply = [], cli.fmm_apply
+
+        def recorded(parts, config):
+            seen.append(config.media)
+            return apply(parts, config)
+
+        monkeypatch.setattr(cli, "fmm_apply", recorded)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--media", "three-layer", "--k", "2", "--n-list", "100",
+                     "--p", "6", "--leaf-size", "30", "--timings", "none",
+                     "--out", str(out)]) == 0
+        assert [(m.k1, m.k2, m.k3, m.d) for m in seen] == [(2.0, 0.8, 0.6, 0.8)]
+        assert {r["k"] for r in _read_rows(out)} == {"2.0"}
+
+    def test_k1_refused(self, tmp_path, capsys):
+        assert main(["accuracy", "--media", "three-layer", "--k1", "2"]) == 2
+        assert "does not take --k1" in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[hfmm]\nmedia = three-layer\nk1 = 2\n")
+        assert main(["accuracy", "--config", str(cfg)]) == 2
+        assert "unknown config key(s): k1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("media, flag", [("free", "alpha"), ("free", "k2"),
+                                             ("two-layer", "d"), ("two-layer", "k3"),
+                                             ("three-layer", "alpha")])
+    def test_flag_the_medium_does_not_read_refused(self, tmp_path, capsys, media, flag):
+        argv = ["bench", "--n-list", "100", "--p", "6", "--media", media]
+        assert main(argv + [f"--{flag}", "1"]) == 2
+        assert f"--media {media} does not read --{flag}" in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[hfmm]\n{flag} = 1\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert f"--media {media} does not read --{flag}" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_list_names(self, capsys):
         assert main(["validate", "--list"]) == 0
@@ -255,6 +316,28 @@ class TestValidate:
     def test_injected_wrong_sign_alpha_fails(self):
         value, ok = check_boundary_residual(alpha=-1.0)
         assert not ok and value > 1e-6
+
+    @pytest.mark.parametrize("check", [check_sommerfeld_identity, check_boundary_residual,
+                                       check_reciprocity, check_alpha_zero_mirror])
+    def test_pair_check_is_one_batch(self, monkeypatch, check):
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli, "scattered_batch")
+        for module in (cli, greens):
+            for name in ("scattered_direct", "domain_green", "free_space"):
+                if hasattr(module, name):
+                    count(module, name)
+        value, ok = check()
+        assert ok and calls == {"scattered_batch": 1}
 
     def test_toeplitz_check_standalone(self):
         value, ok = check_toeplitz()

@@ -16,7 +16,7 @@ from hfmm import cli, driver, expansions, greens, layered, quadrature
 from hfmm.driver import (PotentialVector, RunConfig, direct_apply, error_metric,
                          fmm_apply)
 from hfmm.greens import MediaConfig, Point2
-from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
+from hfmm.tree import Particle, build_lists, build_tree, near_source_leaves
 from hfmm.specfun import hankel0, hankel0_sq
 
 
@@ -456,7 +456,7 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(expansions, "p2m_arrays", counted)
         fmm_apply(parts, cfg)
-        leaves = len(build_tree(*_positions(parts), TreeConfig(leaf_capacity=30)).leaves)
+        leaves = len(build_tree(*_positions(parts), 30).leaves)
         assert len(calls) == len(driver._Workspace(parts, cfg).chunks)
         assert 1 <= len(calls) < leaves
 
@@ -944,7 +944,7 @@ class TestTableCache:
         cold = fmm_apply(parts, cfg)
         warm = fmm_apply(parts, cfg)
         held = cold.counts["entries_held"]
-        tree = build_lists(build_tree(*_positions(parts), TreeConfig(leaf_capacity=40)))
+        tree = build_lists(build_tree(*_positions(parts), 40))
         tgt, src = near_source_leaves(tree)
         sources = {leaf: [s for t, s in zip(tgt, src) if t == leaf] for leaf in tree.leaves}
         shape = {"leaves": len(sources), "depth": tree.max_depth,
@@ -1026,6 +1026,39 @@ class TestGroups:
                    rng.integers(0, 3, 500))
         assert np.prod([float(c.max() - c.min() + 1) for c in columns]) > 2.0 ** 63
         self._same(columns)
+
+    def test_deep_tree_plan_takes_lexsort(self, monkeypatch):
+        # 300 particles within 1e-8 of a point 1e-6 above the interface
+        # build a depth-30 tree, whose table plan key spans multiply to
+        # about 2^92, so a real input reaches the lexsort branch
+        rng = np.random.default_rng(3)
+        xs = np.r_[rng.uniform(-0.5, 0.5, 500), 0.1 + rng.uniform(-1e-8, 1e-8, 300)]
+        ys = np.r_[rng.uniform(1e-6, 1.0, 500), 1e-6 + rng.uniform(-1e-8, 1e-8, 300)]
+        parts = [Particle(Point2(x, y), 1.0) for x, y in zip(xs, ys)]
+        calls, groups, lexsorts, lexsort = [], driver._groups, [], np.lexsort
+
+        def recorded(src, tgt, *columns):
+            before = len(lexsorts)
+            out = groups(src, tgt, *columns)
+            calls.append((src, tgt, columns, len(lexsorts) - before))
+            return out
+
+        monkeypatch.setattr(driver, "_groups", recorded)
+        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+        ws = driver._Workspace(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=4,
+                                                leaf_capacity=4))
+        # quadrants, offsets, then the table plan, the one to lexsort
+        assert ws.tree.max_depth == 30 and [call[3] for call in calls] == [0, 0, 1]
+        src, tgt, columns, _ = calls[-1]
+        assert np.prod([float(c.max()) - float(c.min()) + 1 for c in columns]) > 2.0 ** 63
+        rows, src, tgt, bounds = _lexsort_groups(src, tgt, *columns)
+        levels = sorted(ws.far)
+        far = [ws.far[level] for level in levels]
+        np.testing.assert_array_equal(np.repeat(levels, [len(f[0]) for f in far]), rows[:, 0])
+        for i, want in enumerate((rows[:, 1:], src, tgt)):
+            np.testing.assert_array_equal(np.concatenate([f[i] for f in far]), want)
+        np.testing.assert_array_equal(np.concatenate([np.diff(f[3]) for f in far]),
+                                      np.diff(bounds))
 
     def test_no_pairs(self):
         none = np.zeros(0, dtype=np.int64)

@@ -17,7 +17,7 @@ from hfmm import layered
 from hfmm.layered import (TableKey, TableStore, compute_A, compute_B_tail, key_geometry,
                           load_tables, pair_key, save_tables)
 from hfmm.quadrature import gauss_legendre, panel_rule
-from hfmm.tree import Particle, TreeConfig, build_lists, build_tree, near_source_leaves
+from hfmm.tree import Particle, build_lists, build_tree, near_source_leaves
 
 
 def _entries_A(dx, dy, media, P):
@@ -145,7 +145,7 @@ class TestGeometry:
     @staticmethod
     def _check_tree_keys(half_width, ylo, yhi):
         xs, ys = _random_positions(21, 400, half_width, ylo, yhi)
-        tree = build_lists(build_tree(xs, ys, TreeConfig(leaf_capacity=8)))
+        tree = build_lists(build_tree(xs, ys, 8))
         y0 = tree.root_xy[1]
         level, iy, cx, cy = tree.level, tree.iy, tree.cx, tree.cy
         assert len(set(level[tree.leaves])) > 1
@@ -592,7 +592,7 @@ class TestPerEntryRefinement:
 
 class TestTableStore:
     def _uniform_tree(self, level=3):
-        return build_lists(build_tree(*_uniform_positions(level), TreeConfig(leaf_capacity=1)))
+        return build_lists(build_tree(*_uniform_positions(level), 1))
 
     def test_cache_sharing(self):
         media = MediaConfig.two_layer(1.0, 1.0)
@@ -893,7 +893,7 @@ class TestOneEntryPerGeometry:
         # reflectance pole and B tails
         xs, ys = _random_positions(31, 300, 0.5, 5e-3, 1.0)
         parts = [Particle(Point2(float(x), float(y)), 1.0) for x, y in zip(xs, ys)]
-        tree = build_lists(build_tree(xs, ys, TreeConfig(leaf_capacity=20)))
+        tree = build_lists(build_tree(xs, ys, 20))
         y0 = Fraction(tree.root_xy[1])
         geometries = {_exact_geometry(y0, tree, tgt, src, False)
                       for tgt, src in zip(tree.v_tgt, tree.v_src)}

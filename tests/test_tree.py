@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from hfmm.tree import TreeConfig, build_lists, build_tree, near_source_leaves
+from hfmm.tree import build_lists, build_tree, near_source_leaves
 
 
 def _random(seed, n, ylo=0.5, yhi=1.5):
@@ -64,13 +64,12 @@ HARD = ["strip-10", "strip-100", "cluster", "interface", "column", "uniform-90k"
 def _input(name):
     positions, cap, max_level = INPUTS[name]
     xs, ys = positions()
-    return xs, ys, TreeConfig(leaf_capacity=cap, max_level=max_level)
+    return xs, ys, cap, max_level
 
 
 @functools.lru_cache(maxsize=None)
 def _tree(name):
-    xs, ys, config = _input(name)
-    return build_lists(build_tree(xs, ys, config))
+    return build_lists(build_tree(*_input(name)))
 
 
 def _node(tree, level, ix, iy):
@@ -95,7 +94,7 @@ def _pairs(ids, test):
     return np.concatenate(out)
 
 
-def _reference_tree(xs, ys, config):
+def _reference_tree(xs, ys, leaf_capacity, max_level):
     """Pure-Python build: recursive stable quadrant split, then 2:1 balance in whole passes.
 
     Returns {(level, ix, iy): (start, stop, cx, cy)} and the particle order.
@@ -118,7 +117,7 @@ def _reference_tree(xs, ys, config):
                 kid = (level + 1, 2 * ix + bx, 2 * iy + by)
                 nodes[kid] = (a, a + len(members), cx + (2 * bx - 1) * hw, cy + (2 * by - 1) * hw)
                 a += len(members)
-                if len(members) > config.leaf_capacity and kid[0] < config.max_level:
+                if len(members) > leaf_capacity and kid[0] < max_level:
                     split(kid)
 
     def is_leaf(cell):
@@ -131,14 +130,14 @@ def _reference_tree(xs, ys, config):
             level, ix, iy = level - 1, ix >> 1, iy >> 1
         return level, ix, iy
 
-    if len(xs) > config.leaf_capacity:
+    if len(xs) > leaf_capacity:
         split((0, 0, 0))
     while True:
         forced = {c for (level, ix, iy) in filter(is_leaf, list(nodes))
                   for jx in range(ix - 1, ix + 2) for jy in range(iy - 1, iy + 2)
                   if 0 <= jx < 1 << level and 0 <= jy < 1 << level
                   for c in [cover(level, jx, jy)]
-                  if c[0] < min(level - 1, config.max_level) and is_leaf(c)}
+                  if c[0] < min(level - 1, max_level) and is_leaf(c)}
         if not forced:
             return nodes, order
         for cell in forced:
@@ -176,7 +175,7 @@ def _check_v_pairs(tree):
 
 class TestBuild:
     def test_single_particle_root_leaf(self):
-        tree = build_tree([0.3], [1.0], TreeConfig(leaf_capacity=10))
+        tree = build_tree([0.3], [1.0], 10)
         assert tree.leaves.tolist() == [0]
         assert len(tree.level) == 1
         assert _count(tree, 0) == 1
@@ -184,7 +183,7 @@ class TestBuild:
     def test_four_quadrants_split_once(self):
         xs = [0.25, 0.75, 0.25, 0.75]
         ys = [1.25, 1.25, 1.75, 1.75]
-        tree = build_tree(xs, ys, TreeConfig(leaf_capacity=1))
+        tree = build_tree(xs, ys, 1)
         assert 0 not in tree.leaves
         children = np.flatnonzero(tree.parent == 0)
         assert len(children) == 4
@@ -192,32 +191,37 @@ class TestBuild:
         assert np.all(_count(tree, children) == 1)
 
     def test_leaf_capacity_respected(self):
-        cfg = TreeConfig(leaf_capacity=8)
-        tree = build_tree(*_random(1, 500), cfg)
+        tree = build_tree(*_random(1, 500), 8)
         # 2:1 balance refinement may re-split, so only the cap is checked
-        assert np.all(_count(tree, tree.leaves) <= cfg.leaf_capacity)
+        assert np.all(_count(tree, tree.leaves) <= 8)
+
+    @pytest.mark.parametrize("cap, max_level, name", [(0, 30, "leaf_capacity"),
+                                                      (4, 0, "max_level")])
+    def test_setting_below_one_refused(self, cap, max_level, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            build_tree([0.3, 0.7], [1.0, 1.2], cap, max_level)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            build_tree([], [], TreeConfig())
+            build_tree([], [], 40)
 
     def test_coincident_particles_capped_at_max_level(self):
-        tree = build_tree([0.5] * 20, [1.0] * 20, TreeConfig(leaf_capacity=2, max_level=5))
+        tree = build_tree([0.5] * 20, [1.0] * 20, 2, max_level=5)
         assert tree.max_depth <= 5
         assert _count(tree, tree.leaves).sum() == 20
 
     def test_permutation_is_bijection(self):
-        tree = build_tree(*_random(2, 300), TreeConfig(leaf_capacity=10))
+        tree = build_tree(*_random(2, 300), 10)
         assert sorted(tree.perm.tolist()) == list(range(300))
 
     def test_spans_partition_particles(self):
-        tree = build_tree(*_random(3, 200), TreeConfig(leaf_capacity=10))
+        tree = build_tree(*_random(3, 200), 10)
         starts, stops = tree.start[tree.leaves], tree.stop[tree.leaves]
         assert starts[0] == 0 and stops[-1] == 200
         np.testing.assert_array_equal(starts[1:], stops[:-1])
 
     def test_particles_inside_leaf_boxes(self):
-        tree = build_tree(*_random(4, 250), TreeConfig(leaf_capacity=10))
+        tree = build_tree(*_random(4, 250), 10)
         eps = 1e-12
         for leaf in tree.leaves:
             a, b = tree.start[leaf], tree.stop[leaf]
@@ -241,7 +245,7 @@ class TestBuild:
 
     def test_physical_round_trip(self):
         xs, ys = _random(6, 50)
-        tree = build_tree(xs, ys, TreeConfig(leaf_capacity=10))
+        tree = build_tree(xs, ys, 10)
         orig_x, orig_y = xs[tree.perm], ys[tree.perm]
         # x is shifted to the root's left edge, y only scaled
         np.testing.assert_allclose(orig_x.min() + tree.side * tree.x, orig_x, atol=1e-13)
@@ -254,32 +258,31 @@ def _v_list(tree, node):
 
 class TestLists:
     def test_root_lists_empty(self):
-        tree = build_lists(build_tree(*_random(7, 100), TreeConfig(leaf_capacity=5)))
+        tree = build_lists(build_tree(*_random(7, 100), 5))
         assert len(_v_list(tree, 0)) == 0
 
     def test_uniform_interior_counts(self):
         # a truly interior box (its parent has the full 3x3 parent
         # neighborhood) sees the maximal 27-box interaction list; the
         # first level deep enough for that is level 3
-        tree = build_lists(build_tree(*_uniform_grid(8, 3), TreeConfig(leaf_capacity=1)))
+        tree = build_lists(build_tree(*_uniform_grid(8, 3), 1))
         assert len(_v_list(tree, _node(tree, 3, 3, 3))) == 27
         # at level 2 the 4x4 grid clips the parent neighborhood to the
         # whole domain: 16 children minus the 3x3 near block
-        shallow = build_lists(build_tree(*_uniform_grid(4, 2), TreeConfig(leaf_capacity=1)))
+        shallow = build_lists(build_tree(*_uniform_grid(4, 2), 1))
         assert len(_v_list(shallow, _node(shallow, 2, 1, 1))) == 16 - 9
 
     def test_uniform_level2_corner_counts(self):
-        tree = build_lists(build_tree(*_uniform_grid(4, 2), TreeConfig(leaf_capacity=1)))
+        tree = build_lists(build_tree(*_uniform_grid(4, 2), 1))
         # parent neighborhood covers the 4x4 level-2 grid minus the
         # 2x2 near block: 16 - 4 = 12
         assert len(_v_list(tree, _node(tree, 2, 0, 0))) == 12
 
     def test_interaction_list_brute_force(self):
-        _check_v_pairs(build_lists(build_tree(*_uniform_grid(8, 3), TreeConfig(leaf_capacity=1))))
+        _check_v_pairs(build_lists(build_tree(*_uniform_grid(8, 3), 1)))
 
     def test_well_separation(self):
-        tree = build_lists(build_tree(*_random(8, 600, ylo=0.05, yhi=2.0),
-                                      TreeConfig(leaf_capacity=6)))
+        tree = build_lists(build_tree(*_random(8, 600, ylo=0.05, yhi=2.0), 6))
         src, tgt = tree.v_src, tree.v_tgt
         assert len(src) > 0
         np.testing.assert_array_equal(tree.level[src], tree.level[tgt])
@@ -287,14 +290,14 @@ class TestLists:
         assert np.all(di >= 2)
 
     def test_offset_vocabulary_within_7x7(self):
-        tree = build_lists(build_tree(*_random(9, 500), TreeConfig(leaf_capacity=5)))
+        tree = build_lists(build_tree(*_random(9, 500), 5))
         src, tgt = tree.v_src, tree.v_tgt
         assert np.all(abs(tree.ix[src] - tree.ix[tgt]) <= 3)
         assert np.all(abs(tree.iy[src] - tree.iy[tgt]) <= 3)
 
     def test_lists_deterministic(self):
-        t1 = build_lists(build_tree(*_random(10, 300), TreeConfig(leaf_capacity=5)))
-        t2 = build_lists(build_tree(*_random(10, 300), TreeConfig(leaf_capacity=5)))
+        t1 = build_lists(build_tree(*_random(10, 300), 5))
+        t2 = build_lists(build_tree(*_random(10, 300), 5))
         np.testing.assert_array_equal(np.c_[t1.level, t1.ix, t1.iy], np.c_[t2.level, t2.ix, t2.iy])
         np.testing.assert_array_equal(t1.v_src, t2.v_src)
         np.testing.assert_array_equal(t1.v_tgt, t2.v_tgt)
@@ -343,7 +346,7 @@ class TestPartition:
         np.testing.assert_array_equal(runs[follows, 0], runs[np.r_[follows[1:], False], 1])
 
     def test_near_map_symmetric(self):
-        tree = build_lists(build_tree(*_random(14, 300), TreeConfig(leaf_capacity=6)))
+        tree = build_lists(build_tree(*_random(14, 300), 6))
         tgt, src = near_source_leaves(tree)
         pairs = set(zip(tgt.tolist(), src.tolist()))
         assert {(leaf, leaf) for leaf in tree.leaves.tolist()} <= pairs  # self included
@@ -355,9 +358,9 @@ class TestHardTrees:
     """Wide strips, a deep cluster, the interface, max_level and a large uniform set."""
 
     def test_matches_reference(self, name):
-        xs, ys, config = _input(name)
+        xs, ys, cap, max_level = _input(name)
         tree = _tree(name)
-        nodes, order = _reference_tree(xs, ys, config)
+        nodes, order = _reference_tree(xs, ys, cap, max_level)
         cells = sorted(nodes)
         np.testing.assert_array_equal(np.c_[tree.level, tree.ix, tree.iy], cells)
         np.testing.assert_array_equal(np.c_[tree.start, tree.stop, tree.cx, tree.cy],
