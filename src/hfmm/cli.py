@@ -9,10 +9,11 @@ validate   Runs the cross-module invariant checks; nonzero exit on any
            failure.
 
 Each quantity has one setting: --k is k1 in every medium, and a media
-flag the medium does not read is refused.  Configuration comes from an
-INI file (section [hfmm]) plus flag overrides, under the same checks.
-Output is CSV (versioned header) or JSON with the same fields.  Exit
-codes: 0 pass, 1 validation failure, 2 usage error.
+flag the medium does not read is refused.  The keys of an INI file
+(section [hfmm]) are the subcommand's own flags, read by the same
+parser before the command line's, whose flags win.  Output is CSV
+(versioned header) or JSON with the same fields.  Exit codes: 0 pass,
+1 validation failure, 2 usage error, reported as one error: line.
 """
 
 from __future__ import annotations
@@ -318,6 +319,13 @@ def _int_list(text):
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are usage errors: main prints one line and returns 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
     """The hfmm parser: each subcommand registers only the flags its handler reads.
 
@@ -325,14 +333,11 @@ def build_parser():
     accuracy takes --n, --p-ref and a list --p, bench takes --n-list and
     one order --p.
     """
-    parser = argparse.ArgumentParser(prog="hfmm",
-                                     description="heterogeneous FMM harness")
+    parser = _Parser(prog="hfmm", description="heterogeneous FMM harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.sub_commands = {}
     for name in ("accuracy", "bench", "validate"):
         # no abbreviations: bench's --n-list must not take --n
         p = sub.add_parser(name, allow_abbrev=False)
-        parser.sub_commands[name] = p
         p.add_argument("--config", default=None, help="INI config file")
         if name == "validate":
             # every check sets its own medium and inputs
@@ -367,52 +372,45 @@ def build_parser():
     return parser
 
 
-def _config_defaults(path, parser):
-    """Read the INI file into a dict usable as the subparser's defaults.
+def _config_flags(path, parser, command):
+    """The [hfmm] keys of the INI file as the command's own flags: key = v is --key=v.
 
-    The keys are the subparser's value flags, spelt with - or _.  A key
-    that names none of them is a usage error, so a misspelt key, or one
-    the subcommand does not read, cannot go unnoticed.  argparse checks a
-    flag's choices only for values given on the command line, so the INI
-    values are checked against them here.
+    Each flag is parsed alone first, to name the key of a bad value; a
+    key the command does not take (config among them) is a usage error,
+    so a misspelt key cannot go unnoticed.
     """
     cp = configparser.ConfigParser()
-    if not cp.read(path):
+    try:
+        read = cp.read(path)
+    except configparser.Error as err:
+        raise UsageError(f"config file {path}: {err.message.splitlines()[0]}") from None
+    if not read:
         raise UsageError(f"cannot read config file {path}")
     if not cp.has_section("hfmm"):
         raise UsageError("config file needs an [hfmm] section")
-    sec = cp["hfmm"]
-    flags = {action.option_strings[-1][2:].replace("-", "_"): action
-             for action in parser._actions
-             if action.option_strings and action.nargs is None
-             and action.dest != "config"}
-    unknown = sorted(name for name in sec if name.replace("-", "_") not in flags)
-    if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    out = {}
-    for name, raw in sec.items():
-        action = flags[name.replace("-", "_")]
+    flags, unknown = [], []
+    for key, value in cp["hfmm"].items():
+        flags.append(f"--{key.replace('_', '-')}={value}")
         try:
-            value = (action.type or str)(raw)
-        except ValueError:
-            raise UsageError(f"config key {name}: cannot read {raw!r}") from None
-        if action.choices and value not in action.choices:
-            raise UsageError(f"config key {name}: {raw!r} is not one of "
-                             f"{', '.join(action.choices)}")
-        out[action.dest] = value
-    return out
+            if key == "config" or parser.parse_known_args([command, flags[-1]])[1]:
+                unknown.append(key)
+        except UsageError as err:
+            raise UsageError(f"config key {key}: {err}") from None
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    return flags
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        # parse twice so explicit flags override config-file values
         args = _parse(parser, argv)
         if args.config:
-            # defaults live on the subparser; explicit flags still win
-            sub = parser.sub_commands[args.command]
-            sub.set_defaults(**_config_defaults(args.config, sub))
-            args = _parse(parser, argv)
+            # the file's flags go before the command line's, which win
+            at = argv.index(args.command) + 1
+            args = _parse(parser, argv[:at] + _config_flags(args.config, parser, args.command)
+                          + argv[at:])
         handler = {"accuracy": cmd_accuracy, "bench": cmd_bench,
                    "validate": cmd_validate}[args.command]
         rows, code = handler(args)

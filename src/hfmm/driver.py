@@ -13,7 +13,6 @@ error_metric is the relative l2 error over the first M targets.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -118,11 +117,10 @@ def direct_apply(particles, media: MediaConfig, tol: float = 1e-12,
 
     t0 = time.perf_counter()
     out = np.empty(n, dtype=complex)
-    # about 16384 pairs per block: a near-interface pair can need thousands
-    # of quadrature nodes
-    block = max(1, 16384 // max(1, n))
-    for a in range(0, n, block):
-        b = min(a + block, n)
+    # blocks of rows under _SWEEP_BYTES: a near-interface pair can need
+    # thousands of quadrature nodes
+    for block in budget_slices(n, max(n, 1), _SWEEP_BYTES):
+        a, b = block.start, min(block.stop, n)
         own = (np.arange(b - a), np.arange(a, b))  # the block's diagonal
         dx = xs[a:b, None] - xs
         r = np.hypot(dx, ys[a:b, None] - ys)
@@ -168,31 +166,14 @@ def _rows(tgt, src):
 def _groups(src, tgt, *columns):
     """(rows, src, tgt, bounds): the distinct rows of the integer columns, sorted,
     and the pairs in group order; group i holds the pairs bounds[i]:bounds[i + 1],
-    in their given order.
-
-    The rows sort by one mixed-radix int64 key (each column minus its
-    minimum, times the product of the later columns' spans) and a stable
-    argsort; lexsort takes over when that product passes 2^63.
+    in their given order (one stable lexsort of the columns).
     """
-    lows = [int(column.min()) if len(column) else 0 for column in columns]
-    spans = [int(column.max()) - low + 1 if len(column) else 1
-             for column, low in zip(columns, lows)]
+    order = np.lexsort(columns[::-1])
+    cols = np.stack([column[order] for column in columns])
     new = np.ones(len(src), dtype=bool)
-    if math.prod(spans) <= 2 ** 63:
-        key = np.zeros(len(src), dtype=np.int64)
-        for column, low, span in zip(columns, lows, spans):
-            key *= span
-            key += column - low
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new[1:] = key[1:] != key[:-1]
-    else:
-        order = np.lexsort(columns[::-1])
-        cols = np.stack([column[order] for column in columns])
-        new[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+    new[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
     first = np.flatnonzero(new)
-    rows = np.stack([column[order[first]] for column in columns], axis=1)
-    return rows, src[order], tgt[order], np.r_[first, len(src)]
+    return np.ascontiguousarray(cols[:, first].T), src[order], tgt[order], np.r_[first, len(src)]
 
 
 def _per_level(level, src, tgt, *columns):
@@ -276,7 +257,8 @@ class _Workspace:
             raise ValueError(f"near map is not symmetric: leaf {a[1:]} at level {a[0]} lists "
                              f"leaf {b[1:]} at level {b[0]}, which does not list it")
         self.near = (tgt, src)
-        self.blocks = np.divmod(np.unique((tgt * n + src)[tgt <= src]), n)
+        # near_source_leaves gives the pairs unique and sorted by (tgt, src)
+        self.blocks = tgt[tgt <= src], src[tgt <= src]
         starts, ends = self.start[self.leaves], self.stop[self.leaves]
         sizes = ends - starts
         self.row = np.repeat(self.leaves, sizes)

@@ -49,17 +49,6 @@ __all__ = [
 ]
 
 
-def _signed_orders(sweep, P):
-    """Extend an order sweep 0..P to -P..P using C_{-n} = (-1)^n C_n.
-
-    sweep has shape (P+1,) + tail; the result (2P+1,) + tail is indexed
-    by p + P.
-    """
-    signs = np.where(np.arange(1, P + 1) % 2 == 1, -1.0, 1.0)
-    neg = sweep[1:][::-1] * signs[::-1].reshape((P,) + (1,) * (sweep.ndim - 1))
-    return np.concatenate([neg, sweep], axis=0)
-
-
 def signed_harmonics(P: int, k: float, dx, dy) -> np.ndarray:
     """J_p(k rho) e^{i p theta} for p = -P..P, shape (2P+1,) + shape(dx), indexed by p + P.
 
@@ -102,9 +91,14 @@ def translation_vector_h(k: float, dx, dy, P: int) -> np.ndarray:
     rho = np.hypot(dx, dy)
     if np.any(rho == 0.0):
         raise ValueError("M2L requires separated centers")
-    nu = np.arange(-2 * P, 2 * P + 1).reshape((-1,) + (1,) * np.ndim(dx))
-    vec = _signed_orders(hankel1_sweep(2 * P, k * rho), 2 * P)
-    return np.moveaxis(vec * np.exp(1j * nu * np.arctan2(dy, dx)), 0, -1)
+    top = 2 * P
+    nu = np.arange(-top, top + 1).reshape((-1,) + (1,) * np.ndim(dx))
+    vec = np.empty((2 * top + 1,) + np.shape(rho), dtype=complex)
+    vec[top:] = hankel1_sweep(top, k * rho)
+    vec[:top] = vec[:top:-1]  # H_{-m} = (-1)^m H_m, as in signed_harmonics
+    vec[:top][::-2] *= -1.0  # odd m
+    vec *= np.exp(1j * nu * np.arctan2(dy, dx))
+    return np.moveaxis(vec, 0, -1)
 
 
 def translation_matrix(vec_nu: np.ndarray, P: int) -> np.ndarray:

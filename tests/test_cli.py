@@ -2,6 +2,10 @@
 
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,9 +121,8 @@ class TestBench:
 
     def test_one_order(self, tmp_path, capsys):
         # bench runs one order; a list is refused, not cut to its first entry
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--n-list", "100", "--p", "8,16"])
-        assert exc.value.code == 2 and "--p" in capsys.readouterr().err
+        assert main(["bench", "--n-list", "100", "--p", "8,16"]) == 2
+        assert "--p" in capsys.readouterr().err
         cfg = tmp_path / "run.ini"
         cfg.write_text("[hfmm]\np = 8,16\n")
         assert main(["bench", "--n-list", "100", "--config", str(cfg)]) == 2
@@ -391,6 +394,69 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "leaf_sise" in err and "threads" in err
 
-    def test_unknown_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+    def test_unknown_subcommand_exits(self, capsys):
+        assert main(["frobnicate"]) == 2
+        assert "frobnicate" in capsys.readouterr().err
+
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        for text in ("n = 10\n", "[hfmm]\nn = 10\nn = 20\n"):
+            cfg.write_text(text)
+            assert main(["accuracy", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config file") and err.count("\n") == 1
+
+    def test_config_key_refused(self, tmp_path, capsys):
+        # a second file named inside the first would go unread
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[hfmm]\nconfig = other.ini\n")
+        assert main(["validate", "--list", "--config", str(cfg)]) == 2
+        assert "unknown config key(s): config" in capsys.readouterr().err
+
+    def test_command_line_wins_on_either_side_of_config(self, tmp_path, monkeypatch):
+        # the file's flags go before every flag of the command line
+        monkeypatch.setattr(cli, "VALIDATION_CHECKS", [("toeplitz", "two-layer", check_toeplitz)])
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[hfmm]\nformat = json\ntimings = none\n")
+        out = tmp_path / "v.csv"
+        assert main(["validate", "--format", "csv", "--config", str(cfg),
+                     "--out", str(out), "--timings", "wall"]) == 0
+        rows = _read_rows(out)
+        assert [r["metric"] for r in rows] == ["toeplitz"] and rows[0]["seconds"] != "0.0"
+
+
+class TestExitContract:
+    """Every usage error returns 2 from main with one stderr line and no usage block."""
+
+    @pytest.mark.parametrize("argv, ini", [
+        (["bench", "--n-list", "100", "--p", "8,16"], None),
+        (["frobnicate"], None),
+        (["bench", "--n-list", "100"], "p = 8,16"),
+        (["accuracy"], "leaf_sise = 5"),
+        ([], None),
+    ], ids=["bad-flag-value", "unknown-subcommand", "bad-ini-value", "unknown-ini-key",
+            "no-subcommand"])
+    def test_one_error_line(self, tmp_path, capsys, argv, ini):
+        if ini is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[hfmm]\n{ini}\n")
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_zero_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hfmm bench")
+
+    def test_module_run_prints_one_line(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "hfmm.cli", "bench", "--n-list", "100",
+                               "--p", "8,16"], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

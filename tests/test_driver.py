@@ -986,7 +986,7 @@ class TestTableCache:
 
 
 def _lexsort_groups(src, tgt, *columns):
-    """_groups by one lexsort: the reference order of the mixed-radix key."""
+    """_groups restated: the distinct rows in lexsort order, the pairs in group order."""
     order = np.lexsort(columns[::-1])
     cols = np.stack([column[order] for column in columns])
     new = np.ones(cols.shape[1], dtype=bool)
@@ -1019,7 +1019,8 @@ class TestGroups:
         assert 1 < len(rows) < n and np.all(np.diff(bounds) > 0)
 
     def test_overflowing_key_takes_lexsort(self):
-        # the spans' product passes 2^63, so the key could not hold the rows
+        # the spans' product passes 2^63, so no one mixed-radix int64 key could
+        # hold the rows; the lexsort needs none
         rng = np.random.default_rng(9)
         big = np.int64(2) ** 40
         columns = (rng.integers(-big, big, 500), rng.integers(-big, big, 500) // 3 * 3,
@@ -1030,26 +1031,23 @@ class TestGroups:
     def test_deep_tree_plan_takes_lexsort(self, monkeypatch):
         # 300 particles within 1e-8 of a point 1e-6 above the interface
         # build a depth-30 tree, whose table plan key spans multiply to
-        # about 2^92, so a real input reaches the lexsort branch
+        # about 2^92, past any one int64 key
         rng = np.random.default_rng(3)
         xs = np.r_[rng.uniform(-0.5, 0.5, 500), 0.1 + rng.uniform(-1e-8, 1e-8, 300)]
         ys = np.r_[rng.uniform(1e-6, 1.0, 500), 1e-6 + rng.uniform(-1e-8, 1e-8, 300)]
         parts = [Particle(Point2(x, y), 1.0) for x, y in zip(xs, ys)]
-        calls, groups, lexsorts, lexsort = [], driver._groups, [], np.lexsort
+        calls, groups = [], driver._groups
 
         def recorded(src, tgt, *columns):
-            before = len(lexsorts)
-            out = groups(src, tgt, *columns)
-            calls.append((src, tgt, columns, len(lexsorts) - before))
-            return out
+            calls.append((src, tgt, columns))
+            return groups(src, tgt, *columns)
 
         monkeypatch.setattr(driver, "_groups", recorded)
-        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
         ws = driver._Workspace(parts, RunConfig(media=MediaConfig.two_layer(1.0, 1.0), order=4,
                                                 leaf_capacity=4))
-        # quadrants, offsets, then the table plan, the one to lexsort
-        assert ws.tree.max_depth == 30 and [call[3] for call in calls] == [0, 0, 1]
-        src, tgt, columns, _ = calls[-1]
+        # quadrants, offsets, then the table plan
+        assert ws.tree.max_depth == 30 and len(calls) == 3
+        src, tgt, columns = calls[-1]
         assert np.prod([float(c.max()) - float(c.min()) + 1 for c in columns]) > 2.0 ** 63
         rows, src, tgt, bounds = _lexsort_groups(src, tgt, *columns)
         levels = sorted(ws.far)
@@ -1059,6 +1057,10 @@ class TestGroups:
             np.testing.assert_array_equal(np.concatenate([f[i] for f in far]), want)
         np.testing.assert_array_equal(np.concatenate([np.diff(f[3]) for f in far]),
                                       np.diff(bounds))
+        # each planned (tgt, src) pair sits in exactly one group
+        pairs = np.concatenate([f[2] for f in far]) * len(ws.level) + np.concatenate(
+            [f[1] for f in far])
+        assert len(np.unique(pairs)) == len(pairs) == len(calls[-1][0])
 
     def test_no_pairs(self):
         none = np.zeros(0, dtype=np.int64)

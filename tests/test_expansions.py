@@ -6,8 +6,8 @@ from scipy.special import hankel1
 
 from hfmm import driver, expansions, specfun
 from hfmm.driver import local_values
-from hfmm.expansions import (_signed_orders, image_coefficients, p2m_arrays,
-                             translation_matrix, translation_vector_h, translation_vector_j)
+from hfmm.expansions import (image_coefficients, p2m_arrays, translation_matrix,
+                             translation_vector_h, translation_vector_j)
 from hfmm.greens import free_space
 from hfmm.specfun import bessel_j_sweep
 
@@ -133,7 +133,8 @@ class TestLeafChunk:
         """J_p(k rho) e^{i p theta}, p = -P..P: Miller's sweep times the phase exps."""
         dx, dy = xs - cx, ys - cy
         p = np.arange(-self.P, self.P + 1)[:, None]
-        js = _signed_orders(bessel_j_sweep(self.P, K * np.hypot(dx, dy)), self.P)
+        js = bessel_j_sweep(self.P, K * np.hypot(dx, dy))
+        js = np.concatenate([js[:0:-1] * (-1.0) ** p[:self.P], js])  # J_{-m} = (-1)^m J_m
         return js * np.exp(1j * p * np.arctan2(dy, dx))
 
     @pytest.mark.parametrize("big", [False, True], ids=["small-leaves", "large-leaf"])

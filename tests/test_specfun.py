@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfmm import greens, specfun
-from hfmm.expansions import _signed_orders
+from hfmm.expansions import signed_harmonics, translation_vector_h
 from hfmm.specfun import (SUPPORTED_MAX_ARG, bessel_j_sweep, hankel0, hankel0_sq,
                           hankel1_sweep, regular_harmonics)
 
@@ -31,12 +31,12 @@ class TestScalarValues:
 
     @pytest.mark.parametrize("n", [-1, -4, -13])
     def test_negative_order_reflection(self, n):
-        # the expansions extend each sweep to order n < 0 by C_n = (-1)^n C_{-n}
+        # the expansions extend each sweep to order n < 0 by C_n = (-1)^n C_{-n};
+        # at theta = 0 the harmonics are the plain J_n and H_n (Y_n, the large part)
         x, m = 1.7, -n
-        assert _signed_orders(bessel_j_sweep(m, x), m)[0] == pytest.approx(sp.jv(n, x),
-                                                                            rel=1e-12)
-        assert _signed_orders(hankel1_sweep(m, x).imag, m)[0] == pytest.approx(sp.yv(n, x),
-                                                                                rel=1e-12)
+        assert signed_harmonics(m, 1.0, x, 0.0)[0].real == pytest.approx(sp.jv(n, x), rel=1e-12)
+        h = translation_vector_h(1.0, x, 0.0, m)[m]  # nu = -m of -2m..2m
+        assert h.imag == pytest.approx(sp.yv(n, x), rel=1e-12)
 
     def test_j_at_zero_argument(self):
         vals = bessel_j_sweep(4, 0.0)
